@@ -9,7 +9,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 FUDJVET = bin/fudjvet
 
-.PHONY: all vet fudjvet build test race chaos chaos-recovery stress serve-chaos serve-ha bench-batch bench-serve-ha fuzz staticcheck govulncheck lint-fix-check ci
+.PHONY: all vet fudjvet build test race chaos chaos-recovery stress serve-chaos serve-ha bench-e2e bench-serve-ha fuzz staticcheck govulncheck lint-fix-check ci
 
 all: build
 
@@ -88,13 +88,16 @@ serve-ha:
 	$(GO) test -race -run 'ServeHA|Pool|Breaker|Backoff|Ready|Instance|Journal|Replay|Expiry' \
 		./internal/serve/ ./internal/serve/client/
 
-# bench-batch runs the hash-path COMBINE microbench — batched columnar
-# shuffle frames against record-at-a-time framing — and records the
-# measurement in results/BENCH_batch.json. The experiment fails below a
-# 1.2x regression floor (the committed artifact records the >=2x
-# target; the floor is looser so noisy CI neighbors don't flake it).
-bench-batch:
-	$(GO) run ./cmd/benchrunner -exp batch -json results/BENCH_batch.json
+# bench-e2e checks the fudj-e2e benchmark (the nested module benchmark/,
+# which tier-1 never compiles) and takes a short reading with it: vet
+# and race tests inside the module, then a same-seed run whose exit
+# status is fatal (oracle mismatch, query error, or a file left in
+# TMPDIR), then a comparison against the committed baseline that is
+# printed but not fatal — the baseline's timings are another machine's.
+bench-e2e:
+	cd benchmark && $(GO) vet ./... && $(GO) test -race ./...
+	$(GO) run -C benchmark . -seed 42 -rounds 2 -round-secs 1
+	-$(GO) run -C benchmark . -compare baseline.json out/results.json
 
 # bench-serve-ha runs the client-side failover experiment — steady
 # closed-loop latency vs the first query after the serving instance

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -244,4 +245,16 @@ func init() {
 		Paper: "not in the paper; multi-instance serving experiment — closed-loop latency of the spatial join through a failover pool, steady-state vs the first query after the serving instance drains",
 		Run:   runServeHAExperiment,
 	})
+}
+
+// cpuModel reports the processor model for the artifact, best-effort.
+func cpuModel() string {
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if name, ok := strings.CutPrefix(line, "model name"); ok {
+				return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+			}
+		}
+	}
+	return fmt.Sprintf("unknown (%s/%s, %d cpus)", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
 }

@@ -402,56 +402,96 @@ func runAttempt[T any](c *Cluster, ctx context.Context, epoch int64, part, attem
 	}
 }
 
-// Exchange repartitions data: route maps each record to a destination
-// partition. Records crossing a node boundary are serialized, counted,
-// and deserialized; intra-node moves are free, as on a real cluster.
-func (c *Cluster) Exchange(data Data, route func(part int, r types.Record) int) (Data, error) {
-	p := c.Partitions()
-	if len(data) != p {
-		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
+// Route decides where one record of an exchange goes. It is a pure
+// function of the source partition, the record's index within that
+// source, and the record, so the value that drives a shuffle also lets
+// Received rebuild any destination's input afterwards. A route may
+// append its destinations to dsts (empty scratch, reused per record) or
+// return a slice of its own; an empty result drops the record.
+type Route func(src, i int, r types.Record, dsts []int) []int
+
+// HashRoute sends each record to the partition its key hashes to.
+func HashRoute(parts int, key func(r types.Record) uint64) Route {
+	p := uint64(parts)
+	return func(_, _ int, r types.Record, dsts []int) []int {
+		return append(dsts, int(key(r)%p))
 	}
-	// outbox[src][dst] collects records by destination.
-	outbox := make([][][]types.Record, p)
-	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
-		box := make([][]types.Record, p)
-		for _, r := range in {
-			dst := route(part, r)
-			if dst < 0 || dst >= p {
-				return nil, fmt.Errorf("cluster: route produced partition %d of %d", dst, p)
-			}
-			box[dst] = append(box[dst], r)
-		}
-		outbox[part] = box
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.deliver(outbox)
 }
 
-// ExchangeMulti repartitions data where each record may be sent to
-// several destination partitions (multicast). It is the primitive
-// behind the balanced theta operator: records travel only to the
-// partitions that own a bucket pair needing them, instead of a full
-// broadcast. An empty destination list drops the record.
-func (c *Cluster) ExchangeMulti(data Data, route func(part int, r types.Record) []int) (Data, error) {
-	p := c.Partitions()
-	if len(data) != p {
-		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
+// ReplicateRoute sends every record to every partition — the broadcast
+// side of a theta (multi-join) bucket matching stage.
+func ReplicateRoute(parts int) Route {
+	all := make([]int, parts)
+	for i := range all {
+		all[i] = i
 	}
+	return func(int, int, types.Record, []int) []int { return all }
+}
+
+// RandomRoute deals records round-robin (the "random partitioning"
+// AsterixDB applies to one side of a theta join, §VII-C). Each source
+// starts at its own partition id, so the sources' streams interleave
+// evenly and the first record of partition 0 lands on partition 0.
+func RandomRoute(parts int) Route {
+	return func(src, i int, _ types.Record, dsts []int) []int {
+		return append(dsts, (src+i)%parts)
+	}
+}
+
+// Exchange repartitions data: route maps each record to one
+// destination partition. Records crossing a node boundary are
+// serialized, counted, and deserialized; intra-node moves are free, as
+// on a real cluster.
+func (c *Cluster) Exchange(data Data, route func(part int, r types.Record) int) (Data, error) {
+	return c.exchange(data, func(src, _ int, r types.Record, dsts []int) []int {
+		return append(dsts, route(src, r))
+	})
+}
+
+// ExchangeMulti exchanges under an arbitrary route: each record travels
+// to every destination the route names (multicast). It is the primitive
+// behind the balanced theta operator, where records go only to the
+// partitions owning a bucket pair that needs them instead of a full
+// broadcast.
+func (c *Cluster) ExchangeMulti(data Data, route Route) (Data, error) {
+	return c.exchange(data, route)
+}
+
+// ExchangeHash repartitions by a hash of a record-derived key.
+func (c *Cluster) ExchangeHash(data Data, key func(r types.Record) uint64) (Data, error) {
+	return c.exchange(data, HashRoute(c.Partitions(), key))
+}
+
+// Replicate copies every record of data to every partition.
+func (c *Cluster) Replicate(data Data) (Data, error) {
+	return c.exchange(data, ReplicateRoute(c.Partitions()))
+}
+
+// ExchangeRandom repartitions round-robin.
+func (c *Cluster) ExchangeRandom(data Data) (Data, error) {
+	return c.exchange(data, RandomRoute(c.Partitions()))
+}
+
+// exchange is the one shuffle every variant runs: each source
+// partition sorts its records into outbox[src][dst] by route (Run
+// rejects data whose partition count is not the cluster's), then
+// deliver moves the outbox.
+func (c *Cluster) exchange(data Data, route Route) (Data, error) {
+	p := c.Partitions()
 	outbox := make([][][]types.Record, p)
-	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
+	_, err := c.Run(data, func(src int, in []types.Record) ([]types.Record, error) {
 		box := make([][]types.Record, p)
-		for _, r := range in {
-			for _, dst := range route(part, r) {
+		var scratch []int
+		for i, r := range in {
+			scratch = route(src, i, r, scratch[:0])
+			for _, dst := range scratch {
 				if dst < 0 || dst >= p {
 					return nil, fmt.Errorf("cluster: route produced partition %d of %d", dst, p)
 				}
 				box[dst] = append(box[dst], r)
 			}
 		}
-		outbox[part] = box
+		outbox[src] = box
 		return nil, nil
 	})
 	if err != nil {
@@ -460,73 +500,161 @@ func (c *Cluster) ExchangeMulti(data Data, route func(part int, r types.Record) 
 	return c.deliver(outbox)
 }
 
-// Replicate copies every record of data to every partition — the
-// broadcast side of a theta (multi-join) bucket matching stage.
-func (c *Cluster) Replicate(data Data) (Data, error) {
-	p := c.Partitions()
-	if len(data) != p {
-		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
-	}
-	outbox := make([][][]types.Record, p)
-	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
-		box := make([][]types.Record, p)
-		for dst := 0; dst < p; dst++ {
-			box[dst] = in
+// Received rebuilds what partition part received when pre was
+// exchanged under route, in delivery order: sources in partition order,
+// each source's records in their original order. Recovery uses it to
+// recompute a lost partition's input from the surviving pre-shuffle
+// data.
+func Received(pre Data, route Route, part int) []types.Record {
+	var out []types.Record
+	var scratch []int
+	for src, in := range pre {
+		for i, r := range in {
+			scratch = route(src, i, r, scratch[:0])
+			for _, dst := range scratch {
+				if dst == part {
+					out = append(out, r)
+				}
+			}
 		}
-		outbox[part] = box
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return c.deliver(outbox)
+	return out
 }
 
 // Deliver moves a fully built outbox[src][dst] into the destination
 // partitions — the shuffle delivery edge, without the exchange's
-// outbox-building side. The benchmark harness times this edge
-// directly; exchanges route through it via deliver.
+// outbox-building side. The benchmark harness times this edge directly.
 func (c *Cluster) Deliver(outbox [][][]types.Record) (Data, error) {
 	return c.deliver(outbox)
 }
 
-// deliver moves outbox[src][dst] into the destination partitions,
-// serializing cross-node traffic. A corrupted cross-node payload
-// (injected, or a genuine decode failure) is resent from the source's
-// still-intact outbox up to the retry policy's attempt budget; every
-// transfer, including resends, is charged to the shuffle counters.
-// Under a memory budget, delivery runs through bounded, backpressured
-// inboxes instead (see memory.go); without one this sequential path
-// is byte-for-byte the pre-budget behavior. When traced, the whole
-// delivery is one "exchange" span carrying the byte/record deltas.
+// deliver moves outbox[src][dst] into the destination partitions. It is
+// receiver-driven: one goroutine per destination pulls its column of
+// the outbox source by source, frame by frame, so the delivered order
+// (sources in partition order, each source's records in order) holds by
+// construction and each destination has exactly one frame in flight.
+// Cross-node frames are serialized through transferFrame; intra-node
+// frames move by reference. Under a memory budget a frame is also cut
+// at half the partition's share (see cutFrame) and charged to the
+// budget-tracked gauge while in flight, so delivery holds at most half
+// the budget unless single records exceed the cut. The query context
+// is checked before every frame, and the first failure stops the other
+// destinations at their next frame. When traced, the whole delivery is
+// one "exchange" span carrying the byte/record deltas.
 func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
-	sp := c.span.Child("exchange")
-	var b0, r0 int64
-	if sp != nil {
-		b0, r0 = c.metrics.BytesShuffled(), c.metrics.RecordsShuffled()
+	if sp := c.span.Child("exchange"); sp != nil {
+		b0, r0 := c.metrics.BytesShuffled(), c.metrics.RecordsShuffled()
+		defer func() {
+			sp.Add("shuffle.bytes", c.metrics.BytesShuffled()-b0)
+			sp.Add("shuffle.records", c.metrics.RecordsShuffled()-r0)
+			sp.End()
+		}()
 	}
-	var out Data
-	var err error
-	if c.memBudget > 0 {
-		out, err = c.deliverBounded(outbox)
-	} else {
-		out, err = c.deliverSequential(outbox)
+	defer func() { c.metrics.setBatchPool(c.pool.Stats()) }()
+
+	p := c.Partitions()
+	var epoch int64
+	if c.faults != nil {
+		epoch = c.nextEpoch()
 	}
-	if sp != nil {
-		sp.Add("shuffle.bytes", c.metrics.BytesShuffled()-b0)
-		sp.Add("shuffle.records", c.metrics.RecordsShuffled()-r0)
-		sp.End()
+	maxAttempts := max(c.retry.MaxAttempts, 1)
+	// Half the share, rounded up so even a one-byte share cuts frames.
+	frameBytes := (c.PartitionBudget() + 1) / 2
+	ctx := c.context()
+	var failed atomic.Bool // set by the first destination to fail
+
+	out := c.NewData()
+	pull := func(dst int) error {
+		rows := 0
+		for src := 0; src < p; src++ {
+			rows += len(outbox[src][dst])
+		}
+		if rows == 0 {
+			return nil
+		}
+		enc, dec := c.pool.Get(0), c.pool.Get(0)
+		defer c.pool.Put(enc)
+		defer c.pool.Put(dec)
+		recs := make([]types.Record, 0, rows)
+		var resident int64
+		for src := 0; src < p; src++ {
+			batch := outbox[src][dst]
+			crossNode := c.NodeOf(src) != c.NodeOf(dst)
+			for lo, frameIdx := 0, int64(0); lo < len(batch); frameIdx++ {
+				if failed.Load() {
+					return nil
+				}
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				hi, size := c.cutFrame(batch, lo, frameBytes)
+				frame := batch[lo:hi]
+				lo = hi
+				c.metrics.reserveMemory(size)
+				var err error
+				if crossNode {
+					frame, err = c.transferFrame(epoch, src, dst, frame, frameIdx, maxAttempts, enc, dec)
+				}
+				recs = append(recs, frame...)
+				c.metrics.releaseMemory(size)
+				if err != nil {
+					return err
+				}
+				resident += size
+			}
+		}
+		c.metrics.notePartitionInput(resident)
+		out[dst] = recs
+		return nil
 	}
-	gets, hits := c.pool.Stats()
-	c.metrics.setBatchPool(gets, hits)
-	return out, err
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for dst := 0; dst < p; dst++ {
+		wg.Add(1)
+		go func(dst int) {
+			defer wg.Done()
+			if errs[dst] = pull(dst); errs[dst] != nil {
+				failed.Store(true)
+			}
+		}(dst)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// cutFrame returns the end of the frame that starts at batch[lo] and,
+// under a budget, its estimated resident bytes. A frame holds at most
+// batchSize rows, so a corruption resend repeats one frame and not the
+// whole transfer. With maxBytes > 0 it also holds at most maxBytes (a
+// single larger record still travels, alone); each such budget-forced
+// cut counts as one backpressure event, cuts at the row cap being
+// ordinary framing. Without a budget nothing is measured and size is 0.
+func (c *Cluster) cutFrame(batch []types.Record, lo int, maxBytes int64) (hi int, size int64) {
+	if maxBytes <= 0 {
+		return min(lo+c.batchSize, len(batch)), 0
+	}
+	for hi = lo; hi < len(batch) && hi-lo < c.batchSize; hi++ {
+		sz := batch[hi].MemSize()
+		if hi > lo && size+sz > maxBytes {
+			c.metrics.addBackpressure()
+			break
+		}
+		size += sz
+	}
+	return hi, size
 }
 
 // transferFrame serializes one columnar frame across a node boundary,
-// injecting corruption and resending up to the attempt budget. Every
-// attempt, including resends, is charged to the shuffle and batch
-// counters. enc and dec are the caller's scratch batches (pooled so
-// vector capacity survives across frames).
+// injecting corruption and resending from the source's still-intact
+// outbox up to the attempt budget. Every attempt, including resends, is
+// charged to the shuffle and batch counters. enc and dec are the
+// caller's scratch batches (pooled so vector capacity survives across
+// frames).
 func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record, frameIdx int64, maxAttempts int, enc, dec *types.Batch) ([]types.Record, error) {
 	fi := c.faults
 	var decoded []types.Record
@@ -551,90 +679,6 @@ func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record,
 		c.metrics.addCorruptHealed()
 	}
 	return decoded, nil
-}
-
-func (c *Cluster) deliverSequential(outbox [][][]types.Record) (Data, error) {
-	p := c.Partitions()
-	ctx := c.context()
-	fi := c.faults
-	var epoch int64
-	if fi != nil {
-		epoch = c.nextEpoch()
-	}
-	maxAttempts := c.retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	enc, dec := c.pool.Get(0), c.pool.Get(0)
-	defer c.pool.Put(enc)
-	defer c.pool.Put(dec)
-	out := c.NewData()
-	for src := 0; src < p; src++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for dst := 0; dst < p; dst++ {
-			batch := outbox[src][dst]
-			if len(batch) == 0 {
-				continue
-			}
-			if c.NodeOf(src) != c.NodeOf(dst) {
-				// One columnar frame per batchSize rows; a corrupted
-				// frame is resent alone, so the resend cost stays at
-				// frame granularity.
-				for lo, frameIdx := 0, int64(0); lo < len(batch); frameIdx++ {
-					hi := lo + c.batchSize
-					if hi > len(batch) {
-						hi = len(batch)
-					}
-					decoded, err := c.transferFrame(epoch, src, dst, batch[lo:hi], frameIdx, maxAttempts, enc, dec)
-					if err != nil {
-						return nil, err
-					}
-					out[dst] = append(out[dst], decoded...)
-					lo = hi
-				}
-				continue
-			}
-			out[dst] = append(out[dst], batch...)
-		}
-	}
-	return out, nil
-}
-
-// ExchangeHash repartitions by a hash of a record-derived key.
-func (c *Cluster) ExchangeHash(data Data, key func(r types.Record) uint64) (Data, error) {
-	p := uint64(c.Partitions())
-	return c.Exchange(data, func(_ int, r types.Record) int {
-		return int(key(r) % p)
-	})
-}
-
-// ExchangeRandom repartitions round-robin (the "random partitioning"
-// AsterixDB applies to one side of a theta join, §VII-C). Each source
-// partition keeps its own counter, offset by its partition id so the
-// sources' streams interleave evenly — no global mutex serializing all
-// routing, and the first record of partition 0 lands on partition 0
-// instead of skipping it.
-func (c *Cluster) ExchangeRandom(data Data) (Data, error) {
-	p := c.Partitions()
-	if len(data) != p {
-		return nil, fmt.Errorf("cluster: data has %d partitions, cluster has %d", len(data), p)
-	}
-	outbox := make([][][]types.Record, p)
-	_, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
-		box := make([][]types.Record, p)
-		for i, r := range in {
-			dst := (part + i) % p
-			box[dst] = append(box[dst], r)
-		}
-		outbox[part] = box
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.deliver(outbox)
 }
 
 // Broadcast accounts for shipping one opaque blob (e.g. an encoded

@@ -202,7 +202,7 @@ func TestExchangeMulti(t *testing.T) {
 	c := New(Config{Nodes: 2, CoresPerNode: 2})
 	data := c.Scatter(intRecords(12))
 	// Even keys go to partitions 0 and 3; odd keys are dropped.
-	out, err := c.ExchangeMulti(data, func(_ int, r types.Record) []int {
+	out, err := c.ExchangeMulti(data, func(_, _ int, r types.Record, _ []int) []int {
 		if r[0].Int64()%2 == 0 {
 			return []int{0, 3}
 		}
@@ -218,7 +218,7 @@ func TestExchangeMulti(t *testing.T) {
 		t.Error("untargeted partitions received records")
 	}
 	// Out-of-range destinations error.
-	if _, err := c.ExchangeMulti(data, func(int, types.Record) []int { return []int{99} }); err == nil {
+	if _, err := c.ExchangeMulti(data, func(int, int, types.Record, []int) []int { return []int{99} }); err == nil {
 		t.Error("out-of-range destination should error")
 	}
 	if _, err := c.ExchangeMulti(make(Data, 3), nil); err == nil {

@@ -1,119 +1,9 @@
 package cluster
 
 import (
-	"strings"
 	"sync"
 	"testing"
-
-	"fudj/internal/types"
 )
-
-func payloadRecords(n, strLen int) []types.Record {
-	recs := make([]types.Record, n)
-	for i := range recs {
-		recs[i] = types.Record{
-			types.NewInt64(int64(i)),
-			types.NewString(strings.Repeat("p", strLen)),
-		}
-	}
-	return recs
-}
-
-// exchangeBoth runs the same Exchange on a bounded and an unbounded
-// cluster and returns both results.
-func exchangeBoth(t *testing.T, budget int64, recs []types.Record) (bounded, unbounded Data, bc *Cluster) {
-	t.Helper()
-	// Scatter is round-robin, so shift by one to force every record to
-	// move — half the traffic crosses a node boundary.
-	route := func(_ int, r types.Record) int { return int(r[0].Int64()+1) % 4 }
-
-	free := New(Config{Nodes: 2, CoresPerNode: 2})
-	unbounded, err := free.Exchange(free.Scatter(recs), route)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bc = New(Config{Nodes: 2, CoresPerNode: 2})
-	bc.SetMemoryBudget(budget)
-	bounded, err = bc.Exchange(bc.Scatter(recs), route)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bounded, unbounded, bc
-}
-
-func TestBoundedExchangeMatchesSequential(t *testing.T) {
-	// The credit-bounded delivery path must produce byte-identical
-	// partitions in the same record order as the unbounded path —
-	// backpressure changes timing, never results.
-	recs := payloadRecords(400, 64)
-	bounded, unbounded, bc := exchangeBoth(t, 8192, recs)
-	if len(bounded) != len(unbounded) {
-		t.Fatalf("partition count %d != %d", len(bounded), len(unbounded))
-	}
-	for p := range bounded {
-		if len(bounded[p]) != len(unbounded[p]) {
-			t.Fatalf("partition %d: %d records, want %d", p, len(bounded[p]), len(unbounded[p]))
-		}
-		for i := range bounded[p] {
-			for j := range bounded[p][i] {
-				if !bounded[p][i][j].Equal(unbounded[p][i][j]) {
-					t.Fatalf("partition %d record %d differs", p, i)
-				}
-			}
-		}
-	}
-	if got := bc.Metrics().Backpressure(); got == 0 {
-		t.Error("tiny budget produced no backpressure events")
-	}
-}
-
-func TestBoundedExchangePeakWithinBudget(t *testing.T) {
-	const budget = 8192
-	recs := payloadRecords(600, 100) // working set far above the budget
-	_, _, bc := exchangeBoth(t, budget, recs)
-	m := bc.Metrics()
-	if m.PeakMemory() <= 0 {
-		t.Fatal("no tracked memory")
-	}
-	if m.PeakMemory() > budget {
-		t.Errorf("PeakMemory = %d exceeds budget %d", m.PeakMemory(), budget)
-	}
-	if m.PeakInput() <= 0 {
-		t.Error("PeakInput not tracked")
-	}
-}
-
-func TestBoundedExchangeLargeBudgetNoStall(t *testing.T) {
-	// A budget comfortably above the working set must still complete
-	// and report zero spill (bounded delivery alone never spills).
-	recs := payloadRecords(100, 16)
-	_, _, bc := exchangeBoth(t, 64<<20, recs)
-	if bc.Metrics().BytesSpilled() != 0 {
-		t.Error("delivery alone should not spill")
-	}
-}
-
-func TestBoundedExchangeHealsCorruption(t *testing.T) {
-	// Chunked cross-node sends must keep the detect-and-resend loop:
-	// corrupted payloads are healed, results stay correct.
-	recs := payloadRecords(300, 64)
-	route := func(_ int, r types.Record) int { return int(r[0].Int64()+1) % 4 }
-
-	c := New(Config{Nodes: 2, CoresPerNode: 2})
-	c.SetMemoryBudget(8192)
-	c.SetFaults(NewFaultInjector(FaultConfig{Seed: 11, CorruptProb: 0.3}))
-	out, err := c.Exchange(c.Scatter(recs), route)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 300 {
-		t.Fatalf("Rows = %d, want 300", out.Rows())
-	}
-	if c.Metrics().CorruptionsHealed() == 0 {
-		t.Error("no corruption was injected/healed; seed too weak for the test")
-	}
-}
 
 func TestFlattenPreallocates(t *testing.T) {
 	c := New(Config{Nodes: 2, CoresPerNode: 2})

@@ -401,7 +401,7 @@ func (m *Metrics) Speculative() int64 { return m.counterValue(MetricSpeculative)
 func (m *Metrics) CorruptionsHealed() int64 { return m.counterValue(MetricCorruptHealed) }
 
 // PeakMemory returns the high-water mark of budget-tracked memory
-// (shuffle inboxes plus COMBINE build structures).
+// (the shuffle's in-flight frames plus COMBINE build structures).
 func (m *Metrics) PeakMemory() int64 { return m.peakValue(MetricMemReserved) }
 
 // PeakInput returns the largest materialized per-partition input
@@ -418,8 +418,9 @@ func (m *Metrics) SpillRuns() int64 { return m.counterValue(MetricSpillRuns) }
 // sub-builds because their build side alone exceeded the budget.
 func (m *Metrics) BucketsSplit() int64 { return m.counterValue(MetricBucketsSplit) }
 
-// Backpressure returns how often senders stalled for inbox credit or
-// had to split a batch to fit a receive window.
+// Backpressure returns how many shuffle frames the memory budget cut
+// short of the batch row cap. Delivery is pulled by the receivers, so
+// there are no sender stalls to count.
 func (m *Metrics) Backpressure() int64 { return m.counterValue(MetricBackpressure) }
 
 // addBusy accumulates one task's busy time into its partition's slot
@@ -517,7 +518,7 @@ func (m *Metrics) addBarrierKills(n int64)    { m.addTo(MetricBarrierKills, n) }
 
 // ReserveMemory charges bytes against the budget-tracked gauge and
 // records the new high-water mark. The engine calls this for COMBINE
-// build structures; the shuffle inboxes use it internally.
+// build structures; deliver charges its in-flight frames internally.
 func (m *Metrics) ReserveMemory(bytes int64) { m.reserveMemory(bytes) }
 
 // ReleaseMemory returns bytes to the budget-tracked gauge.

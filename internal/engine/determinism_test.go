@@ -21,17 +21,23 @@ import (
 //     wall clock or the global math/rand generator.
 //   - udfcatch and ctxplumb keep failure and cancellation behavior
 //     reproducible on the same paths.
+//   - the smart-theta query has two granules, so its hot bucket is split
+//     over several owner partitions: which owner a record reaches must
+//     not depend on how the source partitions' goroutines interleave
+//     (re-executed 20 times, since a scheduling race needs the chances).
 //
 // Go randomizes map iteration per map instance, so a reintroduced
 // unsorted map range on any of these paths fails this test with high
 // probability across repeated runs.
 func TestByteIdenticalReexecution(t *testing.T) {
-	queries := []struct {
-		name    string
-		mode    JoinMode
-		sql     string
-		backing string
-	}{
+	type query struct {
+		name       string
+		mode       JoinMode
+		smartTheta bool
+		sql        string
+		backing    string
+	}
+	queries := []query{
 		{
 			name: "groupby",
 			mode: ModeFUDJ,
@@ -63,29 +69,39 @@ func TestByteIdenticalReexecution(t *testing.T) {
 			      AND text_similarity_join(a.review, b.review, 0.8)`,
 			backing: "maporder: builtin/textsim.go rank iteration order",
 		},
+		{
+			name:       "smart-theta-split-bucket",
+			mode:       ModeFUDJ,
+			smartTheta: true,
+			sql: `SELECT a.id, b.id FROM rides a, rides b
+			      WHERE overlapping_interval(a.ride_interval, b.ride_interval, 2)`,
+			backing: "pure exchange routes: theta.go hot-bucket owner choice",
+		},
 	}
 
-	run := func(t *testing.T, mode JoinMode, sql string) []byte {
+	run := func(t *testing.T, q query) []byte {
 		// A fresh database per execution: fresh map instances (fresh
 		// iteration seeds), fresh cluster state.
 		db := newTestDB(t)
 		db.RegisterBuiltinJoin("overlapping_interval", BuiltinJoinFunc(builtin.IntervalOIP))
 		db.RegisterBuiltinJoin("text_similarity_join", BuiltinJoinFunc(builtin.TextSimilarity))
-		db.SetJoinMode(mode)
-		res := mustQuery(t, db, sql)
+		db.SetJoinMode(q.mode)
+		db.SetSmartTheta(q.smartTheta)
+		res := mustQuery(t, db, q.sql)
 		if len(res.Rows) == 0 {
-			t.Fatalf("query produced no rows: %s", sql)
+			t.Fatalf("query produced no rows: %s", q.sql)
 		}
 		return types.EncodeRecords(res.Rows)
 	}
 
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			first := run(t, q.mode, q.sql)
-			second := run(t, q.mode, q.sql)
-			if !bytes.Equal(first, second) {
-				t.Errorf("re-execution produced different bytes (%d vs %d); rule under test: %s",
-					len(first), len(second), q.backing)
+			first := run(t, q)
+			for i := 1; i < 20; i++ {
+				if again := run(t, q); !bytes.Equal(first, again) {
+					t.Fatalf("re-execution %d produced different bytes (%d vs %d); rule under test: %s",
+						i, len(first), len(again), q.backing)
+				}
 			}
 		})
 	}

@@ -343,12 +343,12 @@ type FaultStats struct {
 
 // MemoryStats carries the memory-bounding counters for one execution
 // (zero when no budget is set). Peak is the high-water mark of
-// budget-governed transient memory (inbox credit plus COMBINE builds)
-// and never exceeds the budget; PeakInput is the largest materialized
-// partition input, reported for sizing budgets. BytesSpilled/SpillRuns
-// count COMBINE spill traffic, BucketsSplit counts skew splits of
-// over-budget buckets, and Backpressure counts sender stalls and
-// chunked transfers on bounded shuffle inboxes.
+// budget-governed transient memory (the shuffle's in-flight frames plus
+// COMBINE builds) and never exceeds the budget; PeakInput is the
+// largest materialized partition input, reported for sizing budgets.
+// BytesSpilled/SpillRuns count COMBINE spill traffic, BucketsSplit
+// counts skew splits of over-budget buckets, and Backpressure counts
+// the shuffle frames the budget cut short of the batch row cap.
 type MemoryStats struct {
 	Peak         int64
 	PeakInput    int64

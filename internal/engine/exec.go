@@ -46,7 +46,7 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 	counters := &statsCounters{}
 
 	// Memory-bounded execution: split the query budget over partitions,
-	// bound the shuffle inboxes, and stand up the spill directory the
+	// size the shuffle's frame cut, and stand up the spill directory the
 	// COMBINE phases degrade into when a build exceeds its share. The
 	// budget is the admission lease when a pool granted one.
 	budget := set.memBudget

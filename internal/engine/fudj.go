@@ -294,12 +294,12 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if desc.DefaultMatch {
 		// Single-join: hash partition both sides on bucket id, then a
 		// local hash join per partition (the optimizer's hash-join path).
-		bucketHash := func(r types.Record) uint64 { return r[0].Hash() }
-		lShuf, err := clus.ExchangeHash(lAssigned, bucketHash)
+		byBucket := cluster.HashRoute(clus.Partitions(), func(r types.Record) uint64 { return r[0].Hash() })
+		lShuf, err := clus.ExchangeMulti(lAssigned, byBucket)
 		if err != nil {
 			return nil, err
 		}
-		rShuf, err := clus.ExchangeHash(rAssigned, bucketHash)
+		rShuf, err := clus.ExchangeMulti(rAssigned, byBucket)
 		if err != nil {
 			return nil, err
 		}
@@ -308,12 +308,8 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// them from the surviving pre-shuffle data) and re-runs only
 		// those partitions' COMBINE.
 		err = shuffleBarrier(rcv,
-			shuffleSide{name: "left", data: lShuf, recompute: func(part int) []types.Record {
-				return recomputeHashShuffle(lAssigned, bucketHash, part)
-			}},
-			shuffleSide{name: "right", data: rShuf, recompute: func(part int) []types.Record {
-				return recomputeHashShuffle(rAssigned, bucketHash, part)
-			}})
+			shuffleSide{name: "left", data: lShuf, pre: lAssigned, route: byBucket},
+			shuffleSide{name: "right", data: rShuf, pre: rAssigned, route: byBucket})
 		if err != nil {
 			return nil, err
 		}
@@ -350,11 +346,8 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// each pair to a partition by greedy cost balancing, and records
 		// travel only to partitions owning pairs that need them.
 		//
-		// No durable barrier here: the operator's multicast routing
-		// carries mutable round-robin state, so a lost partition's
-		// input cannot be recomputed independently of the others; a
-		// barrier loss in this mode would fall back to abort-and-rerun
-		// anyway, which the per-task retry already provides.
+		// No durable shuffle barrier in this mode: a barrier loss falls
+		// back to abort-and-rerun of the step.
 		combined, err = db.runSmartTheta(clus, mem, join, combineBuckets, lAssigned, rAssigned)
 		if err != nil {
 			return nil, err
@@ -364,11 +357,12 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// partitioning property helps, so one side is broadcast and the
 		// other randomly partitioned, then buckets are matched pairwise
 		// through MATCH locally.
-		lRepl, err := clus.Replicate(lAssigned)
+		toAll, dealt := cluster.ReplicateRoute(clus.Partitions()), cluster.RandomRoute(clus.Partitions())
+		lRepl, err := clus.ExchangeMulti(lAssigned, toAll)
 		if err != nil {
 			return nil, err
 		}
-		rRand, err := clus.ExchangeRandom(rAssigned)
+		rRand, err := clus.ExchangeMulti(rAssigned, dealt)
 		if err != nil {
 			return nil, err
 		}
@@ -376,12 +370,8 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		// side and the randomly partitioned probe side are both durable
 		// per partition.
 		err = shuffleBarrier(rcv,
-			shuffleSide{name: "left", data: lRepl, recompute: func(int) []types.Record {
-				return recomputeReplicate(lAssigned)
-			}},
-			shuffleSide{name: "right", data: rRand, recompute: func(part int) []types.Record {
-				return recomputeRandomShuffle(rAssigned, part)
-			}})
+			shuffleSide{name: "left", data: lRepl, pre: lAssigned, route: toAll},
+			shuffleSide{name: "right", data: rRand, pre: rAssigned, route: dealt})
 		if err != nil {
 			return nil, err
 		}

@@ -65,13 +65,14 @@ func WithSmartTheta(on bool) Option {
 
 // WithMemoryBudget bounds the transient memory of every query to the
 // given total bytes, split evenly over partitions. Under a budget,
-// shuffle inboxes are credit-bounded (senders block instead of
-// buffering without limit) and COMBINE hash builds that exceed their
-// partition's share spill bucket runs to disk and re-join them
-// hybrid-hash style, skew-splitting buckets too large to ever fit. A
-// record larger than the per-partition hard cap (2x the share) fails
-// the query with a structured *core.ResourceError. Zero or negative
-// disables bounding; unbounded execution is byte-for-byte unchanged.
+// shuffle frames are cut at half a partition's share (one frame is in
+// flight per destination, so receive memory is bounded by the cut) and
+// COMBINE hash builds that exceed their partition's share spill bucket
+// runs to disk and re-join them hybrid-hash style, skew-splitting
+// buckets too large to ever fit. A record larger than the
+// per-partition hard cap (2x the share) fails the query with a
+// structured *core.ResourceError. Zero or negative disables bounding;
+// results are the same either way.
 func WithMemoryBudget(bytes int64) Option {
 	return optionFunc(func(db *Database) error {
 		if bytes < 0 {

@@ -112,13 +112,15 @@ func planBarrier(clus *cluster.Cluster, rec *stepRecovery, planBuf []byte) ([]by
 }
 
 // shuffleSide is one input side at the shuffle barrier: its
-// post-shuffle partitions (mutated in place on recovery) and a closure
-// reconstructing a single partition's input from the surviving
-// pre-shuffle data, in exactly the order the shuffle delivered it.
+// post-shuffle partitions (mutated in place on recovery), and the
+// surviving pre-shuffle data with the route that exchanged it, from
+// which cluster.Received rebuilds a single lost partition's input in
+// exactly the order the shuffle delivered it.
 type shuffleSide struct {
-	name      string
-	data      cluster.Data
-	recompute func(part int) []types.Record
+	name  string
+	data  cluster.Data
+	pre   cluster.Data
+	route cluster.Route
 }
 
 // shuffleBarrier crosses the shuffle barrier: every partition's
@@ -151,7 +153,7 @@ func shuffleBarrier(rec *stepRecovery, sides ...shuffleSide) error {
 		for _, s := range sides {
 			s.data[part] = nil // wiped with the node
 			recs, err := rm.RecoverRecords(rec.shuffleKey(s.name, part), part, func() ([]types.Record, error) {
-				return s.recompute(part), nil
+				return cluster.Received(s.pre, s.route, part), nil
 			})
 			if err != nil {
 				return err
@@ -160,43 +162,4 @@ func shuffleBarrier(rec *stepRecovery, sides ...shuffleSide) error {
 		}
 	}
 	return nil
-}
-
-// recomputeHashShuffle rebuilds one partition's post-ExchangeHash
-// input from the surviving pre-shuffle data: sources are walked in
-// partition order and records kept when they hash to the lost
-// partition — the exact order the shuffle's sequential delivery
-// produced.
-func recomputeHashShuffle(assigned cluster.Data, hash func(types.Record) uint64, part int) []types.Record {
-	p := uint64(len(assigned))
-	var out []types.Record
-	for src := 0; src < len(assigned); src++ {
-		for _, r := range assigned[src] {
-			if int(hash(r)%p) == part {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
-// recomputeReplicate rebuilds one partition's post-Replicate input:
-// every source partition's records in source order.
-func recomputeReplicate(assigned cluster.Data) []types.Record {
-	return assigned.Flatten()
-}
-
-// recomputeRandomShuffle rebuilds one partition's post-ExchangeRandom
-// input: each source routes record i to partition (src+i) mod P.
-func recomputeRandomShuffle(assigned cluster.Data, part int) []types.Record {
-	p := len(assigned)
-	var out []types.Record
-	for src := 0; src < p; src++ {
-		for i, r := range assigned[src] {
-			if (src+i)%p == part {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
 }

@@ -41,7 +41,7 @@ func TestBoundedEquivalence(t *testing.T) {
 			t.Errorf("%s: PeakMemory %d exceeds budget %d", q.name, res.Memory.Peak, tinyBudget)
 		}
 		if res.Memory.Backpressure == 0 {
-			t.Errorf("%s: bounded inboxes reported no backpressure", q.name)
+			t.Errorf("%s: tiny budget cut no shuffle frame short (no backpressure)", q.name)
 		}
 		t.Logf("%s: peak=%d input=%d spilled=%d runs=%d split=%d bp=%d",
 			q.name, res.Memory.Peak, res.Memory.PeakInput, res.Memory.BytesSpilled,

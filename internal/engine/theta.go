@@ -104,7 +104,7 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 	// Greedy longest-processing-time assignment of left buckets. A hot
 	// bucket whose cost exceeds the per-partition fair share is split:
 	// it gets several owner partitions and its records are spread over
-	// them round-robin, so skewed workloads (the interval join's rush
+	// them evenly, so skewed workloads (the interval join's rush
 	// hours) cannot produce a straggler. Each left *record* still lands
 	// on exactly one partition, so no pair is produced twice.
 	type task struct {
@@ -178,30 +178,22 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 		}
 	}
 
-	// Route: left records spread round-robin over their bucket's
-	// owners, right records multicast to all partitions owning a
-	// matching left bucket.
-	var rrMu sync.Mutex
-	rr := make(map[int]int, len(lOwners))
-	lRouted, err := clus.ExchangeMulti(lAssigned, func(_ int, r types.Record) []int {
-		b := int(r[0].Int64())
-		owners := lOwners[b]
-		switch len(owners) {
-		case 0:
-			return nil
-		case 1:
-			return owners[:1]
+	// Route: left records spread over their bucket's owners by their
+	// position in the source partition (a pure function, so re-execution
+	// routes identically), right records multicast to all partitions
+	// owning a matching left bucket.
+	lRouted, err := clus.ExchangeMulti(lAssigned, func(src, i int, r types.Record, _ []int) []int {
+		owners := lOwners[int(r[0].Int64())]
+		if len(owners) < 2 {
+			return owners
 		}
-		rrMu.Lock()
-		i := rr[b]
-		rr[b] = i + 1
-		rrMu.Unlock()
-		return owners[i%len(owners) : i%len(owners)+1]
+		k := (src + i) % len(owners)
+		return owners[k : k+1]
 	})
 	if err != nil {
 		return nil, err
 	}
-	rRouted, err := clus.ExchangeMulti(rAssigned, func(_ int, r types.Record) []int {
+	rRouted, err := clus.ExchangeMulti(rAssigned, func(_, _ int, r types.Record, _ []int) []int {
 		return rDest[int(r[0].Int64())]
 	})
 	if err != nil {

@@ -11,9 +11,7 @@ import (
 // thetaSQL exercises the balanced theta operator (smart theta): a
 // multi-join interval FUDJ whose MATCH accepts non-identical bucket
 // pairs, so with SetSmartTheta(true) it takes the coordinator-scheduled
-// bucket-pair path — the one PR 5 excluded from durable shuffle
-// barriers (its multicast routing carries mutable round-robin state
-// that cannot be recovered per-partition).
+// bucket-pair path — the one that crosses no durable shuffle barrier.
 const thetaSQL = `SELECT a.id, b.id FROM rides a, rides b WHERE a.vendor = 1 AND b.vendor = 2
 	AND overlapping_interval(a.ride_interval, b.ride_interval, 50)`
 
@@ -23,8 +21,7 @@ const thetaSQL = `SELECT a.id, b.id FROM rides a, rides b WHERE a.vendor = 1 AND
 // (spatial: DefaultMatch) cross the durable shuffle barrier — the kill
 // fires, the barrier span appears, partitions recover — while
 // smart-theta queries scheduled alongside them never cross it: no
-// barrier span, no kill, because their multicast routing is excluded
-// from shuffle barriers. Everyone's multiset answer matches its serial
+// barrier span, no kill. Everyone's multiset answer matches its serial
 // baseline.
 func TestSmartThetaConcurrentWithCheckpointedQueries(t *testing.T) {
 	db := newTestDB(t, WithConcurrencyLimit(4), WithCheckpoints())

@@ -4,7 +4,7 @@ import "unsafe"
 
 // Memory accounting: the engine's memory-bounded execution needs to
 // know roughly how many bytes of RAM a record pins while it sits in a
-// shuffle inbox or a COMBINE hash build. The estimate is the tagged
+// shuffle frame or a COMBINE hash build. The estimate is the tagged
 // union's fixed footprint plus any heap payload it references; it does
 // not try to model allocator rounding or sharing, only to give the
 // budget enforcement a consistent, monotone currency.
