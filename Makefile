@@ -70,9 +70,13 @@ stress:
 # client/server integration tests, the seeded network chaos
 # convergence run (accept refusal, mid-response resets, byte
 # corruption, stalls), daemon drain under open-loop load, the
-# drain-vs-recovery race, and the through-the-wire stress storm.
+# drain-vs-recovery race, and the through-the-wire stress storm. The
+# frame itself lives in internal/wire and is shared with the spill and
+# checkpoint files of internal/storage, so the pattern's 'Frame' races
+# the one framer where it is defined and on every surface that uses it.
 serve-chaos:
 	$(GO) test -race -run 'Serve|Frame|Session|Envelope|Taxonomy|Shed|RemoteError|DrainRaces|DrainCancels|StressOverNetwork' \
+		./internal/wire/ ./internal/storage/ \
 		./internal/serve/ ./internal/serve/client/ ./internal/engine/ ./internal/bench/
 
 # serve-ha runs the multi-instance failover suite under the race
@@ -117,6 +121,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/types/
 	$(GO) test -run xxx -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzUvarintCountBound -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run xxx -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) ./internal/wire/
 
 # staticcheck and govulncheck are external tools pinned by version in
 # CI; locally they run only if already installed (the build environment

@@ -215,32 +215,6 @@ func BenchmarkRecordWire(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndSpatialQuery measures a whole FUDJ query through the
-// engine, the number most comparable to the paper's per-query timings.
-func BenchmarkEndToEndSpatialQuery(b *testing.B) {
-	db := fudj.MustOpen(fudj.WithCluster(2, 2))
-	if err := fudj.LoadGenerated(db, "parks", fudj.GenParks(1, 1000)); err != nil {
-		b.Fatal(err)
-	}
-	if err := fudj.LoadGenerated(db, "wildfires", fudj.GenWildfires(2, 2000)); err != nil {
-		b.Fatal(err)
-	}
-	if err := db.InstallLibrary(fudj.SpatialLibrary()); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Execute(`CREATE JOIN spatial_join(a: geometry, b: geometry, n: int)
-		RETURNS boolean AS "pbsm.SpatialJoin" AT spatialjoins`); err != nil {
-		b.Fatal(err)
-	}
-	q := `SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 32)`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Execute(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTracingOverhead guards the observability layer's cost: the
 // spatial join with tracing disabled (nil-span fast path) versus
 // per-query fudj.Trace(). The disabled path must stay within 5% of the

@@ -8,7 +8,7 @@
 // Endpoints: POST /v1/query (frame stream), POST /v1/cancel,
 // GET /v1/queries (live view), GET /v1/catalog, GET /metrics,
 // GET /v1/health (liveness), GET /v1/ready (readiness — 503 from the
-// start of a drain), GET /healthz (legacy combined probe).
+// start of a drain).
 //
 // Every response carries the daemon's stable instance ID
 // (X-Fudj-Instance), minted at startup (or fixed with -instance-id):

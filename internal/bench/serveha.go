@@ -258,3 +258,26 @@ func cpuModel() string {
 	}
 	return fmt.Sprintf("unknown (%s/%s, %d cpus)", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
 }
+
+// quantile returns the q-quantile of sorted durations.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(sorted)-1))
+	return sorted[i]
+}
+
+// measure runs f n times and returns sorted per-call latencies.
+func measure(n int, f func() error) ([]time.Duration, error) {
+	lats := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		t0 := time.Now()
+		if err := f(); err != nil {
+			return nil, err
+		}
+		lats = append(lats, time.Since(t0))
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return lats, nil
+}

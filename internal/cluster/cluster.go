@@ -543,10 +543,10 @@ func (c *Cluster) Deliver(outbox [][][]types.Record) (Data, error) {
 // one "exchange" span carrying the byte/record deltas.
 func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 	if sp := c.span.Child("exchange"); sp != nil {
-		b0, r0 := c.metrics.BytesShuffled(), c.metrics.RecordsShuffled()
+		b0, r0 := c.metrics.counterValue(MetricShuffleBytes), c.metrics.counterValue(MetricShuffleRecords)
 		defer func() {
-			sp.Add("shuffle.bytes", c.metrics.BytesShuffled()-b0)
-			sp.Add("shuffle.records", c.metrics.RecordsShuffled()-r0)
+			sp.Add("shuffle.bytes", c.metrics.counterValue(MetricShuffleBytes)-b0)
+			sp.Add("shuffle.records", c.metrics.counterValue(MetricShuffleRecords)-r0)
 			sp.End()
 		}()
 	}

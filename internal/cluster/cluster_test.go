@@ -100,8 +100,8 @@ func TestRunTransforms(t *testing.T) {
 			t.Fatalf("Run output %v", got)
 		}
 	}
-	if c.Metrics().Tasks() != 4 {
-		t.Errorf("Tasks = %d, want 4", c.Metrics().Tasks())
+	if c.Metrics().Snapshot().Tasks != 4 {
+		t.Errorf("Tasks = %d, want 4", c.Metrics().Snapshot().Tasks)
 	}
 }
 
@@ -182,10 +182,10 @@ func TestExchangeHashGroupsKeys(t *testing.T) {
 			}
 		}
 	}
-	if c.Metrics().BytesShuffled() == 0 {
+	if c.Metrics().Snapshot().BytesShuffled == 0 {
 		t.Error("cross-node exchange should count bytes")
 	}
-	if c.Metrics().RecordsShuffled() == 0 {
+	if c.Metrics().Snapshot().RecordsShuffled == 0 {
 		t.Error("cross-node exchange should count records")
 	}
 }
@@ -263,19 +263,19 @@ func TestIntraNodeMovesAreFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Metrics().BytesShuffled() != 0 {
-		t.Errorf("intra-node shuffle counted %d bytes", c.Metrics().BytesShuffled())
+	if c.Metrics().Snapshot().BytesShuffled != 0 {
+		t.Errorf("intra-node shuffle counted %d bytes", c.Metrics().Snapshot().BytesShuffled)
 	}
 }
 
 func TestBroadcastAccounting(t *testing.T) {
 	c := New(Config{Nodes: 3, CoresPerNode: 1})
 	c.Broadcast(make([]byte, 100))
-	if got := c.Metrics().BytesBroadcast(); got != 300 {
+	if got := c.Metrics().Snapshot().BytesBroadcast; got != 300 {
 		t.Errorf("BytesBroadcast = %d, want 300", got)
 	}
 	c.GatherBytes([][]byte{make([]byte, 10), make([]byte, 20)})
-	if got := c.Metrics().BytesBroadcast(); got != 330 {
+	if got := c.Metrics().Snapshot().BytesBroadcast; got != 330 {
 		t.Errorf("after gather = %d, want 330", got)
 	}
 }
@@ -294,10 +294,10 @@ func TestBusyTimeTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Metrics().MaxBusy() <= 0 {
+	if c.Metrics().Snapshot().MaxBusy <= 0 {
 		t.Error("MaxBusy should be positive")
 	}
-	if c.Metrics().TotalBusy() < c.Metrics().MaxBusy() {
+	if c.Metrics().Snapshot().TotalBusy < c.Metrics().Snapshot().MaxBusy {
 		t.Error("TotalBusy < MaxBusy")
 	}
 }

@@ -61,12 +61,12 @@ func TestRetryRecoversFromCrashes(t *testing.T) {
 			t.Fatalf("result corrupted after retries: got[%d] = %d", i, v)
 		}
 	}
-	m := c.Metrics()
+	m := c.Metrics().Snapshot()
 	if c.Faults().Crashes() == 0 {
 		t.Error("no crashes injected at p=0.5")
 	}
-	if m.Retries() == 0 || m.Recovered() == 0 {
-		t.Errorf("expected retries and recoveries, got retries=%d recovered=%d", m.Retries(), m.Recovered())
+	if m.Retries == 0 || m.Recovered == 0 {
+		t.Errorf("expected retries and recoveries, got retries=%d recovered=%d", m.Retries, m.Recovered)
 	}
 }
 
@@ -82,10 +82,10 @@ func TestFailedNodeRecovers(t *testing.T) {
 		t.Errorf("Rows = %d, want 8", out.Rows())
 	}
 	// Node 0 hosts partitions 0 and 1; both first attempts crash.
-	if got := c.Metrics().Retries(); got < 2 {
+	if got := c.Metrics().Snapshot().Retries; got < 2 {
 		t.Errorf("Retries = %d, want >= 2", got)
 	}
-	if got := c.Metrics().Recovered(); got < 2 {
+	if got := c.Metrics().Snapshot().Recovered; got < 2 {
 		t.Errorf("Recovered = %d, want >= 2", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestErrorAggregationJoinsPartitions(t *testing.T) {
 		t.Errorf("error should not blame healthy partitions: %s", msg)
 	}
 	// Deterministic task errors must not be retried.
-	if got := c.Metrics().Retries(); got != 0 {
+	if got := c.Metrics().Snapshot().Retries; got != 0 {
 		t.Errorf("Retries = %d for non-retryable errors, want 0", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestStragglerSpeculation(t *testing.T) {
 	if out.Rows() != 16 {
 		t.Errorf("Rows = %d, want 16", out.Rows())
 	}
-	if got := c.Metrics().Speculative(); got != 4 {
+	if got := c.Metrics().Snapshot().Speculative; got != 4 {
 		t.Errorf("Speculative = %d, want 4 (every partition straggled)", got)
 	}
 	if elapsed >= 150*time.Millisecond {
@@ -195,7 +195,7 @@ func TestShuffleCorruptionHealed(t *testing.T) {
 	if c.Faults().Corruptions() == 0 {
 		t.Error("no corruptions injected at p=0.5")
 	}
-	if c.Metrics().CorruptionsHealed() == 0 {
+	if c.Metrics().Snapshot().CorruptHealed == 0 {
 		t.Error("expected healed corruptions")
 	}
 }
@@ -270,7 +270,7 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if got := c.Metrics().Tasks(); got != 0 {
+	if got := c.Metrics().Snapshot().Tasks; got != 0 {
 		t.Errorf("tasks ran under a cancelled context: %d", got)
 	}
 }

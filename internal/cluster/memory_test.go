@@ -56,7 +56,7 @@ func TestMemoryGaugeRoundTrip(t *testing.T) {
 	m.ReserveMemory(100)
 	m.ReserveMemory(50)
 	m.ReleaseMemory(120)
-	if got := m.PeakMemory(); got != 150 {
+	if got := m.Snapshot().PeakMemory; got != 150 {
 		t.Errorf("PeakMemory = %d, want 150", got)
 	}
 	m.AddSpill(4096, 2)

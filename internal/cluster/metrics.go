@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -186,16 +185,6 @@ func (g Gauge) Add(n int64) {
 	g.m.mu.Unlock()
 }
 
-// Set replaces the gauge's current value, keeping the high-water mark.
-func (g Gauge) Set(v int64) {
-	g.m.mu.Lock()
-	g.m.vals[g.id] = v
-	if v > g.m.peaks[g.id] {
-		g.m.peaks[g.id] = v
-	}
-	g.m.mu.Unlock()
-}
-
 // Observe records one histogram observation.
 func (h Histogram) Observe(v int64) {
 	h.m.mu.Lock()
@@ -205,15 +194,6 @@ func (h Histogram) Observe(v int64) {
 		h.m.hmax[h.id] = v
 	}
 	h.m.mu.Unlock()
-}
-
-// Names returns every registered metric name, sorted.
-func (m *Metrics) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]string(nil), m.names...)
-	sort.Strings(out)
-	return out
 }
 
 // Values returns one consistent name → value view of the whole
@@ -337,92 +317,6 @@ func (m *Metrics) counterValue(name string) int64 {
 	return 0
 }
 
-// peakValue reads one gauge's high-water mark.
-func (m *Metrics) peakValue(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if i, ok := m.index[name]; ok {
-		return m.peaks[i]
-	}
-	return 0
-}
-
-// BytesShuffled returns the bytes serialized across node boundaries.
-func (m *Metrics) BytesShuffled() int64 { return m.counterValue(MetricShuffleBytes) }
-
-// RecordsShuffled returns the records moved across node boundaries.
-func (m *Metrics) RecordsShuffled() int64 { return m.counterValue(MetricShuffleRecords) }
-
-// BytesBroadcast returns the bytes broadcast to all nodes (plans etc.).
-func (m *Metrics) BytesBroadcast() int64 { return m.counterValue(MetricBroadcastBytes) }
-
-// MaxBusy returns the largest accumulated per-partition busy time: the
-// query's makespan on hardware with one real core per partition.
-func (m *Metrics) MaxBusy() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var max time.Duration
-	for _, b := range m.busy {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
-
-// TotalBusy returns the summed busy time over all partitions.
-func (m *Metrics) TotalBusy() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum time.Duration
-	for _, b := range m.busy {
-		sum += b
-	}
-	return sum
-}
-
-// Tasks returns the number of partition tasks executed.
-func (m *Metrics) Tasks() int64 { return m.counterValue(MetricTasks) }
-
-// Retries returns how many partition task attempts were re-executed
-// after a failure or speculative abandonment.
-func (m *Metrics) Retries() int64 { return m.counterValue(MetricRetries) }
-
-// Recovered returns how many partition tasks ultimately succeeded
-// after at least one failed attempt.
-func (m *Metrics) Recovered() int64 { return m.counterValue(MetricRecovered) }
-
-// Speculative returns how many straggling task attempts were abandoned
-// in favour of a speculative re-execution.
-func (m *Metrics) Speculative() int64 { return m.counterValue(MetricSpeculative) }
-
-// CorruptionsHealed returns how many corrupted shuffle payloads were
-// recovered by resending.
-func (m *Metrics) CorruptionsHealed() int64 { return m.counterValue(MetricCorruptHealed) }
-
-// PeakMemory returns the high-water mark of budget-tracked memory
-// (the shuffle's in-flight frames plus COMBINE build structures).
-func (m *Metrics) PeakMemory() int64 { return m.peakValue(MetricMemReserved) }
-
-// PeakInput returns the largest materialized per-partition input
-// observed (tracked only when a budget is set).
-func (m *Metrics) PeakInput() int64 { return m.peakValue(MetricMemInput) }
-
-// BytesSpilled returns the bytes written to disk spill runs.
-func (m *Metrics) BytesSpilled() int64 { return m.counterValue(MetricSpillBytes) }
-
-// SpillRuns returns the number of spill runs written to disk.
-func (m *Metrics) SpillRuns() int64 { return m.counterValue(MetricSpillRuns) }
-
-// BucketsSplit returns how many spilled buckets were skew-split into
-// sub-builds because their build side alone exceeded the budget.
-func (m *Metrics) BucketsSplit() int64 { return m.counterValue(MetricBucketsSplit) }
-
-// Backpressure returns how many shuffle frames the memory budget cut
-// short of the batch row cap. Delivery is pulled by the receivers, so
-// there are no sender stalls to count.
-func (m *Metrics) Backpressure() int64 { return m.counterValue(MetricBackpressure) }
-
 // addBusy accumulates one task's busy time into its partition's slot
 // and the task-busy histogram.
 func (m *Metrics) addBusy(part int, d time.Duration) {
@@ -480,29 +374,6 @@ func (m *Metrics) setBatchPool(gets, hits int64) {
 	}
 	m.mu.Unlock()
 }
-
-// Batches returns the number of columnar frames serialized across node
-// boundaries (including corruption resends).
-func (m *Metrics) Batches() int64 { return m.counterValue(MetricBatches) }
-
-// BatchRows returns the rows carried by those frames.
-func (m *Metrics) BatchRows() int64 { return m.counterValue(MetricBatchRows) }
-
-// CheckpointBytes returns the bytes written to durable checkpoints at
-// phase barriers.
-func (m *Metrics) CheckpointBytes() int64 { return m.counterValue(MetricCheckpointBytes) }
-
-// CheckpointRecovered returns how many lost partitions were restored
-// from a checkpoint instead of recomputed.
-func (m *Metrics) CheckpointRecovered() int64 { return m.counterValue(MetricCheckpointRecovered) }
-
-// CheckpointsDiscarded returns how many checkpoints failed their
-// integrity check on reopen and were healed by recompute.
-func (m *Metrics) CheckpointsDiscarded() int64 { return m.counterValue(MetricCheckpointDiscarded) }
-
-// BarrierKillCount returns how many nodes were killed at phase
-// barriers by fault injection.
-func (m *Metrics) BarrierKillCount() int64 { return m.counterValue(MetricBarrierKills) }
 
 func (m *Metrics) addBroadcast(bytes int64) { m.addTo(MetricBroadcastBytes, bytes) }
 func (m *Metrics) addRetry()                { m.addTo(MetricRetries, 1) }

@@ -44,7 +44,7 @@ func TestKillAtBarrierTargetedFiresOnce(t *testing.T) {
 	if again := rm.CrossBarrier(BarrierShuffle); again != nil {
 		t.Errorf("second crossing lost %v, want none (fire-once)", again)
 	}
-	if got := c.Metrics().BarrierKillCount(); got != 1 {
+	if got := c.Metrics().Snapshot().BarrierKills; got != 1 {
 		t.Errorf("BarrierKillCount = %d, want 1", got)
 	}
 }
@@ -156,7 +156,7 @@ func TestRecoverMissingCheckpointRecomputes(t *testing.T) {
 	if len(got) != len(recs) {
 		t.Errorf("recovered %d records, want %d from recompute", len(got), len(recs))
 	}
-	if d := c.Metrics().CheckpointsDiscarded(); d != 0 {
+	if d := c.Metrics().Snapshot().CheckpointDiscarded; d != 0 {
 		t.Errorf("CheckpointsDiscarded = %d, want 0 (missing is not corrupt)", d)
 	}
 }

@@ -158,7 +158,7 @@ func TestShuffleCancelMidDelivery(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if sent := c.Metrics().Batches(); sent < goOn/2 || sent > goOn {
+	if sent := c.Metrics().Snapshot().Batches; sent < goOn/2 || sent > goOn {
 		t.Errorf("%d frames sent, want just under %d: one per go-on the delivery was given", sent, goOn)
 	}
 	for i := 0; runtime.NumGoroutine() > before; i++ {

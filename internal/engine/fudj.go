@@ -52,9 +52,9 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	// ---- SUMMARIZE ----
 	sumSpan := jsp.Child("SUMMARIZE")
 	prevSpan := clus.SetSpan(sumSpan)
-	var shuf0, bcast0 int64
+	var before cluster.Snapshot // traffic counters at join start, for the span deltas
 	if sumSpan != nil {
-		shuf0, bcast0 = clus.Metrics().BytesShuffled(), clus.Metrics().BytesBroadcast()
+		before = clus.Metrics().Snapshot()
 	}
 	phaseStart := db.clock.Now()
 	summarize := func(side core.Side, data cluster.Data, key expr.Evaluator) (core.Summary, error) {
@@ -156,7 +156,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if sumSpan != nil {
 		sumSpan.Add("rows.in", int64(left.Rows())+int64(right.Rows()))
 		sumSpan.Add("state.bytes", int64(len(planBuf)))
-		sumSpan.Add("broadcast.bytes", clus.Metrics().BytesBroadcast()-bcast0)
+		sumSpan.Add("broadcast.bytes", clus.Metrics().Snapshot().BytesBroadcast-before.BytesBroadcast)
 	}
 	sumSpan.End()
 	partSpan := jsp.Child("PARTITION")
@@ -453,7 +453,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	counters.combine.Add(int64(db.clock.Now().Sub(phaseStart)))
 	if combSpan != nil {
 		combSpan.Add("rows.out", int64(combined.Rows()))
-		combSpan.Add("shuffle.bytes", clus.Metrics().BytesShuffled()-shuf0)
+		combSpan.Add("shuffle.bytes", clus.Metrics().Snapshot().BytesShuffled-before.BytesShuffled)
 	}
 	combSpan.End()
 	clus.SetSpan(prevSpan)

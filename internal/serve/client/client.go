@@ -399,7 +399,7 @@ func decodeResponse(r io.Reader) (*Result, error) {
 			}
 			if t.Rows != len(rows) {
 				return nil, &serve.CorruptFrameError{
-					Type: serve.FrameTrailer, Length: len(payload),
+					Tag: serve.FrameTrailer, Length: int64(len(payload)),
 					Reason: fmt.Sprintf("trailer row count %d != %d received", t.Rows, len(rows)),
 				}
 			}

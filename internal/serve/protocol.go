@@ -10,16 +10,11 @@
 // taxonomy, so fudj.IsRetryable gives a client the same answer a
 // co-located caller would get.
 //
-// # Frame layout
+// # Response stream
 //
-// A response to POST /v1/query is a stream of frames:
-//
-//	offset 0    frame type (1 byte)
-//	offset 1-4  payload length, uint32 little-endian
-//	offset 5-8  CRC32 (IEEE) of the payload, uint32 little-endian
-//	offset 9-   payload
-//
-// Frame types: FrameSchema (JSON column descriptors), FrameBatch (one
+// A response to POST /v1/query is a stream of wire frames
+// (internal/wire/frame.go; DESIGN "Frame layout") whose tag is the
+// frame type: FrameSchema (JSON column descriptors), FrameBatch (one
 // record batch in types.EncodeRecords layout), FrameTrailer (JSON
 // execution summary: row count, grouped stats, metrics snapshot), and
 // FrameError (JSON error envelope). A successful query is
@@ -29,20 +24,23 @@
 package serve
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"fudj/internal/engine"
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 // ProtoVersion is the wire protocol generation. A server refuses
 // requests from a different generation with a non-retryable envelope,
 // so a mixed deployment fails loudly instead of mis-decoding frames.
-const ProtoVersion = 1
+// Generation 2: the frame CRC covers the type byte as well as the
+// payload.
+const ProtoVersion = 2
 
 // Request/response header names.
 const (
@@ -89,9 +87,6 @@ const (
 	FrameError byte = 4
 )
 
-// frameHeaderSize is the fixed prefix of every frame.
-const frameHeaderSize = 9
-
 // MaxFramePayload bounds any single frame, so a corrupted length
 // prefix produces an error instead of a giant allocation (the same
 // discipline wire.UvarintCount enforces for record counts).
@@ -135,33 +130,18 @@ type Trailer struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
-// CorruptFrameError reports a frame whose payload failed its CRC or
-// whose header was malformed — a byte was damaged in transit. It is
+// CorruptFrameError is a wire.CorruptFrameError on a response stream:
+// a frame that failed its CRC, claimed more than MaxFramePayload or
+// carried an unknown type — a byte was damaged in transit. It is
 // retryable: the response is re-requested, and the idempotent replay
 // cache guarantees the retry does not re-execute the query.
-type CorruptFrameError struct {
-	Type   byte
-	Length int
-	Reason string
-}
+type CorruptFrameError wire.CorruptFrameError
 
 // Error implements the error interface.
-func (e *CorruptFrameError) Error() string {
-	return fmt.Sprintf("serve: corrupt frame (type %d, length %d): %s", e.Type, e.Length, e.Reason)
-}
+func (e *CorruptFrameError) Error() string { return (*wire.CorruptFrameError)(e).Error() }
 
 // Retryable marks wire corruption as transient.
 func (e *CorruptFrameError) Retryable() bool { return true }
-
-// AppendFrame appends one encoded frame to dst and returns it.
-func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
 
 // EncodeSchemaFrame encodes the schema of a result.
 func EncodeSchemaFrame(s *types.Schema) []byte {
@@ -170,7 +150,7 @@ func EncodeSchemaFrame(s *types.Schema) []byte {
 		sj.Fields = append(sj.Fields, fieldJSON{Name: f.Name, Kind: f.Kind})
 	}
 	payload, _ := json.Marshal(sj)
-	return AppendFrame(nil, FrameSchema, payload)
+	return wire.AppendFrame(nil, FrameSchema, payload)
 }
 
 // EncodeBatchFrames splits rows into CRC-protected batch frames.
@@ -182,7 +162,7 @@ func EncodeBatchFrames(rows []types.Record) []byte {
 			bytes += types.RecordsMemSize(rows[n : n+1])
 			n++
 		}
-		out = AppendFrame(out, FrameBatch, types.EncodeRecords(rows[:n]))
+		out = wire.AppendFrame(out, FrameBatch, types.EncodeRecords(rows[:n]))
 		rows = rows[n:]
 	}
 	return out
@@ -191,7 +171,7 @@ func EncodeBatchFrames(rows []types.Record) []byte {
 // EncodeTrailerFrame encodes the closing summary frame.
 func EncodeTrailerFrame(t Trailer) []byte {
 	payload, _ := json.Marshal(t)
-	return AppendFrame(nil, FrameTrailer, payload)
+	return wire.AppendFrame(nil, FrameTrailer, payload)
 }
 
 // MarkReplayed rewrites a recorded response stream so its trailer
@@ -200,76 +180,58 @@ func EncodeTrailerFrame(t Trailer) []byte {
 // — an error response — or one that fails to parse is returned
 // unchanged.
 func MarkReplayed(frames []byte) []byte {
-	for i := 0; i+frameHeaderSize <= len(frames); {
-		typ := frames[i]
-		length := int(binary.LittleEndian.Uint32(frames[i+1 : i+5]))
-		end := i + frameHeaderSize + length
-		if end > len(frames) {
+	fr := NewFrameReader(bytes.NewReader(frames))
+	for off := 0; ; {
+		typ, payload, err := fr.Next()
+		if err != nil {
 			return frames
 		}
+		end := off + wire.FrameHeaderSize + len(payload)
 		if typ == FrameTrailer {
-			var t Trailer
-			if err := json.Unmarshal(frames[i+frameHeaderSize:end], &t); err != nil {
+			t, err := DecodeTrailerFrame(payload)
+			if err != nil {
 				return frames
 			}
 			t.Replayed = true
 			out := make([]byte, 0, len(frames)+32)
-			out = append(out, frames[:i]...)
+			out = append(out, frames[:off]...)
 			out = append(out, EncodeTrailerFrame(t)...)
 			return append(out, frames[end:]...)
 		}
-		i = end
+		off = end
 	}
-	return frames
 }
 
 // EncodeErrorFrame encodes a failure as its envelope frame.
 func EncodeErrorFrame(env Envelope) []byte {
 	payload, _ := json.Marshal(env)
-	return AppendFrame(nil, FrameError, payload)
+	return wire.AppendFrame(nil, FrameError, payload)
 }
 
-// FrameReader decodes a frame stream, verifying each payload's CRC.
-type FrameReader struct {
-	r io.Reader
-}
+// FrameReader decodes a response stream: wire frames bounded by
+// MaxFramePayload whose tag must be a known frame type.
+type FrameReader wire.FrameReader
 
 // NewFrameReader wraps r for frame-by-frame decoding.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+func NewFrameReader(r io.Reader) *FrameReader {
+	return (*FrameReader)(wire.NewFrameReader(r, MaxFramePayload))
+}
 
 // Next reads one frame. io.EOF is returned verbatim at a clean stream
 // end; a short header or payload is io.ErrUnexpectedEOF (the
-// connection died mid-frame); a CRC mismatch or oversized length is a
-// *CorruptFrameError.
+// connection died mid-frame); a CRC mismatch, oversized length or
+// unknown type is a *CorruptFrameError.
 func (fr *FrameReader) Next() (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
-		return 0, nil, err // io.EOF here is a clean end of stream
-	}
-	if _, err := io.ReadFull(fr.r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	typ, payload, err = (*wire.FrameReader)(fr).Next()
+	if err != nil {
+		var corrupt *wire.CorruptFrameError
+		if errors.As(err, &corrupt) {
+			return 0, nil, (*CorruptFrameError)(corrupt)
 		}
 		return 0, nil, err
 	}
-	typ = hdr[0]
-	length := binary.LittleEndian.Uint32(hdr[1:5])
-	sum := binary.LittleEndian.Uint32(hdr[5:9])
 	if typ < FrameSchema || typ > FrameError {
-		return 0, nil, &CorruptFrameError{Type: typ, Length: int(length), Reason: "unknown frame type"}
-	}
-	if length > MaxFramePayload {
-		return 0, nil, &CorruptFrameError{Type: typ, Length: int(length), Reason: "payload length exceeds limit"}
-	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, &CorruptFrameError{Type: typ, Length: int(length), Reason: "payload CRC mismatch"}
+		return 0, nil, &CorruptFrameError{Tag: typ, Length: int64(len(payload)), Reason: "unknown frame type"}
 	}
 	return typ, payload, nil
 }

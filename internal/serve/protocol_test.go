@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 func testSchema() *types.Schema {
@@ -106,8 +107,13 @@ func TestFrameBatchChunking(t *testing.T) {
 
 func TestFrameCRCDetectsCorruption(t *testing.T) {
 	frame := EncodeTrailerFrame(Trailer{Rows: 7})
-	// Flip one payload byte: every payload position must be caught.
-	for i := frameHeaderSize; i < len(frame); i++ {
+	// Flip one byte: the type byte, every CRC byte and every payload
+	// position must be caught (a flipped length byte may instead read as
+	// a truncated stream; internal/wire's frame test covers those).
+	for i := 0; i < len(frame); i++ {
+		if i >= 1 && i <= 4 {
+			continue
+		}
 		damaged := make([]byte, len(frame))
 		copy(damaged, frame)
 		damaged[i] ^= 0x01
@@ -123,7 +129,7 @@ func TestFrameCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestFrameUnknownTypeAndOversize(t *testing.T) {
-	bad := AppendFrame(nil, 99, []byte("x"))
+	bad := wire.AppendFrame(nil, 99, []byte("x"))
 	_, _, err := NewFrameReader(bytes.NewReader(bad)).Next()
 	var corrupt *CorruptFrameError
 	if !errors.As(err, &corrupt) {
@@ -131,7 +137,7 @@ func TestFrameUnknownTypeAndOversize(t *testing.T) {
 	}
 
 	// A corrupted length prefix must error before allocating.
-	huge := make([]byte, frameHeaderSize)
+	huge := make([]byte, wire.FrameHeaderSize)
 	huge[0] = FrameBatch
 	binary.LittleEndian.PutUint32(huge[1:5], MaxFramePayload+1)
 	_, _, err = NewFrameReader(bytes.NewReader(huge)).Next()
@@ -142,7 +148,7 @@ func TestFrameUnknownTypeAndOversize(t *testing.T) {
 
 func TestFrameTruncationIsUnexpectedEOF(t *testing.T) {
 	frame := EncodeTrailerFrame(Trailer{Rows: 1})
-	for _, cut := range []int{1, frameHeaderSize - 1, frameHeaderSize + 1, len(frame) - 1} {
+	for _, cut := range []int{1, wire.FrameHeaderSize - 1, wire.FrameHeaderSize + 1, len(frame) - 1} {
 		_, _, err := NewFrameReader(bytes.NewReader(frame[:cut])).Next()
 		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d: got %v, want io.ErrUnexpectedEOF", cut, err)

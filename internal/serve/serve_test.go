@@ -400,9 +400,15 @@ func TestServeSessionExpirySweepsCatalog(t *testing.T) {
 	if _, err := ts.db.Catalog().Dataset("scratch"); err != nil {
 		t.Fatal("SELECT INTO did not materialize:", err)
 	}
-	// Idle past the horizon: the session and its objects go away.
-	if n := ts.srv.ExpireIdle(time.Now().Add(2 * serve.DefaultSessionIdle)); n == 0 {
-		t.Fatal("no session expired")
+	// Idle past the horizon: the session and its objects go away — once
+	// the handler has retired the query, which can trail the client
+	// seeing the trailer (a session with an in-flight query is kept).
+	deadline := time.Now().Add(5 * time.Second)
+	for ts.srv.ExpireIdle(time.Now().Add(2*serve.DefaultSessionIdle)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no session expired")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if _, err := ts.db.Catalog().Dataset("scratch"); err == nil {
 		t.Fatal("expired session's dataset survived the sweep")
@@ -433,22 +439,26 @@ func TestServeMetricsAndQueriesEndpoints(t *testing.T) {
 
 func TestServeProtocolVersionRefused(t *testing.T) {
 	ts := startServer(t, serve.Config{}, nil)
-	req, err := http.NewRequest(http.MethodPost, ts.base+"/v1/query", strings.NewReader("SELECT 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(serve.HeaderProto, "99")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	_, _, decErr := decodeFrames(resp)
-	if decErr == nil {
-		t.Fatal("mismatched protocol must be refused")
-	}
-	if fudj.IsRetryable(decErr) {
-		t.Fatal("protocol mismatch must not be retryable")
+	// "1" is the previous generation, whose frame CRC did not cover the
+	// type byte.
+	for _, proto := range []string{"99", "1"} {
+		req, err := http.NewRequest(http.MethodPost, ts.base+"/v1/query", strings.NewReader("SELECT 1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(serve.HeaderProto, proto)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, decErr := decodeFrames(resp)
+		resp.Body.Close()
+		if decErr == nil {
+			t.Fatalf("protocol %s must be refused", proto)
+		}
+		if fudj.IsRetryable(decErr) {
+			t.Fatalf("protocol %s mismatch must not be retryable", proto)
+		}
 	}
 }
 

@@ -158,7 +158,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/queries", s.handleQueries)
 	s.mux.HandleFunc("/v1/catalog", s.handleCatalog)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/health", s.handleHealth)
 	s.mux.HandleFunc("/v1/ready", s.handleReady)
 	errorLog := cfg.ErrorLog
@@ -696,12 +695,6 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		"datasets": s.db.Catalog().Datasets(),
 		"joins":    s.db.Catalog().Joins(),
 	})
-}
-
-// handleHealthz is GET /healthz (legacy; kept for existing probes —
-// /v1/health and /v1/ready are the split liveness/readiness pair).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"ok": true, "draining": s.Draining()})
 }
 
 // handleHealth is GET /v1/health: pure liveness. It answers 200 as

@@ -3,20 +3,18 @@
 // bucket inputs) written at phase barriers so a failure replays only
 // the work downstream of the last barrier instead of the whole query.
 //
-// The on-disk format extends the spill run format with integrity
-// checks a transient spill never needs, because a checkpoint is read
-// back *after* a simulated failure and must detect its own damage:
+// A checkpoint is a record-frame file (framefile.go; DESIGN "Frame
+// layout") with what a file read back *after* a simulated failure
+// needs to detect its own damage:
 //
-//	magic "FCKP1\n"
-//	frame*     uvarint(len) | crc32(payload) LE | payload   (len >= 1)
-//	terminator uvarint(0)   | frames uint64 LE  | crc32(frames) LE
+//	magic "FCKP2\n"
+//	frame*   records (one types.EncodeBatch payload) or blob (opaque)
+//	end      payload = uvarint count of the frames before it
 //
-// A frame payload is either one encoded record batch
-// (types.EncodeBatch, columnar where the records allow it) or an
-// opaque blob; the caller knows which it stored. The explicit terminator makes truncation detectable — a
-// reader that hits EOF before a valid terminator reports corruption
-// rather than silently returning a prefix — and the per-frame CRC
-// catches bit rot and torn page writes inside a frame.
+// The caller knows which kind of frame it stored. The end frame makes
+// truncation detectable — a reader that hits EOF before a valid end
+// frame reports corruption rather than silently returning a prefix —
+// and the per-frame CRC catches bit rot and torn page writes.
 //
 // Crash consistency on the write side: a checkpoint is built in a
 // temp file and published with os.Rename after an fsync, so a
@@ -25,11 +23,8 @@
 package storage
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,13 +34,13 @@ import (
 )
 
 // checkpointMagic heads every checkpoint file.
-const checkpointMagic = "FCKP1\n"
+const checkpointMagic = "FCKP2\n"
 
 // checkpointExt marks published (complete, renamed) checkpoint files.
 const checkpointExt = ".ckpt"
 
 // CorruptError reports a checkpoint that failed an integrity check on
-// reopen: truncated (no terminator), bit-flipped (CRC mismatch), or
+// reopen: truncated (no end frame), bit-flipped (CRC mismatch), or
 // structurally invalid. It is how the recovery manager distinguishes
 // "heal by recompute" from genuine I/O failure.
 type CorruptError struct {
@@ -106,29 +101,22 @@ func (s *CheckpointStore) Remove(key string) error {
 // bytes written. The previous checkpoint under the same key, if any,
 // is atomically replaced.
 func (s *CheckpointStore) SaveRecords(key string, recs []types.Record) (int64, error) {
-	w, err := s.NewCheckpointWriter(key)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.Append(recs...); err != nil {
-		w.Abort()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		w.Abort()
-		return 0, err
-	}
-	return w.Bytes(), nil
+	return s.save(key, func(w *CheckpointWriter) error { return w.Append(recs...) })
 }
 
 // SaveBlob checkpoints one opaque blob (e.g. an encoded PPlan) under
 // key, returning the bytes written.
 func (s *CheckpointStore) SaveBlob(key string, blob []byte) (int64, error) {
+	return s.save(key, func(w *CheckpointWriter) error { return w.AppendBlob(blob) })
+}
+
+// save builds one checkpoint under key with fill and publishes it.
+func (s *CheckpointStore) save(key string, fill func(*CheckpointWriter) error) (int64, error) {
 	w, err := s.NewCheckpointWriter(key)
 	if err != nil {
 		return 0, err
 	}
-	if err := w.AppendBlob(blob); err != nil {
+	if err := fill(w); err != nil {
 		w.Abort()
 		return 0, err
 	}
@@ -183,14 +171,8 @@ func (s *CheckpointStore) LoadBlob(key string) ([]byte, error) {
 // one of the two must be called on every path (the spillclose analyzer
 // enforces this, as it does for spill RunWriters).
 type CheckpointWriter struct {
-	f       *os.File
-	w       *bufio.Writer
-	dst     string // published path, set at Close
-	pending []types.Record
-	scratch *types.Batch // column staging reused across frames
-	bytes   int64
-	frames  uint64
-	done    bool
+	frameWriter
+	dst string // path the checkpoint is published under at Close
 }
 
 // NewCheckpointWriter starts a checkpoint for key. The temp file lives
@@ -201,7 +183,7 @@ func (s *CheckpointStore) NewCheckpointWriter(key string) (*CheckpointWriter, er
 	if err != nil {
 		return nil, fmt.Errorf("storage: create checkpoint temp: %w", err)
 	}
-	w := &CheckpointWriter{f: f, w: bufio.NewWriter(f), dst: s.Path(key), scratch: types.NewBatch(0)}
+	w := &CheckpointWriter{frameWriter: newFrameWriter(f), dst: s.Path(key)}
 	if _, err := w.w.WriteString(checkpointMagic); err != nil {
 		w.Abort()
 		return nil, fmt.Errorf("storage: write checkpoint magic: %w", err)
@@ -210,81 +192,41 @@ func (s *CheckpointStore) NewCheckpointWriter(key string) (*CheckpointWriter, er
 	return w, nil
 }
 
-// Append adds records to the checkpoint, sealing a frame when the
-// pending batch reaches the spill frame target.
+// Append adds records to the checkpoint, in frames of roughly
+// spillFrameTarget resident bytes.
 func (cw *CheckpointWriter) Append(recs ...types.Record) error {
-	if cw.done {
-		return fmt.Errorf("storage: append to finished checkpoint %s", cw.dst)
-	}
-	cw.pending = append(cw.pending, recs...)
-	if len(cw.pending) > 0 && types.RecordsMemSize(cw.pending) >= spillFrameTarget {
-		return cw.flushFrame()
-	}
-	return nil
+	return cw.appendRecords(recs)
 }
 
-// AppendBlob writes one opaque payload as its own frame. Empty blobs
-// are rejected: a zero frame length is the terminator.
+// AppendBlob writes one opaque payload as its own frame, after any
+// records appended before it.
 func (cw *CheckpointWriter) AppendBlob(blob []byte) error {
 	if cw.done {
 		return fmt.Errorf("storage: append to finished checkpoint %s", cw.dst)
 	}
-	if len(blob) == 0 {
-		return fmt.Errorf("storage: checkpoint blob frame must be non-empty")
+	if err := cw.flushRecords(); err != nil {
+		return err
 	}
-	return cw.writeFrame(blob)
+	return cw.writeFrame(tagBlob, blob)
 }
 
-// flushFrame encodes and writes the pending record batch as one frame.
-func (cw *CheckpointWriter) flushFrame() error {
-	if len(cw.pending) == 0 {
-		return nil
-	}
-	payload := types.EncodeBatch(cw.pending, cw.scratch)
-	cw.pending = cw.pending[:0]
-	return cw.writeFrame(payload)
-}
-
-// writeFrame emits uvarint(len) | crc32 | payload.
-func (cw *CheckpointWriter) writeFrame(payload []byte) error {
-	var hdr [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
-	n += 4
-	if _, err := cw.w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("storage: write checkpoint frame: %w", err)
-	}
-	if _, err := cw.w.Write(payload); err != nil {
-		return fmt.Errorf("storage: write checkpoint frame: %w", err)
-	}
-	cw.bytes += int64(n) + int64(len(payload))
-	cw.frames++
-	return nil
-}
-
-// Bytes returns the bytes written so far (sealed frames plus header).
-func (cw *CheckpointWriter) Bytes() int64 { return cw.bytes }
-
-// Close seals the final frame, writes the terminator, syncs, and
+// Close seals the final frame, writes the end frame, syncs, and
 // atomically publishes the checkpoint under its key.
 func (cw *CheckpointWriter) Close() error {
 	if cw.done {
 		return nil
 	}
-	if err := cw.flushFrame(); err != nil {
+	if err := cw.flushRecords(); err != nil {
 		return err
 	}
 	cw.done = true
-	var term [1 + 8 + 4]byte
-	term[0] = 0 // uvarint(0)
-	binary.LittleEndian.PutUint64(term[1:], cw.frames)
-	binary.LittleEndian.PutUint32(term[9:], crc32.ChecksumIEEE(term[1:9]))
-	if _, err := cw.w.Write(term[:]); err != nil {
-		return fmt.Errorf("storage: write checkpoint terminator: %w", err)
+	var end wire.Encoder
+	end.Uvarint(cw.frames)
+	if err := cw.writeFrame(tagEnd, end.Bytes()); err != nil {
+		return err
 	}
-	cw.bytes += int64(len(term))
-	if err := cw.w.Flush(); err != nil {
-		return fmt.Errorf("storage: flush checkpoint: %w", err)
+	if err := cw.flush(); err != nil {
+		return err
 	}
 	if err := cw.f.Sync(); err != nil {
 		cw.f.Close()
@@ -312,104 +254,68 @@ func (cw *CheckpointWriter) Abort() {
 
 // CheckpointReader streams a published checkpoint back frame by frame,
 // verifying integrity as it goes. Next/NextBlob return io.EOF only
-// after a valid terminator; any earlier end of file, bad magic, or
+// after a valid end frame; any earlier end of file, bad magic, or
 // checksum mismatch is a *CorruptError.
 type CheckpointReader struct {
-	f       *os.File
-	r       *bufio.Reader
-	path    string
-	scratch *types.Batch // column staging reused across frames
-	size    int64        // total file size, bounds any frame's claimed length
-	frames  uint64
-	ended   bool // valid terminator seen
+	*frameReader
+	read  uint64 // frames read so far
+	ended bool   // valid end frame seen
 }
 
 // OpenCheckpoint opens a published checkpoint for reading, verifying
 // the magic header.
 func OpenCheckpoint(path string) (*CheckpointReader, error) {
-	f, err := os.Open(path)
+	fr, err := openFrameFile(path)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat checkpoint: %w", err)
-	}
-	cr := &CheckpointReader{f: f, r: bufio.NewReader(f), path: path, scratch: types.NewBatch(0), size: fi.Size()}
 	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(cr.r, magic); err != nil || string(magic) != checkpointMagic {
-		f.Close()
+	if _, err := io.ReadFull(fr.br, magic); err != nil || string(magic) != checkpointMagic {
+		fr.Close()
 		return nil, &CorruptError{Path: path, Reason: "bad magic header"}
 	}
-	return cr, nil
+	return &CheckpointReader{frameReader: fr}, nil
 }
 
-// nextPayload reads one frame payload, or io.EOF after a valid
-// terminator.
-func (cr *CheckpointReader) nextPayload() ([]byte, error) {
+// nextPayload reads the payload of one frame tagged want, or io.EOF
+// after a valid end frame.
+func (cr *CheckpointReader) nextPayload(want byte) ([]byte, error) {
 	if cr.ended {
 		return nil, io.EOF
 	}
-	// A frame cannot be larger than the file holding it, so a damaged
-	// header errors before allocating for the payload.
-	size, err := wire.ReadUvarintCount(cr.r, cr.size, 1)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, &CorruptError{Path: cr.path, Reason: "truncated before terminator"}
-		}
-		return nil, &CorruptError{Path: cr.path, Reason: fmt.Sprintf("frame header: %v", err)}
-	}
-	if size == 0 {
-		// Terminator: verify the frame count and its checksum.
-		var tail [12]byte
-		if _, err := io.ReadFull(cr.r, tail[:]); err != nil {
-			return nil, &CorruptError{Path: cr.path, Reason: "truncated terminator"}
-		}
-		want := binary.LittleEndian.Uint32(tail[8:])
-		if crc32.ChecksumIEEE(tail[:8]) != want {
-			return nil, &CorruptError{Path: cr.path, Reason: "terminator checksum mismatch"}
-		}
-		if n := binary.LittleEndian.Uint64(tail[:8]); n != cr.frames {
-			return nil, &CorruptError{Path: cr.path, Reason: fmt.Sprintf("terminator claims %d frames, read %d", n, cr.frames)}
+	tag, payload, err := cr.frames.Next()
+	switch {
+	case err == io.EOF:
+		return nil, &CorruptError{Path: cr.f.Name(), Reason: "truncated before end frame"}
+	case err != nil:
+		return nil, &CorruptError{Path: cr.f.Name(), Reason: err.Error()}
+	case tag == tagEnd:
+		if n, err := wire.NewDecoder(payload).Uvarint(); err != nil || n != cr.read {
+			return nil, &CorruptError{Path: cr.f.Name(), Reason: fmt.Sprintf("end frame claims %d frames, read %d", n, cr.read)}
 		}
 		cr.ended = true
 		return nil, io.EOF
+	case tag != want:
+		return nil, &CorruptError{Path: cr.f.Name(), Reason: fmt.Sprintf("frame tag %d, want %d", tag, want)}
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(cr.r, crc[:]); err != nil {
-		return nil, &CorruptError{Path: cr.path, Reason: "truncated frame checksum"}
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(cr.r, payload); err != nil {
-		return nil, &CorruptError{Path: cr.path, Reason: "truncated frame payload"}
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crc[:]) {
-		return nil, &CorruptError{Path: cr.path, Reason: "frame checksum mismatch"}
-	}
-	cr.frames++
+	cr.read++
 	return payload, nil
 }
 
 // Next returns the next frame decoded as a record batch.
 func (cr *CheckpointReader) Next() ([]types.Record, error) {
-	payload, err := cr.nextPayload()
+	payload, err := cr.nextPayload(tagRecords)
 	if err != nil {
 		return nil, err
 	}
 	recs, err := types.DecodeBatch(payload, cr.scratch)
 	if err != nil {
-		// The checksum passed, so this is a frame that never held
-		// records (e.g. a blob checkpoint read as records).
-		return nil, &CorruptError{Path: cr.path, Reason: fmt.Sprintf("frame decode: %v", err)}
+		return nil, &CorruptError{Path: cr.f.Name(), Reason: fmt.Sprintf("frame decode: %v", err)}
 	}
 	return recs, nil
 }
 
 // NextBlob returns the next frame's raw payload.
 func (cr *CheckpointReader) NextBlob() ([]byte, error) {
-	return cr.nextPayload()
+	return cr.nextPayload(tagBlob)
 }
-
-// Close closes the underlying file.
-func (cr *CheckpointReader) Close() error { return cr.f.Close() }

@@ -151,8 +151,7 @@ func TestSpillRunRemove(t *testing.T) {
 func TestSpillRunCorruptFrameHeader(t *testing.T) {
 	// A corrupted frame header claiming more bytes than the whole run
 	// file must error out of Next before the payload is allocated
-	// (boundedalloc: sizes from decoded prefixes flow through
-	// wire.ReadUvarintCount).
+	// (the file size is the wire.FrameReader's limit).
 	w, err := NewRunWriter(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -166,13 +165,12 @@ func TestSpillRunCorruptFrameHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Overwrite the first frame's length prefix with an absurd uvarint
-	// (~2^62 bytes).
+	// Overwrite the first frame's header: tag 0xff, length 2^32-1.
 	f, err := os.OpenFile(w.Path(), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}, 0); err != nil {
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff, 0xff}, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -186,5 +184,110 @@ func TestSpillRunCorruptFrameHeader(t *testing.T) {
 		t.Fatal("corrupt frame header decoded successfully")
 	} else if errors.Is(err, io.EOF) {
 		t.Fatalf("corrupt frame header read as EOF: %v", err)
+	}
+}
+
+// TestSpillRunPayloadFlipDetected: every frame of a run is CRC-checked,
+// so a damaged payload byte is an error, not different records.
+func TestSpillRunPayloadFlipDetected(t *testing.T) {
+	w, err := NewRunWriter(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(spillBatch(10, 50)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range full {
+		damaged := append([]byte(nil), full...)
+		damaged[i] ^= 0x40
+		if err := os.WriteFile(w.Path(), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenRun(w.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, err = r.Next()
+		}
+		r.Close()
+		if errors.Is(err, io.EOF) {
+			t.Fatalf("flip at byte %d of %d: run read to a clean end", i, len(full))
+		}
+	}
+}
+
+// TestFrameCutWhileAppending: one bulk Append — how the engine evicts a
+// bucket and checkpoints a partition — is cut into frames of at most
+// spillFrameTarget resident bytes plus one record, through both
+// surfaces, so a reader's memory is bounded by the frame and not by
+// the call that wrote it.
+func TestFrameCutWhileAppending(t *testing.T) {
+	recs := spillBatch(6000, 40)
+	if total := types.RecordsMemSize(recs); total < 10*spillFrameTarget {
+		t.Fatalf("input is %d resident bytes, want at least 10 frame targets", total)
+	}
+	bound := int64(spillFrameTarget) + recs[0].MemSize()
+
+	w, err := NewRunWriter(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := OpenRun(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+
+	s := newStore(t)
+	if _, err := s.SaveRecords("bulk", recs); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := OpenCheckpoint(s.Path("bulk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+
+	for name, next := range map[string]func() ([]types.Record, error){"run": run.Next, "checkpoint": ckpt.Next} {
+		frames, total := 0, 0
+		for {
+			frame, err := next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			frames++
+			if sz := types.RecordsMemSize(frame); sz > bound {
+				t.Errorf("%s frame %d holds %d resident bytes, bound %d", name, frames, sz, bound)
+			}
+			for _, rec := range frame {
+				if rec[0].Int64() != int64(total) {
+					t.Fatalf("%s record %d out of order: %v", name, total, rec[0])
+				}
+				total++
+			}
+		}
+		if total != len(recs) {
+			t.Errorf("%s returned %d records, want %d", name, total, len(recs))
+		}
+		if frames < 10 {
+			t.Errorf("%s: one Append of 10+ frame targets wrote %d frame(s)", name, frames)
+		}
 	}
 }

@@ -8,14 +8,15 @@
 // The format is a simple length-unprefixed stream: callers are expected
 // to know the schema of what they read, exactly as a database runtime
 // does. Integers use zig-zag varint encoding; strings and byte slices are
-// length-prefixed.
+// length-prefixed. Streams that must be cut into self-delimiting,
+// checksummed units (served responses, spill runs, checkpoints) wrap
+// these payloads in the frame of frame.go.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -164,27 +165,6 @@ func (d *Decoder) UvarintCount(minElemSize int) (int, error) {
 	if n > uint64(d.Remaining()/minElemSize) {
 		return 0, fmt.Errorf("wire: count %d exceeds the %d remaining bytes: %w",
 			n, d.Remaining(), ErrShortBuffer)
-	}
-	return int(n), nil
-}
-
-// ReadUvarintCount is the streaming analogue of UvarintCount: it reads
-// an element count from r and rejects counts that claim more than
-// remaining/minElemSize elements, which the input cannot possibly
-// hold. Stream decoders (e.g. spill-run readers) must size allocations
-// with this so a corrupted length prefix produces an error, never a
-// giant allocation.
-func ReadUvarintCount(r io.ByteReader, remaining int64, minElemSize int) (int, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	if minElemSize < 1 {
-		minElemSize = 1
-	}
-	if remaining < 0 || n > uint64(remaining)/uint64(minElemSize) {
-		return 0, fmt.Errorf("wire: count %d exceeds the %d remaining bytes: %w",
-			n, remaining, ErrShortBuffer)
 	}
 	return int(n), nil
 }

@@ -1,9 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -198,38 +195,5 @@ func TestQuickUvarintExactConsumption(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReadUvarintCount(t *testing.T) {
-	enc := func(n uint64) *bytes.Reader {
-		var buf [binary.MaxVarintLen64]byte
-		w := binary.PutUvarint(buf[:], n)
-		return bytes.NewReader(buf[:w])
-	}
-
-	// A count that fits the stated remaining bytes passes.
-	n, err := ReadUvarintCount(enc(10), 40, 4)
-	if err != nil || n != 10 {
-		t.Fatalf("ReadUvarintCount(10, 40, 4) = %d, %v; want 10, nil", n, err)
-	}
-
-	// A count the remaining input cannot hold is a corruption error,
-	// reported before any caller allocation.
-	if _, err := ReadUvarintCount(enc(11), 40, 4); err == nil {
-		t.Fatal("count 11 with 40 remaining at 4 bytes/elem should fail")
-	}
-	if _, err := ReadUvarintCount(enc(1<<62), 1<<20, 1); !errors.Is(err, ErrShortBuffer) {
-		t.Fatalf("absurd count error = %v, want ErrShortBuffer", err)
-	}
-
-	// Negative remaining (caller bookkeeping bug) rejects everything.
-	if _, err := ReadUvarintCount(enc(0), -1, 1); !errors.Is(err, ErrShortBuffer) {
-		t.Fatalf("negative remaining error = %v, want ErrShortBuffer", err)
-	}
-
-	// minElemSize below 1 is clamped, not a divide-by-zero.
-	if _, err := ReadUvarintCount(enc(5), 5, 0); err != nil {
-		t.Fatalf("minElemSize 0: %v", err)
 	}
 }
