@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fudj"
 	"fudj/internal/bench"
 	"fudj/internal/core"
 	"fudj/internal/geo"
@@ -213,42 +212,6 @@ func BenchmarkRecordWire(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTracingOverhead guards the observability layer's cost: the
-// spatial join with tracing disabled (nil-span fast path) versus
-// per-query fudj.Trace(). The disabled path must stay within 5% of the
-// pre-trace baseline; results/BENCH_trace.json records a measured run.
-func BenchmarkTracingOverhead(b *testing.B) {
-	db := fudj.MustOpen(fudj.WithCluster(2, 2))
-	if err := fudj.LoadGenerated(db, "parks", fudj.GenParks(1, 1000)); err != nil {
-		b.Fatal(err)
-	}
-	if err := fudj.LoadGenerated(db, "wildfires", fudj.GenWildfires(2, 2000)); err != nil {
-		b.Fatal(err)
-	}
-	if err := db.InstallLibrary(fudj.SpatialLibrary()); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Execute(`CREATE JOIN spatial_join(a: geometry, b: geometry, n: int)
-		RETURNS boolean AS "pbsm.SpatialJoin" AT spatialjoins`); err != nil {
-		b.Fatal(err)
-	}
-	q := `SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 32)`
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Execute(q, fudj.Trace()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // sanity check that the bench-scale experiments produce output when run

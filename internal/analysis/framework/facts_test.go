@@ -13,7 +13,7 @@ import (
 func TestFactStoreRoundTrip(t *testing.T) {
 	s := NewFactStore()
 	s.ExportFuncKey("fudj/internal/core.CanonicalPair", func(f *FuncFact) { f.NeedsGuard = true })
-	s.ExportFuncKey("fudj/internal/engine.runSmartTheta", func(f *FuncFact) { f.GuardedFnParams = 1 << 3 })
+	s.ExportFuncKey("fudj/internal/core.RunStandalone", func(f *FuncFact) { f.GuardedFnParams = 1 << 4 })
 	s.ExportFuncKey("fudj/internal/wire.Decoder.Uvarint", func(f *FuncFact) { f.TaintedReturns = 1 })
 	s.ExportFuncKey("fudj/internal/core.DefaultMatch", func(f *FuncFact) {}) // stays empty
 	s.ExportField(FieldKey("fudj/internal/storage", "frameHeader", "count"), func(f *FieldFact) { f.Tainted = true })
@@ -33,7 +33,7 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	if f := dst.FuncByKey("fudj/internal/core.CanonicalPair"); f == nil || !f.NeedsGuard {
 		t.Errorf("NeedsGuard fact lost: %+v", f)
 	}
-	if f := dst.FuncByKey("fudj/internal/engine.runSmartTheta"); f == nil || f.GuardedFnParams != 1<<3 {
+	if f := dst.FuncByKey("fudj/internal/core.RunStandalone"); f == nil || f.GuardedFnParams != 1<<4 {
 		t.Errorf("GuardedFnParams fact lost: %+v", f)
 	}
 	if f := dst.FuncByKey("fudj/internal/wire.Decoder.Uvarint"); f == nil || f.TaintedReturns != 1 {

@@ -28,9 +28,9 @@
 //     outside the call graph.
 //
 // Function-typed parameters carry a complementary fact: a callee whose
-// parameter is only ever invoked under a deferred guard (the engine's
-// runSmartTheta, whose combine callback runs inside guarded partition
-// closures) exports a guarded-parameter fact, so passing an unguarded
+// parameter is only ever invoked under a deferred guard
+// (core.RunStandalone, whose emit callback runs under the runner's own
+// guard) exports a guarded-parameter fact, so passing an unguarded
 // UDF-calling closure to it is proven safe rather than suppressed.
 //
 // Soundness limits (documented in DESIGN.md §9.7): a function value

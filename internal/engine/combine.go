@@ -16,8 +16,9 @@ import (
 // parallel column. keys[i] is recs[i][1].Native(), computed exactly
 // once when the record enters the group.
 type bucketGroup struct {
-	recs []types.Record
-	keys []any
+	recs  []types.Record
+	keys  []any
+	bytes int64 // budget-charged size of recs (build side only; 0 without a budget)
 }
 
 // add appends one extended record, caching its key.
@@ -26,8 +27,8 @@ func (g *bucketGroup) add(r types.Record) {
 	g.keys = append(g.keys, r[1].Native())
 }
 
-// singleGroup wraps one probe record as a group, for the streaming
-// probe paths that join one record at a time against a build bucket.
+// singleGroup wraps one probe record as a group, for the spilled pass,
+// which re-streams a bucket's probe run one record at a time.
 func singleGroup(r types.Record) *bucketGroup {
 	return &bucketGroup{recs: []types.Record{r}, keys: []any{r[1].Native()}}
 }

@@ -1,0 +1,307 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"fudj/internal/cluster"
+	"fudj/internal/core"
+	"fudj/internal/types"
+)
+
+// extRec builds one extended record as PARTITION emits it:
+// [bucket_id, key, payload...].
+func extRec(bucket, id int, pad string) types.Record {
+	return types.Record{types.NewInt64(int64(bucket)), types.NewInt64(int64(id)), types.NewString(pad)}
+}
+
+// pairUp is the test combineFn: every record pair of a matched bucket
+// pair becomes one [b1, left id, b2, right id] row.
+func pairUp(out []types.Record, b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) []types.Record {
+	for _, l := range ls.recs {
+		for _, r := range rs.recs {
+			out = append(out, types.Record{types.NewInt64(int64(b1)), l[1], types.NewInt64(int64(b2)), r[1]})
+		}
+	}
+	return out
+}
+
+// bruteForceCombine is the reference the one loop is held to: the
+// build-major walk over bucket pairs, with nothing governed.
+func bruteForceCombine(build, probe []types.Record, matches matchFn) []types.Record {
+	lBuckets, rBuckets := groupByBucket(build), groupByBucket(probe)
+	rIDs := sortedIDs(rBuckets)
+	var out []types.Record
+	for _, b1 := range sortedIDs(lBuckets) {
+		for _, b2 := range matches(b1, rIDs) {
+			if rs, ok := rBuckets[b2]; ok {
+				out = pairUp(out, b1, lBuckets[b1], b2, rs)
+			}
+		}
+	}
+	return out
+}
+
+// TestCombinePartitionMemoryMatrix drives combinePartition directly over
+// {no budget, ample, evicting, one hot bucket} × the three layouts'
+// match functions, against the brute-force walk.
+func TestCombinePartitionMemoryMatrix(t *testing.T) {
+	pad := strings.Repeat("x", 40)
+	var build, probe []types.Record
+	for i := 0; i < 120; i++ {
+		build = append(build, extRec(i%6, i, pad))
+	}
+	for i := 0; i < 90; i++ {
+		probe = append(probe, extRec(i%8, 1000+i, pad)) // buckets 6 and 7 have no build side
+	}
+	var hotBuild []types.Record // bucket 2 alone outweighs the evicting budget
+	for i := 0; i < 120; i++ {
+		b := 2
+		if i%10 == 0 {
+			b = i % 6
+		}
+		hotBuild = append(hotBuild, extRec(b, i, pad))
+	}
+	recSize := build[0].MemSize()
+	var buildBytes int64
+	for _, r := range build {
+		buildBytes += r.MemSize()
+	}
+
+	owned := map[int][]int{0: {3, 1}, 1: {1}, 2: {7, 2, 0}, 4: {9}, 5: {5, 4}} // bucket 3 owns nothing, 9 is absent
+	layouts := []struct {
+		name    string
+		matches matchFn
+	}{
+		{"hash", func(b1 int, _ []int) []int { return []int{b1} }},
+		{"match-predicate", func(b1 int, probeIDs []int) []int {
+			var m []int
+			for _, b2 := range probeIDs {
+				if d := b1 - b2; d >= -1 && d <= 1 {
+					m = append(m, b2)
+				}
+			}
+			return m
+		}},
+		{"owned-pairs", func(b1 int, _ []int) []int { return owned[b1] }},
+	}
+	budgets := []struct {
+		name      string
+		perPart   int64
+		build     []types.Record
+		wantSpill bool
+		wantSplit bool
+	}{
+		{"none", 0, build, false, false},
+		{"ample", 2 * buildBytes, build, false, false},
+		{"evicting", 30 * recSize, build, true, false},
+		{"hot-bucket", 30 * recSize, hotBuild, true, true},
+	}
+
+	for _, lay := range layouts {
+		for _, bud := range budgets {
+			t.Run(lay.name+"/"+bud.name, func(t *testing.T) {
+				tmp := t.TempDir()
+				t.Setenv("TMPDIR", tmp)
+				want := bruteForceCombine(bud.build, probe, lay.matches)
+				if len(want) == 0 {
+					t.Fatal("reference walk produced no rows")
+				}
+				var first []types.Record
+				for rep := 0; rep < 20; rep++ {
+					clus := cluster.New(cluster.Config{Nodes: 1, CoresPerNode: 1})
+					clus.SetMemoryBudget(bud.perPart)
+					mem := newMemState(clus)
+					got, err := combinePartition(mem, "test", 0, bud.build, probe, lay.matches, pairUp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := clus.Metrics().Snapshot()
+					if spilled := m.BytesSpilled > 0; spilled != bud.wantSpill {
+						t.Fatalf("BytesSpilled = %d, want spilling = %v", m.BytesSpilled, bud.wantSpill)
+					}
+					if split := m.BucketsSplit > 0; split != bud.wantSplit {
+						t.Fatalf("BucketsSplit = %d, want splitting = %v", m.BucketsSplit, bud.wantSplit)
+					}
+					if bud.perPart == 0 {
+						if m.PeakMemory != 0 || m.SpillRuns != 0 {
+							t.Fatalf("memory counters moved without a budget: peak=%d runs=%d", m.PeakMemory, m.SpillRuns)
+						}
+					} else if m.PeakMemory <= 0 || m.PeakMemory > bud.perPart {
+						t.Fatalf("PeakMemory = %d, want in (0, %d]", m.PeakMemory, bud.perPart)
+					}
+					if !bud.wantSpill {
+						// The resident state: exactly the build-major walk, and
+						// the filesystem never touched.
+						if !bytes.Equal(types.EncodeRecords(got), types.EncodeRecords(want)) {
+							t.Fatal("resident output is not the build-major walk, row for row")
+						}
+						if mem.dir != "" {
+							t.Fatalf("spill directory %s created though nothing spilled", mem.dir)
+						}
+					} else {
+						sameRows(t, "spilled output", got, want)
+						left, err := os.ReadDir(mem.dir)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(left) != 0 {
+							t.Fatalf("%d run files left behind in %s", len(left), mem.dir)
+						}
+					}
+					if rep == 0 {
+						first = got
+					} else if !bytes.Equal(types.EncodeRecords(got), types.EncodeRecords(first)) {
+						t.Fatalf("repeat %d emitted a different row order", rep)
+					}
+					mem.cleanup()
+				}
+				if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+					t.Fatalf("%d entries left in TMPDIR after cleanup", len(entries))
+				}
+			})
+		}
+	}
+}
+
+// hookJoin is an int64 equi-join on key%4 buckets whose Divide and
+// LocalJoin call out to the test. With match set it is a theta
+// (multi-join) FUDJ; without, the optimizer's hash path.
+func hookJoin(name string, theta bool, onDivide func(), onLocalJoin func(left, right int)) core.Join {
+	s := core.Spec[int64, int64, int64, int64]{
+		Name:         name,
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ int64, s int64) int64 { return s + 1 },
+		GlobalAgg:    func(a, b int64) int64 { return a + b },
+		Divide: func(left, right int64, _ []any) (int64, error) {
+			if onDivide != nil {
+				onDivide()
+			}
+			return left + right, nil
+		},
+		AssignLeft: func(key int64, _ int64, dst []core.BucketID) []core.BucketID {
+			return append(dst, core.BucketID(key%4))
+		},
+		Verify: func(_ core.BucketID, l int64, _ core.BucketID, r int64, _ int64) bool { return l == r },
+	}
+	if theta {
+		s.Match = func(b1, b2 core.BucketID) bool { return b1 == b2 }
+	}
+	if onLocalJoin != nil {
+		s.LocalJoin = func(_ core.BucketID, left []int64, _ core.BucketID, right []int64, _ int64, emit func(i, j int)) {
+			onLocalJoin(len(left), len(right))
+			for i, l := range left {
+				for j, r := range right {
+					if l == r {
+						emit(i, j)
+					}
+				}
+			}
+		}
+	}
+	return core.Wrap(s)
+}
+
+// TestBoundedLocalJoinSeesWholeGroups pins that a budget which evicts
+// nothing changes nothing a custom local algorithm can observe: the
+// same number of LocalJoin calls, over the same group sizes, and the
+// same candidate funnel as with no budget at all.
+func TestBoundedLocalJoinSeesWholeGroups(t *testing.T) {
+	db := newTestDB(t)
+	var mu sync.Mutex
+	var calls []string
+	lib := core.NewLibrary("hooklib")
+	lib.MustRegister("test.CountingLocalJoin", func() core.Join {
+		return hookJoin("counting_localjoin", false, nil, func(left, right int) {
+			mu.Lock()
+			calls = append(calls, fmt.Sprintf("%dx%d", left, right))
+			mu.Unlock()
+		})
+	})
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Execute(`CREATE JOIN counting_localjoin(a: int, b: int) RETURNS boolean AS "test.CountingLocalJoin" AT hooklib`); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT a.id, b.id FROM rides a, rides b WHERE counting_localjoin(a.id, b.id)`
+	run := func() (*Result, map[string]int) {
+		calls = nil
+		res := mustQuery(t, db, sql)
+		sizes := make(map[string]int)
+		for _, c := range calls {
+			sizes[c]++
+		}
+		return res, sizes
+	}
+
+	plain, plainSizes := run()
+	if len(plain.Rows) != 100 || len(plainSizes) == 0 {
+		t.Fatalf("baseline: %d rows, %d LocalJoin calls", len(plain.Rows), len(plainSizes))
+	}
+	db.MustConfigure(WithMemoryBudget(64 << 20))
+	ample, ampleSizes := run()
+	sameRows(t, "ample budget", ample.Rows, plain.Rows)
+	if ample.Memory.BytesSpilled != 0 {
+		t.Fatalf("ample budget spilled %d bytes", ample.Memory.BytesSpilled)
+	}
+	if !reflect.DeepEqual(ampleSizes, plainSizes) {
+		t.Errorf("LocalJoin group sizes under an ample budget = %v, want %v", ampleSizes, plainSizes)
+	}
+	if ample.Join.Candidates != plain.Join.Candidates || ample.Join.Verified != plain.Join.Verified || ample.Join.Output != plain.Join.Output {
+		t.Errorf("funnel under an ample budget = %d/%d/%d, want %d/%d/%d",
+			ample.Join.Candidates, ample.Join.Verified, ample.Join.Output,
+			plain.Join.Candidates, plain.Join.Verified, plain.Join.Output)
+	}
+}
+
+// TestSmartThetaConcurrentSwitchKeepsLayout pins that the smart-theta
+// switch is read once, at query start: a join whose Divide flips the
+// switch on the Database mid-query keeps the layout it started with
+// (the balanced layout is recognisable in the span tree by its two
+// bucket-count passes: five task waves under COMBINE instead of three),
+// and only the next query runs under the new setting.
+func TestSmartThetaConcurrentSwitchKeepsLayout(t *testing.T) {
+	db := newTestDB(t)
+	flipTo := true
+	lib := core.NewLibrary("fliplib")
+	lib.MustRegister("test.FlippingDivide", func() core.Join {
+		return hookJoin("flipping_divide", true, func() { db.SetSmartTheta(flipTo) }, nil)
+	})
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Execute(`CREATE JOIN flipping_divide(a: int, b: int) RETURNS boolean AS "test.FlippingDivide" AT fliplib`); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT a.id, b.id FROM rides a, rides b WHERE flipping_divide(a.id, b.id)`
+	const parts = 4
+	combineTasks := func(res *Result) int { return phaseTasks(res.Trace, "COMBINE") }
+
+	// Starts naive; Divide turns smart theta on under it.
+	res, err := db.Execute(sql, Trace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := combineTasks(res); got != 3*parts {
+		t.Errorf("query started under naive theta ran %d COMBINE tasks, want %d (naive layout)", got, 3*parts)
+	}
+	// The next query starts smart; its Divide turns the switch off again.
+	flipTo = false
+	res2, err := db.Execute(sql, Trace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := combineTasks(res2); got != 5*parts {
+		t.Errorf("query started under smart theta ran %d COMBINE tasks, want %d (balanced layout)", got, 5*parts)
+	}
+	sameRows(t, "layouts agree", res.Rows, res2.Rows)
+	if len(res.Rows) != 100 {
+		t.Errorf("rows = %d, want 100", len(res.Rows))
+	}
+}

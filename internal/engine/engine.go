@@ -201,7 +201,6 @@ func (db *Database) MemoryBudget() int64 {
 // running one.
 type execSettings struct {
 	clusterCfg cluster.Config
-	mode       JoinMode
 	smartTheta bool
 	faultCfg   *cluster.FaultConfig
 	retryPol   *cluster.RetryPolicy
@@ -226,7 +225,6 @@ func (db *Database) settings() execSettings {
 	}
 	return execSettings{
 		clusterCfg: db.clusterCfg,
-		mode:       db.mode,
 		smartTheta: db.smartTheta,
 		faultCfg:   fc,
 		retryPol:   rp,
@@ -249,13 +247,6 @@ func (db *Database) joinMode() JoinMode {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.mode
-}
-
-// smartThetaOn reads the smart-theta switch under the read lock.
-func (db *Database) smartThetaOn() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.smartTheta
 }
 
 // CreateDataset loads a dataset into the engine.

@@ -45,25 +45,17 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 	}
 	counters := &statsCounters{}
 
-	// Memory-bounded execution: split the query budget over partitions,
-	// size the shuffle's frame cut, and stand up the spill directory the
-	// COMBINE phases degrade into when a build exceeds its share. The
-	// budget is the admission lease when a pool granted one.
+	// Memory-bounded execution: the query budget, split over partitions,
+	// sizes the shuffle's frame cut and the COMBINE builds, which degrade
+	// into spill runs when a build exceeds its share. The budget is the
+	// admission lease when a pool granted one.
 	budget := set.memBudget
 	if ticket != nil && ticket.Lease() > 0 {
 		budget = ticket.Lease()
 	}
-	var mem *memState
-	if budget > 0 {
-		clus.SetMemoryBudget(budget)
-		var cleanup func()
-		var err error
-		mem, cleanup, err = newMemState(clus)
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-	}
+	clus.SetMemoryBudget(budget)
+	mem := newMemState(clus)
+	defer mem.cleanup()
 
 	// Checkpointed execution: with WithCheckpoints, a per-query
 	// checkpoint store makes the FUDJ phase barriers durable; the store
@@ -127,7 +119,7 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		var err error
 		switch step.kind {
 		case joinFUDJ:
-			cur, err = db.runFUDJRecoverable(ctx, clus, counters, mem, rm, i, jsp, step.fudj, cur, curSchema, right, rightSchema, outSchema)
+			cur, err = db.runFUDJRecoverable(ctx, clus, counters, mem, set.smartTheta, rm, i, jsp, step.fudj, cur, curSchema, right, rightSchema, outSchema)
 		case joinBuiltin:
 			cur, err = db.runBuiltinJoin(clus, counters, step.fudj, cur, curSchema, right, rightSchema)
 		case joinHash:

@@ -25,11 +25,14 @@ import (
 // columns, [bucket_id, key, fields...], so verify never recomputes key
 // expressions per candidate pair. Under DedupElimination a third
 // leading column carries a globally unique row id.
-// When rec is non-nil, the step runs with durable phase barriers: the
+// When rcv is non-nil, the step runs with durable phase barriers: the
 // broadcast plan and every partition's post-shuffle input are
 // checkpointed, and node deaths injected at a barrier recover from
 // those checkpoints (see recover.go) instead of aborting the step.
-func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, rcv *stepRecovery, jsp *trace.Span, f *fudjStep,
+// smartTheta comes from the query's settings snapshot, so every step
+// and every abort-and-rerun attempt of one query lays theta joins out
+// the same way.
+func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rcv *stepRecovery, jsp *trace.Span, f *fudjStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema, outSchema *types.Schema) (cluster.Data, error) {
 
@@ -290,137 +293,86 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		return out
 	}
 
-	var combined cluster.Data
-	if desc.DefaultMatch {
-		// Single-join: hash partition both sides on bucket id, then a
-		// local hash join per partition (the optimizer's hash-join path).
+	// The three layouts differ only in where records travel and which
+	// bucket pairs a partition joins; the exchange → barrier → COMBINE
+	// tail below is shared.
+	var lay layout
+	switch {
+	case desc.DefaultMatch:
+		// Single-join: hash partition both sides on bucket id, so every
+		// bucket meets exactly its namesake (the optimizer's hash-join
+		// path).
 		byBucket := cluster.HashRoute(clus.Partitions(), func(r types.Record) uint64 { return r[0].Hash() })
-		lShuf, err := clus.ExchangeMulti(lAssigned, byBucket)
-		if err != nil {
-			return nil, err
-		}
-		rShuf, err := clus.ExchangeMulti(rAssigned, byBucket)
-		if err != nil {
-			return nil, err
-		}
-		// Shuffle barrier: every partition's bucket inputs are durable.
-		// A node killed here reloads its partitions' inputs (or rebuilds
-		// them from the surviving pre-shuffle data) and re-runs only
-		// those partitions' COMBINE.
-		err = shuffleBarrier(rcv,
-			shuffleSide{name: "left", data: lShuf, pre: lAssigned, route: byBucket},
-			shuffleSide{name: "right", data: rShuf, pre: rAssigned, route: byBucket})
-		if err != nil {
-			return nil, err
-		}
-		combined, err = clus.Run(lShuf, func(part int, in []types.Record) (out []types.Record, err error) {
-			// Registered before CatchPanic so it observes the final err.
-			defer func() {
-				if err == nil {
-					rcv.markDone("combine", part)
-				}
-			}()
-			defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
-			if mem != nil {
-				// Memory-bounded hash build: resident buckets join
-				// immediately, oversized ones spill and re-join.
-				return boundedCombine(mem, f.def.Name, part, in, rShuf[part],
-					func(b2 int, _ []int) []int { return []int{b2} }, combineBuckets)
+		lay = layout{left: byBucket, right: byBucket, matches: func(int) matchFn {
+			var self [1]int // one scratch per task, not one slice per bucket
+			return func(b1 int, _ []int) []int {
+				self[0] = b1
+				return self[:]
 			}
-			lBuckets := groupByBucket(in)
-			rBuckets := groupByBucket(rShuf[part])
-			for _, b := range sortedIDs(lBuckets) {
-				if rs, ok := rBuckets[b]; ok {
-					out = combineBuckets(out, b, lBuckets[b], b, rs)
-				}
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else if db.smartThetaOn() {
+		}}
+	case smartTheta:
 		// Balanced theta (the Theta Join Operator proposed as future
 		// work in §VIII): the coordinator gathers per-bucket record
 		// counts, enumerates the bucket pairs MATCH accepts, assigns
 		// each pair to a partition by greedy cost balancing, and records
 		// travel only to partitions owning pairs that need them.
-		//
-		// No durable shuffle barrier in this mode: a barrier loss falls
-		// back to abort-and-rerun of the step.
-		combined, err = db.runSmartTheta(clus, mem, join, combineBuckets, lAssigned, rAssigned)
+		lay, err = planSmartTheta(clus, join, lAssigned, rAssigned)
 		if err != nil {
 			return nil, err
 		}
-	} else {
+	default:
 		// Naive theta (the paper's measured configuration, §VII-C): no
-		// partitioning property helps, so one side is broadcast and the
-		// other randomly partitioned, then buckets are matched pairwise
-		// through MATCH locally.
-		toAll, dealt := cluster.ReplicateRoute(clus.Partitions()), cluster.RandomRoute(clus.Partitions())
-		lRepl, err := clus.ExchangeMulti(lAssigned, toAll)
-		if err != nil {
-			return nil, err
-		}
-		rRand, err := clus.ExchangeMulti(rAssigned, dealt)
-		if err != nil {
-			return nil, err
-		}
-		// Shuffle barrier for the theta layout: the replicated build
-		// side and the randomly partitioned probe side are both durable
-		// per partition.
-		err = shuffleBarrier(rcv,
-			shuffleSide{name: "left", data: lRepl, pre: lAssigned, route: toAll},
-			shuffleSide{name: "right", data: rRand, pre: rAssigned, route: dealt})
-		if err != nil {
-			return nil, err
-		}
-		combined, err = clus.Run(rRand, func(part int, in []types.Record) (out []types.Record, err error) {
-			// Registered before CatchPanic so it observes the final err.
-			defer func() {
-				if err == nil {
-					rcv.markDone("combine", part)
-				}
-			}()
-			defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
-			if mem != nil {
-				// Memory-bounded theta match table: the broadcast (build)
-				// side is budget-governed; MATCH decisions are memoized
-				// per probe bucket so the call count matches the
-				// unbounded pairwise sweep.
-				matchCache := make(map[int][]int)
-				matcher := func(b2 int, buildIDs []int) []int {
-					if m, ok := matchCache[b2]; ok {
-						return m
-					}
-					var m []int
-					for _, b1 := range buildIDs {
-						if join.Match(b1, b2) {
-							m = append(m, b1)
-						}
-					}
-					matchCache[b2] = m
-					return m
-				}
-				return boundedCombine(mem, f.def.Name, part, lRepl[part], in, matcher, combineBuckets)
+		// partitioning property helps, so the build side is broadcast and
+		// the probe side randomly partitioned, then buckets are matched
+		// pairwise through MATCH locally (matches stays nil).
+		lay = layout{left: cluster.ReplicateRoute(clus.Partitions()), right: cluster.RandomRoute(clus.Partitions())}
+	}
+	build, err := clus.ExchangeMulti(lAssigned, lay.left)
+	if err != nil {
+		return nil, err
+	}
+	probe, err := clus.ExchangeMulti(rAssigned, lay.right)
+	if err != nil {
+		return nil, err
+	}
+	// Shuffle barrier: every partition's bucket inputs are durable. A
+	// node killed here reloads its partitions' inputs (or rebuilds them
+	// from the surviving pre-shuffle data and the layout's routes) and
+	// re-runs only those partitions' COMBINE.
+	err = shuffleBarrier(rcv,
+		shuffleSide{name: "left", data: build, pre: lAssigned, route: lay.left},
+		shuffleSide{name: "right", data: probe, pre: rAssigned, route: lay.right})
+	if err != nil {
+		return nil, err
+	}
+	combined, err := clus.Run(build, func(part int, in []types.Record) (out []types.Record, err error) {
+		// Registered before CatchPanic so it observes the final err.
+		defer func() {
+			if err == nil {
+				rcv.markDone("combine", part)
 			}
-			lBuckets := groupByBucket(lRepl[part])
-			rBuckets := groupByBucket(in)
-			lIDs := sortedIDs(lBuckets)
-			rIDs := sortedIDs(rBuckets)
-			for _, b1 := range lIDs {
-				for _, b2 := range rIDs {
-					if !join.Match(b1, b2) {
-						continue
+		}()
+		defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
+		var matches matchFn
+		if lay.matches != nil {
+			matches = lay.matches(part)
+		} else {
+			// Built here, under the guard, because it runs user code.
+			var accepted []int
+			matches = func(b1 int, probeIDs []int) []int {
+				accepted = accepted[:0]
+				for _, b2 := range probeIDs {
+					if join.Match(b1, b2) {
+						accepted = append(accepted, b2)
 					}
-					out = combineBuckets(out, b1, lBuckets[b1], b2, rBuckets[b2])
 				}
+				return accepted
 			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		return combinePartition(mem, f.def.Name, part, in, probe[part], matches, combineBuckets)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// ---- duplicate elimination stage (only DedupElimination) ----
@@ -462,6 +414,16 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		return nil, fmt.Errorf("fudj %s: joined record has %d fields, schema wants %d", f.def.Name, got, want)
 	}
 	return combined, nil
+}
+
+// layout is how one COMBINE lays its inputs out over the cluster: the
+// route each side's records travel (pure, so the shuffle barrier can
+// rebuild a lost partition from them), and, per partition, which probe
+// buckets each build bucket joins. A nil matches asks the join's MATCH
+// about every bucket pair the partition holds.
+type layout struct {
+	left, right cluster.Route
+	matches     func(part int) matchFn
 }
 
 // listBuckets decodes a cached assign list column.

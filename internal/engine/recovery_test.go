@@ -29,12 +29,12 @@ func countSpans(root *trace.Span, name string) int {
 	return n
 }
 
-// summarizeTasks counts partition task executions under every
-// SUMMARIZE span — the "did SUMMARIZE re-run" probe.
-func summarizeTasks(root *trace.Span) int {
+// phaseTasks counts partition task executions under every span named
+// phase; on SUMMARIZE it is the "did SUMMARIZE re-run" probe.
+func phaseTasks(root *trace.Span, phase string) int {
 	n := 0
 	root.Walk(func(_ int, sp *trace.Span) {
-		if sp.Name() != "SUMMARIZE" {
+		if sp.Name() != phase {
 			return
 		}
 		for _, c := range sp.Children() {
@@ -64,7 +64,7 @@ func TestCheckpointRecoveryAtShuffleBarrier(t *testing.T) {
 			if len(base.Rows) == 0 {
 				t.Fatal("baseline produced no rows")
 			}
-			baseTasks := summarizeTasks(base.Trace)
+			baseTasks := phaseTasks(base.Trace, "SUMMARIZE")
 			if baseTasks == 0 {
 				t.Fatal("baseline trace has no SUMMARIZE tasks — probe broken")
 			}
@@ -85,7 +85,7 @@ func TestCheckpointRecoveryAtShuffleBarrier(t *testing.T) {
 			if res.Faults.CheckpointBytes == 0 {
 				t.Error("CheckpointBytes = 0 — nothing was made durable")
 			}
-			if got := summarizeTasks(res.Trace); got != baseTasks {
+			if got := phaseTasks(res.Trace, "SUMMARIZE"); got != baseTasks {
 				t.Errorf("SUMMARIZE task spans = %d, want %d — surviving partitions must not re-run SUMMARIZE", got, baseTasks)
 			}
 			if got, want := countSpans(res.Trace, "SUMMARIZE"), countSpans(base.Trace, "SUMMARIZE"); got != want {
@@ -133,42 +133,75 @@ func TestRecoveryAbortRerunWithoutCheckpoints(t *testing.T) {
 	}
 }
 
+// recoveryLayouts are the three COMBINE layouts the shuffle barrier
+// must heal: hash (spatial), naive theta and smart theta (interval).
+// prefix names the layout's subtests.
+var recoveryLayouts = []struct {
+	prefix     string
+	sql        string
+	smartTheta bool
+}{
+	{"", chaosQueries[0].sql, false},
+	{"naive-theta-", chaosQueries[2].sql, false},
+	{"smart-theta-", chaosQueries[2].sql, true},
+}
+
 // TestCheckpointRecoveryHealsDamage pins corruption healing: with
 // every checkpoint write torn (or bit-flipped), a barrier kill still
 // converges to the fault-free answer — the damaged checkpoints are
-// detected by checksum, discarded, and the partitions recomputed.
+// detected by checksum, discarded, and the partitions recomputed from
+// the surviving pre-shuffle data under the layout's routes.
 func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 	db := newTestDB(t)
-	base := mustQuery(t, db, chaosQueries[0].sql)
-	for _, tc := range []struct {
-		name string
-		arm  func(cfg *cluster.FaultConfig)
-	}{
-		{"torn-write", func(cfg *cluster.FaultConfig) { cfg.TornWriteProb = 1 }},
-		{"checkpoint-corrupt", func(cfg *cluster.FaultConfig) { cfg.CheckpointCorruptProb = 1 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := barrierKillConfig(cluster.BarrierShuffle, 1)
-			tc.arm(cfg)
-			db.SetCheckpoints(true)
-			db.MustConfigure(WithFaults(cfg))
-			res := mustQuery(t, db, chaosQueries[0].sql)
-			sameRows(t, tc.name, res.Rows, base.Rows)
-			if res.Faults.CheckpointsDiscarded == 0 {
-				t.Error("no damaged checkpoints discarded at p=1")
-			}
-			if res.Faults.PartitionsRecovered != 0 {
-				t.Errorf("PartitionsRecovered = %d, want 0 — every checkpoint was damaged", res.Faults.PartitionsRecovered)
-			}
-		})
+	for _, lay := range recoveryLayouts {
+		db.SetSmartTheta(lay.smartTheta)
+		db.SetCheckpoints(false)
+		db.MustConfigure(WithFaults(nil))
+		base := mustQuery(t, db, lay.sql)
+		for _, tc := range []struct {
+			name string
+			arm  func(cfg *cluster.FaultConfig)
+		}{
+			{"torn-write", func(cfg *cluster.FaultConfig) { cfg.TornWriteProb = 1 }},
+			{"checkpoint-corrupt", func(cfg *cluster.FaultConfig) { cfg.CheckpointCorruptProb = 1 }},
+		} {
+			t.Run(lay.prefix+tc.name, func(t *testing.T) {
+				cfg := barrierKillConfig(cluster.BarrierShuffle, 1)
+				tc.arm(cfg)
+				db.SetCheckpoints(true)
+				db.MustConfigure(WithFaults(cfg))
+				res := mustQuery(t, db, lay.sql)
+				sameRows(t, tc.name, res.Rows, base.Rows)
+				if res.Faults.CheckpointsDiscarded == 0 {
+					t.Error("no damaged checkpoints discarded at p=1")
+				}
+				if res.Faults.PartitionsRecovered != 0 {
+					t.Errorf("PartitionsRecovered = %d, want 0 — every checkpoint was damaged", res.Faults.PartitionsRecovered)
+				}
+				if res.Faults.Retries != 0 {
+					t.Errorf("Retries = %d, want 0 — healing must not abort-and-rerun", res.Faults.Retries)
+				}
+			})
+		}
 	}
 }
 
-// TestKillAtBarrierMatrix sweeps barrier × node: every combination
-// must recover in place and agree with the fault-free answer.
+// TestKillAtBarrierMatrix sweeps join × layout × barrier × node: every
+// combination must recover in place and agree with the fault-free
+// answer.
 func TestKillAtBarrierMatrix(t *testing.T) {
 	db := newTestDB(t)
+	type query struct {
+		name, sql  string
+		smartTheta bool
+	}
+	var queries []query
 	for _, q := range chaosQueries {
+		queries = append(queries, query{q.name, q.sql, false})
+	}
+	queries = append(queries, query{"interval-smart-theta", chaosQueries[2].sql, true})
+	for _, q := range queries {
+		db.SetSmartTheta(q.smartTheta)
 		base := mustQuery(t, db, q.sql)
 		db.SetCheckpoints(true)
 		for _, b := range []cluster.Barrier{cluster.BarrierPlan, cluster.BarrierShuffle} {
@@ -182,6 +215,9 @@ func TestKillAtBarrierMatrix(t *testing.T) {
 				}
 				if res.Faults.PartitionsRecovered == 0 {
 					t.Errorf("%s: no partitions recovered", name)
+				}
+				if res.Faults.Retries != 0 {
+					t.Errorf("%s: Retries = %d, want 0 — recovery is in place", name, res.Faults.Retries)
 				}
 			}
 		}

@@ -1,14 +1,19 @@
-// Memory-bounded COMBINE: hybrid-hash processing of bucket pairs under
-// a per-partition byte budget. The build side's bucket groups are the
-// memory the budget governs; buckets that fit stay resident and join
-// against streamed probe records immediately, buckets that do not are
-// evicted to disk spill runs and re-joined afterwards. A spilled
-// bucket whose build side alone exceeds the budget is skew-split into
-// chunks that fit, each chunk joined against a re-scan of the bucket's
-// probe run, so even a single pathological hot bucket degrades to
-// multiple passes instead of an unbounded allocation. A single record
-// larger than the hard cap is the one irreducible case, surfaced as a
-// structured *core.ResourceError rather than an OOM kill.
+// COMBINE, per partition: the one loop every FUDJ query runs, whatever
+// its layout (hash, naive theta, smart theta) and whether or not it
+// carries a memory budget. The budget sizes the build; it selects no
+// code. The build side's bucket groups are the memory the budget
+// governs: buckets that fit stay resident and join whole probe groups
+// immediately, buckets that do not are evicted to disk spill runs and
+// re-joined afterwards, hybrid-hash style. Without a budget a record
+// weighs nothing, so nothing is charged, nothing is evicted and the
+// spilled pass has nothing to do — the in-memory join is this operator
+// in the state where no bucket has spilled, not a second operator. A
+// spilled bucket whose build side alone exceeds the budget is
+// skew-split into chunks that fit, each chunk joined against a re-scan
+// of the bucket's probe run, so even a single pathological hot bucket
+// degrades to multiple passes instead of an unbounded allocation. A
+// single record larger than the hard cap is the one irreducible case,
+// surfaced as a structured *core.ResourceError rather than an OOM kill.
 package engine
 
 import (
@@ -17,6 +22,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 
 	"fudj/internal/cluster"
 	"fudj/internal/core"
@@ -26,35 +32,56 @@ import (
 
 func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
-// memState carries one query's memory-bounding configuration. A nil
-// *memState disables bounding (the pre-budget code paths run
-// unchanged).
+// memState carries one query's memory-bounding configuration. Every
+// query has one; without a budget perPart and hardCap are 0 and records
+// weigh nothing (see weigh).
 type memState struct {
-	perPart int64  // per-partition build budget in bytes
-	hardCap int64  // absolute per-partition cap; exceeding it fails the query
-	dir     string // spill directory, removed when the query ends
+	perPart int64 // per-partition build budget in bytes; 0 = no budget
+	hardCap int64 // absolute per-partition cap; exceeding it fails the query
 	metrics *cluster.Metrics
+
+	mu  sync.Mutex
+	dir string // spill directory, made on the first spill, removed by cleanup
 }
 
-// newMemState derives per-partition limits from the query budget and
-// creates the query's spill directory. The returned cleanup removes
-// the directory and everything spilled into it.
-func newMemState(clus *cluster.Cluster) (*memState, func(), error) {
+// newMemState derives per-partition limits from the query budget.
+func newMemState(clus *cluster.Cluster) *memState {
 	perPart := clus.PartitionBudget()
-	if perPart <= 0 {
-		return nil, func() {}, nil
+	return &memState{perPart: perPart, hardCap: 2 * perPart, metrics: clus.Metrics()}
+}
+
+// weigh is what a build record costs against the budget: its resident
+// size, or nothing when there is no budget to charge.
+func (m *memState) weigh(r types.Record) int64 {
+	if m.perPart == 0 {
+		return 0
 	}
-	dir, err := os.MkdirTemp("", "fudj-spill-*")
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: create spill dir: %w", err)
+	return r.MemSize()
+}
+
+// spillDir returns the query's spill directory, creating it the first
+// time any partition spills: a query that never spills never touches
+// the filesystem.
+func (m *memState) spillDir() (string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dir == "" {
+		dir, err := os.MkdirTemp("", "fudj-spill-*")
+		if err != nil {
+			return "", fmt.Errorf("engine: create spill dir: %w", err)
+		}
+		m.dir = dir
 	}
-	m := &memState{
-		perPart: perPart,
-		hardCap: 2 * perPart,
-		dir:     dir,
-		metrics: clus.Metrics(),
+	return m.dir, nil
+}
+
+// cleanup removes the spill directory and everything spilled into it.
+func (m *memState) cleanup() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dir != "" {
+		os.RemoveAll(m.dir)
 	}
-	return m, func() { os.RemoveAll(dir) }, nil
 }
 
 // combineFn joins one matched bucket pair, appending joined records —
@@ -62,6 +89,13 @@ func newMemState(clus *cluster.Cluster) (*memState, func(), error) {
 // duplicate handling. Groups carry their key columns pre-unboxed (see
 // bucketGroup), so implementations never call Native() per pair.
 type combineFn func(out []types.Record, b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) []types.Record
+
+// matchFn lists the probe buckets build bucket b1 joins with, in
+// emission order; probeIDs are the partition's probe bucket ids in
+// ascending order. The result is only read until the next call, so an
+// implementation may reuse one scratch slice. Ids naming no probe
+// bucket of this partition are skipped by the caller.
+type matchFn func(b1 int, probeIDs []int) []int
 
 // partAcct tracks one partition task's budget-charged bytes, mirroring
 // every reservation into the cluster-wide gauge so PeakMemory is
@@ -73,21 +107,22 @@ type partAcct struct {
 }
 
 func (a *partAcct) reserve(n int64) {
+	if n == 0 {
+		return
+	}
 	a.used += n
 	a.metrics.ReserveMemory(n)
 }
 
 func (a *partAcct) release(n int64) {
+	if n == 0 {
+		return
+	}
 	a.used -= n
 	a.metrics.ReleaseMemory(n)
 }
 
-func (a *partAcct) close() {
-	if a.used != 0 {
-		a.metrics.ReleaseMemory(a.used)
-		a.used = 0
-	}
-}
+func (a *partAcct) close() { a.release(a.used) }
 
 // bucketSpill is one spilled bucket: its build-side run and the probe
 // records destined for it.
@@ -96,17 +131,19 @@ type bucketSpill struct {
 	right *storage.RunWriter
 }
 
-// boundedCombine is the memory-bounded counterpart of the per-partition
-// COMBINE loops in fudj.go / theta.go. build and probe are the
-// partition's two inputs with the bucket id in column 0; matcher lists
-// the build buckets a probe bucket joins with (build buckets absent
-// from this partition are skipped). Output is the same multiset of
-// joined records as the unbounded path, in a (deterministic) different
-// order.
-func boundedCombine(mem *memState, joinName string, part int,
-	build, probe []types.Record,
-	matcher func(probeBucket int, buildIDs []int) []int,
-	combine combineFn) (out []types.Record, err error) {
+// combinePartition is one partition's COMBINE. build and probe are the
+// partition's two inputs with the bucket id in column 0. The build side
+// is grouped under the budget; the probe side, already resident as the
+// task's input, is only indexed (pointers over records PeakInput
+// already counts, so it is not charged). Then, build-major: for every
+// build bucket in ascending id, each probe group matches names is
+// joined whole against the bucket if it is resident, or appended to the
+// bucket's probe run if it spilled; spilled buckets are re-joined last.
+// Without a budget (or under one nothing exceeds) the output order is
+// exactly that walk; once buckets spill it is the same multiset in a
+// different, still deterministic, order.
+func combinePartition(mem *memState, joinName string, part int,
+	build, probe []types.Record, matches matchFn, combine combineFn) (out []types.Record, err error) {
 
 	acct := &partAcct{metrics: mem.metrics}
 	defer acct.close()
@@ -118,59 +155,51 @@ func boundedCombine(mem *memState, joinName string, part int,
 		}
 	}()
 
-	newSpill := func() (*bucketSpill, error) {
-		left, err := storage.NewRunWriter(mem.dir)
+	// spill starts bucket b's two runs and appends recs to its build
+	// run. The bucket is registered before the append, so the deferred
+	// Remove covers a write failure.
+	spill := func(b int, recs ...types.Record) error {
+		dir, err := mem.spillDir()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		right, err := storage.NewRunWriter(mem.dir)
+		left, err := storage.NewRunWriter(dir)
+		if err != nil {
+			return err
+		}
+		right, err := storage.NewRunWriter(dir)
 		if err != nil {
 			left.Remove()
-			return nil, err
+			return err
 		}
-		return &bucketSpill{left: left, right: right}, nil
+		spilled[b] = &bucketSpill{left: left, right: right}
+		return left.Append(recs...)
 	}
 
 	// ---- build pass: group the build side under the budget ----
 	resident := make(map[int]*bucketGroup)
-	residentBytes := make(map[int]int64)
-	evict := func(b int) error {
-		bs, err := newSpill()
-		if err != nil {
-			return err
-		}
-		spilled[b] = bs // register before Append so the deferred Remove covers a write failure
-		if err := bs.left.Append(resident[b].recs...); err != nil {
-			return err
-		}
-		acct.release(residentBytes[b])
-		delete(resident, b)
-		delete(residentBytes, b)
-		return nil
-	}
 	for _, r := range build {
 		b := int(r[0].Int64())
-		sz := r.MemSize()
+		sz := mem.weigh(r)
 		if sz > mem.hardCap {
 			return nil, &core.ResourceError{
 				Join: joinName, Phase: "combine", Partition: part,
 				Bytes: sz, Budget: mem.hardCap,
 			}
 		}
-		if bs := spilled[b]; bs != nil {
-			if err := bs.left.Append(r); err != nil {
-				return nil, err
+		if spilled[b] == nil {
+			// Evict the largest resident buckets until the record fits.
+			for acct.used+sz > mem.perPart && len(resident) > 0 {
+				victim := largestBucket(resident)
+				if err := spill(victim, resident[victim].recs...); err != nil {
+					return nil, err
+				}
+				acct.release(resident[victim].bytes)
+				delete(resident, victim)
 			}
-			continue
-		}
-		// Evict the largest resident buckets until the record fits.
-		for acct.used+sz > mem.perPart && len(resident) > 0 {
-			if err := evict(largestBucket(residentBytes)); err != nil {
-				return nil, err
-			}
 		}
 		if bs := spilled[b]; bs != nil {
-			// The record's own bucket was just evicted; follow it.
+			// The record's bucket is spilled (possibly just now): follow it.
 			if err := bs.left.Append(r); err != nil {
 				return nil, err
 			}
@@ -179,12 +208,7 @@ func boundedCombine(mem *memState, joinName string, part int,
 		if acct.used+sz > mem.perPart {
 			// Nothing left to evict: the record alone exceeds the budget
 			// (but not the hard cap). Spill its bucket directly.
-			bs, err := newSpill()
-			if err != nil {
-				return nil, err
-			}
-			spilled[b] = bs
-			if err := bs.left.Append(r); err != nil {
+			if err := spill(b, r); err != nil {
 				return nil, err
 			}
 			continue
@@ -196,7 +220,7 @@ func boundedCombine(mem *memState, joinName string, part int,
 			resident[b] = g
 		}
 		g.add(r)
-		residentBytes[b] += sz
+		g.bytes += sz
 	}
 
 	buildIDs := make([]int, 0, len(resident)+len(spilled))
@@ -208,21 +232,21 @@ func boundedCombine(mem *memState, joinName string, part int,
 	}
 	sort.Ints(buildIDs)
 
-	// ---- probe pass: stream probe records against resident buckets,
-	// route the rest to their bucket's probe run ----
-	for _, r := range probe {
-		b2 := int(r[0].Int64())
-		var pg *bucketGroup // built lazily: only probes that hit a resident bucket unbox their key
-		for _, b1 := range matcher(b2, buildIDs) {
-			if ls, ok := resident[b1]; ok {
-				if pg == nil {
-					pg = singleGroup(r)
-				}
-				out = combine(out, b1, ls, b2, pg)
-			} else if bs := spilled[b1]; bs != nil {
-				if err := bs.right.Append(r); err != nil {
-					return nil, err
-				}
+	// ---- probe pass, build-major: whole probe groups against resident
+	// buckets, the rest to their bucket's probe run ----
+	probeGroups := groupByBucket(probe)
+	probeIDs := sortedIDs(probeGroups)
+	for _, b1 := range buildIDs {
+		ls, bs := resident[b1], spilled[b1]
+		for _, b2 := range matches(b1, probeIDs) {
+			rs, ok := probeGroups[b2]
+			if !ok {
+				continue
+			}
+			if ls != nil {
+				out = combine(out, b1, ls, b2, rs)
+			} else if err := bs.right.Append(rs.recs...); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -232,18 +256,9 @@ func boundedCombine(mem *memState, joinName string, part int,
 	// return their reservation first. Otherwise a spilled bucket's
 	// build chunk (itself up to the partition share) stacks on top of
 	// the resident bytes and the tracked peak can exceed the budget.
-	var residentHeld int64
-	for _, n := range residentBytes {
-		residentHeld += n
-	}
-	acct.release(residentHeld)
-	resident, residentBytes = nil, nil
-	spilledIDs := make([]int, 0, len(spilled))
-	for b := range spilled {
-		spilledIDs = append(spilledIDs, b)
-	}
-	sort.Ints(spilledIDs)
-	for _, b1 := range spilledIDs {
+	acct.release(acct.used)
+	resident = nil
+	for _, b1 := range sortedIDs(spilled) {
 		bs := spilled[b1]
 		if err := bs.left.Close(); err != nil {
 			return nil, err
@@ -375,12 +390,12 @@ func (c *runCursor) advance() { c.pos++ }
 // largestBucket picks the eviction victim: the bucket holding the most
 // resident bytes, ties broken by smaller id so eviction order is
 // deterministic.
-func largestBucket(sizes map[int]int64) int {
+func largestBucket(resident map[int]*bucketGroup) int {
 	best := -1
 	var bestSz int64
-	for b, sz := range sizes {
-		if best == -1 || sz > bestSz || (sz == bestSz && b < best) {
-			best, bestSz = b, sz
+	for b, g := range resident {
+		if best == -1 || g.bytes > bestSz || (g.bytes == bestSz && b < best) {
+			best, bestSz = b, g.bytes
 		}
 	}
 	return best

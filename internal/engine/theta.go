@@ -10,27 +10,26 @@ import (
 	"fudj/internal/types"
 )
 
-// runSmartTheta implements the balanced theta bucket-matching operator
-// the paper proposes as future work (§VIII) to lift the interval
-// join's scalability limit. Instead of broadcasting one whole side:
+// planSmartTheta plans the balanced theta bucket-matching operator the
+// paper proposes as future work (§VIII) to lift the interval join's
+// scalability limit. Instead of broadcasting one whole side it
 //
-//  1. gather per-bucket record counts from both sides (tiny: one count
+//  1. gathers per-bucket record counts from both sides (tiny: one count
 //     per distinct bucket id),
-//  2. enumerate, in parallel, which right buckets each left bucket
-//     matches, and greedily assign each left bucket — with cost
+//  2. enumerates, in parallel, which right buckets each left bucket
+//     matches, and greedily assigns each left bucket — with cost
 //     |b1| * Σ|matching b2| — to the least-loaded partition,
-//  3. route each left record to the single partition owning its
-//     bucket, and multicast each right record only to the partitions
-//     owning at least one matching left bucket,
-//  4. each partition joins its owned left buckets against the matching
-//     right buckets it received.
+//
+// and returns the resulting layout: each left record routes to a single
+// partition owning its bucket, each right record is multicast only to
+// the partitions owning at least one matching left bucket, and each
+// partition joins its owned left buckets against the matching right
+// buckets it received. Both routes are pure functions of the plan, so
+// runFUDJ's shuffle barrier can rebuild a lost partition from them.
 //
 // Every matched pair is processed exactly once (at the owner of its
-// left bucket), so no result is produced twice.
-func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join core.Join,
-	combineBuckets combineFn,
-	lAssigned, rAssigned cluster.Data) (cluster.Data, error) {
-
+// left record), so no result is produced twice.
+func planSmartTheta(clus *cluster.Cluster, join core.Join, lAssigned, rAssigned cluster.Data) (layout, error) {
 	countBuckets := func(data cluster.Data) (map[int]int64, error) {
 		parts, err := cluster.RunValues(clus, data, func(_ int, in []types.Record) (map[int]int64, error) {
 			m := make(map[int]int64)
@@ -52,14 +51,14 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 	}
 	lCounts, err := countBuckets(lAssigned)
 	if err != nil {
-		return nil, err
+		return layout{}, err
 	}
 	rCounts, err := countBuckets(rAssigned)
 	if err != nil {
-		return nil, err
+		return layout{}, err
 	}
-	lIDs := sortedKeys(lCounts)
-	rIDs := sortedKeys(rCounts)
+	lIDs := sortedIDs(lCounts)
+	rIDs := sortedIDs(rCounts)
 
 	// Parallel enumeration: matches[i] lists the right buckets matching
 	// lIDs[i]. MATCH implementations are required to be pure, so this
@@ -97,7 +96,7 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 	wg.Wait()
 	for _, werr := range workerErrs {
 		if werr != nil {
-			return nil, werr
+			return layout{}, werr
 		}
 	}
 
@@ -178,66 +177,25 @@ func (db *Database) runSmartTheta(clus *cluster.Cluster, mem *memState, join cor
 		}
 	}
 
-	// Route: left records spread over their bucket's owners by their
-	// position in the source partition (a pure function, so re-execution
-	// routes identically), right records multicast to all partitions
-	// owning a matching left bucket.
-	lRouted, err := clus.ExchangeMulti(lAssigned, func(src, i int, r types.Record, _ []int) []int {
-		owners := lOwners[int(r[0].Int64())]
-		if len(owners) < 2 {
-			return owners
-		}
-		k := (src + i) % len(owners)
-		return owners[k : k+1]
-	})
-	if err != nil {
-		return nil, err
-	}
-	rRouted, err := clus.ExchangeMulti(rAssigned, func(_, _ int, r types.Record, _ []int) []int {
-		return rDest[int(r[0].Int64())]
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Each partition joins its owned pairs.
-	return clus.Run(lRouted, func(part int, in []types.Record) (out []types.Record, err error) {
-		defer core.CatchPanic(name, "combine", part, nil, &err)
-		if mem != nil {
-			// Memory-bounded owned-pair join: invert this partition's
-			// owned (b1 -> b2s) table so probe records route to their
-			// matching build buckets, then run the budgeted combiner.
-			rev := make(map[int][]int)
-			for b1, b2s := range ownedMatches[part] {
-				for _, b2 := range b2s {
-					rev[b2] = append(rev[b2], b1)
-				}
+	return layout{
+		// Left records spread over their bucket's owners by their position
+		// in the source partition (a pure function, so re-execution and
+		// recovery route identically).
+		left: func(src, i int, r types.Record, _ []int) []int {
+			owners := lOwners[int(r[0].Int64())]
+			if len(owners) < 2 {
+				return owners
 			}
-			for _, b1s := range rev {
-				sort.Ints(b1s)
-			}
-			matcher := func(b2 int, _ []int) []int { return rev[b2] }
-			return boundedCombine(mem, name, part, in, rRouted[part], matcher, combineBuckets)
-		}
-		lBuckets := groupByBucket(in)
-		rBuckets := groupByBucket(rRouted[part])
-		for _, b1 := range sortedIDs(lBuckets) {
-			ls := lBuckets[b1]
-			for _, b2 := range ownedMatches[part][b1] {
-				if rs, ok := rBuckets[b2]; ok {
-					out = combineBuckets(out, b1, ls, b2, rs)
-				}
-			}
-		}
-		return out, nil
-	})
-}
-
-func sortedKeys(m map[int]int64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+			k := (src + i) % len(owners)
+			return owners[k : k+1]
+		},
+		// Right records are multicast to all partitions owning a matching
+		// left bucket.
+		right: func(_, _ int, r types.Record, _ []int) []int {
+			return rDest[int(r[0].Int64())]
+		},
+		matches: func(part int) matchFn {
+			return func(b1 int, _ []int) []int { return ownedMatches[part][b1] }
+		},
+	}, nil
 }

@@ -11,18 +11,18 @@ import (
 // thetaSQL exercises the balanced theta operator (smart theta): a
 // multi-join interval FUDJ whose MATCH accepts non-identical bucket
 // pairs, so with SetSmartTheta(true) it takes the coordinator-scheduled
-// bucket-pair path — the one that crosses no durable shuffle barrier.
+// bucket-pair layout.
 const thetaSQL = `SELECT a.id, b.id FROM rides a, rides b WHERE a.vendor = 1 AND b.vendor = 2
 	AND overlapping_interval(a.ride_interval, b.ride_interval, 50)`
 
-// TestSmartThetaConcurrentWithCheckpointedQueries span-verifies the
-// barrier exclusion under concurrency: with a kill-at-shuffle-barrier
-// fault armed on a checkpointed Database, hash-partitioned queries
-// (spatial: DefaultMatch) cross the durable shuffle barrier — the kill
-// fires, the barrier span appears, partitions recover — while
-// smart-theta queries scheduled alongside them never cross it: no
-// barrier span, no kill. Everyone's multiset answer matches its serial
-// baseline.
+// TestSmartThetaConcurrentWithCheckpointedQueries span-verifies, under
+// concurrency, that the shuffle barrier is one barrier for every
+// layout: with a kill-at-shuffle-barrier fault armed on a checkpointed
+// Database, hash-partitioned queries (spatial: DefaultMatch) and
+// smart-theta queries scheduled alongside them all cross the durable
+// barrier — the kill fires, the barrier span appears, partitions
+// recover in place (no retry, no second SUMMARIZE). Everyone's multiset
+// answer matches its serial baseline.
 func TestSmartThetaConcurrentWithCheckpointedQueries(t *testing.T) {
 	db := newTestDB(t, WithConcurrencyLimit(4), WithCheckpoints())
 	db.SetSmartTheta(true)
@@ -36,21 +36,24 @@ func TestSmartThetaConcurrentWithCheckpointedQueries(t *testing.T) {
 	db.MustConfigure(WithFaults(barrierKillConfig(cluster.BarrierShuffle, 1)))
 
 	type outcome struct {
-		name string
-		res  *Result
-		err  error
+		name      string
+		base, res *Result
+		err       error
 	}
 	const rounds = 3
 	results := make(chan outcome, 2*rounds)
 	var wg sync.WaitGroup
 	for i := 0; i < rounds; i++ {
-		for _, q := range []struct{ name, sql string }{{"theta", thetaSQL}, {"hash", hashSQL}} {
+		for _, q := range []struct {
+			name, sql string
+			base      *Result
+		}{{"theta", thetaSQL, thetaBase}, {"hash", hashSQL, hashBase}} {
 			wg.Add(1)
-			go func(name, sql string) {
+			go func() {
 				defer wg.Done()
-				res, err := db.Execute(sql, Trace())
-				results <- outcome{name, res, err}
-			}(q.name, q.sql)
+				res, err := db.Execute(q.sql, Trace())
+				results <- outcome{q.name, q.base, res, err}
+			}()
 		}
 	}
 	wg.Wait()
@@ -60,37 +63,30 @@ func TestSmartThetaConcurrentWithCheckpointedQueries(t *testing.T) {
 		if o.err != nil {
 			t.Fatalf("%s query failed: %v", o.name, o.err)
 		}
-		shuffleBarriers := countSpans(o.res.Trace, "barrier shuffle")
-		switch o.name {
-		case "theta":
-			sameRows(t, "concurrent theta", o.res.Rows, thetaBase.Rows)
-			if shuffleBarriers != 0 {
-				t.Errorf("smart-theta query crossed %d shuffle barriers, want 0 (excluded in this mode)", shuffleBarriers)
-			}
-			if o.res.Faults.BarrierKills != 0 {
-				t.Errorf("shuffle-barrier kill fired %d times for a smart-theta query — it never crosses that barrier", o.res.Faults.BarrierKills)
-			}
-		case "hash":
-			sameRows(t, "concurrent hash", o.res.Rows, hashBase.Rows)
-			if shuffleBarriers == 0 {
-				t.Error("checkpointed hash query crossed no shuffle barrier")
-			}
-			if o.res.Faults.BarrierKills == 0 {
-				t.Error("hash query: armed shuffle-barrier kill never fired")
-			}
-			if o.res.Faults.PartitionsRecovered == 0 {
-				t.Error("hash query: no partitions recovered from checkpoint")
-			}
+		sameRows(t, "concurrent "+o.name, o.res.Rows, o.base.Rows)
+		if countSpans(o.res.Trace, "barrier shuffle") == 0 {
+			t.Errorf("checkpointed %s query crossed no shuffle barrier", o.name)
+		}
+		if o.res.Faults.BarrierKills == 0 {
+			t.Errorf("%s query: armed shuffle-barrier kill never fired", o.name)
+		}
+		if o.res.Faults.PartitionsRecovered == 0 {
+			t.Errorf("%s query: no partitions recovered from checkpoint", o.name)
+		}
+		if o.res.Faults.Retries != 0 {
+			t.Errorf("%s query: Retries = %d, want 0 — recovery is in place", o.name, o.res.Faults.Retries)
+		}
+		if got := countSpans(o.res.Trace, "SUMMARIZE"); got != 1 {
+			t.Errorf("%s query: %d SUMMARIZE spans, want 1 — the step must not abort-and-rerun", o.name, got)
 		}
 	}
 }
 
-// TestSmartThetaBarrierLossFallsBackRetryable pins the recovery
-// semantics the exclusion rests on: a smart-theta query that loses a
-// node at its (plan) barrier without a checkpoint store surfaces a
-// retryable BarrierLossError internally and converges by
-// abort-and-rerun — same answer, Retries > 0 — even while checkpointed
-// hash queries share the scheduler.
+// TestSmartThetaBarrierLossFallsBackRetryable pins the fallback every
+// layout shares: a smart-theta query that loses a node at a barrier
+// without a checkpoint store surfaces a retryable BarrierLossError
+// internally and converges by abort-and-rerun — same answer,
+// Retries > 0 — even while other queries share the scheduler.
 func TestSmartThetaBarrierLossFallsBackRetryable(t *testing.T) {
 	// The classification itself: a barrier loss is always retryable.
 	if loss := (&cluster.BarrierLossError{Barrier: cluster.BarrierPlan}); !cluster.IsRetryable(loss) {
