@@ -1,7 +1,7 @@
 // Command fudjvet is the FUDJ multichecker: it runs the
 // internal/analysis suite (maporder, seedrand, udfcatch, boundedalloc,
-// ctxplumb, metricslock, spillclose, errwrap, sidesym) over the
-// repository and reports every invariant violation, counting
+// ctxplumb, metricslock, spillclose, errwrap, sidesym, hotatomic) over
+// the repository and reports every invariant violation, counting
 // //fudjvet:ignore suppressions so the escape hatch stays visible.
 //
 // It runs in two modes:
@@ -44,7 +44,7 @@ import (
 
 // version feeds the go command's build cache key; bump it whenever
 // analyzer semantics change so stale vet results are invalidated.
-const version = "fudjvet version v2.0.0"
+const version = "fudjvet version v2.1.0"
 
 func main() {
 	args := os.Args[1:]

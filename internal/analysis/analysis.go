@@ -11,6 +11,7 @@ import (
 	"fudj/internal/analysis/ctxplumb"
 	"fudj/internal/analysis/errwrap"
 	"fudj/internal/analysis/framework"
+	"fudj/internal/analysis/hotatomic"
 	"fudj/internal/analysis/maporder"
 	"fudj/internal/analysis/metricslock"
 	"fudj/internal/analysis/seedrand"
@@ -31,5 +32,6 @@ func All() []*framework.Analyzer {
 		metricslock.Analyzer,
 		spillclose.Analyzer,
 		errwrap.Analyzer,
+		hotatomic.Analyzer,
 	}
 }

@@ -20,15 +20,18 @@ func extRec(bucket, id int, pad string) types.Record {
 	return types.Record{types.NewInt64(int64(bucket)), types.NewInt64(int64(id)), types.NewString(pad)}
 }
 
-// pairUp is the test combineFn: every record pair of a matched bucket
-// pair becomes one [b1, left id, b2, right id] row.
-func pairUp(out []types.Record, b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) []types.Record {
-	for _, l := range ls.recs {
-		for _, r := range rs.recs {
-			out = append(out, types.Record{types.NewInt64(int64(b1)), l[1], types.NewInt64(int64(b2)), r[1]})
+// pairUp returns the test combineFn: every record pair of a matched
+// bucket pair becomes one [b1, left id, b2, right id] row appended to
+// *out.
+func pairUp(out *[]types.Record) combineFn {
+	return func(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
+		for _, l := range ls.recs {
+			for _, r := range rs.recs {
+				*out = append(*out, types.Record{types.NewInt64(int64(b1)), l[1], types.NewInt64(int64(b2)), r[1]})
+			}
 		}
+		return nil
 	}
-	return out
 }
 
 // bruteForceCombine is the reference the one loop is held to: the
@@ -37,10 +40,11 @@ func bruteForceCombine(build, probe []types.Record, matches matchFn) []types.Rec
 	lBuckets, rBuckets := groupByBucket(build), groupByBucket(probe)
 	rIDs := sortedIDs(rBuckets)
 	var out []types.Record
+	combine := pairUp(&out)
 	for _, b1 := range sortedIDs(lBuckets) {
 		for _, b2 := range matches(b1, rIDs) {
 			if rs, ok := rBuckets[b2]; ok {
-				out = pairUp(out, b1, lBuckets[b1], b2, rs)
+				combine(b1, lBuckets[b1], b2, rs)
 			}
 		}
 	}
@@ -117,7 +121,8 @@ func TestCombinePartitionMemoryMatrix(t *testing.T) {
 					clus := cluster.New(cluster.Config{Nodes: 1, CoresPerNode: 1})
 					clus.SetMemoryBudget(bud.perPart)
 					mem := newMemState(clus)
-					got, err := combinePartition(mem, "test", 0, bud.build, probe, lay.matches, pairUp)
+					var got []types.Record
+					err := combinePartition(mem, "test", 0, bud.build, probe, lay.matches, pairUp(&got))
 					if err != nil {
 						t.Fatal(err)
 					}

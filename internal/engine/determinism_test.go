@@ -14,9 +14,11 @@ import (
 // results — not merely the same multiset. This is the runtime claim
 // the fudjvet analyzers enforce statically:
 //
-//   - maporder backs the GROUP BY query (partial-aggregate emission
-//     order, engine/groupby.go) and the builtin-mode interval and text
-//     queries (bucket iteration order, joins/builtin).
+//   - maporder backs the GROUP BY queries (partial-aggregate emission
+//     order, engine/groupby.go, as its own pass and as COMBINE's sink —
+//     the latter unordered, so the final rows expose it) and the
+//     builtin-mode interval and text queries (bucket iteration order,
+//     joins/builtin).
 //   - seedrand backs all of them: no execution decision may read the
 //     wall clock or the global math/rand generator.
 //   - udfcatch and ctxplumb keep failure and cancellation behavior
@@ -52,6 +54,14 @@ func TestByteIdenticalReexecution(t *testing.T) {
 			      WHERE a.vendor = 1 AND b.vendor = 2
 			      AND overlapping_interval(a.ride_interval, b.ride_interval, 50)`,
 			backing: "maporder/udfcatch: FUDJ COMBINE emission order",
+		},
+		{
+			name: "fudj-aggregate-sink",
+			mode: ModeFUDJ,
+			sql: `SELECT b.vendor, a.vendor, COUNT(*) AS n, SUM(a.id) AS total FROM rides a, rides b
+			      WHERE overlapping_interval(a.ride_interval, b.ride_interval, 50)
+			      GROUP BY b.vendor, a.vendor`,
+			backing: "maporder: COMBINE's partial-aggregate sink emits groups in first-seen order",
 		},
 		{
 			name: "builtin-interval",

@@ -266,8 +266,12 @@ type JoinStats struct {
 	Candidates int64 // record pairs reaching VERIFY
 	Verified   int64 // pairs passing VERIFY
 	Deduped    int64 // pairs suppressed by duplicate handling
-	Output     int64 // records leaving join operators
-	StateBytes int64 // encoded summary + plan bytes moved
+	Output     int64 // pairs leaving join operators (the logical join output)
+	// Materialized is how many records FUDJ COMBINE tasks actually built
+	// and handed on: the joined rows, or one partial-aggregate row per
+	// group when the aggregation's local phase ran inside COMBINE.
+	Materialized int64
+	StateBytes   int64 // encoded summary + plan bytes moved
 
 	// Wall time spent in each FUDJ phase (summed over FUDJ join steps).
 	SummarizeTime time.Duration
@@ -378,10 +382,40 @@ type statsCounters struct {
 	verified   atomic.Int64
 	deduped    atomic.Int64
 	joinOutput atomic.Int64
+	built      atomic.Int64
 	stateBytes atomic.Int64
 	summarize  atomic.Int64 // nanoseconds
 	partition  atomic.Int64
 	combine    atomic.Int64
+}
+
+// taskCounts is one partition task's share of the join funnel. The
+// O(|l|·|r|) candidate loops bump these plain fields — a shared atomic
+// there is a contended cache line per candidate pair — and fold adds
+// them to the query's counters once per phase.
+type taskCounts struct {
+	candidates, verified, deduped, output, built int64
+}
+
+// fold adds every task's counts to the query's counters and returns
+// their sum. A task writes its slot as the last thing a successful
+// attempt does and callers fold after the phase's Run has succeeded,
+// so failed and retried attempts count nothing.
+func (c *statsCounters) fold(tasks []taskCounts) taskCounts {
+	var sum taskCounts
+	for _, t := range tasks {
+		sum.candidates += t.candidates
+		sum.verified += t.verified
+		sum.deduped += t.deduped
+		sum.output += t.output
+		sum.built += t.built
+	}
+	c.candidates.Add(sum.candidates)
+	c.verified.Add(sum.verified)
+	c.deduped.Add(sum.deduped)
+	c.joinOutput.Add(sum.output)
+	c.built.Add(sum.built)
+	return sum
 }
 
 func (c *statsCounters) snapshot() JoinStats {
@@ -390,6 +424,7 @@ func (c *statsCounters) snapshot() JoinStats {
 		Verified:      c.verified.Load(),
 		Deduped:       c.deduped.Load(),
 		Output:        c.joinOutput.Load(),
+		Materialized:  c.built.Load(),
 		StateBytes:    c.stateBytes.Load(),
 		SummarizeTime: time.Duration(c.summarize.Load()),
 		PartitionTime: time.Duration(c.partition.Load()),
@@ -406,6 +441,7 @@ func (c *statsCounters) flush(m *cluster.Metrics) {
 	m.Counter("join.verified").Add(s.Verified)
 	m.Counter("join.deduped").Add(s.Deduped)
 	m.Counter("join.output").Add(s.Output)
+	m.Counter("join.materialized").Add(s.Materialized)
 	m.Counter("join.state.bytes").Add(s.StateBytes)
 	m.Counter("join.summarize.ns").Add(int64(s.SummarizeTime))
 	m.Counter("join.partition.ns").Add(int64(s.PartitionTime))

@@ -99,16 +99,21 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		schemas[i] = s.schema
 	}
 
-	// Left-deep joins.
+	// Left-deep joins. Each step emits only the columns something after
+	// it reads (step.out, from the planner's requireColumns). When the
+	// plan aggregates and its last join is a FUDJ, the aggregation's
+	// local phase — and the filters in front of it — run inside that
+	// join's COMBINE: agg is then non-nil and cur holds partials.
 	cur := inputs[0]
 	curSchema := schemas[0]
-	for i, step := range p.joins {
+	var agg *localAgg
+	for i := range p.joins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		step := &p.joins[i]
 		right := inputs[i+1]
 		rightSchema := schemas[i+1]
-		outSchema := curSchema.Concat(rightSchema)
 		name := "join " + step.kind.String()
 		if step.fudj != nil {
 			name += " " + step.fudj.def.Name
@@ -119,23 +124,28 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		var err error
 		switch step.kind {
 		case joinFUDJ:
-			cur, err = db.runFUDJRecoverable(ctx, clus, counters, mem, set.smartTheta, rm, i, jsp, step.fudj, cur, curSchema, right, rightSchema, outSchema)
+			sink := newAppendSink
+			if p.foldsAggregate(i) {
+				if agg, err = p.newLocalAgg(step.out, step.residual, p.post); err != nil {
+					return nil, err
+				}
+				sink = agg.newTask
+			}
+			cur, err = db.runFUDJRecoverable(ctx, clus, counters, mem, set.smartTheta, rm, i, jsp, step, sink, cur, curSchema, right, rightSchema)
 		case joinBuiltin:
-			cur, err = db.runBuiltinJoin(clus, counters, step.fudj, cur, curSchema, right, rightSchema)
+			cur, err = db.runBuiltinJoin(clus, counters, step, cur, curSchema, right, rightSchema)
 		case joinHash:
 			cur, err = runHashJoin(clus, counters, step, cur, curSchema, right, rightSchema)
-		case joinNLJ:
-			cur, err = runNLJ(clus, counters, step.cond, cur, curSchema, right, rightSchema, outSchema)
-		case joinCross:
-			cur, err = runNLJ(clus, counters, nil, cur, curSchema, right, rightSchema, outSchema)
+		case joinNLJ, joinCross:
+			cur, err = runNLJ(clus, counters, step, cur, curSchema, right, rightSchema)
 		default:
 			err = fmt.Errorf("engine: unknown join kind %v", step.kind)
 		}
 		if err != nil {
 			return nil, err
 		}
-		curSchema = outSchema
-		if len(step.residual) > 0 {
+		curSchema = step.out
+		if agg == nil && len(step.residual) > 0 {
 			pred, err := expr.Compile(expr.JoinConjuncts(step.residual), curSchema)
 			if err != nil {
 				return nil, err
@@ -144,7 +154,11 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 				return nil, err
 			}
 		}
-		jsp.Add("rows.out", int64(cur.Rows()))
+		if agg == nil {
+			jsp.Add("rows.out", int64(cur.Rows()))
+		} else {
+			jsp.Add("rows.out", agg.afterResidual.Load())
+		}
 		jsp.End()
 		clus.SetSpan(prev)
 	}
@@ -156,29 +170,38 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 	if len(p.post) > 0 {
 		fsp := root.Child("filter")
 		prev := clus.SetSpan(fsp)
-		pred, err := expr.Compile(expr.JoinConjuncts(p.post), curSchema)
-		if err != nil {
-			return nil, err
+		if agg != nil {
+			fsp.Add("rows.out", agg.afterPost.Load())
+		} else {
+			pred, err := expr.Compile(expr.JoinConjuncts(p.post), curSchema)
+			if err != nil {
+				return nil, err
+			}
+			if cur, err = filterData(clus, cur, pred); err != nil {
+				return nil, err
+			}
+			fsp.Add("rows.out", int64(cur.Rows()))
 		}
-		if cur, err = filterData(clus, cur, pred); err != nil {
-			return nil, err
-		}
-		fsp.Add("rows.out", int64(cur.Rows()))
 		fsp.End()
 		clus.SetSpan(prev)
 	}
 
 	// Aggregation or projection.
 	outName := "project"
-	if len(p.aggs) > 0 || len(p.groupBy) > 0 {
+	if p.aggregates() {
 		outName = "aggregate"
 	}
 	osp := root.Child(outName)
 	prevOut := clus.SetSpan(osp)
 	var rows []types.Record
 	var err error
-	if len(p.aggs) > 0 || len(p.groupBy) > 0 {
-		rows, err = p.runGroupBy(clus, cur, curSchema)
+	if p.aggregates() {
+		if agg == nil {
+			cur, err = p.runLocalAgg(clus, cur, curSchema)
+		}
+		if err == nil {
+			rows, err = p.runGroupBy(clus, cur)
+		}
 		if err == nil && p.having != nil {
 			rows, err = p.filterRows(rows)
 		}
@@ -274,11 +297,11 @@ func filterData(clus *cluster.Cluster, data cluster.Data, pred expr.Evaluator) (
 	return clus.Run(data, func(_ int, in []types.Record) ([]types.Record, error) {
 		var out []types.Record
 		for _, rec := range in {
-			v, err := pred(rec)
+			ok, err := holds(pred, rec)
 			if err != nil {
 				return nil, err
 			}
-			if v.Kind() == types.KindBool && v.Bool() {
+			if ok {
 				out = append(out, rec)
 			}
 		}
@@ -286,18 +309,32 @@ func filterData(clus *cluster.Cluster, data cluster.Data, pred expr.Evaluator) (
 	})
 }
 
+// holds reports whether a filter keeps rec: the predicate evaluates to
+// boolean true. A nil predicate keeps everything.
+func holds(pred expr.Evaluator, rec types.Record) (bool, error) {
+	if pred == nil {
+		return true, nil
+	}
+	v, err := pred(rec)
+	if err != nil {
+		return false, err
+	}
+	return v.Kind() == types.KindBool && v.Bool(), nil
+}
+
 // runNLJ is the on-top strategy: broadcast the smaller side,
 // nested-loop locally with the full predicate (nil predicate = cross
-// join). Output columns keep the left-then-right order regardless of
-// which side was broadcast.
-func runNLJ(clus *cluster.Cluster, counters *statsCounters, cond expr.Expr,
+// join). The predicate sees both inputs whole; the rows emitted keep
+// the step's required columns, left then right, regardless of which
+// side was broadcast.
+func runNLJ(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
-	right cluster.Data, rightSchema *types.Schema, outSchema *types.Schema) (cluster.Data, error) {
+	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
 	var pred expr.Evaluator
-	if cond != nil {
+	if step.cond != nil {
 		var err error
-		pred, err = expr.Compile(cond, outSchema)
+		pred, err = expr.Compile(step.cond, leftSchema.Concat(rightSchema))
 		if err != nil {
 			return nil, err
 		}
@@ -314,10 +351,12 @@ func runNLJ(clus *cluster.Cluster, counters *statsCounters, cond expr.Expr,
 		return nil, err
 	}
 	lw := leftSchema.Len()
-	return clus.Run(big, func(part int, in []types.Record) ([]types.Record, error) {
+	counts := make([]taskCounts, clus.Partitions())
+	out, err := clus.Run(big, func(part int, in []types.Record) ([]types.Record, error) {
+		var n taskCounts
 		var out []types.Record
 		smallRecs := replicated[part]
-		pair := make(types.Record, leftSchema.Len()+rightSchema.Len())
+		pair := make(types.Record, lw+rightSchema.Len())
 		for _, b := range in {
 			if broadcastLeft {
 				copy(pair[lw:], b)
@@ -330,27 +369,38 @@ func runNLJ(clus *cluster.Cluster, counters *statsCounters, cond expr.Expr,
 				} else {
 					copy(pair[lw:], s)
 				}
-				counters.candidates.Add(1)
-				if pred != nil {
-					v, err := pred(pair)
-					if err != nil {
-						return nil, err
-					}
-					if v.Kind() != types.KindBool || !v.Bool() {
-						continue
-					}
+				n.candidates++
+				ok, err := holds(pred, pair)
+				if err != nil {
+					return nil, err
 				}
-				counters.verified.Add(1)
-				counters.joinOutput.Add(1)
-				out = append(out, pair.Clone())
+				if !ok {
+					continue
+				}
+				n.verified++
+				n.output++
+				out = append(out, step.joinRow(pair[:lw], pair[lw:]))
 			}
 		}
+		counts[part] = n
 		return out, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	counters.fold(counts)
+	return out, nil
+}
+
+// joinRow builds the row a step emits for one joined pair of its input
+// records: the required columns of each, left then right.
+func (j *joinStep) joinRow(l, r types.Record) types.Record {
+	row := make(types.Record, 0, len(j.needL)+len(j.needR))
+	return appendCols(appendCols(row, l, j.needL), r, j.needR)
 }
 
 // runHashJoin shuffles both sides by key hash and joins locally.
-func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step joinStep,
+func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
@@ -379,7 +429,8 @@ func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step joinStep,
 	if err != nil {
 		return nil, err
 	}
-	return clus.Run(lShuf, func(part int, in []types.Record) ([]types.Record, error) {
+	counts := make([]taskCounts, clus.Partitions())
+	out, err := clus.Run(lShuf, func(part int, in []types.Record) ([]types.Record, error) {
 		// Build on the right partition.
 		build := make(map[uint64][]types.Record)
 		keys := make(map[uint64][]types.Value)
@@ -392,6 +443,7 @@ func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step joinStep,
 			build[h] = append(build[h], r)
 			keys[h] = append(keys[h], v)
 		}
+		var n taskCounts
 		var out []types.Record
 		for _, l := range in {
 			v, err := lkey(l)
@@ -400,45 +452,66 @@ func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step joinStep,
 			}
 			h := v.Hash()
 			for i, r := range build[h] {
-				counters.candidates.Add(1)
+				n.candidates++
 				if !v.Equal(keys[h][i]) {
 					continue
 				}
-				counters.verified.Add(1)
-				counters.joinOutput.Add(1)
-				joined := make(types.Record, 0, len(l)+len(r))
-				joined = append(append(joined, l...), r...)
-				out = append(out, joined)
+				n.verified++
+				n.output++
+				out = append(out, step.joinRow(l, r))
 			}
 		}
+		counts[part] = n
 		return out, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	counters.fold(counts)
+	return out, nil
 }
 
-// runBuiltinJoin dispatches to a registered hand-built operator.
-func (db *Database) runBuiltinJoin(clus *cluster.Cluster, counters *statsCounters, f *fudjStep,
+// runBuiltinJoin dispatches to a registered hand-built operator. The
+// operator emits its inputs' records concatenated whole, so it is handed
+// inputs narrowed to the step's required columns (which, for this kind,
+// include the key columns it evaluates): the FUDJ-vs-built-in comparison
+// then measures the programming model, not a projection only one arm has.
+func (db *Database) runBuiltinJoin(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (out cluster.Data, err error) {
 
+	f := step.fudj
 	op, ok := db.builtin(f.def.Name)
 	if !ok {
 		return nil, fmt.Errorf("engine: no built-in operator registered for %q", f.def.Name)
 	}
-	lkey, err := expr.Compile(f.leftKey, leftSchema)
+	lkey, err := expr.Compile(f.leftKey, leftSchema.Project(step.needL))
 	if err != nil {
 		return nil, err
 	}
-	rkey, err := expr.Compile(f.rightKey, rightSchema)
+	rkey, err := expr.Compile(f.rightKey, rightSchema.Project(step.needR))
 	if err != nil {
 		return nil, err
 	}
 	defer core.CatchPanic(f.def.Name, "builtin", -1, nil, &err)
-	out, err = op(clus, left, lkey, right, rkey, f.params)
+	out, err = op(clus, narrow(left, step.needL), lkey, narrow(right, step.needR), rkey, f.params)
 	if err != nil {
 		return nil, err
 	}
 	counters.joinOutput.Add(int64(out.Rows()))
 	return out, nil
+}
+
+// narrow projects every record of data onto cols.
+func narrow(data cluster.Data, cols []int) cluster.Data {
+	out := make(cluster.Data, len(data))
+	for part, recs := range data {
+		out[part] = make([]types.Record, len(recs))
+		for i, r := range recs {
+			out[part][i] = appendCols(make(types.Record, 0, len(cols)), r, cols)
+		}
+	}
+	return out
 }
 
 // runProject evaluates the projection list per partition and gathers.

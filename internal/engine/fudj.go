@@ -21,10 +21,19 @@ import (
 //	           broadcast + random partitioning for theta (multi-join)
 //	COMBINE    per-bucket candidate pairs → VERIFY → duplicate handling
 //
-// Records travel through the pipeline extended with two leading
-// columns, [bucket_id, key, fields...], so verify never recomputes key
-// expressions per candidate pair. Under DedupElimination a third
-// leading column carries a globally unique row id.
+// Records travel through the pipeline as
+// [bucket_id, key, (meta), required fields...]: the key is carried so
+// verify never recomputes key expressions per candidate pair, meta is a
+// globally unique row id under DedupElimination or the assign list
+// under DedupAvoidance, and of the record's own fields only the
+// columns something after the join reads (step.needL / step.needR, the
+// planner's requireColumns) — so the exchange, the checkpoints, spill
+// runs and the memory accounting all move exactly what the consumer
+// needs, and "every column" is just the case SELECT * asks for.
+// COMBINE hands each accepted pair to a rowSink, one per task from
+// sink: the append sink keeps the joined rows, the plan's local
+// aggregation folds them and emits partials instead (DESIGN.md,
+// "Required columns and the COMBINE sink").
 // When rcv is non-nil, the step runs with durable phase barriers: the
 // broadcast plan and every partition's post-shuffle input are
 // checkpointed, and node deaths injected at a barrier recover from
@@ -32,10 +41,11 @@ import (
 // smartTheta comes from the query's settings snapshot, so every step
 // and every abort-and-rerun attempt of one query lays theta joins out
 // the same way.
-func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rcv *stepRecovery, jsp *trace.Span, f *fudjStep,
+func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rcv *stepRecovery, jsp *trace.Span, step *joinStep, sink func() rowSink,
 	left cluster.Data, leftSchema *types.Schema,
-	right cluster.Data, rightSchema *types.Schema, outSchema *types.Schema) (cluster.Data, error) {
+	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
+	f := step.fudj
 	join := f.def.New()
 	desc := join.Descriptor()
 
@@ -168,7 +178,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 
 	// ---- PARTITION (assign + unnest) ----
 	// Records are extended with leading metadata columns:
-	//   [bucket_id, key, (meta), original fields...]
+	//   [bucket_id, key, (meta), required fields...]
 	// where meta is a unique row id under DedupElimination, or the full
 	// assign list under DedupAvoidance — carrying the list computed here
 	// lets the COMBINE phase find the canonical bucket pair without
@@ -182,7 +192,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	assign := func(side core.Side, data cluster.Data, key expr.Evaluator) (cluster.Data, error) {
+	assign := func(side core.Side, data cluster.Data, key expr.Evaluator, need []int) (cluster.Data, error) {
 		return clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
@@ -206,23 +216,23 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 					meta = types.NewList(list)
 				}
 				for _, id := range ids {
-					ext := make(types.Record, 0, extraCols+len(r))
+					ext := make(types.Record, 0, extraCols+len(need))
 					ext = append(ext, types.NewInt64(int64(id)), v)
 					if extraCols == 3 {
 						ext = append(ext, meta)
 					}
-					out = append(out, append(ext, r...))
+					out = append(out, appendCols(ext, r, need))
 				}
 			}
 			rcv.markDone("partition", part)
 			return out, nil
 		})
 	}
-	lAssigned, err := assign(core.Left, left, lkey)
+	lAssigned, err := assign(core.Left, left, lkey, step.needL)
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign left: %w", f.def.Name, err)
 	}
-	rAssigned, err := assign(core.Right, right, rkey)
+	rAssigned, err := assign(core.Right, right, rkey, step.needR)
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign right: %w", f.def.Name, err)
 	}
@@ -238,61 +248,6 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	applyDedup := desc.Dedup == core.DedupAvoidance || desc.Dedup == core.DedupCustom
-
-	// accept applies dedup to one verified candidate pair and appends
-	// the joined record.
-	accept := func(out []types.Record, l, r types.Record) []types.Record {
-		b1 := int(l[0].Int64())
-		b2 := int(r[0].Int64())
-		if cacheAssign {
-			// Framework avoidance using the assign lists carried through
-			// the partition phase: keep only the canonical bucket pair.
-			x, y, ok := core.CanonicalPair(join, listBuckets(l[2]), listBuckets(r[2]))
-			if ok && (x != b1 || y != b2) {
-				counters.deduped.Add(1)
-				return out
-			}
-		} else if applyDedup && !join.Dedup(b1, l[1].Native(), b2, r[1].Native(), plan) {
-			counters.deduped.Add(1)
-			return out
-		}
-		joined := make(types.Record, 0, len(l)+len(r)-2*extraCols+2)
-		if elimination {
-			joined = append(joined, l[2], r[2]) // row-id pair for distinct
-		}
-		joined = append(joined, l[extraCols:]...)
-		joined = append(joined, r[extraCols:]...)
-		return append(out, joined)
-	}
-
-	// combineBuckets joins one matched bucket pair, through the join's
-	// custom local algorithm when it provides one (§VII-F), or the
-	// verify loop otherwise. Both paths read the groups' cached key
-	// columns, so no key is boxed more than once per record.
-	combineBuckets := func(out []types.Record, b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) []types.Record {
-		if desc.LocalJoin {
-			counters.candidates.Add(int64(len(ls.recs)) * int64(len(rs.recs)))
-			join.LocalJoin(b1, ls.keys, b2, rs.keys, plan, func(i, k int) {
-				counters.verified.Add(1)
-				out = accept(out, ls.recs[i], rs.recs[k])
-			})
-			return out
-		}
-		for i, l := range ls.recs {
-			k1 := ls.keys[i]
-			for k, r := range rs.recs {
-				counters.candidates.Add(1)
-				if !join.Verify(b1, k1, b2, rs.keys[k], plan) {
-					continue
-				}
-				counters.verified.Add(1)
-				out = accept(out, l, r)
-			}
-		}
-		return out
-	}
-
 	// The three layouts differ only in where records travel and which
 	// bucket pairs a partition joins; the exchange → barrier → COMBINE
 	// tail below is shared.
@@ -345,6 +300,17 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if err != nil {
 		return nil, err
 	}
+	// Under elimination the rows COMBINE accepts still carry their row-id
+	// pair through one more exchange, so COMBINE keeps them and the
+	// distinct stage feeds the step's sink.
+	combineSink := sink
+	if elimination {
+		combineSink = newAppendSink
+	}
+	// A task counts the funnel in plain fields of its own and leaves them
+	// in its partition's slot when it succeeds; the shared counters see
+	// them once, after every task has.
+	counts := make([]taskCounts, clus.Partitions())
 	combined, err := clus.Run(build, func(part int, in []types.Record) (out []types.Record, err error) {
 		// Registered before CatchPanic so it observes the final err.
 		defer func() {
@@ -369,11 +335,19 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 				return accepted
 			}
 		}
-		return combinePartition(mem, f.def.Name, part, in, probe[part], matches, combineBuckets)
+		t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: combineSink()}
+		if err := combinePartition(mem, f.def.Name, part, in, probe[part], matches, t.combineBuckets); err != nil {
+			return nil, err
+		}
+		out = t.sink.finish()
+		t.n.built = int64(len(out))
+		counts[part] = t.n
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	total := counters.fold(counts)
 
 	// ---- duplicate elimination stage (only DedupElimination) ----
 	if elimination {
@@ -383,37 +357,163 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		if err != nil {
 			return nil, err
 		}
-		combined, err = clus.Run(distinct, func(_ int, in []types.Record) ([]types.Record, error) {
+		counts = make([]taskCounts, clus.Partitions())
+		combined, err = clus.Run(distinct, func(part int, in []types.Record) ([]types.Record, error) {
+			var n taskCounts
 			seen := make(map[[2]int64]bool, len(in))
-			var out []types.Record
+			out := sink()
 			for _, rec := range in {
 				pair := [2]int64{rec[0].Int64(), rec[1].Int64()}
 				if seen[pair] {
-					counters.deduped.Add(1)
+					n.deduped++
 					continue
 				}
 				seen[pair] = true
-				out = append(out, rec[2:])
+				n.output++
+				if err := out.push(rec[2:]); err != nil {
+					return nil, err
+				}
 			}
-			return out, nil
+			counts[part] = n
+			return out.finish(), nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		// A pair is output once it survives the distinct stage.
+		total.output = counters.fold(counts).output
 	}
 
 	counters.combine.Add(int64(db.clock.Now().Sub(phaseStart)))
 	if combSpan != nil {
-		combSpan.Add("rows.out", int64(combined.Rows()))
+		combSpan.Add("rows.out", total.output)
+		combSpan.Add("rows.built", total.built)
 		combSpan.Add("shuffle.bytes", clus.Metrics().Snapshot().BytesShuffled-before.BytesShuffled)
 	}
 	combSpan.End()
 	clus.SetSpan(prevSpan)
-	counters.joinOutput.Add(int64(combined.Rows()))
-	if got, want := schemaWidth(combined), outSchema.Len(); got >= 0 && got != want {
-		return nil, fmt.Errorf("fudj %s: joined record has %d fields, schema wants %d", f.def.Name, got, want)
-	}
 	return combined, nil
+}
+
+// combineTask is one partition task's COMBINE: the join's verify (or
+// custom local join) over matched bucket pairs, duplicate handling,
+// and the sink the accepted pairs go to. Everything it counts or
+// scratches is the task's own.
+type combineTask struct {
+	join      core.Join
+	plan      core.PPlan
+	desc      core.Descriptor
+	extraCols int
+
+	sink   rowSink
+	n      taskCounts
+	lb, rb []core.BucketID // decoded assign lists of the pair in hand
+	err    error           // first sink error inside a LocalJoin callback
+}
+
+// combineBuckets joins one matched bucket pair, through the join's
+// custom local algorithm when it provides one (§VII-F), or the verify
+// loop otherwise. Both paths read the groups' cached key columns, so no
+// key is boxed more than once per record.
+func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
+	if t.desc.LocalJoin {
+		t.n.candidates += int64(len(ls.recs)) * int64(len(rs.recs))
+		t.join.LocalJoin(b1, ls.keys, b2, rs.keys, t.plan, func(i, k int) {
+			t.n.verified++
+			if t.err == nil {
+				t.err = t.accept(ls.recs[i], rs.recs[k])
+			}
+		})
+		return t.err
+	}
+	for i, l := range ls.recs {
+		k1 := ls.keys[i]
+		for k, r := range rs.recs {
+			t.n.candidates++
+			if !t.join.Verify(b1, k1, b2, rs.keys[k], t.plan) {
+				continue
+			}
+			t.n.verified++
+			if err := t.accept(l, r); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// accept applies dedup to one verified candidate pair and hands the
+// joined row — the two records' carried fields, behind their row-id
+// pair under elimination — to the sink, in storage the sink provides.
+func (t *combineTask) accept(l, r types.Record) error {
+	b1 := int(l[0].Int64())
+	b2 := int(r[0].Int64())
+	switch t.desc.Dedup {
+	case core.DedupAvoidance:
+		// Framework avoidance using the assign lists carried through
+		// the partition phase: keep only the canonical bucket pair.
+		t.lb = appendBuckets(t.lb[:0], l[2])
+		t.rb = appendBuckets(t.rb[:0], r[2])
+		x, y, ok := core.CanonicalPair(t.join, t.lb, t.rb)
+		if ok && (x != b1 || y != b2) {
+			t.n.deduped++
+			return nil
+		}
+	case core.DedupCustom:
+		if !t.join.Dedup(b1, l[1].Native(), b2, r[1].Native(), t.plan) {
+			t.n.deduped++
+			return nil
+		}
+	}
+	// Under elimination the pair is output only if it survives the
+	// distinct stage, which tells repeats apart by the row-id pair in front.
+	elimination := t.desc.Dedup == core.DedupElimination
+	width := len(l) + len(r) - 2*t.extraCols
+	if elimination {
+		width += 2
+	} else {
+		t.n.output++
+	}
+	joined := t.sink.alloc(width)
+	if elimination {
+		joined = append(joined, l[2], r[2])
+	}
+	joined = append(joined, l[t.extraCols:]...)
+	joined = append(joined, r[t.extraCols:]...)
+	return t.sink.push(joined)
+}
+
+// rowSink is where a join's last stage puts the rows it accepts, one
+// sink per partition task. A row is built in storage alloc returns
+// (length 0, room for n values) and handed to push; finish returns the
+// records the task hands on.
+type rowSink interface {
+	alloc(n int) types.Record
+	push(row types.Record) error
+	finish() []types.Record
+}
+
+// appendSink keeps every row: each is built in a fresh record of
+// exactly its width.
+type appendSink struct{ rows []types.Record }
+
+func newAppendSink() rowSink { return &appendSink{} }
+
+func (s *appendSink) alloc(n int) types.Record { return make(types.Record, 0, n) }
+
+func (s *appendSink) push(row types.Record) error {
+	s.rows = append(s.rows, row)
+	return nil
+}
+
+func (s *appendSink) finish() []types.Record { return s.rows }
+
+// appendCols appends rec's fields at the given positions to dst.
+func appendCols(dst, rec types.Record, cols []int) types.Record {
+	for _, c := range cols {
+		dst = append(dst, rec[c])
+	}
+	return dst
 }
 
 // layout is how one COMBINE lays its inputs out over the cluster: the
@@ -426,23 +526,10 @@ type layout struct {
 	matches     func(part int) matchFn
 }
 
-// listBuckets decodes a cached assign list column.
-func listBuckets(v types.Value) []core.BucketID {
-	list := v.List()
-	out := make([]core.BucketID, len(list))
-	for i, e := range list {
-		out[i] = int(e.Int64())
+// appendBuckets decodes a cached assign list column into dst.
+func appendBuckets(dst []core.BucketID, v types.Value) []core.BucketID {
+	for _, e := range v.List() {
+		dst = append(dst, int(e.Int64()))
 	}
-	return out
-}
-
-// schemaWidth returns the field count of the first record, or -1 when
-// the data is empty.
-func schemaWidth(d cluster.Data) int {
-	for _, p := range d {
-		if len(p) > 0 {
-			return len(p[0])
-		}
-	}
-	return -1
+	return dst
 }

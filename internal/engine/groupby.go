@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fudj/internal/cluster"
 	"fudj/internal/expr"
@@ -12,7 +13,10 @@ import (
 // Distributed grouped aggregation follows the classic two-step shape
 // (the same shape FUDJ's SUMMARIZE reuses): each partition computes
 // partial aggregates, partials are hash-exchanged on the group key,
-// and each partition finalizes its groups.
+// and each partition finalizes its groups. The local phase is a row
+// sink (localAgg), so it runs either as its own pass over materialized
+// rows or inside the last join's COMBINE, which then never builds the
+// rows it would only count.
 
 // aggState is one aggregate's running value.
 type aggState struct {
@@ -158,8 +162,8 @@ func (s *aggState) encodePartial() []types.Value {
 
 const partialWidth = 7
 
-func decodePartial(vals []types.Value) *aggState {
-	return &aggState{
+func decodePartial(vals []types.Value) aggState {
+	return aggState{
 		count: vals[0].Int64(),
 		sum:   vals[1].Float64(),
 		sumI:  vals[2].Int64(),
@@ -179,82 +183,189 @@ func groupKey(vals []types.Value) string {
 	return string(e.Bytes())
 }
 
-func (p *queryPlan) runGroupBy(clus *cluster.Cluster, data cluster.Data, schema *types.Schema) ([]types.Record, error) {
-	groupEvals := make([]expr.Evaluator, len(p.groupBy))
-	for i, g := range p.groupBy {
+// group is one group's values and its running aggregates.
+type group struct {
+	vals   []types.Value
+	states []aggState
+}
+
+// groupTable finds a task's groups by their values. Groups are kept in
+// first-seen order, not map order: partials feed the shuffle, and
+// retried or speculated attempts must produce byte-identical output
+// (fudjvet: maporder). One encoder serves every lookup, so a row that
+// lands in a known group allocates nothing; without GROUP BY there is
+// one group and no key at all.
+type groupTable struct {
+	nAggs int
+	enc   *wire.Encoder
+	byKey map[string]*group
+	order []*group
+}
+
+func newGroupTable(nAggs int) *groupTable {
+	return &groupTable{nAggs: nAggs, enc: wire.NewEncoder(32), byKey: make(map[string]*group)}
+}
+
+// lookup returns the group of vals, creating it on first sight. vals is
+// copied then, so the caller may reuse it.
+func (t *groupTable) lookup(vals []types.Value) *group {
+	if len(vals) == 0 {
+		if len(t.order) == 0 {
+			t.order = append(t.order, &group{states: make([]aggState, t.nAggs)})
+		}
+		return t.order[0]
+	}
+	t.enc.Reset()
+	for _, v := range vals {
+		v.MarshalWire(t.enc)
+	}
+	if g, ok := t.byKey[string(t.enc.Bytes())]; ok {
+		return g
+	}
+	g := &group{vals: append([]types.Value(nil), vals...), states: make([]aggState, t.nAggs)}
+	t.byKey[string(t.enc.Bytes())] = g
+	t.order = append(t.order, g)
+	return g
+}
+
+// localAgg is the local phase of the plan's aggregation, compiled once
+// per query against the schema of the rows it folds and shared by the
+// partition tasks, each of which folds into its own partialAgg. When
+// the phase runs inside COMBINE it also applies the filters that would
+// have run between the join and the aggregation, and counts the rows
+// passing each so the join and filter spans keep their rows.out.
+type localAgg struct {
+	aggs           []aggSpec
+	groupEvals     []expr.Evaluator
+	argEvals       []expr.Evaluator
+	residual, post expr.Evaluator // nil when absent
+
+	afterResidual, afterPost atomic.Int64
+}
+
+func (p *queryPlan) newLocalAgg(schema *types.Schema, residual, post []expr.Expr) (*localAgg, error) {
+	a := &localAgg{aggs: p.aggs}
+	for _, g := range p.groupBy {
 		ev, err := expr.Compile(g, schema)
 		if err != nil {
 			return nil, err
 		}
-		groupEvals[i] = ev
+		a.groupEvals = append(a.groupEvals, ev)
 	}
-	argEvals := make([]expr.Evaluator, len(p.aggs))
-	for i, a := range p.aggs {
-		ev, err := expr.Compile(a.arg, schema)
+	for _, spec := range p.aggs {
+		ev, err := expr.Compile(spec.arg, schema)
 		if err != nil {
 			return nil, err
 		}
-		argEvals[i] = ev
+		a.argEvals = append(a.argEvals, ev)
 	}
-	nG := len(groupEvals)
+	filter := func(conjuncts []expr.Expr) (expr.Evaluator, error) {
+		if len(conjuncts) == 0 {
+			return nil, nil
+		}
+		return expr.Compile(expr.JoinConjuncts(conjuncts), schema)
+	}
+	var err error
+	if a.residual, err = filter(residual); err != nil {
+		return nil, err
+	}
+	if a.post, err = filter(post); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
 
-	// Phase 1: local partial aggregation. The partial record layout is
-	// [groupVals..., agg0 partial (7 vals), agg1 partial, ...].
-	partials, err := clus.Run(data, func(_ int, in []types.Record) ([]types.Record, error) {
-		type group struct {
-			vals   []types.Value
-			states []*aggState
+// partialAgg is one task's local aggregation state. It is a rowSink:
+// rows are built in its scratch record and folded, never kept.
+type partialAgg struct {
+	plan    *localAgg
+	groups  *groupTable
+	gvals   []types.Value // group values of the row being folded
+	scratch types.Record
+
+	afterResidual, afterPost int64
+}
+
+func (a *localAgg) newTask() rowSink {
+	return &partialAgg{plan: a, groups: newGroupTable(len(a.aggs)), gvals: make([]types.Value, len(a.groupEvals))}
+}
+
+func (t *partialAgg) alloc(n int) types.Record {
+	if cap(t.scratch) < n {
+		t.scratch = make(types.Record, 0, n)
+	}
+	return t.scratch[:0]
+}
+
+func (t *partialAgg) push(row types.Record) error {
+	a := t.plan
+	if ok, err := holds(a.residual, row); !ok {
+		return err
+	}
+	t.afterResidual++
+	if ok, err := holds(a.post, row); !ok {
+		return err
+	}
+	t.afterPost++
+	for i, ev := range a.groupEvals {
+		v, err := ev(row)
+		if err != nil {
+			return err
 		}
-		groups := make(map[string]*group)
-		// Emit partials in first-seen group order, not map order: the
-		// partials feed the shuffle, and retried or speculated attempts
-		// must produce byte-identical output (fudjvet: maporder).
-		var order []string
-		for _, rec := range in {
-			gvals := make([]types.Value, nG)
-			for i, ev := range groupEvals {
-				v, err := ev(rec)
-				if err != nil {
-					return nil, err
-				}
-				gvals[i] = v
-			}
-			k := groupKey(gvals)
-			g, ok := groups[k]
-			if !ok {
-				g = &group{vals: gvals, states: make([]*aggState, len(p.aggs))}
-				for i := range g.states {
-					g.states[i] = &aggState{}
-				}
-				groups[k] = g
-				order = append(order, k)
-			}
-			for i, a := range p.aggs {
-				v, err := argEvals[i](rec)
-				if err != nil {
-					return nil, err
-				}
-				if err := g.states[i].fold(a.fn, v); err != nil {
-					return nil, err
-				}
-			}
+		t.gvals[i] = v
+	}
+	g := t.groups.lookup(t.gvals)
+	for i, spec := range a.aggs {
+		v, err := a.argEvals[i](row)
+		if err != nil {
+			return err
 		}
-		out := make([]types.Record, 0, len(groups))
-		for _, k := range order {
-			g := groups[k]
-			row := append([]types.Value{}, g.vals...)
-			for _, st := range g.states {
-				row = append(row, st.encodePartial()...)
-			}
-			out = append(out, types.Record(row))
+		if err := g.states[i].fold(spec.fn, v); err != nil {
+			return err
 		}
-		return out, nil
-	})
+	}
+	return nil
+}
+
+// finish emits one partial record per group,
+// [groupVals..., agg0 partial (7 vals), agg1 partial, ...].
+func (t *partialAgg) finish() []types.Record {
+	t.plan.afterResidual.Add(t.afterResidual)
+	t.plan.afterPost.Add(t.afterPost)
+	out := make([]types.Record, 0, len(t.groups.order))
+	for _, g := range t.groups.order {
+		row := make(types.Record, 0, len(g.vals)+partialWidth*len(g.states))
+		row = append(row, g.vals...)
+		for i := range g.states {
+			row = append(row, g.states[i].encodePartial()...)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// runLocalAgg runs the local phase as its own pass over materialized
+// rows — the case where no FUDJ COMBINE could fold it.
+func (p *queryPlan) runLocalAgg(clus *cluster.Cluster, data cluster.Data, schema *types.Schema) (cluster.Data, error) {
+	agg, err := p.newLocalAgg(schema, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	return clus.Run(data, func(_ int, in []types.Record) ([]types.Record, error) {
+		t := agg.newTask()
+		for _, rec := range in {
+			if err := t.push(rec); err != nil {
+				return nil, err
+			}
+		}
+		return t.finish(), nil
+	})
+}
 
-	// Phase 2: exchange partials by group key hash.
+// runGroupBy finishes the aggregation over the local phase's partials:
+// exchange by group key hash, then a final combine per partition.
+func (p *queryPlan) runGroupBy(clus *cluster.Cluster, partials cluster.Data) ([]types.Record, error) {
+	nG := len(p.groupBy)
 	shuffled, err := clus.ExchangeHash(partials, func(r types.Record) uint64 {
 		return types.HashString(groupKey(r[:nG]))
 	})
@@ -262,40 +373,24 @@ func (p *queryPlan) runGroupBy(clus *cluster.Cluster, data cluster.Data, schema 
 		return nil, err
 	}
 
-	// Phase 3: final combine per partition.
 	finals, err := clus.Run(shuffled, func(_ int, in []types.Record) ([]types.Record, error) {
-		type group struct {
-			vals   []types.Value
-			states []*aggState
-		}
-		groups := make(map[string]*group)
-		order := []string{}
+		groups := newGroupTable(len(p.aggs))
 		for _, rec := range in {
-			gvals := rec[:nG]
-			k := groupKey(gvals)
-			g, ok := groups[k]
-			if !ok {
-				g = &group{vals: gvals, states: make([]*aggState, len(p.aggs))}
-				for i := range g.states {
-					g.states[i] = &aggState{}
-				}
-				groups[k] = g
-				order = append(order, k)
-			}
+			g := groups.lookup(rec[:nG])
 			off := nG
 			for i, a := range p.aggs {
-				g.states[i].merge(a.fn, decodePartial(rec[off:off+partialWidth]))
+				part := decodePartial(rec[off : off+partialWidth])
+				g.states[i].merge(a.fn, &part)
 				off += partialWidth
 			}
 		}
-		out := make([]types.Record, 0, len(groups))
-		for _, k := range order {
-			g := groups[k]
-			row := append([]types.Value{}, g.vals...)
+		out := make([]types.Record, 0, len(groups.order))
+		for _, g := range groups.order {
+			row := append(types.Record{}, g.vals...)
 			for i, a := range p.aggs {
 				row = append(row, g.states[i].final(a.fn))
 			}
-			out = append(out, types.Record(row))
+			out = append(out, row)
 		}
 		return out, nil
 	})

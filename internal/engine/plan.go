@@ -68,6 +68,13 @@ type joinStep struct {
 	hashR    expr.Expr
 	fudj     *fudjStep   // kind == joinFUDJ / joinBuiltin
 	residual []expr.Expr // extra conjuncts applied right after this join
+
+	// Required columns, filled by requireColumns: the fields of the
+	// step's left and right input (by position) that anything after the
+	// join reads, and the schema of the rows the step emits — exactly
+	// those fields, left then right.
+	needL, needR []int
+	out          *types.Schema
 }
 
 // aggSpec is one aggregate output column.
@@ -170,7 +177,94 @@ func (db *Database) plan(sel *sqlparse.Select) (*queryPlan, error) {
 	if err := p.planOutput(sel); err != nil {
 		return nil, err
 	}
+	p.requireColumns()
 	return p, nil
+}
+
+// requireColumns computes, per join step, which columns of its two
+// inputs any later operator reads — the step's residual, later steps'
+// keys, conditions and residuals, the post filter, GROUP BY, aggregate
+// arguments and the projection list — so a join carries and builds only
+// those. HAVING, ORDER BY and DISTINCT run over the output schema and
+// read no input column. A step's own keys and condition are evaluated
+// on its inputs, before the projection, so they are required of the
+// steps before it, not of the step itself; the exception is a built-in
+// operator, which evaluates its keys on the narrowed inputs it is
+// handed. A reference that does not resolve against the fully joined
+// schema (unknown, or an ambiguous unqualified name) makes every
+// column required, so the binder reports it at execution exactly as it
+// would without the analysis.
+func (p *queryPlan) requireColumns() {
+	full := p.joinedSchema()
+	need := make([]bool, full.Len())
+	mark := func(es ...expr.Expr) {
+		for _, e := range es {
+			if e == nil {
+				continue
+			}
+			for _, c := range expr.Columns(e) {
+				idx, err := expr.ResolveColumn(c, full)
+				if err != nil {
+					for i := range need {
+						need[i] = true
+					}
+					return
+				}
+				need[idx] = true
+			}
+		}
+	}
+
+	// Backwards: what is read after step i is what is read after step
+	// i+1 plus what step i+1 itself reads.
+	mark(p.post...)
+	mark(p.groupBy...)
+	for _, a := range p.aggs {
+		mark(a.arg)
+	}
+	for _, c := range p.cols {
+		mark(c.e)
+	}
+	after := make([][]bool, len(p.joins))
+	for i := len(p.joins) - 1; i >= 0; i-- {
+		j := &p.joins[i]
+		mark(j.residual...)
+		if j.kind == joinBuiltin {
+			mark(j.fudj.leftKey, j.fudj.rightKey)
+		}
+		after[i] = append([]bool(nil), need...)
+		mark(j.cond, j.hashL, j.hashR)
+		if j.fudj != nil {
+			mark(j.fudj.leftKey, j.fudj.rightKey)
+		}
+	}
+
+	// Forwards: cols lists, for each field of the current left input,
+	// its position in the fully joined schema.
+	cols := make([]int, p.scans[0].schema.Len())
+	for i := range cols {
+		cols[i] = i
+	}
+	off := len(cols)
+	for i := range p.joins {
+		j := &p.joins[i]
+		var outCols []int
+		for k, c := range cols {
+			if after[i][c] {
+				j.needL = append(j.needL, k)
+				outCols = append(outCols, c)
+			}
+		}
+		for k := 0; k < p.scans[i+1].schema.Len(); k++ {
+			if after[i][off+k] {
+				j.needR = append(j.needR, k)
+				outCols = append(outCols, off+k)
+			}
+		}
+		off += p.scans[i+1].schema.Len()
+		j.out = full.Project(outCols)
+		cols = outCols
+	}
 }
 
 // pushToScan pushes a single-table conjunct into its scan. Conjuncts
@@ -471,6 +565,16 @@ func (p *queryPlan) rewriteHaving(e expr.Expr) (expr.Expr, error) {
 	return e, nil
 }
 
+// aggregates reports whether the plan groups or aggregates its rows.
+func (p *queryPlan) aggregates() bool { return len(p.aggs) > 0 || len(p.groupBy) > 0 }
+
+// foldsAggregate reports whether join step i's COMBINE runs the local
+// phase of the plan's aggregation itself: it is the last join, a FUDJ,
+// and the plan aggregates.
+func (p *queryPlan) foldsAggregate(i int) bool {
+	return i == len(p.joins)-1 && p.joins[i].kind == joinFUDJ && p.aggregates()
+}
+
 // joinedSchema is the schema after all joins: the concatenation of all
 // scan schemas in FROM order.
 func (p *queryPlan) joinedSchema() *types.Schema {
@@ -529,6 +633,16 @@ func aggKind(fn string, arg expr.Expr, schema *types.Schema) types.Kind {
 	}
 }
 
+// fieldNames renders the names of a schema's fields at the given
+// positions as [a, b, ...].
+func fieldNames(schema *types.Schema, cols []int) string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = schema.Fields[c].Name
+	}
+	return "[" + strings.Join(names, ", ") + "]"
+}
+
 // explain renders the physical plan, leaf to root.
 func (p *queryPlan) explain() string {
 	var sb strings.Builder
@@ -554,7 +668,7 @@ func (p *queryPlan) explain() string {
 		}
 		line("SORT %s", strings.Join(keys, ", "))
 	}
-	if len(p.aggs) > 0 || len(p.groupBy) > 0 {
+	if p.aggregates() {
 		gs := make([]string, len(p.groupBy))
 		for i, g := range p.groupBy {
 			gs[i] = g.String()
@@ -585,8 +699,17 @@ func (p *queryPlan) explain() string {
 			if !j.fudj.def.New().Descriptor().DefaultMatch {
 				match = "THETA (custom match: broadcast + local bucket matching)"
 			}
-			line("COMBINE: %s, verify, dedup=%v", match, j.fudj.def.New().Descriptor().Dedup)
-			line("PARTITION: assign + shuffle by bucket")
+			sink := ""
+			if p.foldsAggregate(i) {
+				sink = " → partial aggregate"
+			}
+			line("COMBINE: %s, verify, dedup=%v%s", match, j.fudj.def.New().Descriptor().Dedup, sink)
+			left := p.scans[0].schema
+			if i > 0 {
+				left = p.joins[i-1].out
+			}
+			line("PARTITION: assign + shuffle by bucket, carrying L=%s R=%s",
+				fieldNames(left, j.needL), fieldNames(p.scans[i+1].schema, j.needR))
 			reuse := ""
 			if j.fudj.selfJoin {
 				reuse = " [self-join: summary reused]"

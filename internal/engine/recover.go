@@ -53,12 +53,12 @@ func (r *stepRecovery) shuffleKey(side string, part int) string {
 // runFUDJ and never reach here; without one, a BarrierLossError aborts
 // the step and the whole step re-runs, up to the cluster's task
 // attempt budget.
-func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rm *cluster.RecoveryManager, step int, jsp *trace.Span, f *fudjStep,
+func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rm *cluster.RecoveryManager, ord int, jsp *trace.Span, step *joinStep, sink func() rowSink,
 	left cluster.Data, leftSchema *types.Schema,
-	right cluster.Data, rightSchema *types.Schema, outSchema *types.Schema) (cluster.Data, error) {
+	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
 	if rm == nil {
-		return db.runFUDJ(ctx, clus, counters, mem, smartTheta, nil, jsp, f, left, leftSchema, right, rightSchema, outSchema)
+		return db.runFUDJ(ctx, clus, counters, mem, smartTheta, nil, jsp, step, sink, left, leftSchema, right, rightSchema)
 	}
 	attempts := clus.RetryPolicy().MaxAttempts
 	if attempts < 1 {
@@ -66,8 +66,8 @@ func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluste
 	}
 	var fails []error
 	for attempt := 0; attempt < attempts; attempt++ {
-		rec := &stepRecovery{rm: rm, step: step}
-		out, err := db.runFUDJ(ctx, clus, counters, mem, smartTheta, rec, jsp, f, left, leftSchema, right, rightSchema, outSchema)
+		rec := &stepRecovery{rm: rm, step: ord}
+		out, err := db.runFUDJ(ctx, clus, counters, mem, smartTheta, rec, jsp, step, sink, left, leftSchema, right, rightSchema)
 		var loss *cluster.BarrierLossError
 		if err != nil && errors.As(err, &loss) && ctx.Err() == nil {
 			// Abort-and-rerun: no checkpoint store, so the barrier loss
@@ -80,7 +80,7 @@ func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluste
 		return out, err
 	}
 	return nil, fmt.Errorf("engine: fudj %s step %d gave up after %d attempts: %w",
-		f.def.Name, step, attempts, errors.Join(fails...))
+		step.fudj.def.Name, ord, attempts, errors.Join(fails...))
 }
 
 // planBarrier crosses the plan barrier: the broadcast plan blob is

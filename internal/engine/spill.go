@@ -84,11 +84,11 @@ func (m *memState) cleanup() {
 	}
 }
 
-// combineFn joins one matched bucket pair, appending joined records —
-// the combineBuckets closure runFUDJ builds over VERIFY/LocalJoin and
-// duplicate handling. Groups carry their key columns pre-unboxed (see
-// bucketGroup), so implementations never call Native() per pair.
-type combineFn func(out []types.Record, b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) []types.Record
+// combineFn joins one matched bucket pair — combineTask.combineBuckets,
+// VERIFY/LocalJoin and duplicate handling in front of the task's row
+// sink. Groups carry their key columns pre-unboxed (see bucketGroup),
+// so implementations never call Native() per pair.
+type combineFn func(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error
 
 // matchFn lists the probe buckets build bucket b1 joins with, in
 // emission order; probeIDs are the partition's probe bucket ids in
@@ -139,11 +139,11 @@ type bucketSpill struct {
 // build bucket in ascending id, each probe group matches names is
 // joined whole against the bucket if it is resident, or appended to the
 // bucket's probe run if it spilled; spilled buckets are re-joined last.
-// Without a budget (or under one nothing exceeds) the output order is
-// exactly that walk; once buckets spill it is the same multiset in a
-// different, still deterministic, order.
+// Without a budget (or under one nothing exceeds) combine sees the
+// bucket pairs in exactly that order; once buckets spill it sees the
+// same multiset in a different, still deterministic, order.
 func combinePartition(mem *memState, joinName string, part int,
-	build, probe []types.Record, matches matchFn, combine combineFn) (out []types.Record, err error) {
+	build, probe []types.Record, matches matchFn, combine combineFn) error {
 
 	acct := &partAcct{metrics: mem.metrics}
 	defer acct.close()
@@ -182,7 +182,7 @@ func combinePartition(mem *memState, joinName string, part int,
 		b := int(r[0].Int64())
 		sz := mem.weigh(r)
 		if sz > mem.hardCap {
-			return nil, &core.ResourceError{
+			return &core.ResourceError{
 				Join: joinName, Phase: "combine", Partition: part,
 				Bytes: sz, Budget: mem.hardCap,
 			}
@@ -192,7 +192,7 @@ func combinePartition(mem *memState, joinName string, part int,
 			for acct.used+sz > mem.perPart && len(resident) > 0 {
 				victim := largestBucket(resident)
 				if err := spill(victim, resident[victim].recs...); err != nil {
-					return nil, err
+					return err
 				}
 				acct.release(resident[victim].bytes)
 				delete(resident, victim)
@@ -201,7 +201,7 @@ func combinePartition(mem *memState, joinName string, part int,
 		if bs := spilled[b]; bs != nil {
 			// The record's bucket is spilled (possibly just now): follow it.
 			if err := bs.left.Append(r); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -209,7 +209,7 @@ func combinePartition(mem *memState, joinName string, part int,
 			// Nothing left to evict: the record alone exceeds the budget
 			// (but not the hard cap). Spill its bucket directly.
 			if err := spill(b, r); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -243,10 +243,14 @@ func combinePartition(mem *memState, joinName string, part int,
 			if !ok {
 				continue
 			}
+			var err error
 			if ls != nil {
-				out = combine(out, b1, ls, b2, rs)
-			} else if err := bs.right.Append(rs.recs...); err != nil {
-				return nil, err
+				err = combine(b1, ls, b2, rs)
+			} else {
+				err = bs.right.Append(rs.recs...)
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -261,10 +265,10 @@ func combinePartition(mem *memState, joinName string, part int,
 	for _, b1 := range sortedIDs(spilled) {
 		bs := spilled[b1]
 		if err := bs.left.Close(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := bs.right.Close(); err != nil {
-			return nil, err
+			return err
 		}
 		runs := int64(1)
 		if bs.right.Records() > 0 {
@@ -274,24 +278,22 @@ func combinePartition(mem *memState, joinName string, part int,
 		if bs.right.Records() == 0 {
 			continue // no probe record matched this bucket
 		}
-		out, err = joinSpilledBucket(mem, acct, out, b1, bs, combine)
-		if err != nil {
-			return nil, err
+		if err := joinSpilledBucket(mem, acct, b1, bs, combine); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // joinSpilledBucket re-joins one spilled bucket: build-side records are
 // loaded in budget-sized chunks (skew splitting — one chunk when the
 // bucket fits, several when its build side alone exceeds the budget),
 // and the bucket's probe run is re-streamed against every chunk.
-func joinSpilledBucket(mem *memState, acct *partAcct, out []types.Record,
-	b1 int, bs *bucketSpill, combine combineFn) ([]types.Record, error) {
+func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, combine combineFn) error {
 
 	lr, err := storage.OpenRun(bs.left.Path())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer lr.Close()
 	cur := newRunCursor(lr)
@@ -304,7 +306,7 @@ func joinSpilledBucket(mem *memState, acct *partAcct, out []types.Record,
 		for {
 			r, ok, err := cur.peek()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				break
@@ -339,18 +341,20 @@ func joinSpilledBucket(mem *memState, acct *partAcct, out []types.Record,
 				}
 				for _, r := range frame {
 					b2 := int(r[0].Int64())
-					out = combine(out, b1, ls, b2, singleGroup(r))
+					if err := combine(b1, ls, b2, singleGroup(r)); err != nil {
+						return err
+					}
 				}
 			}
 		}()
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if chunks > 1 {
 		mem.metrics.AddBucketSplit()
 	}
-	return out, nil
+	return nil
 }
 
 // runCursor adapts a frame-oriented RunReader into a record-at-a-time
