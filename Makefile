@@ -9,7 +9,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 FUDJVET = bin/fudjvet
 
-.PHONY: all vet fudjvet build test race chaos chaos-recovery stress serve-chaos serve-ha bench-e2e bench-serve-ha fuzz staticcheck govulncheck lint-fix-check ci
+.PHONY: all vet fudjvet build test race chaos chaos-recovery stress serve-chaos serve-ha bench-e2e bench-serve-ha fuzz staticcheck govulncheck lint-fix-check loc ci
 
 all: build
 
@@ -149,5 +149,14 @@ lint-fix-check: fudjvet
 	fi
 	$(GO) vet -vettool=$(abspath $(FUDJVET)) ./...
 	$(FUDJVET) -budget testdata/fudjvet_budget.txt ./...
+
+# loc prints the size figure ROADMAP.md quotes — the root module's
+# non-test Go lines, comments and blanks included, benchmark/ excluded —
+# and the six largest packages by the same count.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l)"
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
+		END { for (d in n) print n[d], d }' | sort -rn | head -6
 
 ci: vet build race chaos chaos-recovery staticcheck govulncheck

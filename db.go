@@ -185,7 +185,7 @@ func WithMemoryBudget(bytes int64) Option { return engine.WithMemoryBudget(bytes
 // path (shuffle, spill, checkpoints). The default (n <= 0) is 1024
 // rows; WithBatchSize(1) selects record-at-a-time framing, the
 // pre-batching baseline. Batch counters come back on Result.Join
-// (Batches, BatchRows, RowsPerBatch(), PoolReuse()).
+// (Batches, BatchRows, RowsPerBatch()).
 func WithBatchSize(n int) Option { return engine.WithBatchSize(n) }
 
 // WithCheckpoints enables durable phase barriers: the broadcast plan

@@ -88,7 +88,6 @@ type Cluster struct {
 	epoch     atomic.Int64
 	memBudget int64 // total bytes across all partitions; 0 = unbounded
 	batchSize int   // max rows per serialized shuffle frame
-	pool      *types.BatchPool
 	clock     trace.Clock
 	span      *trace.Span // current parent span for cluster ops; nil = untraced
 }
@@ -109,7 +108,6 @@ func New(cfg Config) *Cluster {
 		metrics:   newMetrics(cfg.Partitions()),
 		retry:     DefaultRetryPolicy(),
 		batchSize: DefaultBatchSize,
-		pool:      types.NewBatchPool(),
 		clock:     trace.WallClock{},
 	}
 }
@@ -550,7 +548,6 @@ func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 			sp.End()
 		}()
 	}
-	defer func() { c.metrics.setBatchPool(c.pool.Stats()) }()
 
 	p := c.Partitions()
 	var epoch int64
@@ -572,9 +569,7 @@ func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 		if rows == 0 {
 			return nil
 		}
-		enc, dec := c.pool.Get(0), c.pool.Get(0)
-		defer c.pool.Put(enc)
-		defer c.pool.Put(dec)
+		dec := types.NewBatch(0) // this goroutine's decode scratch
 		recs := make([]types.Record, 0, rows)
 		var resident int64
 		for src := 0; src < p; src++ {
@@ -593,7 +588,7 @@ func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 				c.metrics.reserveMemory(size)
 				var err error
 				if crossNode {
-					frame, err = c.transferFrame(epoch, src, dst, frame, frameIdx, maxAttempts, enc, dec)
+					frame, err = c.transferFrame(epoch, src, dst, frame, frameIdx, maxAttempts, dec)
 				}
 				recs = append(recs, frame...)
 				c.metrics.releaseMemory(size)
@@ -652,16 +647,15 @@ func (c *Cluster) cutFrame(batch []types.Record, lo int, maxBytes int64) (hi int
 // transferFrame serializes one columnar frame across a node boundary,
 // injecting corruption and resending from the source's still-intact
 // outbox up to the attempt budget. Every attempt, including resends, is
-// charged to the shuffle and batch counters. enc and dec are the
-// caller's scratch batches (pooled so vector capacity survives across
-// frames).
-func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record, frameIdx int64, maxAttempts int, enc, dec *types.Batch) ([]types.Record, error) {
+// charged to the shuffle and batch counters. dec is the destination
+// goroutine's decode scratch.
+func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record, frameIdx int64, maxAttempts int, dec *types.Batch) ([]types.Record, error) {
 	fi := c.faults
 	var decoded []types.Record
 	var err error
 	attempt := 0
 	for ; attempt < maxAttempts; attempt++ {
-		buf := types.EncodeBatch(frame, enc)
+		buf := types.EncodeBatch(frame, nil)
 		if fi != nil && fi.corrupt(epoch, int64(src), int64(dst), frameIdx*131071+int64(attempt)) {
 			buf = corruptPayload(buf)
 		}

@@ -299,9 +299,9 @@ func (fi *FaultInjector) damageOffset(key string, size, header int64) int64 {
 }
 
 // corruptPayload damages an encoded shuffle buffer the way a botched
-// transfer would: the tail is lost. DecodeRecords is guaranteed to
-// reject the result because the batch header still claims the full
-// record count.
+// transfer would: the tail is lost. DecodeBatch is guaranteed to
+// reject the result because the frame header still claims the full
+// row count.
 func corruptPayload(buf []byte) []byte {
 	return buf[:len(buf)/2]
 }

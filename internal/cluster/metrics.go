@@ -40,12 +40,9 @@ const (
 
 	// Batched-execution counters (PR 9). Batches/BatchRows count the
 	// columnar frames serialized across node boundaries and the rows
-	// they carried; the pool gauges mirror the shuffle batch pool's
-	// cumulative get/hit totals so a reuse ratio can be reported.
-	MetricBatches       = "batch.count"
-	MetricBatchRows     = "batch.rows"
-	MetricBatchPoolGets = "batch.pool.gets"
-	MetricBatchPoolHits = "batch.pool.hits"
+	// they carried.
+	MetricBatches   = "batch.count"
+	MetricBatchRows = "batch.rows"
 
 	// Checkpoint/recovery counters (PR 5). CheckpointRecovered counts
 	// partitions restored from a durable checkpoint instead of
@@ -96,8 +93,6 @@ func newMetrics(parts int) *Metrics {
 	}
 	m.slot(MetricMemReserved, KindGauge)
 	m.slot(MetricMemInput, KindGauge)
-	m.slot(MetricBatchPoolGets, KindGauge)
-	m.slot(MetricBatchPoolHits, KindGauge)
 	m.slot(MetricTaskBusy, KindHistogram)
 	m.busy = make([]time.Duration, parts)
 	m.mu.Unlock()
@@ -247,10 +242,8 @@ type Snapshot struct {
 	CheckpointDiscarded int64
 	BarrierKills        int64
 
-	Batches       int64
-	BatchRows     int64
-	BatchPoolGets int64
-	BatchPoolHits int64
+	Batches   int64
+	BatchRows int64
 }
 
 // Snapshot reads the core counters atomically with respect to writers:
@@ -300,10 +293,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		CheckpointDiscarded: val(MetricCheckpointDiscarded),
 		BarrierKills:        val(MetricBarrierKills),
 
-		Batches:       val(MetricBatches),
-		BatchRows:     val(MetricBatchRows),
-		BatchPoolGets: val(MetricBatchPoolGets),
-		BatchPoolHits: val(MetricBatchPoolHits),
+		Batches:   val(MetricBatches),
+		BatchRows: val(MetricBatchRows),
 	}
 }
 
@@ -354,24 +345,6 @@ func (m *Metrics) addBatch(rows int64) {
 	m.mu.Lock()
 	m.vals[m.slot(MetricBatches, KindCounter)]++
 	m.vals[m.slot(MetricBatchRows, KindCounter)] += rows
-	m.mu.Unlock()
-}
-
-// setBatchPool mirrors the batch pool's cumulative get/hit totals into
-// the registry (the pool keeps its own counters; the registry holds
-// the published copy a Snapshot reads consistently).
-func (m *Metrics) setBatchPool(gets, hits int64) {
-	m.mu.Lock()
-	for _, kv := range [2]struct {
-		name string
-		v    int64
-	}{{MetricBatchPoolGets, gets}, {MetricBatchPoolHits, hits}} {
-		i := m.slot(kv.name, KindGauge)
-		m.vals[i] = kv.v
-		if kv.v > m.peaks[i] {
-			m.peaks[i] = kv.v
-		}
-	}
 	m.mu.Unlock()
 }
 

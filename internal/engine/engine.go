@@ -278,12 +278,10 @@ type JoinStats struct {
 	PartitionTime time.Duration
 	CombineTime   time.Duration
 
-	// Batched execution: columnar frames moved by shuffle and spill
-	// (see WithBatchSize), and the scratch-batch pool's reuse funnel.
-	Batches       int64 // columnar frames encoded on the hot path
-	BatchRows     int64 // records carried by those frames
-	BatchPoolGets int64 // scratch batches requested from the pool
-	BatchPoolHits int64 // requests served by reuse instead of allocation
+	// Batched execution: the frames serialized across node boundaries by
+	// the shuffle (see WithBatchSize), resends included.
+	Batches   int64 // frames encoded
+	BatchRows int64 // records carried by those frames
 }
 
 // RowsPerBatch reports the mean rows per encoded frame (0 when no
@@ -295,14 +293,11 @@ func (s JoinStats) RowsPerBatch() float64 {
 	return float64(s.BatchRows) / float64(s.Batches)
 }
 
-// PoolReuse reports the fraction of scratch-batch requests served from
-// the pool (0 when none were made).
-func (s JoinStats) PoolReuse() float64 {
-	if s.BatchPoolGets == 0 {
-		return 0
-	}
-	return float64(s.BatchPoolHits) / float64(s.BatchPoolGets)
-}
+// PoolReuse is always 0: the scratch-batch pool it described is gone.
+// The stub stays only because the benchmark module, which this tree may
+// not edit, still reads it as types.pool_hit_ratio; the benchmark-only
+// PR that drops that metric deletes it (ROADMAP, benchmark-only PRs).
+func (s JoinStats) PoolReuse() float64 { return 0 }
 
 // ClusterStats carries the simulated cluster's transport and compute
 // counters for one execution.

@@ -247,8 +247,6 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 	join := counters.snapshot()
 	join.Batches = m.Batches
 	join.BatchRows = m.BatchRows
-	join.BatchPoolGets = m.BatchPoolGets
-	join.BatchPoolHits = m.BatchPoolHits
 	res := &Result{
 		Schema:  p.outSchema,
 		Rows:    rows,

@@ -303,6 +303,39 @@ func TestAggregateSinkCountsStayLogical(t *testing.T) {
 	}
 }
 
+// TestZeroWidthRowsCrossTheShuffle: when nothing downstream of a cross
+// join reads a column, the replicated intermediate is rows of width
+// zero, and the only frame that can carry them is the batch codec's
+// row-wise one. The queries must ship frames across the node boundary
+// and answer what a single partition — which serializes nothing —
+// answers, at the default frame size and at one row per frame.
+func TestZeroWidthRowsCrossTheShuffle(t *testing.T) {
+	const from = ` FROM parks a, wildfires b, parks c WHERE a.id = 1 AND b.id = 2`
+	local := newTestDB(t, WithCluster(1, 1))
+	for _, c := range []struct {
+		sel  string
+		want int64
+	}{
+		{`SELECT COUNT(*)`, 40}, // 1 park x 1 wildfire x 40 parks
+		{`SELECT DISTINCT 1`, 1},
+	} {
+		want := mustQuery(t, local, c.sel+from)
+		if len(want.Rows) != 1 || want.Rows[0][0].Int64() != c.want {
+			t.Fatalf("%s on 1x1: rows %v, want one row holding %d", c.sel, want.Rows, c.want)
+		}
+		if want.Join.Batches != 0 {
+			t.Fatalf("%s: the 1x1 reference serialized %d frames", c.sel, want.Join.Batches)
+		}
+		for _, batchSize := range []int{0, 1} {
+			got := mustQuery(t, newTestDB(t, WithBatchSize(batchSize)), c.sel+from)
+			sameRows(t, fmt.Sprintf("%s, batch size %d", c.sel, batchSize), got.Rows, want.Rows)
+			if got.Join.Batches == 0 {
+				t.Errorf("%s, batch size %d: no frame crossed a node boundary", c.sel, batchSize)
+			}
+		}
+	}
+}
+
 // TestCountAllocationsFollowInputNotOutput is the deterministic guard
 // behind the timing claim: a COUNT(*) over a FUDJ builds nothing per
 // match, so doubling both inputs — four times the matches — may double

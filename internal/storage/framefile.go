@@ -76,7 +76,7 @@ func (fw *frameWriter) flushRecords() error {
 		return nil
 	}
 	fw.enc.Reset()
-	types.EncodeBatchInto(&fw.enc, fw.pending, nil)
+	types.EncodeBatchInto(&fw.enc, fw.pending)
 	fw.pending, fw.pendingBytes = fw.pending[:0], 0
 	return fw.writeFrame(tagRecords, fw.enc.Bytes())
 }
@@ -109,7 +109,7 @@ type frameReader struct {
 	f       *os.File
 	br      *bufio.Reader
 	frames  *wire.FrameReader
-	scratch *types.Batch // column staging reused across frames
+	scratch *types.Batch // column-tag buffer reused across frames
 }
 
 // openFrameFile opens path for streaming. No frame can be larger than

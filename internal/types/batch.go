@@ -6,638 +6,87 @@ import (
 	"fudj/internal/wire"
 )
 
-// Batch is a column-major container of records. The engine's hot path
-// moves batches instead of one Record at a time: each column holds its
-// scalar payloads in a typed slice, so a shuffle frame or a spill run
-// encodes a column's values contiguously (no per-value kind byte) and a
-// decoded batch materializes all of its records out of two arena
-// allocations instead of two per record.
+// The batch codec: one encoder (EncodeBatchInto/encodeColumn, records →
+// frame) and one decoder (decodeColumnarRecords/decodeColumnInto, frame
+// → records). Every shuffle frame, spill run and checkpoint file moves
+// its records through this pair, so each kind's column layout is spelled
+// out exactly twice in the tree — once per direction, below.
 //
-// A batch requires every row to have the same width (the engine's
-// streams are uniform-schema; the row-wise wire fallback covers the
-// degenerate case). Column layout is decided per column by the first
-// value appended: scalar kinds get a typed vector, and reference kinds
-// (polygon, linestring, list) or kind-mixed columns fall back to a
-// generic []Value vector that round-trips through DecodeValue.
-type Batch struct {
-	cols []vector
-	rows int
-	mem  int64 // Record-currency footprint of the materialized rows
-
-	tags []byte // column-tag scratch reused across DecodeBatch calls
-}
-
-// batchGenericTag marks a kind-mixed or reference-kind column in the
-// columnar wire frame; uniform columns use their Kind byte directly.
-const batchGenericTag = 0xFF
-
-// vector is one column of a batch. Exactly one representation is live:
-// the typed slices when kind is a scalar kind and generic is false, or
-// vals otherwise. Bool and Int64 share i; UUID and Interval use i+j;
-// Point uses f+f2; Rect uses f..f4. A Null column stores nothing but
-// the row count.
-type vector struct {
-	kind    Kind
-	generic bool
-	set     bool // kind has been decided by a first append
-
-	i, j          []int64
-	f, f2, f3, f4 []float64
-	s             []string
-	vals          []Value
-}
-
-// NewBatch returns an empty batch of the given row width.
-func NewBatch(width int) *Batch {
-	return &Batch{cols: make([]vector, width)}
-}
-
-// Rows reports the number of rows in the batch.
-func (b *Batch) Rows() int { return b.rows }
-
-// Width reports the number of columns.
-func (b *Batch) Width() int { return len(b.cols) }
-
-// MemSize estimates the bytes of memory the batch's rows pin, in the
-// same currency as Record.MemSize/RecordsMemSize so batch-granular
-// budget accounting composes with the PR 2 machinery: materializing
-// the batch with Records and summing RecordsMemSize gives this number.
-func (b *Batch) MemSize() int64 { return b.mem }
-
-// Reset truncates the batch to zero rows, retaining column capacity so
-// a pooled batch reuses its vectors.
-func (b *Batch) Reset(width int) {
-	if cap(b.cols) < width {
-		b.cols = make([]vector, width)
-	}
-	b.cols = b.cols[:width]
-	for c := range b.cols {
-		col := &b.cols[c]
-		col.kind, col.generic, col.set = KindNull, false, false
-		col.i, col.j = col.i[:0], col.j[:0]
-		col.f, col.f2, col.f3, col.f4 = col.f[:0], col.f2[:0], col.f3[:0], col.f4[:0]
-		col.s, col.vals = col.s[:0], col.vals[:0]
-	}
-	b.rows = 0
-	b.mem = 0
-}
-
-// typedKind reports whether k gets a typed vector (reference kinds and
-// mixed columns use the generic representation).
-func typedKind(k Kind) bool {
-	switch k {
-	case KindNull, KindBool, KindInt64, KindFloat64, KindString,
-		KindUUID, KindPoint, KindRect, KindInterval:
-		return true
-	}
-	return false
-}
-
-// appendValue appends v to column c, migrating the column to the
-// generic representation on the first kind mismatch.
-func (b *Batch) appendValue(c int, v Value) {
-	col := &b.cols[c]
-	if !col.set {
-		col.set = true
-		col.kind = v.kind
-		col.generic = !typedKind(v.kind)
-	} else if !col.generic && v.kind != col.kind {
-		b.migrateGeneric(c)
-	}
-	if col.generic {
-		col.vals = append(col.vals, v)
-		return
-	}
-	switch col.kind {
-	case KindNull:
-	case KindBool, KindInt64:
-		col.i = append(col.i, v.i)
-	case KindFloat64:
-		col.f = append(col.f, v.f)
-	case KindString:
-		col.s = append(col.s, v.s)
-	case KindUUID, KindInterval:
-		col.i = append(col.i, v.i)
-		col.j = append(col.j, v.j)
-	case KindPoint:
-		col.f = append(col.f, v.f)
-		col.f2 = append(col.f2, v.f2)
-	case KindRect:
-		col.f = append(col.f, v.f)
-		col.f2 = append(col.f2, v.f2)
-		col.f3 = append(col.f3, v.f3)
-		col.f4 = append(col.f4, v.f4)
-	}
-}
-
-// migrateGeneric rewrites column c from its typed representation to the
-// generic one, preserving existing rows.
-func (b *Batch) migrateGeneric(c int) {
-	col := &b.cols[c]
-	n := b.rows
-	vals := col.vals
-	if cap(vals) < n {
-		vals = make([]Value, 0, n+1)
-	}
-	for row := 0; row < n; row++ {
-		vals = append(vals, col.value(row))
-	}
-	col.vals = vals
-	col.generic = true
-	col.i, col.j = nil, nil
-	col.f, col.f2, col.f3, col.f4 = nil, nil, nil, nil
-	col.s = nil
-}
-
-// value reconstructs the Value at row for a column; no allocation for
-// scalar kinds.
-func (col *vector) value(row int) Value {
-	if col.generic {
-		return col.vals[row]
-	}
-	switch col.kind {
-	case KindNull:
-		return Null
-	case KindBool, KindInt64:
-		return Value{kind: col.kind, i: col.i[row]}
-	case KindFloat64:
-		return Value{kind: KindFloat64, f: col.f[row]}
-	case KindString:
-		return Value{kind: KindString, s: col.s[row]}
-	case KindUUID, KindInterval:
-		return Value{kind: col.kind, i: col.i[row], j: col.j[row]}
-	case KindPoint:
-		return Value{kind: KindPoint, f: col.f[row], f2: col.f2[row]}
-	case KindRect:
-		return Value{kind: KindRect, f: col.f[row], f2: col.f2[row], f3: col.f3[row], f4: col.f4[row]}
-	}
-	return Null
-}
-
-// AppendRecord appends one record as a new row. The record's width must
-// match the batch's; width mismatches indicate a planner bug and panic.
-func (b *Batch) AppendRecord(r Record) {
-	if len(r) != len(b.cols) {
-		panic(fmt.Sprintf("types: appending a %d-wide record to a %d-wide batch", len(r), len(b.cols)))
-	}
-	for c, v := range r {
-		b.appendValue(c, v)
-	}
-	b.rows++
-	b.mem += r.MemSize()
-}
-
-// AppendFrom appends row `row` of src as a new row of b. Both batches
-// must have the same width.
-func (b *Batch) AppendFrom(src *Batch, row int) {
-	if len(src.cols) != len(b.cols) {
-		panic(fmt.Sprintf("types: appending from a %d-wide batch to a %d-wide batch", len(src.cols), len(b.cols)))
-	}
-	var rowMem int64 = sliceHeader
-	for c := range src.cols {
-		v := src.cols[c].value(row)
-		b.appendValue(c, v)
-		rowMem += v.MemSize()
-	}
-	b.rows++
-	b.mem += rowMem
-}
-
-// Value returns the value at (row, col) without materializing the row.
-func (b *Batch) Value(row, col int) Value { return b.cols[col].value(row) }
-
-// Record materializes one row as a freshly allocated Record.
-func (b *Batch) Record(row int) Record {
-	r := make(Record, len(b.cols))
-	for c := range b.cols {
-		r[c] = b.cols[c].value(row)
-	}
-	return r
-}
-
-// transposeBlockRows sizes the row blocks of the Records transpose: one
-// block of fat Value cells (rows × width × 80B) stays L1-resident
-// across all of a batch's column passes.
-const transposeBlockRows = 64
-
-// Records materializes every row. All rows share one backing []Value
-// arena and one []Record header arena: two allocations for the whole
-// batch rather than one per record, which is where the decoded-shuffle
-// allocation win comes from. The fill is a cache-blocked column-major
-// transpose writing only each column's live fields — the arena is
-// already zeroed, so a fat 9-word Value copy per cell is never paid.
-func (b *Batch) Records() []Record {
-	if b.rows == 0 {
-		return nil
-	}
-	w := len(b.cols)
-	arena := make([]Value, b.rows*w)
-	recs := make([]Record, b.rows)
-	for row := 0; row < b.rows; row++ {
-		recs[row] = arena[row*w : (row+1)*w : (row+1)*w]
-	}
-	for base := 0; base < b.rows; base += transposeBlockRows {
-		hi := base + transposeBlockRows
-		if hi > b.rows {
-			hi = b.rows
-		}
-		for c := range b.cols {
-			b.cols[c].fillArena(arena, w, c, base, hi)
-		}
-	}
-	return recs
-}
-
-// fillArena writes rows [base, hi) of the column into the row-major
-// arena, touching only the fields its kind uses.
-func (col *vector) fillArena(arena []Value, w, c, base, hi int) {
-	if col.generic {
-		for row := base; row < hi; row++ {
-			arena[row*w+c] = col.vals[row]
-		}
-		return
-	}
-	switch col.kind {
-	case KindNull:
-		// The arena's zero Value is already Null.
-	case KindBool, KindInt64:
-		for row := base; row < hi; row++ {
-			cell := &arena[row*w+c]
-			cell.kind = col.kind
-			cell.i = col.i[row]
-		}
-	case KindFloat64:
-		for row := base; row < hi; row++ {
-			cell := &arena[row*w+c]
-			cell.kind = KindFloat64
-			cell.f = col.f[row]
-		}
-	case KindString:
-		for row := base; row < hi; row++ {
-			cell := &arena[row*w+c]
-			cell.kind = KindString
-			cell.s = col.s[row]
-		}
-	case KindUUID, KindInterval:
-		for row := base; row < hi; row++ {
-			cell := &arena[row*w+c]
-			cell.kind = col.kind
-			cell.i = col.i[row]
-			cell.j = col.j[row]
-		}
-	case KindPoint:
-		for row := base; row < hi; row++ {
-			cell := &arena[row*w+c]
-			cell.kind = KindPoint
-			cell.f = col.f[row]
-			cell.f2 = col.f2[row]
-		}
-	case KindRect:
-		for row := base; row < hi; row++ {
-			cell := &arena[row*w+c]
-			cell.kind = KindRect
-			cell.f = col.f[row]
-			cell.f2 = col.f2[row]
-			cell.f3 = col.f3[row]
-			cell.f4 = col.f4[row]
-		}
-	}
-}
-
-// BatchFromRecords builds a batch from uniform-width records. It
-// reports false (and builds nothing) when the rows are not all the
-// same width, in which case callers fall back to row-wise encoding.
-func BatchFromRecords(b *Batch, recs []Record) bool {
-	if len(recs) == 0 {
-		b.Reset(0)
-		return true
-	}
-	w := len(recs[0])
-	if w == 0 {
-		// Zero-width rows carry no payload bytes, so a columnar frame
-		// could not bound its row count by the remaining input; the
-		// row-wise fallback keeps the count bounded by per-record
-		// header bytes instead.
-		return false
-	}
-	for _, r := range recs[1:] {
-		if len(r) != w {
-			return false
-		}
-	}
-	b.Reset(w)
-	for _, r := range recs {
-		b.AppendRecord(r)
-	}
-	return true
-}
-
-// Columnar batch wire format. A frame is:
+// A frame is one format byte followed by that format's payload.
 //
-//	formatByte (batchFormatColumnar | batchFormatRowWise)
-//
-// Columnar payload:
+// Columnar payload (every frame of uniform, non-zero width):
 //
 //	uvarint(width)          — bounded by UvarintCount(1): every column
 //	                          encodes at least its tag byte
 //	column tags [width]     — one byte per column: the Kind for a
-//	                          uniform typed column, batchGenericTag for
-//	                          a generic one
+//	                          uniform scalar column, batchGenericTag for
+//	                          a reference-kind or kind-mixed one
 //	uvarint(rows)           — every column encodes at least one byte
 //	                          per row (Null columns pad one zero byte),
-//	                          so rows is bounded by UvarintCount(1);
+//	                          so rows is bounded by UvarintCount(width);
 //	                          width == 0 requires rows == 0
 //	column payloads [width] — per column, `rows` values with no
-//	                          per-value kind bytes (generic columns use
-//	                          full DecodeValue framing per value)
+//	                          per-value kind byte:
 //
-// Row-wise payload: the legacy EncodeRecords bytes, used only for the
-// degenerate ragged-width case.
+//	    Null               one zero pad byte
+//	    Bool, Int64        varint(i)
+//	    Float64            float64(f)
+//	    String             uvarint length + bytes
+//	    UUID, Interval     varint(i) varint(j)
+//	    Point              float64(f) float64(f2)
+//	    Rect               float64(f) float64(f2) float64(f3) float64(f4)
+//	    generic            Value.MarshalWire / DecodeValue (kind byte
+//	                       + payload) per value
+//
+// Row-wise payload: uvarint(rows) then one Record.MarshalWire per row.
+// This is the frame for zero-width rows — since required columns a
+// COUNT(*) over a cross join replicates records that carry no column at
+// all, and a columnar frame of them would hold no byte by which to
+// bound its row count — and for ragged widths, which the engine's
+// uniform-schema streams never produce.
 const (
 	batchFormatColumnar = 0x01
 	batchFormatRowWise  = 0x02
 )
 
-// MarshalWire encodes the batch as one columnar frame.
-func (b *Batch) MarshalWire(e *wire.Encoder) {
-	e.Byte(batchFormatColumnar)
-	e.Uvarint(uint64(len(b.cols)))
-	for c := range b.cols {
-		col := &b.cols[c]
-		if col.generic {
-			e.Byte(batchGenericTag)
-		} else {
-			e.Byte(byte(col.kind))
-		}
-	}
-	e.Uvarint(uint64(b.rows))
-	for c := range b.cols {
-		col := &b.cols[c]
-		if col.generic {
-			for _, v := range col.vals {
-				v.MarshalWire(e)
-			}
-			continue
-		}
-		switch col.kind {
-		case KindNull:
-			// One pad byte per row keeps every column at >=1 byte/row,
-			// which is what lets the decoder bound `rows` with
-			// UvarintCount(1) before allocating vectors.
-			for row := 0; row < b.rows; row++ {
-				e.Byte(0)
-			}
-		case KindBool, KindInt64:
-			for _, v := range col.i {
-				e.Varint(v)
-			}
-		case KindFloat64:
-			for _, v := range col.f {
-				e.Float64(v)
-			}
-		case KindString:
-			for _, v := range col.s {
-				e.String(v)
-			}
-		case KindUUID, KindInterval:
-			for row := 0; row < b.rows; row++ {
-				e.Varint(col.i[row])
-				e.Varint(col.j[row])
-			}
-		case KindPoint:
-			for row := 0; row < b.rows; row++ {
-				e.Float64(col.f[row])
-				e.Float64(col.f2[row])
-			}
-		case KindRect:
-			for row := 0; row < b.rows; row++ {
-				e.Float64(col.f[row])
-				e.Float64(col.f2[row])
-				e.Float64(col.f3[row])
-				e.Float64(col.f4[row])
-			}
-		}
-	}
+// batchGenericTag marks a kind-mixed or reference-kind column in the
+// columnar frame; uniform scalar columns use their Kind byte directly.
+const batchGenericTag = 0xFF
+
+// Batch is DecodeBatch's reusable scratch: the column-tag buffer of the
+// frame being decoded. A caller that decodes many frames (one delivery
+// goroutine, one run or checkpoint reader) keeps one and passes it to
+// every call; it holds no record data, so the records a decode returned
+// stay valid across later calls.
+type Batch struct {
+	tags []byte
 }
 
-// UnmarshalWire decodes one batch frame (either format) into b,
-// replacing its contents but reusing vector capacity.
-func (b *Batch) UnmarshalWire(d *wire.Decoder) error {
-	format, err := d.Byte()
-	if err != nil {
-		return fmt.Errorf("types: batch format: %w", err)
-	}
-	switch format {
-	case batchFormatColumnar:
-		return b.decodeColumnar(d)
-	case batchFormatRowWise:
-		n, err := d.UvarintCount(1)
-		if err != nil {
-			return fmt.Errorf("types: batch row count: %w", err)
-		}
-		b.Reset(0)
-		for i := 0; i < n; i++ {
-			r, err := DecodeRecord(d)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				b.Reset(len(r))
-			}
-			if len(r) != len(b.cols) {
-				return fmt.Errorf("types: row-wise batch row %d is %d wide, want %d", i, len(r), len(b.cols))
-			}
-			b.AppendRecord(r)
-		}
-		return nil
-	}
-	return fmt.Errorf("types: unknown batch format 0x%02x", format)
+// NewBatch returns a scratch sized for frames of the given width; it
+// grows on demand, so 0 is always a valid argument.
+func NewBatch(width int) *Batch {
+	return &Batch{tags: make([]byte, 0, width)}
 }
 
-func (b *Batch) decodeColumnar(d *wire.Decoder) error {
-	// Every column contributes at least its tag byte, so a corrupted
-	// width cannot exceed the remaining input.
-	width, err := d.UvarintCount(1)
-	if err != nil {
-		return fmt.Errorf("types: batch width: %w", err)
-	}
-	b.Reset(width)
-	for c := 0; c < width; c++ {
-		tag, err := d.Byte()
-		if err != nil {
-			return fmt.Errorf("types: batch column tag: %w", err)
-		}
-		col := &b.cols[c]
-		col.set = true
-		if tag == batchGenericTag {
-			col.kind, col.generic = KindNull, true
-			continue
-		}
-		k := Kind(tag)
-		if int(k) >= len(kindNames) || !typedKind(k) {
-			return fmt.Errorf("types: invalid batch column tag 0x%02x", tag)
-		}
-		col.kind, col.generic = k, false
-	}
-	// Every column encodes at least one byte per row (Null columns are
-	// padded), so the row count is bounded before vectors are sized.
-	rows, err := d.UvarintCount(1)
-	if err != nil {
-		return fmt.Errorf("types: batch rows: %w", err)
-	}
-	if width == 0 {
-		if rows != 0 {
-			return fmt.Errorf("types: batch claims %d rows with no columns", rows)
-		}
-		return nil
-	}
-	for c := 0; c < width; c++ {
-		if err := b.decodeColumn(d, c, rows); err != nil {
-			return err
-		}
-	}
-	b.rows = rows
-	b.mem += int64(rows) * sliceHeader
-	return nil
+// typedKind reports whether a uniform column of kind k is written as a
+// typed column (reference kinds use the generic representation).
+func typedKind(k Kind) bool {
+	return int(k) < len(kindNames) && k != KindPolygon && k != KindList && k != KindLineString
 }
 
-// decodeColumn reads one column's payload. rows is already bounded by
-// the caller's UvarintCount, so the vector allocations here cannot be
-// inflated past the frame size by a corrupted prefix.
-func (b *Batch) decodeColumn(d *wire.Decoder, c, rows int) error {
-	col := &b.cols[c]
-	if col.generic {
-		if cap(col.vals) < rows {
-			col.vals = make([]Value, 0, rows)
-		}
-		for row := 0; row < rows; row++ {
-			v, err := DecodeValue(d)
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			col.vals = append(col.vals, v)
-			b.mem += v.MemSize()
-		}
-		return nil
-	}
-	b.mem += int64(rows) * valueBase
-	switch col.kind {
-	case KindNull:
-		for row := 0; row < rows; row++ {
-			if _, err := d.Byte(); err != nil {
-				return fmt.Errorf("types: batch null column %d: %w", c, err)
-			}
-		}
-	case KindBool, KindInt64:
-		col.i = growInts(col.i, rows)
-		for row := 0; row < rows; row++ {
-			v, err := d.Varint()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			col.i = append(col.i, v)
-		}
-	case KindFloat64:
-		col.f = growFloats(col.f, rows)
-		for row := 0; row < rows; row++ {
-			v, err := d.Float64()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			col.f = append(col.f, v)
-		}
-	case KindString:
-		if cap(col.s) < rows {
-			col.s = make([]string, 0, rows)
-		}
-		for row := 0; row < rows; row++ {
-			v, err := d.String()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			col.s = append(col.s, v)
-			b.mem += int64(len(v))
-		}
-	case KindUUID, KindInterval:
-		col.i = growInts(col.i, rows)
-		col.j = growInts(col.j, rows)
-		for row := 0; row < rows; row++ {
-			i, err := d.Varint()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			j, err := d.Varint()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			col.i = append(col.i, i)
-			col.j = append(col.j, j)
-		}
-	case KindPoint:
-		col.f = growFloats(col.f, rows)
-		col.f2 = growFloats(col.f2, rows)
-		for row := 0; row < rows; row++ {
-			x, err := d.Float64()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			y, err := d.Float64()
-			if err != nil {
-				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-			}
-			col.f = append(col.f, x)
-			col.f2 = append(col.f2, y)
-		}
-	case KindRect:
-		col.f = growFloats(col.f, rows)
-		col.f2 = growFloats(col.f2, rows)
-		col.f3 = growFloats(col.f3, rows)
-		col.f4 = growFloats(col.f4, rows)
-		for row := 0; row < rows; row++ {
-			var vs [4]float64
-			for i := range vs {
-				v, err := d.Float64()
-				if err != nil {
-					return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-				}
-				vs[i] = v
-			}
-			col.f = append(col.f, vs[0])
-			col.f2 = append(col.f2, vs[1])
-			col.f3 = append(col.f3, vs[2])
-			col.f4 = append(col.f4, vs[3])
-		}
-	}
-	return nil
-}
-
-func growInts(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, 0, n)
-	}
-	return s[:0]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, 0, n)
-	}
-	return s[:0]
-}
-
-// EncodeBatch encodes a record slice as one batch frame: columnar when
-// the rows are uniform width (always, for the engine's streams), the
-// row-wise fallback otherwise. scratch is accepted for symmetry with
-// DecodeBatch but unused: encoding reads columns straight out of the
-// records in one pass, with no staging copy.
-func EncodeBatch(recs []Record, scratch *Batch) []byte {
+// EncodeBatch encodes a record slice as one batch frame. The second
+// parameter is unused — encoding reads columns straight out of the
+// records and stages nothing; it stays only because the benchmark module
+// compiles against this signature (ROADMAP, benchmark-only PRs).
+func EncodeBatch(recs []Record, _ *Batch) []byte {
 	e := wire.NewEncoder(len(recs)*24 + 16)
-	EncodeBatchInto(e, recs, scratch)
+	EncodeBatchInto(e, recs)
 	return e.Bytes()
 }
 
-// EncodeBatchInto appends one batch frame for recs to e. See EncodeBatch.
-func EncodeBatchInto(e *wire.Encoder, recs []Record, _ *Batch) {
+// EncodeBatchInto appends one batch frame for recs to e: columnar when
+// the rows share one non-zero width, row-wise otherwise.
+func EncodeBatchInto(e *wire.Encoder, recs []Record) {
 	if len(recs) == 0 {
 		e.Byte(batchFormatColumnar)
 		e.Uvarint(0) // width
@@ -648,8 +97,8 @@ func EncodeBatchInto(e *wire.Encoder, recs []Record, _ *Batch) {
 	if w == 0 {
 		// Zero-width rows carry no payload bytes, so a columnar frame
 		// could not bound its row count by the remaining input; the
-		// row-wise fallback keeps the count bounded by per-record
-		// header bytes instead.
+		// row-wise frame keeps the count bounded by per-record header
+		// bytes instead.
 		encodeRowWise(e, recs)
 		return
 	}
@@ -703,7 +152,7 @@ func encodeColumn(e *wire.Encoder, recs []Record, c int, tag byte) {
 	case KindNull:
 		// One pad byte per row keeps every column at >=1 byte/row,
 		// which is what lets the decoder bound `rows` with
-		// UvarintCount(1) before allocating vectors.
+		// UvarintCount(width) before allocating the arenas.
 		for range recs {
 			e.Byte(0)
 		}
@@ -739,7 +188,7 @@ func encodeColumn(e *wire.Encoder, recs []Record, c int, tag byte) {
 	}
 }
 
-// encodeRowWise emits the ragged/zero-width fallback frame.
+// encodeRowWise emits the zero-width/ragged frame.
 func encodeRowWise(e *wire.Encoder, recs []Record) {
 	e.Byte(batchFormatRowWise)
 	e.Uvarint(uint64(len(recs)))
@@ -748,13 +197,11 @@ func encodeRowWise(e *wire.Encoder, recs []Record) {
 	}
 }
 
-// DecodeBatch decodes one batch frame and materializes its records.
-// The columnar path decodes straight into one []Value arena and one
-// []Record header arena — two allocations for the whole frame, no
-// intermediate vector staging. scratch, when non-nil, carries small
-// reusable buffers across decodes. Unlike Batch.UnmarshalWire, this
-// handles ragged row-wise frames, which a column-major Batch cannot
-// represent.
+// DecodeBatch decodes one batch frame and materializes its records. A
+// columnar frame decodes straight into one []Value arena and one
+// []Record header arena — two allocations for the whole frame, whatever
+// its row count. scratch, when non-nil, carries the column-tag buffer
+// across decodes.
 func DecodeBatch(buf []byte, scratch *Batch) ([]Record, error) {
 	if scratch == nil {
 		scratch = NewBatch(0)
@@ -773,18 +220,11 @@ func DecodeBatch(buf []byte, scratch *Batch) ([]Record, error) {
 	return nil, fmt.Errorf("types: unknown batch format 0x%02x", format)
 }
 
-// stagedDecodeMinRows is the frame size at which columnar decode
-// switches from filling the row-major record arena directly (best for
-// small frames: no staging pass) to staging typed column vectors and
-// transposing once (best for large frames: sequential appends, then a
-// cache-friendly transpose out of compact vectors).
-const stagedDecodeMinRows = 64
-
 // decodeColumnarRecords reads a columnar payload directly into record
 // form. Allocation stays bounded by the frame: width and rows both come
 // through UvarintCount — rows at a floor of one payload byte per row
-// per column — so the rows×width arena never exceeds the bytes actually
-// present in a well-formed (or corrupted) frame.
+// per column — so the rows×width arena never holds more cells than the
+// frame, well-formed or corrupted, has bytes left.
 func decodeColumnarRecords(d *wire.Decoder, scratch *Batch) ([]Record, error) {
 	width, err := d.UvarintCount(1)
 	if err != nil {
@@ -801,54 +241,20 @@ func decodeColumnarRecords(d *wire.Decoder, scratch *Batch) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("types: batch column tag: %w", err)
 		}
-		if tag != batchGenericTag {
-			k := Kind(tag)
-			if int(k) >= len(kindNames) || !typedKind(k) {
-				return nil, fmt.Errorf("types: invalid batch column tag 0x%02x", tag)
-			}
+		if tag != batchGenericTag && !typedKind(Kind(tag)) {
+			return nil, fmt.Errorf("types: invalid batch column tag 0x%02x", tag)
 		}
 		tags[c] = tag
 	}
-	rowFloor := width
-	if rowFloor < 1 {
-		rowFloor = 1
-	}
-	rows, err := d.UvarintCount(rowFloor)
+	rows, err := d.UvarintCount(max(width, 1))
 	if err != nil {
 		return nil, fmt.Errorf("types: batch rows: %w", err)
 	}
-	if width == 0 {
-		if rows != 0 {
-			return nil, fmt.Errorf("types: batch claims %d rows with no columns", rows)
-		}
-		return nil, nil
+	if width == 0 && rows != 0 {
+		return nil, fmt.Errorf("types: batch claims %d rows with no columns", rows)
 	}
 	if rows == 0 {
 		return nil, nil
-	}
-	if rows >= stagedDecodeMinRows {
-		// Large frames: decode each column into its compact typed
-		// vector (sequential appends), then transpose once via
-		// Records(). The staging pass beats filling the row-major
-		// arena directly, whose width×80-byte write stride thrashes
-		// the cache at batch-sized row counts.
-		scratch.Reset(width)
-		for c, tag := range tags {
-			col := &scratch.cols[c]
-			col.set = true
-			if tag == batchGenericTag {
-				col.kind, col.generic = KindNull, true
-			} else {
-				col.kind, col.generic = Kind(tag), false
-			}
-		}
-		for c := range tags {
-			if err := scratch.decodeColumn(d, c, rows); err != nil {
-				return nil, err
-			}
-		}
-		scratch.rows = rows
-		return scratch.Records(), nil
 	}
 	arena := make([]Value, rows*width)
 	recs := make([]Record, rows)
@@ -947,7 +353,7 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 	return nil
 }
 
-// decodeRowWise reads a row-wise batch payload (possibly ragged).
+// decodeRowWise reads a row-wise payload (zero-width or ragged rows).
 func decodeRowWise(d *wire.Decoder) ([]Record, error) {
 	n, err := d.UvarintCount(1)
 	if err != nil {

@@ -1,6 +1,9 @@
 package types
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +13,8 @@ import (
 )
 
 // richRecords returns uniform-width records covering every value kind,
-// including a kind-mixed column (col 3) that forces generic migration.
+// including a kind-mixed column (col 3), reference-kind columns (col 4)
+// and an all-Null column (col 8).
 func richRecords() []Record {
 	poly := geo.NewPolygon([]geo.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 4}})
 	line := geo.NewLineString([]geo.Point{{X: 1, Y: 1}, {X: 2, Y: 3}})
@@ -45,34 +49,97 @@ func sameRecords(t *testing.T, got, want []Record) {
 	}
 }
 
+// richRows returns n rows of the richRecords shape: the three template
+// rows cycled, with the int64, string and float64 columns varying by
+// row so no two rows encode alike.
+func richRows(n int) []Record {
+	tmpl := richRecords()
+	recs := make([]Record, n)
+	for i := range recs {
+		r := append(Record(nil), tmpl[i%len(tmpl)]...)
+		r[0] = NewInt64(int64(i) - 7)
+		r[1] = NewString(fmt.Sprintf("row-%d", i))
+		r[9] = NewFloat64(float64(i) / 4)
+		recs[i] = r
+	}
+	return recs
+}
+
+// codecSizes straddles the 64-row mark at which the decoder used to
+// fork: the one decoder serves every frame size.
+var codecSizes = []int{1, 63, 64, 1024}
+
 func TestBatchRoundTripAllKinds(t *testing.T) {
-	recs := richRecords()
-	buf := EncodeBatch(recs, nil)
-	if buf[0] != batchFormatColumnar {
-		t.Fatalf("uniform records encoded with format 0x%02x, want columnar", buf[0])
+	for _, n := range codecSizes {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			recs := richRows(n)
+			buf := EncodeBatch(recs, nil)
+			if buf[0] != batchFormatColumnar {
+				t.Fatalf("uniform records encoded with format 0x%02x, want columnar", buf[0])
+			}
+			// buf[1] is the width (10, one byte); the column tags follow.
+			tags := buf[2 : 2+len(recs[0])]
+			if tags[4] != batchGenericTag || tags[8] != byte(KindNull) {
+				t.Fatalf("column tags % x: want a generic col 4 and a Null col 8", tags)
+			}
+			if mixed := n > 1; (tags[3] == batchGenericTag) != mixed {
+				t.Fatalf("col 3 tag 0x%02x with %d rows, want generic = %v", tags[3], n, mixed)
+			}
+			got, err := DecodeBatch(buf, nil)
+			if err != nil {
+				t.Fatalf("DecodeBatch: %v", err)
+			}
+			sameRecords(t, got, recs)
+		})
 	}
-	got, err := DecodeBatch(buf, nil)
-	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
+}
+
+// TestBatchGoldenBytes pins the wire format: spill runs and checkpoints
+// written by one build are read back by the next, so any change to
+// these bytes must be deliberate.
+func TestBatchGoldenBytes(t *testing.T) {
+	const golden = "" +
+		"010a020407ffff01060900030302040605616c70686104626574610000000000" +
+		"000000000000000000000000000000000000f03f000000000000f03f00000000" +
+		"0000f03f000000000000f03f0000000000000040000000000000004000000000" +
+		"000008c000000000000008c000000000000000000000000000000000020e0405" +
+		"6d69786564000803000000000000000000000000000000000000000000001040" +
+		"0000000000000000000000000000000000000000000010400b02000000000000" +
+		"f03f000000000000f03f000000000000004000000000000008400a0202020401" +
+		"7802000200000000000014400000000000001840000000000000f0bf00000000" +
+		"00000000000000000000000000000000000000000612090a0000000000000000" +
+		"0000000440000000000000d0bf9c7500883ce4377e"
+	if got := hex.EncodeToString(EncodeBatch(richRecords(), nil)); got != golden {
+		t.Fatalf("EncodeBatch(richRecords()) changed:\n got %s\nwant %s", got, golden)
 	}
-	sameRecords(t, got, recs)
 }
 
 func TestBatchRowWiseFallbackRagged(t *testing.T) {
-	recs := []Record{
-		{NewInt64(1), NewString("a")},
-		{NewInt64(2)},
-		{NewInt64(3), NewString("c"), NewBool(true)},
+	for name, recs := range map[string][]Record{
+		// What a COUNT(*) over a cross join replicates: rows that carry
+		// no column at all.
+		"zero-width": {{}, {}, {}},
+		"ragged": {
+			{NewInt64(1), NewString("a")},
+			{NewInt64(2)},
+			{NewInt64(3), NewString("c"), NewBool(true)},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			buf := EncodeBatch(recs, nil)
+			if buf[0] != batchFormatRowWise {
+				t.Fatalf("encoded with format 0x%02x, want row-wise", buf[0])
+			}
+			got, err := DecodeBatch(buf, nil)
+			if err != nil {
+				t.Fatalf("DecodeBatch: %v", err)
+			}
+			sameRecords(t, got, recs)
+			if _, err := DecodeBatch(buf[:len(buf)-1], nil); err == nil {
+				t.Fatal("truncated row-wise frame decoded without error")
+			}
+		})
 	}
-	buf := EncodeBatch(recs, nil)
-	if buf[0] != batchFormatRowWise {
-		t.Fatalf("ragged records encoded with format 0x%02x, want row-wise", buf[0])
-	}
-	got, err := DecodeBatch(buf, nil)
-	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
-	}
-	sameRecords(t, got, recs)
 }
 
 func TestBatchEmpty(t *testing.T) {
@@ -85,183 +152,94 @@ func TestBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestBatchMemSizeMatchesRecords(t *testing.T) {
-	recs := richRecords()
-	b := NewBatch(len(recs[0]))
-	for _, r := range recs {
-		b.AppendRecord(r)
-	}
-	if want := RecordsMemSize(recs); b.MemSize() != want {
-		t.Fatalf("append-path MemSize = %d, want %d", b.MemSize(), want)
-	}
-
-	// The decode path must account in the same currency.
-	dec := NewBatch(0)
-	d := wire.NewDecoder(EncodeBatch(recs, nil))
-	if err := dec.UnmarshalWire(d); err != nil {
-		t.Fatalf("UnmarshalWire: %v", err)
-	}
-	if want := RecordsMemSize(dec.Records()); dec.MemSize() != want {
-		t.Fatalf("decode-path MemSize = %d, want %d", dec.MemSize(), want)
-	}
-}
-
-func TestBatchValueAndRecordAccessors(t *testing.T) {
-	recs := richRecords()
-	b := NewBatch(len(recs[0]))
-	for _, r := range recs {
-		b.AppendRecord(r)
-	}
-	if b.Rows() != len(recs) || b.Width() != len(recs[0]) {
-		t.Fatalf("Rows/Width = %d/%d, want %d/%d", b.Rows(), b.Width(), len(recs), len(recs[0]))
-	}
-	for i, r := range recs {
-		for j, v := range r {
-			if !b.Value(i, j).Equal(v) {
-				t.Fatalf("Value(%d,%d) = %v, want %v", i, j, b.Value(i, j), v)
-			}
-		}
-		if got := b.Record(i); !got[1].Equal(r[1]) {
-			t.Fatalf("Record(%d) = %v, want %v", i, got, r)
-		}
-	}
-	sameRecords(t, b.Records(), recs)
-}
-
-func TestBatchAppendFrom(t *testing.T) {
-	recs := richRecords()
-	src := NewBatch(len(recs[0]))
-	for _, r := range recs {
-		src.AppendRecord(r)
-	}
-	dst := NewBatch(src.Width())
-	for i := src.Rows() - 1; i >= 0; i-- {
-		dst.AppendFrom(src, i)
-	}
-	want := []Record{recs[2], recs[1], recs[0]}
-	sameRecords(t, dst.Records(), want)
-	if dst.MemSize() != RecordsMemSize(want) {
-		t.Fatalf("AppendFrom MemSize = %d, want %d", dst.MemSize(), RecordsMemSize(want))
-	}
-}
-
-func TestBatchResetReuse(t *testing.T) {
-	b := NewBatch(0)
-	recs := batch(64)
-	if !BatchFromRecords(b, recs) {
-		t.Fatal("uniform records reported ragged")
-	}
-	sameRecords(t, b.Records(), recs)
-	// Reuse with a different shape: mixed-kind column exercises the
-	// generic migration after a reset.
-	next := []Record{
-		{NewInt64(1), NewInt64(2)},
-		{NewInt64(3), NewString("now generic")},
-	}
-	if !BatchFromRecords(b, next) {
-		t.Fatal("uniform records reported ragged")
-	}
-	sameRecords(t, b.Records(), next)
-	if b.MemSize() != RecordsMemSize(next) {
-		t.Fatalf("reused batch MemSize = %d, want %d", b.MemSize(), RecordsMemSize(next))
-	}
-}
-
-func TestBatchFromRecordsRagged(t *testing.T) {
-	b := NewBatch(0)
-	if BatchFromRecords(b, []Record{{NewInt64(1)}, {NewInt64(1), NewInt64(2)}}) {
-		t.Fatal("ragged records reported uniform")
-	}
-}
-
 func TestDecodeBatchCorruption(t *testing.T) {
-	recs := richRecords()
-	buf := EncodeBatch(recs, nil)
+	// The decoder reads a columnar frame to its last byte, so every
+	// strict prefix must be rejected; a flipped byte may decode (a float
+	// is a float) but must never panic or change the row count's bound.
+	for _, n := range codecSizes {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			buf := EncodeBatch(richRows(n), nil)
+			step := len(buf)/199 + 1
+			for cut := 0; cut < len(buf); cut += step {
+				if _, err := DecodeBatch(buf[:cut], nil); err == nil {
+					t.Fatalf("frame cut at %d of %d decoded without error", cut, len(buf))
+				}
+			}
+			if _, err := DecodeBatch(buf[:len(buf)-1], nil); err == nil {
+				t.Fatal("frame missing its last byte decoded without error")
+			}
+			for at := 0; at < len(buf); at += step {
+				flipped := bytes.Clone(buf)
+				flipped[at] ^= 0xff
+				if recs, err := DecodeBatch(flipped, nil); err == nil && len(recs) > len(buf) {
+					t.Fatalf("flip at %d decoded %d rows from %d bytes", at, len(recs), len(buf))
+				}
+			}
+		})
+	}
 
-	if _, err := DecodeBatch(buf[:len(buf)/2], nil); err == nil {
-		t.Fatal("truncated batch decoded without error")
-	}
-	if _, err := DecodeBatch(buf[:1], nil); err == nil {
-		t.Fatal("header-only batch decoded without error")
-	}
-	if _, err := DecodeBatch(nil, nil); err == nil {
-		t.Fatal("empty input decoded without error")
-	}
 	if _, err := DecodeBatch([]byte{0x7c}, nil); err == nil {
 		t.Fatal("unknown format byte decoded without error")
 	}
-
-	// Absurd width: claims ~2^63 columns in a tiny buffer.
-	e := wire.NewEncoder(16)
-	e.Byte(batchFormatColumnar)
-	e.Raw([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	if _, err := DecodeBatch(e.Bytes(), nil); err == nil {
-		t.Fatal("absurd width decoded without error")
-	}
-
-	// Absurd rows: one int64 column, row count far beyond the buffer.
-	e = wire.NewEncoder(16)
-	e.Byte(batchFormatColumnar)
-	e.Uvarint(1)
-	e.Byte(byte(KindInt64))
-	e.Raw([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	if _, err := DecodeBatch(e.Bytes(), nil); err == nil {
-		t.Fatal("absurd row count decoded without error")
-	}
-
-	// Zero columns but a nonzero row claim is structurally invalid.
-	e = wire.NewEncoder(16)
-	e.Byte(batchFormatColumnar)
-	e.Uvarint(0)
-	e.Uvarint(3)
-	if _, err := DecodeBatch(e.Bytes(), nil); err == nil {
-		t.Fatal("0-column batch with rows decoded without error")
-	}
-
-	// An invalid column tag (a reference kind never written as a typed
-	// column) must be rejected.
-	e = wire.NewEncoder(16)
-	e.Byte(batchFormatColumnar)
-	e.Uvarint(1)
-	e.Byte(byte(KindPolygon))
-	e.Uvarint(0)
-	if _, err := DecodeBatch(e.Bytes(), nil); err == nil {
-		t.Fatal("typed polygon column tag decoded without error")
+	absurd := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // ~2^63
+	for name, frame := range map[string]func(e *wire.Encoder){
+		"absurd width": func(e *wire.Encoder) { e.Raw(absurd) },
+		"absurd rows in one int64 column": func(e *wire.Encoder) {
+			e.Uvarint(1)
+			e.Byte(byte(KindInt64))
+			e.Raw(absurd)
+		},
+		// Two columns need two bytes per row: a claim the one-column
+		// floor would let through must still be refused.
+		"rows beyond the per-width floor": func(e *wire.Encoder) {
+			e.Uvarint(2)
+			e.Byte(byte(KindNull))
+			e.Byte(byte(KindNull))
+			e.Uvarint(3)
+			e.Raw([]byte{0, 0, 0, 0})
+		},
+		"rows with no columns": func(e *wire.Encoder) {
+			e.Uvarint(0)
+			e.Uvarint(3)
+		},
+		// A reference kind is never written as a typed column.
+		"typed polygon column": func(e *wire.Encoder) {
+			e.Uvarint(1)
+			e.Byte(byte(KindPolygon))
+			e.Uvarint(0)
+		},
+		"column tag past the last kind": func(e *wire.Encoder) {
+			e.Uvarint(1)
+			e.Byte(byte(len(kindNames)))
+			e.Uvarint(0)
+		},
+	} {
+		e := wire.NewEncoder(16)
+		e.Byte(batchFormatColumnar)
+		frame(e)
+		if _, err := DecodeBatch(e.Bytes(), nil); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }
 
-func TestBatchPoolReuse(t *testing.T) {
-	p := NewBatchPool()
-	b := p.Get(3)
-	if b.Width() != 3 {
-		t.Fatalf("pooled batch width %d, want 3", b.Width())
-	}
-	b.AppendRecord(Record{NewInt64(1), NewString("x"), NewBool(true)})
-	p.Put(b)
-	again := p.Get(2)
-	if again != b {
-		t.Fatal("pool did not reuse the returned batch")
-	}
-	if again.Rows() != 0 || again.Width() != 2 || again.MemSize() != 0 {
-		t.Fatalf("reused batch not reset: rows=%d width=%d mem=%d",
-			again.Rows(), again.Width(), again.MemSize())
-	}
-	gets, hits := p.Stats()
-	if gets != 2 || hits != 1 {
-		t.Fatalf("pool stats gets=%d hits=%d, want 2/1", gets, hits)
-	}
-	p.Put(nil) // must be a no-op
-}
-
+// TestBatchScratchReuseAcrossDecodes shares one scratch across frames of
+// different widths: the tag buffer grows and shrinks, and records an
+// earlier decode returned stay intact.
 func TestBatchScratchReuseAcrossDecodes(t *testing.T) {
 	scratch := NewBatch(0)
-	for round := 0; round < 3; round++ {
-		recs := batch(32)
+	var kept [][]Record
+	shapes := [][]Record{batch(32), richRows(70), batch(3), richRecords()}
+	for round, recs := range shapes {
 		got, err := DecodeBatch(EncodeBatch(recs, scratch), scratch)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		sameRecords(t, got, recs)
+		kept = append(kept, got)
+	}
+	for round, recs := range shapes {
+		sameRecords(t, kept[round], recs)
 	}
 }
 
@@ -284,6 +262,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(flipped)
 	pad := EncodeBatch([]Record{{Null, NewString(strings.Repeat("n", 40))}}, nil)
 	f.Add(pad)
+	f.Add(EncodeBatch(richRows(1024), nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeBatch(data, nil)
@@ -308,115 +287,4 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 	})
-}
-
-// benchHashRecords builds the record shape the hash path shuffles for
-// an equi-join COUNT(*): three int64 columns — bucket id, join key,
-// and the row id. ExchangeHash moves these rows verbatim, so this is
-// the frame payload the COMBINE side of a hash join ingests.
-func benchHashRecords(n int) []Record {
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = Record{
-			NewInt64(int64(i) % 512),
-			NewInt64(int64(i) % 997),
-			NewInt64(int64(i)),
-		}
-	}
-	return recs
-}
-
-// benchExtendedRecords builds the widest shape the shuffle carries:
-// the extended [bucket_id, key, fields...] layout the PARTITION phase
-// emits (here the interval-join shape — bucket id, interval key, then
-// the row's id, vendor, and interval fields).
-func benchExtendedRecords(n int) []Record {
-	recs := make([]Record, n)
-	for i := range recs {
-		iv := interval.Interval{Start: int64(i), End: int64(i) + 300}
-		recs[i] = Record{
-			NewInt64(int64(i) % 512),
-			NewInterval(iv),
-			NewInt64(int64(i)),
-			NewInt64(1 + int64(i)%2),
-			NewInterval(iv),
-		}
-	}
-	return recs
-}
-
-var codecArms = []struct {
-	name string
-	bs   int
-}{{"batched", 1024}, {"record", 1}}
-
-// frameSlices cuts recs into frame-sized windows.
-func frameSlices(recs []Record, bs int) [][]Record {
-	var out [][]Record
-	for lo := 0; lo < len(recs); lo += bs {
-		hi := lo + bs
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		out = append(out, recs[lo:hi])
-	}
-	return out
-}
-
-// BenchmarkCombineIngest measures the COMBINE-side frame ingest — the
-// receive edge of the hash-path shuffle, where each arriving frame is
-// decoded and its records materialized — at the default batch size
-// against record-at-a-time framing (one row per frame, the
-// WithBatchSize(1) baseline).
-func BenchmarkCombineIngest(b *testing.B) {
-	recs := benchHashRecords(60000)
-	for _, arm := range codecArms {
-		b.Run(arm.name, func(b *testing.B) {
-			enc, dec := NewBatch(0), NewBatch(0)
-			var frames [][]byte
-			for _, fr := range frameSlices(recs, arm.bs) {
-				frames = append(frames, EncodeBatch(fr, enc))
-			}
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				total := 0
-				for _, f := range frames {
-					out, err := DecodeBatch(f, dec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += len(out)
-				}
-				if total != len(recs) {
-					b.Fatal("row count mismatch")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBatchCodec measures the full shuffle frame codec (send-side
-// encode plus receive-side ingest), the cost transferFrame pays per
-// cross-node hop.
-func BenchmarkBatchCodec(b *testing.B) {
-	recs := benchExtendedRecords(60000)
-	for _, arm := range codecArms {
-		b.Run(arm.name, func(b *testing.B) {
-			enc, dec := NewBatch(0), NewBatch(0)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				total := 0
-				for _, fr := range frameSlices(recs, arm.bs) {
-					out, err := DecodeBatch(EncodeBatch(fr, enc), dec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += len(out)
-				}
-				if total != len(recs) {
-					b.Fatal("row count mismatch")
-				}
-			}
-		})
-	}
 }
