@@ -9,18 +9,16 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 FUDJVET = bin/fudjvet
 
-.PHONY: all vet fudjvet build test race chaos chaos-recovery stress serve-chaos serve-ha bench-e2e bench-serve-ha fuzz staticcheck govulncheck lint-fix-check loc ci
+.PHONY: all vet fudjvet build test race chaos chaos-recovery stress serve-chaos serve-ha bench-e2e bench-serve-ha fuzz staticcheck govulncheck lint-fix-check loc loc-check ci
 
 all: build
 
-# vet runs the standard analyzers plus fudjvet, the repo's own
+# vet runs the standard analyzers, then fudjvet, the repo's own
 # invariant suite (determinism, UDF isolation, bounded allocation,
-# context plumbing, side symmetry) via the go vet -vettool protocol,
-# then the standalone driver with the suppression-ratchet budget: live
-# //fudjvet:ignore counts may not exceed testdata/fudjvet_budget.txt.
+# context plumbing, side symmetry), with the suppression-ratchet budget:
+# live //fudjvet:ignore counts may not exceed testdata/fudjvet_budget.txt.
 vet: fudjvet
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(abspath $(FUDJVET)) ./...
 	$(FUDJVET) -budget testdata/fudjvet_budget.txt ./...
 
 fudjvet:
@@ -41,8 +39,7 @@ race:
 # and memory-bounded execution (spill, backpressure, skew splits).
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Retry|Straggler|Corrupt|Deadline|Cancel|UDFPanic|StandalonePanic|Bounded|Memory|Spill|ResourceError|BucketSplit|Backpressure' \
-		./internal/cluster/ ./internal/core/ ./internal/engine/ ./internal/storage/ \
-		./internal/joins/spatialjoin/ ./internal/joins/textsim/ ./internal/joins/intervaljoin/
+		./internal/cluster/ ./internal/core/ ./internal/engine/ ./internal/storage/ .
 
 # chaos-recovery runs the checkpointed-execution matrix under the race
 # detector: kill-at-barrier over both barriers and every example join,
@@ -51,8 +48,7 @@ chaos:
 # multiset-identical results against a fault-free baseline.
 chaos-recovery:
 	$(GO) test -race -run 'CheckpointRecovery|KillAtBarrier|TornWrite|CheckpointCorrupt|Recovery|BarrierMatrix|Checkpoint' \
-		./internal/cluster/ ./internal/storage/ ./internal/engine/ \
-		./internal/joins/spatialjoin/ ./internal/joins/textsim/ ./internal/joins/intervaljoin/
+		./internal/cluster/ ./internal/storage/ ./internal/engine/ .
 
 # stress runs the admission-controlled scheduler suite under the race
 # detector: the seeded open-loop storm (hundreds of mixed joins against
@@ -147,16 +143,27 @@ lint-fix-check: fudjvet
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-	$(GO) vet -vettool=$(abspath $(FUDJVET)) ./...
 	$(FUDJVET) -budget testdata/fudjvet_budget.txt ./...
 
 # loc prints the size figure ROADMAP.md quotes — the root module's
 # non-test Go lines, comments and blanks included, benchmark/ excluded —
 # and the six largest packages by the same count.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*'
+LOC_COUNT = $(LOC_FILES) | xargs cat | wc -l
 loc:
-	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l)"
+	@echo "non-test Go lines: $$($(LOC_COUNT))"
 	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
 		END { for (d in n) print n[d], d }' | sort -rn | head -6
 
-ci: vet build race chaos chaos-recovery staticcheck govulncheck
+# loc-check is the size ratchet, the same shape as the fudjvet
+# suppression budget: loc's count may not exceed the number in
+# testdata/loc_budget.txt, and a PR that shrinks the tree commits its
+# own count there. The budget only goes down.
+loc-check:
+	@n=$$($(LOC_COUNT)); budget=$$(grep -v '^#' testdata/loc_budget.txt); \
+	if [ "$$n" -gt "$$budget" ]; then \
+		echo "non-test Go lines: $$n exceeds the budget $$budget (testdata/loc_budget.txt)"; exit 1; \
+	fi; \
+	echo "non-test Go lines: $$n (budget $$budget)"
+
+ci: vet loc-check build race chaos chaos-recovery staticcheck govulncheck

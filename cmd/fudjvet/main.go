@@ -4,23 +4,11 @@
 // the repository and reports every invariant violation, counting
 // //fudjvet:ignore suppressions so the escape hatch stays visible.
 //
-// It runs in two modes:
+// It loads the packages itself (go list -export) and analyzes them in
+// one process, in dependency order with one shared fact store, so
+// interprocedural facts resolve at their dependents' call sites:
 //
-//	fudjvet [-json] [-budget file] ./...       standalone: loads packages itself
-//	go vet -vettool=$(pwd)/bin/fudjvet ./...   unitchecker: driven by the go command
-//
-// The unitchecker mode speaks the go command's vet tool protocol
-// (-V=full / -flags / <package>.cfg), type-checking each package
-// against the export data the go command hands it, so `make vet` and
-// CI integrate the suite exactly like the standard vet analyzers.
-//
-// Interprocedural facts flow between packages in both modes: the
-// standalone driver analyzes packages in dependency order with one
-// shared fact store, and the unitchecker serializes each package's
-// facts into its .vetx file, which the go command hands to dependent
-// packages (PackageVetx) alongside their export data.
-//
-// Flags (standalone mode only):
+//	fudjvet [-json] [-budget file] ./...
 //
 //	-json          emit findings and suppressions as a JSON array on
 //	               stdout instead of vet-style text on stderr
@@ -32,7 +20,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -42,34 +29,8 @@ import (
 	"fudj/internal/analysis/framework"
 )
 
-// version feeds the go command's build cache key; bump it whenever
-// analyzer semantics change so stale vet results are invalidated.
-const version = "fudjvet version v2.1.0"
-
 func main() {
 	args := os.Args[1:]
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: fudjvet [-json] [-budget file] [packages] | go vet -vettool=fudjvet [packages]")
-		os.Exit(1)
-	}
-	switch {
-	case args[0] == "-V=full" || args[0] == "-V":
-		// The go command hashes this line into its build cache key.
-		fmt.Println(version)
-	case args[0] == "-flags":
-		// The go command asks for our flag schema; we define none.
-		fmt.Println("[]")
-	case strings.HasSuffix(args[0], ".cfg"):
-		unitcheck(args[0])
-	default:
-		standalone(args)
-	}
-}
-
-// standalone loads the given package patterns with `go list -export`
-// and analyzes everything in one process, in dependency order with a
-// shared fact store so interprocedural facts resolve in-process.
-func standalone(args []string) {
 	jsonOut := false
 	budgetFile := ""
 	var patterns []string
@@ -258,107 +219,6 @@ func reportSuppressions(sup []framework.Suppression) {
 		len(sup), strings.Join(parts, ", "))
 	for _, s := range sup {
 		fmt.Fprintf(os.Stderr, "fudjvet: suppressed %s at %s:%d: %s\n", s.Rule, s.Pos.Filename, s.Pos.Line, s.Reason)
-	}
-}
-
-// vetConfig mirrors the JSON the go command writes for -vettool
-// invocations (cmd/go/internal/work's vetConfig).
-type vetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	PackageVetx map[string]string
-	Standard    map[string]bool
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package as directed by a go vet cfg file.
-// Dependency facts arrive through cfg.PackageVetx (each dependency's
-// serialized fact store); this package's facts — including those of a
-// VetxOnly dependency run — are written to cfg.VetxOutput for the
-// packages that import it.
-func unitcheck(cfgFile string) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", cfgFile, err))
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	pkg, err := framework.TypeCheck(cfg.ImportPath, cfg.GoFiles, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx(cfg.VetxOutput, framework.NewFactStore())
-			return
-		}
-		fatal(err)
-	}
-
-	// Seed the store with every dependency's exported facts.
-	facts := framework.NewFactStore()
-	var vetxPaths []string
-	for imp := range cfg.PackageVetx {
-		vetxPaths = append(vetxPaths, imp)
-	}
-	sort.Strings(vetxPaths)
-	for _, imp := range vetxPaths {
-		data, err := os.ReadFile(cfg.PackageVetx[imp])
-		if err != nil {
-			continue // a missing dependency vetx degrades precision, not correctness
-		}
-		if err := facts.MergeFacts(data); err != nil {
-			fatal(fmt.Errorf("merging facts of %s: %w", imp, err))
-		}
-	}
-
-	res, err := framework.RunAnalyzers(pkg, analysis.All(), facts)
-	if err != nil {
-		fatal(err)
-	}
-	writeVetx(cfg.VetxOutput, facts)
-	if cfg.VetxOnly {
-		return // a dependency analyzed only for facts — findings belong to its own vet run
-	}
-	reportSuppressions(res.Suppressed)
-	if len(res.Diagnostics) > 0 {
-		for _, d := range res.Diagnostics {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		os.Exit(2)
-	}
-}
-
-// writeVetx serializes the fact store to the go command's requested
-// facts file. The go command requires the file to exist even when
-// there are no facts.
-func writeVetx(path string, facts *framework.FactStore) {
-	if path == "" {
-		return
-	}
-	data, err := facts.MarshalFacts()
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		fatal(err)
 	}
 }
 

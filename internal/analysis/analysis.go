@@ -1,8 +1,8 @@
 // Package analysis aggregates the fudjvet analyzer suite: the
 // repo-specific invariants (determinism, isolation, bounded
 // allocation, cancellation) that the compiler cannot check but the
-// engine's correctness argument depends on. cmd/fudjvet runs them as a
-// go vet -vettool multichecker; each analyzer package carries its own
+// engine's correctness argument depends on. cmd/fudjvet runs them as
+// one multichecker; each analyzer package carries its own
 // fixture-driven tests.
 package analysis
 

@@ -14,22 +14,24 @@ package ctxplumb
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"fudj/internal/analysis/framework"
 )
 
-// DefaultRestricted lists the packages whose exported surface must
-// plumb contexts.
-var DefaultRestricted = []string{
-	"fudj/internal/cluster",
-	"fudj/internal/engine",
-	"fudj/internal/sched",
-	"fudj/internal/serve",
+// Analyzer is the ctxplumb rule, restricted to the packages whose
+// exported surface must plumb contexts.
+var Analyzer = &framework.Analyzer{
+	Name: "ctxplumb",
+	Doc: "exported functions that spawn goroutines or drive partition tasks must " +
+		"accept and use a context.Context so cancellation reaches them",
+	Packages: []string{
+		"fudj/internal/cluster",
+		"fudj/internal/engine",
+		"fudj/internal/sched",
+		"fudj/internal/serve",
+	},
+	Run: run,
 }
-
-// Analyzer is the ctxplumb rule over the default restricted packages.
-var Analyzer = New(DefaultRestricted)
 
 // partitionDrivers are cluster methods that fan a task out over every
 // partition; calling one is driving distributed work.
@@ -39,30 +41,7 @@ var partitionDrivers = map[string]bool{
 	"Replicate": true,
 }
 
-// New returns a ctxplumb analyzer restricted to the given package
-// paths (each covering its subtree).
-func New(restricted []string) *framework.Analyzer {
-	return &framework.Analyzer{
-		Name: "ctxplumb",
-		Doc: "exported functions that spawn goroutines or drive partition tasks must " +
-			"accept and use a context.Context so cancellation reaches them",
-		Run: func(pass *framework.Pass) error { return run(pass, restricted) },
-	}
-}
-
-func run(pass *framework.Pass, restricted []string) error {
-	path := pass.Pkg.Path()
-	ok := false
-	for _, r := range restricted {
-		if path == r || strings.HasPrefix(path, r+"/") {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return nil
-	}
-
+func run(pass *framework.Pass) error {
 	// First pass: which functions in this package contain a go
 	// statement, keyed by their object (so calls resolve precisely).
 	spawns := make(map[types.Object]bool)

@@ -8,6 +8,7 @@ import (
 )
 
 func TestCtxPlumb(t *testing.T) {
-	a := ctxplumb.New([]string{"a"})
-	framework.RunTest(t, "testdata", a, "a")
+	a := *ctxplumb.Analyzer
+	a.Packages = []string{"a"}
+	framework.RunTest(t, "testdata", &a, "a")
 }

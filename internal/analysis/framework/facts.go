@@ -1,10 +1,7 @@
 package framework
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -18,11 +15,8 @@ import (
 // //fudjvet:ignore ("this helper only runs under the caller's guard")
 // are checked instead of asserted.
 //
-// Facts cross package boundaries the same way types do: in standalone
-// mode packages are analyzed in dependency order sharing one store; in
-// `go vet -vettool` mode each package's facts are serialized to its
-// .vetx file and the go command hands dependents the dependency vetx
-// files alongside the gc export data (see cmd/fudjvet).
+// Facts cross package boundaries in process: the driver analyzes
+// packages in dependency order sharing one store (see cmd/fudjvet).
 
 // FuncFact is the exported summary of one function.
 type FuncFact struct {
@@ -30,7 +24,7 @@ type FuncFact struct {
 	// user-defined join code with no deferred panic guard installed
 	// between this function's entry and the UDF call. The guard
 	// obligation attaches to the function's callers (udfcatch).
-	NeedsGuard bool `json:"needs_guard,omitempty"`
+	NeedsGuard bool
 
 	// GuardedFnParams is a bitmask over parameters: bit i set means
 	// every invocation or onward pass of function-typed parameter i
@@ -38,28 +32,26 @@ type FuncFact struct {
 	// forwarded to a callee that proves the same), so passing an
 	// unguarded UDF-calling function value at position i is safe
 	// (udfcatch).
-	GuardedFnParams uint64 `json:"guarded_fn_params,omitempty"`
+	GuardedFnParams uint64
 
 	// AllocParams is a bitmask over parameters: bit i set means
 	// parameter i flows unchecked into an allocation size (a make call,
 	// directly or through a callee with the same fact), so a raw
 	// decoded length must not be passed at position i (boundedalloc).
-	AllocParams uint64 `json:"alloc_params,omitempty"`
+	AllocParams uint64
 
 	// TaintedReturns is a bitmask over results: bit i set means result
 	// i derives from a raw decoded length prefix and must be treated as
 	// tainted at call sites (boundedalloc).
-	TaintedReturns uint64 `json:"tainted_returns,omitempty"`
+	TaintedReturns uint64
 }
-
-func (f FuncFact) empty() bool { return f == FuncFact{} }
 
 // FieldFact is the exported summary of one struct field.
 type FieldFact struct {
 	// Tainted reports that a raw decoded length prefix is stored into
 	// this field somewhere in the defining package, so reads of the
 	// field are tainted everywhere (boundedalloc).
-	Tainted bool `json:"tainted,omitempty"`
+	Tainted bool
 }
 
 // FactStore accumulates facts across the packages of one analysis run.
@@ -139,9 +131,6 @@ func (s *FactStore) Func(obj types.Object) *FuncFact {
 	return nil
 }
 
-// FuncByKey returns the fact recorded under an explicit key, or nil.
-func (s *FactStore) FuncByKey(key string) *FuncFact { return s.funcs[key] }
-
 // ExportFunc merges a fact for obj into the store through update, which
 // receives the (possibly fresh) fact to mutate.
 func (s *FactStore) ExportFunc(obj types.Object, update func(*FuncFact)) {
@@ -149,11 +138,6 @@ func (s *FactStore) ExportFunc(obj types.Object, update func(*FuncFact)) {
 	if key == "" {
 		return
 	}
-	s.ExportFuncKey(key, update)
-}
-
-// ExportFuncKey is ExportFunc with an explicit key.
-func (s *FactStore) ExportFuncKey(key string, update func(*FuncFact)) {
 	f := s.funcs[key]
 	if f == nil {
 		f = &FuncFact{}
@@ -176,83 +160,4 @@ func (s *FactStore) ExportField(key string, update func(*FieldFact)) {
 		s.fields[key] = f
 	}
 	update(f)
-}
-
-// factFile is the on-disk (.vetx) shape of a store.
-type factFile struct {
-	Version int                   `json:"version"`
-	Funcs   map[string]*FuncFact  `json:"funcs,omitempty"`
-	Fields  map[string]*FieldFact `json:"fields,omitempty"`
-}
-
-const factVersion = 1
-
-// MarshalFacts serializes the store for a .vetx file, dropping empty
-// facts so the output stays stable and small.
-func (s *FactStore) MarshalFacts() ([]byte, error) {
-	out := factFile{Version: factVersion}
-	for k, f := range s.funcs {
-		if !f.empty() {
-			if out.Funcs == nil {
-				out.Funcs = make(map[string]*FuncFact)
-			}
-			out.Funcs[k] = f
-		}
-	}
-	for k, f := range s.fields {
-		if f.Tainted {
-			if out.Fields == nil {
-				out.Fields = make(map[string]*FieldFact)
-			}
-			out.Fields[k] = f
-		}
-	}
-	return json.MarshalIndent(out, "", "\t")
-}
-
-// MergeFacts merges a serialized store (one dependency's .vetx) into s.
-// Unknown versions and non-fudjvet vetx payloads are ignored rather
-// than fatal: the go command hands every tool the same files, and an
-// older fudjvet's placeholder must not break a newer one.
-func (s *FactStore) MergeFacts(data []byte) error {
-	var in factFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil // not a fudjvet fact file; nothing to merge
-	}
-	if in.Version != factVersion {
-		return nil
-	}
-	for k, f := range in.Funcs {
-		if f == nil {
-			continue
-		}
-		fact := f
-		s.ExportFuncKey(k, func(dst *FuncFact) { *dst = *fact })
-	}
-	for k, f := range in.Fields {
-		if f == nil || !f.Tainted {
-			continue
-		}
-		s.ExportField(k, func(dst *FieldFact) { dst.Tainted = true })
-	}
-	return nil
-}
-
-// String renders the store's non-empty facts sorted by key, for tests
-// and debugging.
-func (s *FactStore) String() string {
-	var lines []string
-	for k, f := range s.funcs {
-		if !f.empty() {
-			lines = append(lines, fmt.Sprintf("func %s needsGuard=%v guardedFnParams=%#x allocParams=%#x taintedReturns=%#x",
-				k, f.NeedsGuard, f.GuardedFnParams, f.AllocParams, f.TaintedReturns))
-		}
-	}
-	for k, f := range s.fields {
-		if f.Tainted {
-			lines = append(lines, fmt.Sprintf("field %s tainted", k))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

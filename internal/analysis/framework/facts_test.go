@@ -7,54 +7,6 @@ import (
 	"testing"
 )
 
-// TestFactStoreRoundTrip exercises the .vetx serialization: non-empty
-// facts survive a marshal/merge cycle, empty facts are dropped, and
-// foreign payloads are ignored rather than fatal.
-func TestFactStoreRoundTrip(t *testing.T) {
-	s := NewFactStore()
-	s.ExportFuncKey("fudj/internal/core.CanonicalPair", func(f *FuncFact) { f.NeedsGuard = true })
-	s.ExportFuncKey("fudj/internal/core.RunStandalone", func(f *FuncFact) { f.GuardedFnParams = 1 << 4 })
-	s.ExportFuncKey("fudj/internal/wire.Decoder.Uvarint", func(f *FuncFact) { f.TaintedReturns = 1 })
-	s.ExportFuncKey("fudj/internal/core.DefaultMatch", func(f *FuncFact) {}) // stays empty
-	s.ExportField(FieldKey("fudj/internal/storage", "frameHeader", "count"), func(f *FieldFact) { f.Tainted = true })
-
-	data, err := s.MarshalFacts()
-	if err != nil {
-		t.Fatalf("MarshalFacts: %v", err)
-	}
-	if strings.Contains(string(data), "DefaultMatch") {
-		t.Errorf("empty fact serialized:\n%s", data)
-	}
-
-	dst := NewFactStore()
-	if err := dst.MergeFacts(data); err != nil {
-		t.Fatalf("MergeFacts: %v", err)
-	}
-	if f := dst.FuncByKey("fudj/internal/core.CanonicalPair"); f == nil || !f.NeedsGuard {
-		t.Errorf("NeedsGuard fact lost: %+v", f)
-	}
-	if f := dst.FuncByKey("fudj/internal/core.RunStandalone"); f == nil || f.GuardedFnParams != 1<<4 {
-		t.Errorf("GuardedFnParams fact lost: %+v", f)
-	}
-	if f := dst.FuncByKey("fudj/internal/wire.Decoder.Uvarint"); f == nil || f.TaintedReturns != 1 {
-		t.Errorf("TaintedReturns fact lost: %+v", f)
-	}
-	if f := dst.Field(FieldKey("fudj/internal/storage", "frameHeader", "count")); f == nil || !f.Tainted {
-		t.Errorf("field fact lost: %+v", f)
-	}
-
-	// Foreign and stale payloads must not poison the store.
-	if err := dst.MergeFacts([]byte("fudjvet: no facts\n")); err != nil {
-		t.Errorf("non-JSON payload: %v", err)
-	}
-	if err := dst.MergeFacts([]byte(`{"version": 99, "funcs": {"x.Y": {"needs_guard": true}}}`)); err != nil {
-		t.Errorf("future version: %v", err)
-	}
-	if dst.FuncByKey("x.Y") != nil {
-		t.Error("future-version facts merged")
-	}
-}
-
 // TestObjectKeyLocals verifies that only package-level objects get
 // cross-package keys: parameters and locals must not collide with
 // same-named package functions.

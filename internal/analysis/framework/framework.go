@@ -28,9 +28,23 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: the invariant enforced and
 	// why the engine needs it.
 	Doc string
+	// Packages restricts the rule to these package paths, each covering
+	// its subtree; empty applies it to every package. Tests copy an
+	// analyzer and point this at fixture packages.
+	Packages []string
 	// Run inspects one type-checked package, reporting findings
 	// through pass.Report.
 	Run func(pass *Pass) error
+}
+
+// appliesTo reports whether the rule covers the package at path.
+func (a *Analyzer) appliesTo(path string) bool {
+	for _, p := range a.Packages {
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return len(a.Packages) == 0
 }
 
 // Pass carries one analyzer's view of one type-checked package,
@@ -122,6 +136,9 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) (Result
 	}
 	var raw []Diagnostic
 	for _, a := range analyzers {
+		if !a.appliesTo(pkg.Types.Path()) {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,

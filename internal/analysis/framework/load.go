@@ -31,9 +31,8 @@ type Package struct {
 type ExportLookup func(path string) (io.ReadCloser, error)
 
 // TypeCheck parses the given files and type-checks them against export
-// data supplied by lookup. It is the shared core of the standalone
-// driver, the unitchecker (go vet -vettool) mode, and the fixture
-// loader.
+// data supplied by lookup. It is the shared core of the driver's
+// package loader and the fixture loader.
 func TypeCheck(path string, filenames []string, lookup ExportLookup) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -208,19 +207,6 @@ func topoOrder(pkgs []listedPackage) []listedPackage {
 		visit(path)
 	}
 	return out
-}
-
-// LoadFixtureDir parses and type-checks one analysistest fixture
-// directory (testdata/src/<name>) as a package whose import path is
-// its directory name. Fixture imports are resolved by asking the go
-// tool for the export data of whatever standard-library packages the
-// fixture files mention.
-func LoadFixtureDir(dir string) (*Package, error) {
-	pkgs, err := LoadFixtureDirs(filepath.Dir(dir), filepath.Base(dir))
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
 }
 
 // LoadFixtureDirs parses and type-checks several fixture directories

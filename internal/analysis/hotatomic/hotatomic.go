@@ -2,10 +2,10 @@
 // per-candidate loops.
 //
 // Invariant: what a partition task counts inside its O(|l|·|r|) loops
-// it counts in plain, task-owned fields, folded into the query's shared
-// counters once when the task returns (engine.taskCounts). A
-// sync/atomic Add on a value the task closure captured — the query's
-// statsCounters, a package-level counter — executed per candidate pair
+// it counts in plain, task-owned fields, folded into the query's
+// JoinStats once after the phase (engine.taskCounts). A sync/atomic Add
+// on a value the task closure captured — a per-query counter struct, a
+// package-level counter — executed per candidate pair
 // is a contended cache line bouncing between every partition's core:
 // on the interval theta join two such Adds cost more than the VERIFY
 // call they counted. The rule is lexical: inside a function literal,
@@ -23,36 +23,17 @@ import (
 	"fudj/internal/analysis/framework"
 )
 
-// DefaultRestricted is where the rule applies: the package holding the
+// Analyzer is the hotatomic rule, restricted to the package holding the
 // join operators' candidate loops.
-var DefaultRestricted = []string{"fudj/internal/engine"}
-
-// Analyzer is the hotatomic rule over the default restricted packages.
-var Analyzer = New(DefaultRestricted)
-
-// New returns a hotatomic analyzer restricted to the given package
-// paths (each covering its subtree). Tests use this to point the rule
-// at fixture packages.
-func New(restricted []string) *framework.Analyzer {
-	return &framework.Analyzer{
-		Name: "hotatomic",
-		Doc: "forbids sync/atomic Add on a captured value inside nested loops of a task closure; " +
-			"count in task-local fields and fold once per task",
-		Run: func(pass *framework.Pass) error { return run(pass, restricted) },
-	}
+var Analyzer = &framework.Analyzer{
+	Name: "hotatomic",
+	Doc: "forbids sync/atomic Add on a captured value inside nested loops of a task closure; " +
+		"count in task-local fields and fold once per task",
+	Packages: []string{"fudj/internal/engine"},
+	Run:      run,
 }
 
-func run(pass *framework.Pass, restricted []string) error {
-	path := pass.Pkg.Path()
-	applies := false
-	for _, r := range restricted {
-		if path == r || strings.HasPrefix(path, r+"/") {
-			applies = true
-		}
-	}
-	if !applies {
-		return nil
-	}
+func run(pass *framework.Pass) error {
 	for _, file := range pass.NonTestFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {

@@ -10,6 +10,7 @@ import (
 func TestHotAtomic(t *testing.T) {
 	// Restrict the rule to fixture package "a"; package "b" holds the
 	// flagged shape and must stay silent.
-	a := hotatomic.New([]string{"a"})
-	framework.RunTest(t, "testdata", a, "a", "b")
+	a := *hotatomic.Analyzer
+	a.Packages = []string{"a"}
+	framework.RunTest(t, "testdata", &a, "a", "b")
 }

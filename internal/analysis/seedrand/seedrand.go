@@ -15,24 +15,25 @@ package seedrand
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"fudj/internal/analysis/framework"
 )
 
-// DefaultRestricted lists the package paths (and their subtrees) in
-// which the rule applies: the execution substrate whose behavior must
-// replay from a seed.
-var DefaultRestricted = []string{
-	"fudj/internal/cluster",
-	"fudj/internal/engine",
-	"fudj/internal/sched",
-	"fudj/internal/serve",
-	"fudj/internal/wire",
+// Analyzer is the seedrand rule, restricted to the execution substrate
+// whose behavior must replay from a seed.
+var Analyzer = &framework.Analyzer{
+	Name: "seedrand",
+	Doc: "forbids time.Now and the global math/rand generator in execution packages; " +
+		"replayable behavior must derive from a seed",
+	Packages: []string{
+		"fudj/internal/cluster",
+		"fudj/internal/engine",
+		"fudj/internal/sched",
+		"fudj/internal/serve",
+		"fudj/internal/wire",
+	},
+	Run: run,
 }
-
-// Analyzer is the seedrand rule over the default restricted packages.
-var Analyzer = New(DefaultRestricted)
 
 // randConstructors are the math/rand selectors that build independent,
 // explicitly seeded generators; they are the sanctioned alternative,
@@ -44,31 +45,7 @@ var randConstructors = map[string]bool{
 	"Rand": true, "Source": true, "Zipf": true, "PCG": true, "ChaCha8": true,
 }
 
-// New returns a seedrand analyzer restricted to the given package paths
-// (each covering its subtree). Tests use this to point the rule at
-// fixture packages.
-func New(restricted []string) *framework.Analyzer {
-	return &framework.Analyzer{
-		Name: "seedrand",
-		Doc: "forbids time.Now and the global math/rand generator in execution packages; " +
-			"replayable behavior must derive from a seed",
-		Run: func(pass *framework.Pass) error { return run(pass, restricted) },
-	}
-}
-
-func restrictedPath(path string, restricted []string) bool {
-	for _, r := range restricted {
-		if path == r || strings.HasPrefix(path, r+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-func run(pass *framework.Pass, restricted []string) error {
-	if !restrictedPath(pass.Pkg.Path(), restricted) {
-		return nil
-	}
+func run(pass *framework.Pass) error {
 	for _, file := range pass.NonTestFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)

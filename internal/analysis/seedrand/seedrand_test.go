@@ -10,6 +10,7 @@ import (
 func TestSeedRand(t *testing.T) {
 	// Restrict the rule to fixture package "a"; package "b" holds the
 	// same constructs and must stay silent.
-	a := seedrand.New([]string{"a"})
-	framework.RunTest(t, "testdata", a, "a", "b")
+	a := *seedrand.Analyzer
+	a.Packages = []string{"a"}
+	framework.RunTest(t, "testdata", &a, "a", "b")
 }

@@ -127,12 +127,12 @@ func runFig12c(cfg Config, w io.Writer) error {
 			`SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, %d)`, n)
 		hookQ := fmt.Sprintf(
 			`SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join_sweep(p.boundary, w.location, %d)`, n)
-		e.db.SetJoinMode(fudj.ModeFUDJ)
+		e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
 		plain := timedQuery(e.db, q)
 		hooked := timedQuery(e.db, hookQ)
-		e.db.SetJoinMode(fudj.ModeBuiltin)
+		e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
 		sweep := timedQuery(e.db, q)
-		e.db.SetJoinMode(fudj.ModeFUDJ)
+		e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
 		for _, r := range []runResult{plain, hooked, sweep} {
 			if r.err != nil {
 				return r.err

@@ -64,7 +64,7 @@ func sweepSizes(cfg Config, w io.Writer, mkEnv func(size int) (*env, error), siz
 				counts = append(counts, -1)
 				continue
 			}
-			e.db.SetJoinMode(a.mode)
+			e.db.MustConfigure(fudj.WithJoinMode(a.mode))
 			r := timedQuery(e.db, a.query(size))
 			if r.err != nil {
 				return fmt.Errorf("%s size %d: %w", a.name, size, r.err)
@@ -75,7 +75,7 @@ func sweepSizes(cfg Config, w io.Writer, mkEnv func(size int) (*env, error), siz
 			row = append(row, r.String())
 			counts = append(counts, r.rows)
 		}
-		e.db.SetJoinMode(fudj.ModeFUDJ)
+		e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
 		// Sanity: all live arms must agree on the result count.
 		var want int64 = -1
 		for _, c := range counts {

@@ -122,9 +122,6 @@ func (c *Cluster) SetBatchSize(n int) {
 	c.batchSize = n
 }
 
-// BatchSize returns the per-frame row cap.
-func (c *Cluster) BatchSize() int { return c.batchSize }
-
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 

@@ -90,12 +90,8 @@ type FaultInjector struct {
 	mu           sync.Mutex
 	barrierFired map[BarrierKill]bool
 
-	crashes      atomic.Int64
-	delays       atomic.Int64
-	corruptions  atomic.Int64
-	barrierKills atomic.Int64
-	tornWrites   atomic.Int64
-	ckptCorrupts atomic.Int64
+	crashes     atomic.Int64
+	corruptions atomic.Int64
 }
 
 // NewFaultInjector builds an injector, applying defaults (25ms
@@ -125,22 +121,8 @@ func (fi *FaultInjector) Config() FaultConfig { return fi.cfg }
 // Crashes returns how many task crashes were injected.
 func (fi *FaultInjector) Crashes() int64 { return fi.crashes.Load() }
 
-// Delays returns how many straggler delays were injected.
-func (fi *FaultInjector) Delays() int64 { return fi.delays.Load() }
-
 // Corruptions returns how many shuffle payloads were corrupted.
 func (fi *FaultInjector) Corruptions() int64 { return fi.corruptions.Load() }
-
-// BarrierKills returns how many node deaths were injected at phase
-// barriers.
-func (fi *FaultInjector) BarrierKills() int64 { return fi.barrierKills.Load() }
-
-// TornWrites returns how many checkpoint writes were torn.
-func (fi *FaultInjector) TornWrites() int64 { return fi.tornWrites.Load() }
-
-// CheckpointCorruptions returns how many published checkpoints had a
-// bit flipped.
-func (fi *FaultInjector) CheckpointCorruptions() int64 { return fi.ckptCorrupts.Load() }
 
 // Decision channels, kept distinct so a crash roll never correlates
 // with a corruption roll at the same coordinates.
@@ -178,7 +160,6 @@ func (fi *FaultInjector) roll(kind int, coords ...int64) float64 {
 // retried copy models re-execution on a healthy node.
 func (fi *FaultInjector) stragglerDelay(node, attempt int) time.Duration {
 	if attempt == 0 && fi.straggler[node] {
-		fi.delays.Add(1)
 		return fi.cfg.StragglerDelay
 	}
 	return 0
@@ -252,7 +233,6 @@ func (fi *FaultInjector) killAtBarrier(epoch int64, b Barrier, nodes int) []int 
 		out = append(out, n)
 	}
 	sort.Ints(out)
-	fi.barrierKills.Add(int64(len(out)))
 	return out
 }
 
@@ -277,11 +257,9 @@ func (fi *FaultInjector) checkpointDamage(key string) checkpointDamage {
 	}
 	coord := stringCoord(key)
 	if fi.cfg.TornWriteProb > 0 && fi.roll(rollTorn, coord) < fi.cfg.TornWriteProb {
-		fi.tornWrites.Add(1)
 		return damageTorn
 	}
 	if fi.cfg.CheckpointCorruptProb > 0 && fi.roll(rollCkptCorrupt, coord) < fi.cfg.CheckpointCorruptProb {
-		fi.ckptCorrupts.Add(1)
 		return damageCorrupt
 	}
 	return damageNone

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 
 	"fudj/internal/storage"
 	"fudj/internal/types"
@@ -79,66 +78,27 @@ func (e *BarrierLossError) Error() string {
 // Retryable marks the loss as transient: rerunning the step succeeds.
 func (e *BarrierLossError) Retryable() bool { return true }
 
-// RecoveryManager tracks per-partition phase completion for one query
-// and drives barrier-scoped recovery. A nil checkpoint store disables
-// durability: barriers still fire injected kills, but losses surface
-// as BarrierLossError instead of being healed in place.
+// RecoveryManager drives barrier-scoped recovery for one query; every
+// query has one. A nil checkpoint store disables durability: barriers
+// still fire injected kills, but losses surface as BarrierLossError
+// instead of being healed in place.
 type RecoveryManager struct {
 	c     *Cluster
 	store *storage.CheckpointStore
-
-	mu   sync.Mutex
-	done map[string]map[int]bool // phase name -> completed partitions
 }
 
 // NewRecoveryManager attaches a recovery manager to the cluster.
 // store may be nil (checkpointing disabled).
 func (c *Cluster) NewRecoveryManager(store *storage.CheckpointStore) *RecoveryManager {
-	return &RecoveryManager{c: c, store: store, done: make(map[string]map[int]bool)}
+	return &RecoveryManager{c: c, store: store}
 }
 
 // Enabled reports whether a checkpoint store is attached.
-func (rm *RecoveryManager) Enabled() bool { return rm != nil && rm.store != nil }
-
-// MarkDone records that phase completed for partition part. Marking is
-// idempotent, so retried task attempts are safe.
-func (rm *RecoveryManager) MarkDone(phase string, part int) {
-	if rm == nil {
-		return
-	}
-	rm.mu.Lock()
-	m := rm.done[phase]
-	if m == nil {
-		m = make(map[int]bool)
-		rm.done[phase] = m
-	}
-	m[part] = true
-	rm.mu.Unlock()
-}
-
-// DoneCount returns how many partitions completed the phase.
-func (rm *RecoveryManager) DoneCount(phase string) int {
-	if rm == nil {
-		return 0
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return len(rm.done[phase])
-}
-
-// PhaseDone reports whether the phase completed for partition part.
-func (rm *RecoveryManager) PhaseDone(phase string, part int) bool {
-	if rm == nil {
-		return false
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.done[phase][part]
-}
+func (rm *RecoveryManager) Enabled() bool { return rm.store != nil }
 
 // CheckpointBlob persists one opaque blob (e.g. the encoded PPlan)
 // under key, charging checkpoint.bytes and then applying any injected
-// damage to the published file. A nil/disabled manager is a no-op.
+// damage to the published file. Without a store it is a no-op.
 func (rm *RecoveryManager) CheckpointBlob(key string, blob []byte) error {
 	if !rm.Enabled() {
 		return nil
@@ -209,9 +169,6 @@ func (rm *RecoveryManager) applyDamage(key string) error {
 // the trace is on, the crossing emits a "barrier <name>" span carrying
 // the loss so recovery shows up in the query tree.
 func (rm *RecoveryManager) CrossBarrier(b Barrier) (lostParts []int) {
-	if rm == nil {
-		return nil
-	}
 	fi := rm.c.faults
 	if fi == nil || !fi.hasBarrierFaults() {
 		return nil
@@ -324,7 +281,7 @@ func (rm *RecoveryManager) discardDamaged(key string, err error) error {
 // Sweep removes the checkpoint directory; called at query teardown so
 // no checkpoint files outlive their query.
 func (rm *RecoveryManager) Sweep() error {
-	if rm == nil || rm.store == nil {
+	if rm.store == nil {
 		return nil
 	}
 	return rm.store.Sweep()

@@ -182,20 +182,3 @@ func TestBarrierLossErrorRetryable(t *testing.T) {
 		t.Errorf("plan Class = %q, want pre-shuffle", BarrierPlan.Class())
 	}
 }
-
-func TestMarkDoneTracking(t *testing.T) {
-	c := New(Config{Nodes: 2, CoresPerNode: 2})
-	rm := c.NewRecoveryManager(nil)
-	rm.MarkDone("summarize", 0)
-	rm.MarkDone("summarize", 0) // idempotent
-	rm.MarkDone("summarize", 2)
-	if got := rm.DoneCount("summarize"); got != 2 {
-		t.Errorf("DoneCount = %d, want 2", got)
-	}
-	if !rm.PhaseDone("summarize", 2) || rm.PhaseDone("summarize", 1) {
-		t.Error("PhaseDone tracking wrong")
-	}
-	if rm.DoneCount("combine") != 0 {
-		t.Error("unmarked phase should count 0")
-	}
-}

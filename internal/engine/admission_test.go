@@ -32,7 +32,7 @@ func blockingBuiltin(db *Database, release <-chan struct{}) {
 			}
 		}
 	})
-	db.SetJoinMode(ModeBuiltin)
+	db.MustConfigure(WithJoinMode(ModeBuiltin))
 }
 
 const blockableQuery = `SELECT count(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 8)`
@@ -287,9 +287,10 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 	mutators.Add(1)
 	go func() {
 		defer mutators.Done()
-		// Flip settings that never change query answers: memory budget,
-		// checkpoints, smart theta (these queries are equality-bucketed),
-		// and a zero-probability fault config.
+		// Flip every field of execSettings, none of which changes a query's
+		// answer: memory budget, checkpoints, smart theta (these queries
+		// are equality-bucketed), a zero-probability fault config, the
+		// retry policy, the batch size and the cluster shape.
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -298,13 +299,15 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 			}
 			db.MustConfigure(WithMemoryBudget(int64(i%2) * (64 << 20)))
 			db.SetCheckpoints(i%2 == 0)
-			db.SetSmartTheta(i%2 == 0)
+			db.MustConfigure(WithSmartTheta(i%2 == 0))
 			if i%2 == 0 {
 				db.MustConfigure(WithFaults(&cluster.FaultConfig{Seed: int64(i)}))
 			} else {
 				db.MustConfigure(WithFaults(nil))
 			}
-			db.MustConfigure(WithRetryPolicy(chaosRetry()))
+			db.MustConfigure(WithRetryPolicy(chaosRetry()),
+				WithBatchSize(i%2*7),
+				WithClusterConfig(cluster.Config{Nodes: 2 + i%2, CoresPerNode: 2}))
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

@@ -276,7 +276,7 @@ func TestSmartThetaConcurrentSwitchKeepsLayout(t *testing.T) {
 	flipTo := true
 	lib := core.NewLibrary("fliplib")
 	lib.MustRegister("test.FlippingDivide", func() core.Join {
-		return hookJoin("flipping_divide", true, func() { db.SetSmartTheta(flipTo) }, nil)
+		return hookJoin("flipping_divide", true, func() { db.MustConfigure(WithSmartTheta(flipTo)) }, nil)
 	})
 	if err := db.InstallLibrary(lib); err != nil {
 		t.Fatal(err)

@@ -95,8 +95,8 @@ func TestByteIdenticalReexecution(t *testing.T) {
 		db := newTestDB(t)
 		db.RegisterBuiltinJoin("overlapping_interval", BuiltinJoinFunc(builtin.IntervalOIP))
 		db.RegisterBuiltinJoin("text_similarity_join", BuiltinJoinFunc(builtin.TextSimilarity))
-		db.SetJoinMode(q.mode)
-		db.SetSmartTheta(q.smartTheta)
+		db.MustConfigure(WithJoinMode(q.mode))
+		db.MustConfigure(WithSmartTheta(q.smartTheta))
 		res := mustQuery(t, db, q.sql)
 		if len(res.Rows) == 0 {
 			t.Fatalf("query produced no rows: %s", q.sql)

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fudj/internal/catalog"
@@ -45,7 +44,7 @@ type BuiltinJoinFunc func(c *cluster.Cluster, left cluster.Data, leftKey expr.Ev
 // Database is one engine instance: metadata plus execution settings.
 // A Database is safe for concurrent Execute calls: every query passes
 // through the admission scheduler, and the mutable execution settings
-// below are guarded by mu so a Set* call mid-flight never races a
+// below are guarded by mu so a Configure call mid-flight never races a
 // running query (each query reads a setting once, at a well-defined
 // point).
 type Database struct {
@@ -55,16 +54,10 @@ type Database struct {
 	clock    trace.Clock  // fixed at Open
 	tracing  bool         // fixed at Open
 
-	mu         sync.RWMutex // guards the mutable settings below
-	clusterCfg cluster.Config
-	mode       JoinMode
-	smartTheta bool
-	builtins   map[string]BuiltinJoinFunc
-	faultCfg   *cluster.FaultConfig
-	retryPol   *cluster.RetryPolicy
-	memBudget  int64
-	ckpt       bool
-	batchSize  int // shuffle/spill frame row cap; 0 = cluster default
+	mu           sync.RWMutex // guards the mutable settings below
+	execSettings              // what options write and each query copies once
+	mode         JoinMode
+	builtins     map[string]BuiltinJoinFunc
 }
 
 // Open creates a database. With no options it mirrors the paper's
@@ -73,10 +66,10 @@ type Database struct {
 // to configure.
 func Open(opts ...Option) (*Database, error) {
 	db := &Database{
-		catalog:    catalog.New(),
-		clusterCfg: cluster.Config{Nodes: 4, CoresPerNode: 2},
-		builtins:   make(map[string]BuiltinJoinFunc),
-		clock:      trace.WallClock{},
+		catalog:      catalog.New(),
+		execSettings: execSettings{clusterCfg: cluster.Config{Nodes: 4, CoresPerNode: 2}},
+		builtins:     make(map[string]BuiltinJoinFunc),
+		clock:        trace.WallClock{},
 	}
 	for _, o := range opts {
 		if o == nil {
@@ -138,46 +131,17 @@ func (db *Database) MustConfigure(opts ...Option) {
 	}
 }
 
-// SetJoinMode switches between FUDJ and built-in execution of FUDJ
-// predicates.
-func (db *Database) SetJoinMode(m JoinMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.mode = m
-}
-
 // SetCheckpoints enables durable phase barriers for subsequent
 // queries: the broadcast plan and every partition's post-shuffle input
 // are checkpointed, so a node lost at a barrier recovers in place
 // (reload, or recompute on a damaged file) instead of aborting and
-// re-running the whole join step.
+// re-running the whole join step. It is the one setter beside Configure
+// because no option can turn checkpoints off again: WithCheckpoints takes
+// no argument, and the benchmark module pins that signature.
 func (db *Database) SetCheckpoints(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.ckpt = on
-}
-
-// SetSmartTheta enables the balanced theta bucket-matching operator
-// for multi-join FUDJs, replacing the paper's broadcast + random
-// partitioning (§VII-C) with coordinator-scheduled bucket pairs — the
-// Theta Join Operator the paper proposes as future work (§VIII).
-// Disabled by default to match the paper's measured configuration.
-func (db *Database) SetSmartTheta(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.smartTheta = on
-}
-
-// SetCluster reconfigures the simulated cluster for subsequent queries
-// (the scalability experiments sweep this).
-func (db *Database) SetCluster(cfg cluster.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.clusterCfg = cfg
-	return nil
 }
 
 // RegisterBuiltinJoin installs a hand-built operator for a FUDJ
@@ -195,10 +159,11 @@ func (db *Database) MemoryBudget() int64 {
 	return db.memBudget
 }
 
-// execSettings is the point-in-time copy of the mutable execution
-// settings one query runs with: taken once under the read lock at
-// query start, so a concurrent Set* call flips the NEXT query, never a
-// running one.
+// execSettings is the mutable execution settings: the Database embeds
+// the live copy options write under mu, and each query takes its own
+// once at query start, so a concurrent Configure call flips the NEXT
+// query, never a running one. faultCfg and retryPol point at values
+// their options installed fresh and nothing writes through.
 type execSettings struct {
 	clusterCfg cluster.Config
 	smartTheta bool
@@ -206,32 +171,14 @@ type execSettings struct {
 	retryPol   *cluster.RetryPolicy
 	memBudget  int64
 	ckpt       bool
-	batchSize  int
+	batchSize  int // shuffle/spill frame row cap; 0 = cluster default
 }
 
 // settings snapshots the mutable execution settings.
 func (db *Database) settings() execSettings {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var fc *cluster.FaultConfig
-	if db.faultCfg != nil {
-		c := *db.faultCfg
-		fc = &c
-	}
-	var rp *cluster.RetryPolicy
-	if db.retryPol != nil {
-		p := *db.retryPol
-		rp = &p
-	}
-	return execSettings{
-		clusterCfg: db.clusterCfg,
-		smartTheta: db.smartTheta,
-		faultCfg:   fc,
-		retryPol:   rp,
-		memBudget:  db.memBudget,
-		ckpt:       db.ckpt,
-		batchSize:  db.batchSize,
-	}
+	return db.execSettings
 }
 
 // builtin looks one hand-built operator up under the read lock.
@@ -372,31 +319,19 @@ type Result struct {
 	Metrics map[string]int64
 }
 
-type statsCounters struct {
-	candidates atomic.Int64
-	verified   atomic.Int64
-	deduped    atomic.Int64
-	joinOutput atomic.Int64
-	built      atomic.Int64
-	stateBytes atomic.Int64
-	summarize  atomic.Int64 // nanoseconds
-	partition  atomic.Int64
-	combine    atomic.Int64
-}
-
 // taskCounts is one partition task's share of the join funnel. The
 // O(|l|·|r|) candidate loops bump these plain fields — a shared atomic
 // there is a contended cache line per candidate pair — and fold adds
-// them to the query's counters once per phase.
+// them to the query's JoinStats once per phase.
 type taskCounts struct {
 	candidates, verified, deduped, output, built int64
 }
 
-// fold adds every task's counts to the query's counters and returns
-// their sum. A task writes its slot as the last thing a successful
-// attempt does and callers fold after the phase's Run has succeeded,
-// so failed and retried attempts count nothing.
-func (c *statsCounters) fold(tasks []taskCounts) taskCounts {
+// fold adds every task's counts to the query's stats and returns their
+// sum. A task writes its slot as the last thing a successful attempt
+// does and callers fold on the query's own goroutine after the phase's
+// Run has succeeded, so failed and retried attempts count nothing.
+func (s *JoinStats) fold(tasks []taskCounts) taskCounts {
 	var sum taskCounts
 	for _, t := range tasks {
 		sum.candidates += t.candidates
@@ -405,33 +340,18 @@ func (c *statsCounters) fold(tasks []taskCounts) taskCounts {
 		sum.output += t.output
 		sum.built += t.built
 	}
-	c.candidates.Add(sum.candidates)
-	c.verified.Add(sum.verified)
-	c.deduped.Add(sum.deduped)
-	c.joinOutput.Add(sum.output)
-	c.built.Add(sum.built)
+	s.Candidates += sum.candidates
+	s.Verified += sum.verified
+	s.Deduped += sum.deduped
+	s.Output += sum.output
+	s.Materialized += sum.built
 	return sum
 }
 
-func (c *statsCounters) snapshot() JoinStats {
-	return JoinStats{
-		Candidates:    c.candidates.Load(),
-		Verified:      c.verified.Load(),
-		Deduped:       c.deduped.Load(),
-		Output:        c.joinOutput.Load(),
-		Materialized:  c.built.Load(),
-		StateBytes:    c.stateBytes.Load(),
-		SummarizeTime: time.Duration(c.summarize.Load()),
-		PartitionTime: time.Duration(c.partition.Load()),
-		CombineTime:   time.Duration(c.combine.Load()),
-	}
-}
-
-// flush copies the engine's hot-path atomics into named counters of
-// the cluster's metric registry, so one Values() call sees the whole
-// execution (the registry's single-snapshot discipline).
-func (c *statsCounters) flush(m *cluster.Metrics) {
-	s := c.snapshot()
+// flush copies the join stats into named counters of the cluster's
+// metric registry, so one Values() call sees the whole execution (the
+// registry's single-snapshot discipline).
+func (s *JoinStats) flush(m *cluster.Metrics) {
 	m.Counter("join.candidates").Add(s.Candidates)
 	m.Counter("join.verified").Add(s.Verified)
 	m.Counter("join.deduped").Add(s.Deduped)
@@ -553,7 +473,7 @@ func (db *Database) ExecuteStmtContext(ctx context.Context, stmt sqlparse.Statem
 		}
 		defer cancel()
 		defer ticket.Release()
-		res, err := db.run(runCtx, plan, eo, ticket)
+		res, err := plan.run(runCtx, eo, ticket)
 		if err != nil {
 			return nil, wrapTimeout(err, eo)
 		}

@@ -14,15 +14,33 @@ import (
 	"fudj/internal/types"
 )
 
+// queryRun is what one executing query carries, built once by
+// queryPlan.run and handed to the join runners and FUDJ phases as their
+// receiver: the database and the query's context, its own copy of the
+// mutable settings (so a concurrent Configure never changes a query
+// mid-flight, and every step and every abort-and-rerun attempt sees the
+// same ones), the per-query cluster, the join stats the Result will
+// carry, the memory-bounding state and the recovery manager. stats is
+// plain: every write to it happens on the query's own goroutine between
+// phases (partition tasks count in taskCounts of their own).
+type queryRun struct {
+	db    *Database
+	ctx   context.Context
+	set   execSettings
+	clus  *cluster.Cluster
+	stats JoinStats
+	mem   *memState
+	rm    *cluster.RecoveryManager
+}
+
 // run executes a planned query on a fresh cluster instance. When
 // tracing is enabled it grows a span tree mirroring the executed plan
 // (query → operator → phase → partition task); all timing flows
-// through the database's injected clock, never time.Now. The mutable
-// database settings are snapshotted once at the top, so a concurrent
-// Set* call never changes a query mid-flight. The admission ticket
-// carries the query's memory lease: under a shared pool it overrides
-// the configured per-query budget (the lease IS the budget).
-func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *sched.Ticket) (*Result, error) {
+// through the database's injected clock, never time.Now. The admission
+// ticket carries the query's memory lease: under a shared pool it
+// overrides the configured per-query budget (the lease IS the budget).
+func (p *queryPlan) run(ctx context.Context, eo execOpts, ticket *sched.Ticket) (*Result, error) {
+	db := p.db
 	set := db.settings()
 	start := db.clock.Now()
 	var root *trace.Span
@@ -43,7 +61,6 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		// exact same failures.
 		clus.SetFaults(cluster.NewFaultInjector(*set.faultCfg))
 	}
-	counters := &statsCounters{}
 
 	// Memory-bounded execution: the query budget, split over partitions,
 	// sizes the shuffle's frame cut and the COMBINE builds, which degrade
@@ -54,26 +71,23 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		budget = ticket.Lease()
 	}
 	clus.SetMemoryBudget(budget)
-	mem := newMemState(clus)
-	defer mem.cleanup()
 
-	// Checkpointed execution: with WithCheckpoints, a per-query
-	// checkpoint store makes the FUDJ phase barriers durable; the store
-	// is swept at teardown so no checkpoint file outlives its query.
-	// Without checkpoints, a recovery manager is still attached when
-	// kill-at-barrier faults are armed, so barrier losses surface as
-	// retryable step aborts (the abort-and-rerun baseline).
-	var rm *cluster.RecoveryManager
+	// Every query crosses its FUDJ phase barriers through a recovery
+	// manager. With WithCheckpoints it owns a per-query checkpoint store
+	// that makes the barriers durable, swept at teardown so no checkpoint
+	// file outlives its query; without, a node lost at a barrier aborts
+	// and re-runs its join step (and with no barrier fault armed the
+	// manager does nothing at all).
+	var store *storage.CheckpointStore
 	if set.ckpt {
-		store, err := storage.NewCheckpointStore()
-		if err != nil {
+		var err error
+		if store, err = storage.NewCheckpointStore(); err != nil {
 			return nil, err
 		}
-		rm = clus.NewRecoveryManager(store)
-		defer rm.Sweep()
-	} else if set.faultCfg != nil && (set.faultCfg.BarrierKillProb > 0 || len(set.faultCfg.BarrierKills) > 0) {
-		rm = clus.NewRecoveryManager(nil)
 	}
+	q := &queryRun{db: db, ctx: ctx, set: set, clus: clus, mem: newMemState(clus), rm: clus.NewRecoveryManager(store)}
+	defer q.mem.cleanup()
+	defer q.rm.Sweep()
 
 	// Scans with pushed-down filters.
 	inputs := make([]cluster.Data, len(p.scans))
@@ -131,13 +145,13 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 				}
 				sink = agg.newTask
 			}
-			cur, err = db.runFUDJRecoverable(ctx, clus, counters, mem, set.smartTheta, rm, i, jsp, step, sink, cur, curSchema, right, rightSchema)
+			cur, err = q.runFUDJRecoverable(jsp, step, sink, cur, curSchema, right, rightSchema)
 		case joinBuiltin:
-			cur, err = db.runBuiltinJoin(clus, counters, step, cur, curSchema, right, rightSchema)
+			cur, err = q.runBuiltinJoin(step, cur, curSchema, right, rightSchema)
 		case joinHash:
-			cur, err = runHashJoin(clus, counters, step, cur, curSchema, right, rightSchema)
+			cur, err = q.runHashJoin(step, cur, curSchema, right, rightSchema)
 		case joinNLJ, joinCross:
-			cur, err = runNLJ(clus, counters, step, cur, curSchema, right, rightSchema)
+			cur, err = q.runNLJ(step, cur, curSchema, right, rightSchema)
 		default:
 			err = fmt.Errorf("engine: unknown join kind %v", step.kind)
 		}
@@ -229,11 +243,11 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 	clus.SetSpan(prevOut)
 	root.End()
 
-	// Flush the engine's hot-path counters into the registry, then take
-	// one consistent snapshot of every cluster counter (a field-by-field
-	// read could mix epochs if anything were still in flight).
+	// Flush the join stats into the registry, then take one consistent
+	// snapshot of every cluster counter (a field-by-field read could mix
+	// epochs if anything were still in flight).
 	reg := clus.Metrics()
-	counters.flush(reg)
+	q.stats.flush(reg)
 	var schedStats SchedStats
 	if ticket != nil {
 		stampSched(reg, root, ticket, db.sched.Stats())
@@ -244,15 +258,14 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		}
 	}
 	m := reg.Snapshot()
-	join := counters.snapshot()
-	join.Batches = m.Batches
-	join.BatchRows = m.BatchRows
+	q.stats.Batches = m.Batches
+	q.stats.BatchRows = m.BatchRows
 	res := &Result{
 		Schema:  p.outSchema,
 		Rows:    rows,
 		Plan:    p.explain(),
 		Elapsed: db.clock.Now().Sub(start),
-		Join:    join,
+		Join:    q.stats,
 		Cluster: ClusterStats{
 			BytesShuffled:   m.BytesShuffled,
 			RecordsShuffled: m.RecordsShuffled,
@@ -284,11 +297,6 @@ func (p *queryPlan) run(ctx context.Context, db *Database, eo execOpts, ticket *
 		Metrics: reg.Values(),
 	}
 	return res, nil
-}
-
-// run is invoked from Database.ExecuteStmt.
-func (db *Database) run(ctx context.Context, p *queryPlan, eo execOpts, ticket *sched.Ticket) (*Result, error) {
-	return p.run(ctx, db, eo, ticket)
 }
 
 func filterData(clus *cluster.Cluster, data cluster.Data, pred expr.Evaluator) (cluster.Data, error) {
@@ -325,10 +333,11 @@ func holds(pred expr.Evaluator, rec types.Record) (bool, error) {
 // join). The predicate sees both inputs whole; the rows emitted keep
 // the step's required columns, left then right, regardless of which
 // side was broadcast.
-func runNLJ(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
+func (q *queryRun) runNLJ(step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
+	clus := q.clus
 	var pred expr.Evaluator
 	if step.cond != nil {
 		var err error
@@ -386,7 +395,7 @@ func runNLJ(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
 	if err != nil {
 		return nil, err
 	}
-	counters.fold(counts)
+	q.stats.fold(counts)
 	return out, nil
 }
 
@@ -398,10 +407,11 @@ func (j *joinStep) joinRow(l, r types.Record) types.Record {
 }
 
 // runHashJoin shuffles both sides by key hash and joins locally.
-func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
+func (q *queryRun) runHashJoin(step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
+	clus := q.clus
 	lkey, err := expr.Compile(step.hashL, leftSchema)
 	if err != nil {
 		return nil, err
@@ -465,7 +475,7 @@ func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
 	if err != nil {
 		return nil, err
 	}
-	counters.fold(counts)
+	q.stats.fold(counts)
 	return out, nil
 }
 
@@ -474,12 +484,12 @@ func runHashJoin(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
 // inputs narrowed to the step's required columns (which, for this kind,
 // include the key columns it evaluates): the FUDJ-vs-built-in comparison
 // then measures the programming model, not a projection only one arm has.
-func (db *Database) runBuiltinJoin(clus *cluster.Cluster, counters *statsCounters, step *joinStep,
+func (q *queryRun) runBuiltinJoin(step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (out cluster.Data, err error) {
 
 	f := step.fudj
-	op, ok := db.builtin(f.def.Name)
+	op, ok := q.db.builtin(f.def.Name)
 	if !ok {
 		return nil, fmt.Errorf("engine: no built-in operator registered for %q", f.def.Name)
 	}
@@ -492,11 +502,11 @@ func (db *Database) runBuiltinJoin(clus *cluster.Cluster, counters *statsCounter
 		return nil, err
 	}
 	defer core.CatchPanic(f.def.Name, "builtin", -1, nil, &err)
-	out, err = op(clus, narrow(left, step.needL), lkey, narrow(right, step.needR), rkey, f.params)
+	out, err = op(q.clus, narrow(left, step.needL), lkey, narrow(right, step.needR), rkey, f.params)
 	if err != nil {
 		return nil, err
 	}
-	counters.joinOutput.Add(int64(out.Rows()))
+	q.stats.Output += int64(out.Rows())
 	return out, nil
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"fudj/internal/cluster"
@@ -34,17 +33,15 @@ import (
 // sink: the append sink keeps the joined rows, the plan's local
 // aggregation folds them and emits partials instead (DESIGN.md,
 // "Required columns and the COMBINE sink").
-// When rcv is non-nil, the step runs with durable phase barriers: the
-// broadcast plan and every partition's post-shuffle input are
-// checkpointed, and node deaths injected at a barrier recover from
-// those checkpoints (see recover.go) instead of aborting the step.
-// smartTheta comes from the query's settings snapshot, so every step
-// and every abort-and-rerun attempt of one query lays theta joins out
-// the same way.
-func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rcv *stepRecovery, jsp *trace.Span, step *joinStep, sink func() rowSink,
+// The step crosses two phase barriers (see recover.go): under
+// WithCheckpoints the broadcast plan and every partition's post-shuffle
+// input are checkpointed there and node deaths injected at a barrier
+// recover from those checkpoints; without, such a death aborts the step.
+func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
+	ctx, clus, clock := q.ctx, q.clus, q.db.clock
 	f := step.fudj
 	join := f.def.New()
 	desc := join.Descriptor()
@@ -69,7 +66,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if sumSpan != nil {
 		before = clus.Metrics().Snapshot()
 	}
-	phaseStart := db.clock.Now()
+	phaseStart := clock.Now()
 	summarize := func(side core.Side, data cluster.Data, key expr.Evaluator) (core.Summary, error) {
 		locals, err := cluster.RunValues(clus, data, func(part int, in []types.Record) (buf []byte, err error) {
 			rec := -1
@@ -89,9 +86,6 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		if err != nil {
 			return nil, err
 		}
-		for part := range data {
-			rcv.markDone("summarize", part)
-		}
 		// Ship the encoded local summaries to the coordinator, then
 		// merge them with the global aggregate (guarded: the merge runs
 		// user code at the coordinator).
@@ -100,7 +94,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 			defer core.CatchPanic(f.def.Name, "summarize", -1, nil, &err)
 			global = join.NewSummary(side)
 			for _, buf := range locals {
-				counters.stateBytes.Add(int64(len(buf)))
+				q.stats.StateBytes += int64(len(buf))
 				s, err := join.DecodeSummary(buf)
 				if err != nil {
 					return nil, err
@@ -144,11 +138,11 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if err != nil {
 		return nil, err
 	}
-	counters.stateBytes.Add(int64(len(planBuf)))
+	q.stats.StateBytes += int64(len(planBuf))
 	clus.Broadcast(planBuf)
 	// Plan barrier: the broadcast plan becomes durable, and a node
 	// killed here re-reads it instead of forcing SUMMARIZE to re-run.
-	planBuf, err = planBarrier(clus, rcv, planBuf)
+	planBuf, err = q.planBarrier(step.ord, planBuf)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +159,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		return nil, err
 	}
 
-	counters.summarize.Add(int64(db.clock.Now().Sub(phaseStart)))
+	q.stats.SummarizeTime += clock.Now().Sub(phaseStart)
 	if sumSpan != nil {
 		sumSpan.Add("rows.in", int64(left.Rows())+int64(right.Rows()))
 		sumSpan.Add("state.bytes", int64(len(planBuf)))
@@ -174,7 +168,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	sumSpan.End()
 	partSpan := jsp.Child("PARTITION")
 	clus.SetSpan(partSpan)
-	phaseStart = db.clock.Now()
+	phaseStart = clock.Now()
 
 	// ---- PARTITION (assign + unnest) ----
 	// Records are extended with leading metadata columns:
@@ -224,7 +218,6 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 					out = append(out, appendCols(ext, r, need))
 				}
 			}
-			rcv.markDone("partition", part)
 			return out, nil
 		})
 	}
@@ -237,12 +230,12 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		return nil, fmt.Errorf("fudj %s: assign right: %w", f.def.Name, err)
 	}
 
-	counters.partition.Add(int64(db.clock.Now().Sub(phaseStart)))
+	q.stats.PartitionTime += clock.Now().Sub(phaseStart)
 	partSpan.Add("rows.out", int64(lAssigned.Rows())+int64(rAssigned.Rows()))
 	partSpan.End()
 	combSpan := jsp.Child("COMBINE")
 	clus.SetSpan(combSpan)
-	phaseStart = db.clock.Now()
+	phaseStart = clock.Now()
 
 	// ---- COMBINE ----
 	if err := ctx.Err(); err != nil {
@@ -265,7 +258,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 				return self[:]
 			}
 		}}
-	case smartTheta:
+	case q.set.smartTheta:
 		// Balanced theta (the Theta Join Operator proposed as future
 		// work in §VIII): the coordinator gathers per-bucket record
 		// counts, enumerates the bucket pairs MATCH accepts, assigns
@@ -294,7 +287,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	// node killed here reloads its partitions' inputs (or rebuilds them
 	// from the surviving pre-shuffle data and the layout's routes) and
 	// re-runs only those partitions' COMBINE.
-	err = shuffleBarrier(rcv,
+	err = q.shuffleBarrier(step.ord,
 		shuffleSide{name: "left", data: build, pre: lAssigned, route: lay.left},
 		shuffleSide{name: "right", data: probe, pre: rAssigned, route: lay.right})
 	if err != nil {
@@ -308,16 +301,10 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 		combineSink = newAppendSink
 	}
 	// A task counts the funnel in plain fields of its own and leaves them
-	// in its partition's slot when it succeeds; the shared counters see
+	// in its partition's slot when it succeeds; the query's stats see
 	// them once, after every task has.
 	counts := make([]taskCounts, clus.Partitions())
 	combined, err := clus.Run(build, func(part int, in []types.Record) (out []types.Record, err error) {
-		// Registered before CatchPanic so it observes the final err.
-		defer func() {
-			if err == nil {
-				rcv.markDone("combine", part)
-			}
-		}()
 		defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
 		var matches matchFn
 		if lay.matches != nil {
@@ -336,7 +323,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 			}
 		}
 		t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: combineSink()}
-		if err := combinePartition(mem, f.def.Name, part, in, probe[part], matches, t.combineBuckets); err != nil {
+		if err := combinePartition(q.mem, f.def.Name, part, in, probe[part], matches, t.combineBuckets); err != nil {
 			return nil, err
 		}
 		out = t.sink.finish()
@@ -347,7 +334,7 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 	if err != nil {
 		return nil, err
 	}
-	total := counters.fold(counts)
+	total := q.stats.fold(counts)
 
 	// ---- duplicate elimination stage (only DedupElimination) ----
 	if elimination {
@@ -381,10 +368,10 @@ func (db *Database) runFUDJ(ctx context.Context, clus *cluster.Cluster, counters
 			return nil, err
 		}
 		// A pair is output once it survives the distinct stage.
-		total.output = counters.fold(counts).output
+		total.output = q.stats.fold(counts).output
 	}
 
-	counters.combine.Add(int64(db.clock.Now().Sub(phaseStart)))
+	q.stats.CombineTime += clock.Now().Sub(phaseStart)
 	if combSpan != nil {
 		combSpan.Add("rows.out", total.output)
 		combSpan.Add("rows.built", total.built)

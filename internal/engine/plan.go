@@ -62,6 +62,7 @@ type fudjStep struct {
 
 // joinStep joins the accumulated left input with one new table.
 type joinStep struct {
+	ord      int // position in the left-deep chain; namespaces checkpoint keys
 	kind     joinKind
 	cond     expr.Expr // NLJ predicate (kind == joinNLJ)
 	hashL    expr.Expr // equi-join keys (kind == joinHash)
@@ -168,6 +169,7 @@ func (db *Database) plan(sel *sqlparse.Select) (*queryPlan, error) {
 		if err != nil {
 			return nil, err
 		}
+		step.ord = len(p.joins)
 		p.joins = append(p.joins, step)
 		covered[newAlias] = true
 	}
@@ -401,7 +403,7 @@ func (db *Database) buildFUDJStep(p *queryPlan, covered map[string]bool, rightId
 	selfJoin := false
 	if len(covered) == 1 && rightIdx == 1 {
 		l, r := p.scans[0], p.scans[1]
-		if l.ref.Dataset == r.ref.Dataset && exprEq(stripAlias(l.filter, l.ref.Alias), stripAlias(r.filter, r.ref.Alias)) {
+		if l.ref.Dataset == r.ref.Dataset && stripAlias(l.filter, l.ref.Alias) == stripAlias(r.filter, r.ref.Alias) {
 			selfJoin = true
 		}
 	}
@@ -429,8 +431,6 @@ func stripAlias(e expr.Expr, alias string) string {
 	}
 	return strings.ReplaceAll(e.String(), alias+".", "")
 }
-
-func exprEq(a, b string) bool { return a == b }
 
 // planOutput resolves projections, grouping, ordering, and the output
 // schema.

@@ -13,7 +13,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -22,30 +21,14 @@ import (
 	"fudj/internal/types"
 )
 
-// stepRecovery carries one join step's barrier state: the shared
-// recovery manager plus the step ordinal namespacing its checkpoint
-// keys. A nil *stepRecovery disables all barrier logic (the pre-
-// checkpoint code paths run unchanged).
-type stepRecovery struct {
-	rm   *cluster.RecoveryManager
-	step int
-}
-
-// markDone records per-partition phase completion on the recovery
-// manager; safe on a nil receiver and from concurrent partition tasks.
-func (r *stepRecovery) markDone(phase string, part int) {
-	if r != nil {
-		r.rm.MarkDone(phase, part)
-	}
-}
-
-// planKey names the step's durable plan checkpoint.
-func (r *stepRecovery) planKey() string { return fmt.Sprintf("s%d-plan", r.step) }
+// planKey names a step's durable plan checkpoint; the step ordinal
+// namespaces every checkpoint key of a multi-join query.
+func planKey(step int) string { return fmt.Sprintf("s%d-plan", step) }
 
 // shuffleKey names one partition's post-shuffle input checkpoint for
 // one side.
-func (r *stepRecovery) shuffleKey(side string, part int) string {
-	return fmt.Sprintf("s%d-shuffle-%s-p%d", r.step, side, part)
+func shuffleKey(step int, side string, part int) string {
+	return fmt.Sprintf("s%d-shuffle-%s-p%d", step, side, part)
 }
 
 // runFUDJRecoverable drives one FUDJ join step through barrier-loss
@@ -53,34 +36,30 @@ func (r *stepRecovery) shuffleKey(side string, part int) string {
 // runFUDJ and never reach here; without one, a BarrierLossError aborts
 // the step and the whole step re-runs, up to the cluster's task
 // attempt budget.
-func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluster, counters *statsCounters, mem *memState, smartTheta bool, rm *cluster.RecoveryManager, ord int, jsp *trace.Span, step *joinStep, sink func() rowSink,
+func (q *queryRun) runFUDJRecoverable(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
 
-	if rm == nil {
-		return db.runFUDJ(ctx, clus, counters, mem, smartTheta, nil, jsp, step, sink, left, leftSchema, right, rightSchema)
-	}
-	attempts := clus.RetryPolicy().MaxAttempts
+	attempts := q.clus.RetryPolicy().MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var fails []error
 	for attempt := 0; attempt < attempts; attempt++ {
-		rec := &stepRecovery{rm: rm, step: ord}
-		out, err := db.runFUDJ(ctx, clus, counters, mem, smartTheta, rec, jsp, step, sink, left, leftSchema, right, rightSchema)
+		out, err := q.runFUDJ(jsp, step, sink, left, leftSchema, right, rightSchema)
 		var loss *cluster.BarrierLossError
-		if err != nil && errors.As(err, &loss) && ctx.Err() == nil {
+		if err != nil && errors.As(err, &loss) && q.ctx.Err() == nil {
 			// Abort-and-rerun: no checkpoint store, so the barrier loss
 			// replays the whole step — SUMMARIZE included — which is
 			// exactly the waste checkpointed execution avoids.
-			clus.Metrics().Counter(cluster.MetricRetries).Add(1)
+			q.clus.Metrics().Counter(cluster.MetricRetries).Add(1)
 			fails = append(fails, err)
 			continue
 		}
 		return out, err
 	}
 	return nil, fmt.Errorf("engine: fudj %s step %d gave up after %d attempts: %w",
-		step.fudj.def.Name, ord, attempts, errors.Join(fails...))
+		step.fudj.def.Name, step.ord, attempts, errors.Join(fails...))
 }
 
 // planBarrier crosses the plan barrier: the broadcast plan blob is
@@ -88,12 +67,9 @@ func (db *Database) runFUDJRecoverable(ctx context.Context, clus *cluster.Cluste
 // re-reading the durable plan (healing a damaged checkpoint with a
 // re-broadcast of the coordinator's copy). Returns the plan bytes
 // every node should decode.
-func planBarrier(clus *cluster.Cluster, rec *stepRecovery, planBuf []byte) ([]byte, error) {
-	if rec == nil {
-		return planBuf, nil
-	}
-	rm := rec.rm
-	if err := rm.CheckpointBlob(rec.planKey(), planBuf); err != nil {
+func (q *queryRun) planBarrier(step int, planBuf []byte) ([]byte, error) {
+	rm := q.rm
+	if err := rm.CheckpointBlob(planKey(step), planBuf); err != nil {
 		return nil, err
 	}
 	lost := rm.CrossBarrier(cluster.BarrierPlan)
@@ -103,10 +79,10 @@ func planBarrier(clus *cluster.Cluster, rec *stepRecovery, planBuf []byte) ([]by
 	if !rm.Enabled() {
 		return nil, rm.LossError(cluster.BarrierPlan, lost)
 	}
-	return rm.RecoverBlob(rec.planKey(), lost, func() ([]byte, error) {
+	return rm.RecoverBlob(planKey(step), lost, func() ([]byte, error) {
 		// Corrupt/torn plan checkpoint: the coordinator still holds the
 		// plan, so healing is a re-broadcast (charged as such).
-		clus.Broadcast(planBuf)
+		q.clus.Broadcast(planBuf)
 		return planBuf, nil
 	})
 }
@@ -128,15 +104,12 @@ type shuffleSide struct {
 // deaths fire, and each lost partition is restored from its checkpoint
 // — or recomputed when the checkpoint is damaged — so only the lost
 // partitions' COMBINE re-runs.
-func shuffleBarrier(rec *stepRecovery, sides ...shuffleSide) error {
-	if rec == nil {
-		return nil
-	}
-	rm := rec.rm
+func (q *queryRun) shuffleBarrier(step int, sides ...shuffleSide) error {
+	rm := q.rm
 	if rm.Enabled() {
 		for _, s := range sides {
 			for part := range s.data {
-				if err := rm.CheckpointRecords(rec.shuffleKey(s.name, part), s.data[part]); err != nil {
+				if err := rm.CheckpointRecords(shuffleKey(step, s.name, part), s.data[part]); err != nil {
 					return err
 				}
 			}
@@ -152,7 +125,7 @@ func shuffleBarrier(rec *stepRecovery, sides ...shuffleSide) error {
 	for _, part := range lost {
 		for _, s := range sides {
 			s.data[part] = nil // wiped with the node
-			recs, err := rm.RecoverRecords(rec.shuffleKey(s.name, part), part, func() ([]types.Record, error) {
+			recs, err := rm.RecoverRecords(shuffleKey(step, s.name, part), part, func() ([]types.Record, error) {
 				return cluster.Received(s.pre, s.route, part), nil
 			})
 			if err != nil {

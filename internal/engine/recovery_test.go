@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,7 +156,7 @@ var recoveryLayouts = []struct {
 func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 	db := newTestDB(t)
 	for _, lay := range recoveryLayouts {
-		db.SetSmartTheta(lay.smartTheta)
+		db.MustConfigure(WithSmartTheta(lay.smartTheta))
 		db.SetCheckpoints(false)
 		db.MustConfigure(WithFaults(nil))
 		base := mustQuery(t, db, lay.sql)
@@ -201,7 +203,7 @@ func TestKillAtBarrierMatrix(t *testing.T) {
 	}
 	queries = append(queries, query{"interval-smart-theta", chaosQueries[2].sql, true})
 	for _, q := range queries {
-		db.SetSmartTheta(q.smartTheta)
+		db.MustConfigure(WithSmartTheta(q.smartTheta))
 		base := mustQuery(t, db, q.sql)
 		db.SetCheckpoints(true)
 		for _, b := range []cluster.Barrier{cluster.BarrierPlan, cluster.BarrierShuffle} {
@@ -223,6 +225,35 @@ func TestKillAtBarrierMatrix(t *testing.T) {
 		}
 		db.SetCheckpoints(false)
 		db.MustConfigure(WithFaults(nil))
+	}
+}
+
+// TestPlainQueryLeavesNoRecoveryFootprint guards the always-attached
+// recovery manager: with no faults armed and no checkpoints, a FUDJ
+// query crosses both barriers without recording a fault, without a
+// barrier, recover or sched span, and without touching the filesystem —
+// TMPDIR names a directory that does not exist, so creating a checkpoint
+// store or a spill directory would fail the query.
+func TestPlainQueryLeavesNoRecoveryFootprint(t *testing.T) {
+	tmp := filepath.Join(t.TempDir(), "never-created")
+	t.Setenv("TMPDIR", tmp)
+	db := newTestDB(t)
+	for _, q := range chaosQueries {
+		res, err := db.Execute(q.sql, Trace())
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if res.Faults != (FaultStats{}) {
+			t.Errorf("%s: Faults = %+v, want all zero", q.name, res.Faults)
+		}
+		res.Trace.Walk(func(_ int, sp *trace.Span) {
+			if n := sp.Name(); n == "recover" || n == "sched" || strings.HasPrefix(n, "barrier ") {
+				t.Errorf("%s: trace has a %q span", q.name, n)
+			}
+		})
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("TMPDIR was touched: stat = %v", err)
 	}
 }
 

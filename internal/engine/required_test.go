@@ -202,7 +202,7 @@ func TestSinkEquivalenceMatrix(t *testing.T) {
 		}
 		db := open(t, opts...)
 		for _, j := range sinkJoins {
-			db.SetSmartTheta(j.smartTheta)
+			db.MustConfigure(WithSmartTheta(j.smartTheta))
 			for _, sh := range sinkShapes {
 				t.Run(cfg.name+"/"+j.name+"/"+sh.name, func(t *testing.T) {
 					want := mustQuery(t, oracle, fmt.Sprintf(sh.sql, j.from, j.onTop))

@@ -10,7 +10,7 @@ import (
 
 // thetaSQL exercises the balanced theta operator (smart theta): a
 // multi-join interval FUDJ whose MATCH accepts non-identical bucket
-// pairs, so with SetSmartTheta(true) it takes the coordinator-scheduled
+// pairs, so with WithSmartTheta(true) it takes the coordinator-scheduled
 // bucket-pair layout.
 const thetaSQL = `SELECT a.id, b.id FROM rides a, rides b WHERE a.vendor = 1 AND b.vendor = 2
 	AND overlapping_interval(a.ride_interval, b.ride_interval, 50)`
@@ -25,7 +25,7 @@ const thetaSQL = `SELECT a.id, b.id FROM rides a, rides b WHERE a.vendor = 1 AND
 // answer matches its serial baseline.
 func TestSmartThetaConcurrentWithCheckpointedQueries(t *testing.T) {
 	db := newTestDB(t, WithConcurrencyLimit(4), WithCheckpoints())
-	db.SetSmartTheta(true)
+	db.MustConfigure(WithSmartTheta(true))
 	hashSQL := chaosQueries[0].sql // spatial: DefaultMatch, hash-partitioned COMBINE
 
 	thetaBase := mustQuery(t, db, thetaSQL)
@@ -94,7 +94,7 @@ func TestSmartThetaBarrierLossFallsBackRetryable(t *testing.T) {
 	}
 
 	db := newTestDB(t, WithConcurrencyLimit(4))
-	db.SetSmartTheta(true)
+	db.MustConfigure(WithSmartTheta(true))
 	base := mustQuery(t, db, thetaSQL)
 
 	// No checkpoints + kill at the plan barrier: the recovery manager
