@@ -14,12 +14,12 @@ FUDJVET = bin/fudjvet
 all: build
 
 # vet runs the standard analyzers, then fudjvet, the repo's own
-# invariant suite (determinism, UDF isolation, bounded allocation,
-# context plumbing, side symmetry), with the suppression-ratchet budget:
-# live //fudjvet:ignore counts may not exceed testdata/fudjvet_budget.txt.
+# invariant suite (seeded determinism, UDF panic isolation, bounded
+# decoder allocation, error wrapping, uncontended hot loops). Any
+# fudjvet finding fails it; there is no suppression.
 vet: fudjvet
 	$(GO) vet ./...
-	$(FUDJVET) -budget testdata/fudjvet_budget.txt ./...
+	$(FUDJVET) ./...
 
 fudjvet:
 	$(GO) build -o $(FUDJVET) ./cmd/fudjvet
@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzUvarintCountBound -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run xxx -fuzz FuzzCheckpointReopen -fuzztime $(FUZZTIME) ./internal/storage/
 
 # staticcheck and govulncheck are external tools pinned by version in
 # CI; locally they run only if already installed (the build environment
@@ -143,7 +144,7 @@ lint-fix-check: fudjvet
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-	$(FUDJVET) -budget testdata/fudjvet_budget.txt ./...
+	$(FUDJVET) ./...
 
 # loc prints the size figure ROADMAP.md quotes — the root module's
 # non-test Go lines, comments and blanks included, benchmark/ excluded —
@@ -155,9 +156,8 @@ loc:
 	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
 		END { for (d in n) print n[d], d }' | sort -rn | head -6
 
-# loc-check is the size ratchet, the same shape as the fudjvet
-# suppression budget: loc's count may not exceed the number in
-# testdata/loc_budget.txt, and a PR that shrinks the tree commits its
+# loc-check is the size ratchet: loc's count may not exceed the number
+# in testdata/loc_budget.txt, and a PR that shrinks the tree commits its
 # own count there. The budget only goes down.
 loc-check:
 	@n=$$($(LOC_COUNT)); budget=$$(grep -v '^#' testdata/loc_budget.txt); \

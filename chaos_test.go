@@ -9,6 +9,7 @@ package fudj_test
 
 import (
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -144,10 +145,14 @@ func chaosDataset(t *testing.T, db *fudj.DB, name string, key fudj.Field, recs [
 
 // forEachChaosLibrary runs fn once per library, as a subtest, against a
 // fresh 3×2 database holding that library's datasets and join, with the
-// fault-free answer to its query.
+// fault-free answer to its query. Each row gets its own TMPDIR, which
+// must be empty once fn returns: no spill run or checkpoint may outlive
+// its query.
 func forEachChaosLibrary(t *testing.T, fn func(t *testing.T, db *fudj.DB, l chaosLibrary, clean []fudj.Record)) {
 	for _, l := range chaosLibraries {
 		t.Run(l.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
 			db := fudj.MustOpen(fudj.WithCluster(3, 2))
 			l.build(t, db)
 			if err := db.InstallLibrary(l.lib()); err != nil {
@@ -164,6 +169,9 @@ func forEachChaosLibrary(t *testing.T, fn func(t *testing.T, db *fudj.DB, l chao
 				t.Fatal("fault-free run produced no rows")
 			}
 			fn(t, db, l, clean.Rows)
+			if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+				t.Errorf("%d entries left in TMPDIR (err %v): %v", len(left), err, left)
+			}
 		})
 	}
 }

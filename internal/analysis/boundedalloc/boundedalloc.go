@@ -33,7 +33,7 @@
 // yields a clean value when any argument is clean. These are syntactic
 // heuristics, not a dataflow proof — the rule aims at the decoder
 // idioms the fuzzers actually broke, and the sanitizers keep
-// deliberately-checked code quiet (soundness limits: DESIGN.md §9.7).
+// deliberately-checked code quiet (soundness limits: DESIGN.md §9.6).
 package boundedalloc
 
 import (

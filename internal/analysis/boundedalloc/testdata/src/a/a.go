@@ -69,12 +69,6 @@ func okUntaintedSize(d *Decoder, have int) []byte {
 	return make([]byte, have)
 }
 
-func suppressedMake(d *Decoder) []byte {
-	n, _ := d.Uvarint()
-	//fudjvet:ignore boundedalloc -- fixture: bound is checked out of band
-	return make([]byte, n) // suppressed
-}
-
 // allocRecords' parameter n flows unchecked into a make: the fact makes
 // passing a raw decoded length at that position a call-site finding.
 func allocRecords(n int) []Record {

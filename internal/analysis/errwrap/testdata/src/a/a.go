@@ -34,6 +34,11 @@ func mixedArgs(err error, n int) error {
 	return fmt.Errorf("part %d failed: %v", n, err) // want `error formatted with %v flattens it`
 }
 
+func flattenedJoined(name string, fails []error) error {
+	// The abort-and-rerun give-up shape: the error is a call result.
+	return fmt.Errorf("%s gave up after %d attempts: %v", name, len(fails), errors.Join(fails...)) // want `error formatted with %v flattens it`
+}
+
 func widthStar(err error, w int) error {
 	// %*d consumes two args (width + int); the error still flattens.
 	return fmt.Errorf("pad %*d: %s", w, 7, err) // want `error formatted with %s flattens it`
@@ -58,9 +63,4 @@ func indexed(err error) error {
 
 func nonConstant(f string, err error) error {
 	return fmt.Errorf(f, err) // non-constant format: unverifiable, skipped
-}
-
-func suppressed(err error) error {
-	//fudjvet:ignore errwrap -- message is intentionally terminal text
-	return fmt.Errorf("final: %v", err) // suppressed
 }

@@ -25,8 +25,7 @@ import (
 //
 // Multiple expectations on one line are separated by additional
 // backquoted regexps. Lines without a want comment must produce no
-// finding. Suppressed findings (via //fudjvet:ignore) are asserted with
-// `// suppressed` on the directive's line.
+// finding.
 func RunTest(t *testing.T, testdata string, a *Analyzer, pkgs ...string) {
 	t.Helper()
 	loaded, err := LoadFixtureDirs(filepath.Join(testdata, "src"), pkgs...)
@@ -35,11 +34,11 @@ func RunTest(t *testing.T, testdata string, a *Analyzer, pkgs ...string) {
 	}
 	facts := NewFactStore()
 	for i, pkg := range loaded {
-		res, err := RunAnalyzers(pkg, []*Analyzer{a}, facts)
+		diags, err := RunAnalyzers(pkg, []*Analyzer{a}, facts)
 		if err != nil {
 			t.Fatalf("run %s on %s: %v", a.Name, pkgs[i], err)
 		}
-		checkExpectations(t, pkg, res)
+		checkExpectations(t, pkg, diags)
 	}
 }
 
@@ -51,11 +50,9 @@ type expectation struct {
 }
 
 // checkExpectations compares findings against // want comments.
-func checkExpectations(t *testing.T, pkg *Package, res Result) {
+func checkExpectations(t *testing.T, pkg *Package, diags []Diagnostic) {
 	t.Helper()
 	wants := make(map[string][]*expectation) // "file:line" -> expectations
-	suppressWant := make(map[string]bool)    // "file:line" -> expect a suppression
-	suppressSeen := make(map[string]bool)    // suppressions observed
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -71,14 +68,11 @@ func checkExpectations(t *testing.T, pkg *Package, res Result) {
 						wants[key] = append(wants[key], &expectation{re: re})
 					}
 				}
-				if strings.Contains(text, "// suppressed") {
-					suppressWant[key] = true
-				}
 			}
 		}
 	}
 
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		found := false
 		for _, w := range wants[key] {
@@ -97,31 +91,6 @@ func checkExpectations(t *testing.T, pkg *Package, res Result) {
 			if !w.matched {
 				t.Errorf("no finding at %s matching %q", key, w.re)
 			}
-		}
-	}
-
-	for _, s := range res.Suppressed {
-		// A suppression is asserted at the line of the directive, which
-		// is either the finding's line or the line above it.
-		keys := []string{
-			fmt.Sprintf("%s:%d", s.Pos.Filename, s.Pos.Line),
-			fmt.Sprintf("%s:%d", s.Pos.Filename, s.Pos.Line-1),
-		}
-		ok := false
-		for _, key := range keys {
-			if suppressWant[key] {
-				suppressSeen[key] = true
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("unexpected suppression at %s:%d (%s)", s.Pos.Filename, s.Pos.Line, s.Rule)
-		}
-	}
-	for key := range suppressWant {
-		if !suppressSeen[key] {
-			t.Errorf("expected a suppressed finding near %s, got none", key)
 		}
 	}
 }

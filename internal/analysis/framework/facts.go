@@ -11,9 +11,8 @@ import (
 // ("makes an unguarded UDF call", "parameter 0 flows into a make size",
 // "result 1 carries a raw decoded length") in the pass's FactStore;
 // when a dependent package Q is analyzed later, the same store resolves
-// those summaries at Q's call sites, so claims that used to need a
-// //fudjvet:ignore ("this helper only runs under the caller's guard")
-// are checked instead of asserted.
+// those summaries at Q's call sites, so a claim like "this helper only
+// runs under the caller's guard" is checked instead of asserted.
 //
 // Facts cross package boundaries in process: the driver analyzes
 // packages in dependency order sharing one store (see cmd/fudjvet).

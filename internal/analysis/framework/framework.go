@@ -1,8 +1,8 @@
 // Package framework is a self-contained, stdlib-only re-implementation
 // of the subset of golang.org/x/tools/go/analysis that the fudjvet
 // analyzers need: an Analyzer/Pass/Diagnostic vocabulary, a loader that
-// type-checks packages against gc export data, an analysistest-style
-// fixture driver, and the `//fudjvet:ignore` escape-hatch machinery.
+// type-checks packages against gc export data, a cross-package fact
+// store, and an analysistest-style fixture driver.
 //
 // The build environment intentionally carries no third-party modules,
 // so the real x/tools framework is unavailable; this package keeps the
@@ -22,8 +22,7 @@ import (
 
 // Analyzer describes one static check, mirroring analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the rule; it is what //fudjvet:ignore directives
-	// name and what diagnostics are tagged with.
+	// Name identifies the rule; diagnostics are tagged with it.
 	Name string
 	// Doc is a one-paragraph description: the invariant enforced and
 	// why the engine needs it.
@@ -74,17 +73,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// IsTestFile reports whether pos lies in a _test.go file. The fudjvet
-// analyzers check production invariants, so they skip test code.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// NonTestFiles returns the pass's files excluding _test.go files.
+// NonTestFiles returns the pass's files excluding _test.go files. The
+// fudjvet analyzers check production invariants, so they skip test code.
 func (p *Pass) NonTestFiles() []*ast.File {
 	var out []*ast.File
 	for _, f := range p.Files {
-		if !p.IsTestFile(f.Pos()) {
+		if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
 			out = append(out, f)
 		}
 	}
@@ -103,38 +97,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
-// Suppression records one diagnostic silenced by a //fudjvet:ignore
-// directive, so the multichecker can count and report what the escape
-// hatch is hiding.
-type Suppression struct {
-	Rule    string
-	Pos     token.Position
-	Message string // the silenced finding's text
-	Reason  string // the directive's "-- reason"
-}
-
-// Result is the outcome of running a set of analyzers over one package.
-type Result struct {
-	// Diagnostics are the surviving findings, sorted by position.
-	Diagnostics []Diagnostic
-	// Suppressed are findings silenced by ignore directives.
-	Suppressed []Suppression
-}
-
-// RunAnalyzers executes each analyzer over pkg and applies the ignore
-// directives found in the package's files. Directive hygiene problems
-// (missing reason) surface as ordinary diagnostics under the pseudo-rule
-// "fudjvet".
+// RunAnalyzers executes each analyzer over pkg and returns the findings
+// sorted by position.
 //
 // facts carries interprocedural function summaries across packages:
 // pass nil for a fresh single-package run, or one shared store while
 // analyzing a module in dependency order so facts exported by
 // dependencies resolve at their dependents' call sites.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) (Result, error) {
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	if facts == nil {
 		facts = NewFactStore()
 	}
-	var raw []Diagnostic
+	var diags []Diagnostic
 	for _, a := range analyzers {
 		if !a.appliesTo(pkg.Types.Path()) {
 			continue
@@ -147,25 +121,13 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) (Result
 			TypesInfo: pkg.Info,
 			Facts:     facts,
 		}
-		pass.report = func(d Diagnostic) { raw = append(raw, d) }
+		pass.report = func(d Diagnostic) { diags = append(diags, d) }
 		if err := a.Run(pass); err != nil {
-			return Result{}, fmt.Errorf("%s: %w", a.Name, err)
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
-
-	dirs, dirDiags := parseIgnoreDirectives(pkg.Fset, pkg.Files)
-	res := Result{}
-	for _, d := range raw {
-		if reason, ok := dirs.match(d); ok {
-			res.Suppressed = append(res.Suppressed, Suppression{Rule: d.Rule, Pos: d.Pos, Message: d.Message, Reason: reason})
-			continue
-		}
-		res.Diagnostics = append(res.Diagnostics, d)
-	}
-	res.Diagnostics = append(res.Diagnostics, dirDiags...)
-	sort.Slice(res.Diagnostics, func(i, j int) bool { return posLess(res.Diagnostics[i].Pos, res.Diagnostics[j].Pos) })
-	sort.Slice(res.Suppressed, func(i, j int) bool { return posLess(res.Suppressed[i].Pos, res.Suppressed[j].Pos) })
-	return res, nil
+	sort.Slice(diags, func(i, j int) bool { return posLess(diags[i].Pos, diags[j].Pos) })
+	return diags, nil
 }
 
 func posLess(a, b token.Position) bool {

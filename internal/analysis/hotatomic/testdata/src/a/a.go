@@ -91,14 +91,3 @@ func okInnerLiteral(parts [][]int, c *counters, each func(func())) {
 		}
 	})
 }
-
-func suppressed(parts [][]int, c *counters) {
-	run(parts, func(_ int, in []int) {
-		for range in {
-			for range in {
-				//fudjvet:ignore hotatomic -- fixture: demonstrates the escape hatch
-				c.candidates.Add(1) // suppressed
-			}
-		}
-	})
-}

@@ -8,8 +8,8 @@
 // or global rand call in cluster, engine, or wire code threads
 // irreproducible state into execution decisions, so a chaos failure
 // could never be replayed. Deliberately wall-clock things (busy-time
-// metrics, phase timers) carry a //fudjvet:ignore with a reason stating
-// that the value feeds observability only, never a decision.
+// metrics, phase timers, Result.Elapsed) read the injected trace.Clock,
+// which tests replace with a deterministic one.
 package seedrand
 
 import (
@@ -65,7 +65,7 @@ func run(pass *framework.Pass) error {
 				if sel.Sel.Name == "Now" {
 					pass.Reportf(sel.Pos(),
 						"time.Now in %s: execution decisions must replay from a seed; "+
-							"inject a clock or annotate metrics-only uses", pass.Pkg.Path())
+							"read the injected trace.Clock instead", pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":
 				if !randConstructors[sel.Sel.Name] {

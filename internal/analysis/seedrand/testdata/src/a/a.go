@@ -34,8 +34,3 @@ func okSeededV2(seed uint64) uint64 {
 	r := randv2.New(randv2.NewPCG(seed, seed))
 	return r.Uint64()
 }
-
-func suppressedNow() int64 {
-	//fudjvet:ignore seedrand -- fixture: metrics-only timestamp
-	return time.Now().UnixNano() // suppressed
-}

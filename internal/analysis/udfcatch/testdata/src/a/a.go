@@ -96,6 +96,15 @@ func flaggedGoUDF(j Join) {
 	}()
 }
 
+// flaggedGoWorker is the smart-theta MATCH worker shape: the
+// goroutine's only defer is not a panic guard.
+func flaggedGoWorker(j Join, done func()) {
+	go func() {
+		defer done()
+		j.Match(1, 2) // want `call to user-defined Match runs inside a goroutine`
+	}()
+}
+
 // flaggedGoHelper launches a NeedsGuard function value on a goroutine:
 // reported at the hand-off, because no caller guard can reach it.
 func flaggedGoHelper(j Join) {
@@ -110,6 +119,17 @@ func flaggedDriverHelper(clus *Cluster, j Join) error {
 		return nil
 	}
 	return clus.Run("q", risky) // want `risky calls user-defined join code without an internal panic guard and is handed to a partition driver`
+}
+
+// mergeAll is the coordinator's summary-merge shape: a UDF call in an
+// unguarded, immediately invoked closure gives it a NeedsGuard fact.
+func mergeAll(j Join) bool {
+	return func() bool { return j.Match(1, 2) }()
+}
+
+// flaggedGoMerge calls mergeAll where no caller's guard can reach.
+func flaggedGoMerge(j Join) {
+	go func() { _ = mergeAll(j) }() // want `call to user-defined mergeAll runs inside a goroutine`
 }
 
 // okGoGuarded launches a goroutine whose body guards itself.
@@ -196,11 +216,4 @@ type wrapped struct{ j Join }
 
 func (w wrapped) Verify(b1 int, k1 any, b2 int, k2 any) bool {
 	return w.j.Verify(b1, k1, b2, k2)
-}
-
-// SuppressedExported documents a deliberate contract violation.
-//
-//fudjvet:ignore udfcatch -- fixture: documented caller contract
-func SuppressedExported(j Join) bool { // suppressed
-	return j.Match(1, 2)
 }

@@ -31,9 +31,9 @@
 // parameter is only ever invoked under a deferred guard
 // (core.RunStandalone, whose emit callback runs under the runner's own
 // guard) exports a guarded-parameter fact, so passing an unguarded
-// UDF-calling closure to it is proven safe rather than suppressed.
+// UDF-calling closure to it is proven safe rather than reported.
 //
-// Soundness limits (documented in DESIGN.md §9.7): a function value
+// Soundness limits (documented in DESIGN.md §9.6): a function value
 // that escapes through a struct field, global, channel, or interface
 // is not tracked — passing one in such a position is treated as an
 // ordinary use needing a dominating guard; calls through non-UDF-named
@@ -628,7 +628,7 @@ func (a *analysis) report() {
 				pass.Reportf(n.decl.Name.Pos(),
 					"%s calls user-defined join code with no deferred core.CatchPanic and can be "+
 						"called from outside the module, where the call graph cannot verify a guard; "+
-						"install one or document the contract with an ignore", name)
+						"install one", name)
 			}
 		}
 	}

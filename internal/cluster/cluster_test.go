@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,49 @@ func TestExchangeHashGroupsKeys(t *testing.T) {
 	}
 	if c.Metrics().Snapshot().RecordsShuffled == 0 {
 		t.Error("cross-node exchange should count records")
+	}
+}
+
+// TestMetricsReadableMidQuery reads the registry from another
+// goroutine while exchanges write it, as a /metrics scrape or a
+// progress probe would. Under -race it fails if any reader or writer
+// touches registry state without mu; without -race it still checks that
+// a mid-query reader never sees a counter go backwards.
+func TestMetricsReadableMidQuery(t *testing.T) {
+	c := New(Config{Nodes: 2, CoresPerNode: 2})
+	done := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		var last int64
+		for {
+			s := c.Metrics().Snapshot()
+			recs := c.Metrics().Values()[MetricShuffleRecords]
+			if s.RecordsShuffled < last || recs < s.RecordsShuffled {
+				readerErr <- fmt.Errorf("shuffle.records went backwards: %d, then %d, then %d", last, s.RecordsShuffled, recs)
+				return
+			}
+			last = recs
+			select {
+			case <-done:
+				readerErr <- nil
+				return
+			default:
+			}
+		}
+	}()
+	var err error
+	for i := 0; i < 20 && err == nil; i++ {
+		_, err = c.ExchangeHash(c.Scatter(intRecords(200)), func(r types.Record) uint64 { return r[0].Hash() })
+	}
+	close(done)
+	if rerr := <-readerErr; rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Snapshot().Tasks; got == 0 {
+		t.Error("no tasks recorded")
 	}
 }
 

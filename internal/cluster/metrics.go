@@ -57,9 +57,9 @@ const (
 // Metrics is the cluster's metric registry: named counters, gauges,
 // and histograms, plus the per-partition busy-time vector, all guarded
 // by one mutex. Every read and write of registry state holds mu —
-// the discipline Snapshot establishes and the metricslock analyzer
-// enforces — so a mid-query observer can never mix epochs across
-// metrics.
+// the discipline Snapshot establishes and `go test -race` checks
+// (TestMetricsReadableMidQuery) — so a mid-query observer can never mix
+// epochs across metrics.
 //
 // Storage is columnar (parallel slices indexed by registration id) so
 // handle operations are a lock, an indexed add, and an unlock — no map

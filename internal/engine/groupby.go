@@ -192,9 +192,9 @@ type group struct {
 // groupTable finds a task's groups by their values. Groups are kept in
 // first-seen order, not map order: partials feed the shuffle, and
 // retried or speculated attempts must produce byte-identical output
-// (fudjvet: maporder). One encoder serves every lookup, so a row that
-// lands in a known group allocates nothing; without GROUP BY there is
-// one group and no key at all.
+// (TestByteIdenticalReexecution). One encoder serves every lookup, so
+// a row that lands in a known group allocates nothing; without GROUP BY
+// there is one group and no key at all.
 type groupTable struct {
 	nAggs int
 	enc   *wire.Encoder

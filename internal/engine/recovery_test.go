@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,6 +133,27 @@ func TestRecoveryAbortRerunWithoutCheckpoints(t *testing.T) {
 	}
 	if got, want := countSpans(res.Trace, "SUMMARIZE"), countSpans(base.Trace, "SUMMARIZE"); got <= want {
 		t.Errorf("SUMMARIZE phase spans = %d, want > %d — abort-and-rerun must replay the step", got, want)
+	}
+}
+
+// TestAbortRerunGiveUpStaysRetryable pins what abort-and-rerun returns
+// when every attempt loses a node at a barrier: the give-up error must
+// still carry the *BarrierLossError and classify retryable, so a caller
+// one level up (the failover pool, a client) may try the query again.
+func TestAbortRerunGiveUpStaysRetryable(t *testing.T) {
+	db := newTestDB(t)
+	db.MustConfigure(WithRetryPolicy(cluster.RetryPolicy{MaxAttempts: 2}))
+	db.MustConfigure(WithFaults(&cluster.FaultConfig{Seed: 1, BarrierKillProb: 1}))
+	_, err := db.Execute(chaosQueries[0].sql)
+	if err == nil {
+		t.Fatal("every attempt lost a node at a barrier, yet the query succeeded")
+	}
+	var loss *cluster.BarrierLossError
+	if !errors.As(err, &loss) {
+		t.Errorf("give-up error does not wrap a *BarrierLossError: %v", err)
+	}
+	if !cluster.IsRetryable(err) {
+		t.Errorf("give-up error is not retryable: %v", err)
 	}
 }
 

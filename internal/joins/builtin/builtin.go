@@ -40,7 +40,8 @@ func groupByBucket(recs []types.Record) map[int][]types.Record {
 	return out
 }
 
-// sortedBuckets is kept for deterministic iteration in tests.
+// sortedBuckets returns m's bucket ids in ascending order, so an
+// operator's output order never depends on map iteration.
 func sortedBuckets(m map[int][]types.Record) []int {
 	ids := make([]int, 0, len(m))
 	for id := range m {

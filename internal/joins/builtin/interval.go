@@ -119,7 +119,7 @@ func IntervalOIP(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluator,
 		rBuckets := groupByBucket(in)
 		var out []types.Record
 		// Walk buckets in sorted-id order so emitted record order is
-		// identical across retried attempts (fudjvet: maporder).
+		// identical across retried attempts (TestByteIdenticalReexecution).
 		rOrder := sortedBuckets(rBuckets)
 		for _, b1 := range sortedBuckets(lBuckets) {
 			ls := lBuckets[b1]

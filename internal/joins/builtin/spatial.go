@@ -131,7 +131,10 @@ func spatial(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluator,
 			}
 			out = append(out, joinRecs(l, r))
 		}
-		for tile, ls := range lTiles {
+		// Walk tiles in sorted-id order so emitted record order is
+		// identical across retried attempts (TestByteIdenticalReexecution).
+		for _, tile := range sortedBuckets(lTiles) {
+			ls := lTiles[tile]
 			rs, ok := rTiles[tile]
 			if !ok {
 				continue

@@ -116,7 +116,7 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 		rBuckets := groupByBucket(rShuf[part])
 		var out []types.Record
 		// Walk ranks in sorted order so emitted record order is
-		// identical across retried attempts (fudjvet: maporder).
+		// identical across retried attempts (TestByteIdenticalReexecution).
 		for _, rank := range sortedBuckets(lBuckets) {
 			ls := lBuckets[rank]
 			rs, ok := rBuckets[rank]

@@ -231,7 +231,7 @@ func (s *Server) trackConn(c net.Conn, st http.ConnState) {
 // It always returns a non-nil error, http.ErrServerClosed after a
 // clean Shutdown — the same contract as http.Server.Serve.
 //
-//fudjvet:ignore ctxplumb -- mirrors http.Server.Serve: cancellation arrives via Shutdown/stopCh, not a ctx parameter
+// Cancellation arrives via Shutdown/stopCh, not a ctx parameter.
 func (s *Server) Serve(l net.Listener) error {
 	go s.janitor()
 	return s.hs.Serve(&limitListener{Listener: l, sem: make(chan struct{}, s.cfg.MaxConns)})

@@ -168,8 +168,7 @@ func (s *CheckpointStore) LoadBlob(key string) ([]byte, error) {
 
 // CheckpointWriter builds one checkpoint in a temp file; Close
 // publishes it atomically under its key, Abort discards it. Exactly
-// one of the two must be called on every path (the spillclose analyzer
-// enforces this, as it does for spill RunWriters).
+// one of the two must be called on every path.
 type CheckpointWriter struct {
 	frameWriter
 	dst string // path the checkpoint is published under at Close
