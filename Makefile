@@ -63,7 +63,8 @@ stress:
 # serve-chaos runs the network serving suite under the race detector:
 # the frame protocol (CRC corruption, truncation, oversize), the error
 # envelope taxonomy round-trip, session replay/expiry, the full
-# client/server integration tests, the seeded network chaos
+# client/server integration tests through the one-server case of the
+# failover client, the seeded network chaos
 # convergence run (accept refusal, mid-response resets, byte
 # corruption, stalls), daemon drain under open-loop load, the
 # drain-vs-recovery race, and the through-the-wire stress storm. The
@@ -77,15 +78,15 @@ serve-chaos:
 
 # serve-ha runs the multi-instance failover suite under the race
 # detector: the rolling-restart chaos storm (three restartable fudjd
-# instances behind a failover pool, each drained and restarted in turn
-# under the seeded fault-injecting listener, then a full-cluster hard
-# restart — zero client-visible failures, multiset-identical results,
-# exec-at-most-once per instance, breaker open/close, empty TMPDIR),
-# the deterministic drain-failover and instance-mismatch re-key tests,
-# the health/readiness probes, and the pool/breaker/backoff/journal
-# unit suites.
+# instances behind one failover client, each drained and restarted in
+# turn under the seeded fault-injecting listener, then a full-cluster
+# hard restart — zero client-visible failures, multiset-identical
+# results, exec-at-most-once per instance, breaker open/close, empty
+# TMPDIR), the deterministic drain-failover, instance-mismatch re-key
+# and single-server restart tests, the health/readiness probes, and
+# the endpoint-selection/breaker/drain/backoff/journal unit suites.
 serve-ha:
-	$(GO) test -race -run 'ServeHA|Pool|Breaker|Backoff|Ready|Instance|Journal|Replay|Expiry' \
+	$(GO) test -race -run 'ServeHA|Selection|Breaker|Drain|Backoff|Ready|Instance|Journal|Replay|Expiry' \
 		./internal/serve/ ./internal/serve/client/
 
 # bench-e2e checks the fudj-e2e benchmark (the nested module benchmark/,
@@ -119,6 +120,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzUvarintCountBound -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzCheckpointReopen -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/serve/client/
 
 # staticcheck and govulncheck are external tools pinned by version in
 # CI; locally they run only if already installed (the build environment

@@ -9,7 +9,7 @@
 //	echo "EXPLAIN SELECT ...;" | fudjsh
 //	fudjsh                                  # interactive; \q quits
 //	fudjsh -connect http://127.0.0.1:7531   # against a fudjd
-//	fudjsh -connect host1:7531,host2:7531   # failover pool across instances
+//	fudjsh -connect host1:7531,host2:7531   # failover across instances
 //
 // Ctrl-C cancels the in-flight query (the structured cancellation
 // error is printed); a second Ctrl-C exits the shell. In -c and script
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -59,49 +58,20 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "fudjsh: -trace-out needs a local database; it cannot be combined with -connect")
 			return 2
 		}
-		// Accept bare host:port forms the way the daemon prints them; a
-		// comma-separated list selects the failover pool.
-		var endpoints []string
-		for _, e := range strings.Split(*connect, ",") {
-			e = strings.TrimSpace(e)
-			if e == "" {
-				continue
-			}
-			if !strings.Contains(e, "://") {
-				e = "http://" + e
-			}
-			endpoints = append(endpoints, e)
-		}
 		// The idempotency-key prefix must be unique per client process
 		// within the session, or two shells would replay each other's
 		// responses.
-		prefix := fmt.Sprintf("sh%d-%d", os.Getpid(), time.Now().UnixNano())
-		var (
-			conn shell.Conn
-			cerr error
-		)
-		if len(endpoints) > 1 {
-			conn, cerr = client.NewPool(client.PoolConfig{
-				Endpoints:   endpoints,
-				Session:     *session,
-				QueryPrefix: prefix,
-				Seed:        time.Now().UnixNano(),
-			})
-		} else if len(endpoints) == 1 {
-			conn, cerr = client.New(client.Config{
-				BaseURL:     endpoints[0],
-				Session:     *session,
-				QueryPrefix: prefix,
-				Seed:        time.Now().UnixNano(),
-			})
-		} else {
-			cerr = fmt.Errorf("-connect %q names no endpoints", *connect)
-		}
+		c, cerr := client.New(client.Config{
+			BaseURL:     *connect,
+			Session:     *session,
+			QueryPrefix: fmt.Sprintf("sh%d-%d", os.Getpid(), time.Now().UnixNano()),
+			Seed:        time.Now().UnixNano(),
+		})
 		if cerr != nil {
 			fmt.Fprintln(os.Stderr, "fudjsh:", cerr)
 			return 1
 		}
-		ex = shell.NewRemote(conn)
+		ex = shell.NewRemote(c)
 	} else {
 		db, serr := shell.Setup(shell.Config{
 			Nodes: *nodes, Cores: *cores, Records: *records, LoadDemo: !*noData,

@@ -1,5 +1,6 @@
 // Package seedrand forbids unseedable nondeterminism sources — wall
-// clock reads and the global math/rand generator — in the execution
+// clock reads (time.Now, and the time.Since / time.Until shorthands
+// that call it) and the global math/rand generator — in the execution
 // packages.
 //
 // Invariant: fault injection, retry, and speculative re-execution must
@@ -23,7 +24,7 @@ import (
 // whose behavior must replay from a seed.
 var Analyzer = &framework.Analyzer{
 	Name: "seedrand",
-	Doc: "forbids time.Now and the global math/rand generator in execution packages; " +
+	Doc: "forbids time.Now, time.Since, time.Until and the global math/rand generator in execution packages; " +
 		"replayable behavior must derive from a seed",
 	Packages: []string{
 		"fudj/internal/cluster",
@@ -62,10 +63,10 @@ func run(pass *framework.Pass) error {
 			}
 			switch pn.Imported().Path() {
 			case "time":
-				if sel.Sel.Name == "Now" {
+				if name := sel.Sel.Name; name == "Now" || name == "Since" || name == "Until" {
 					pass.Reportf(sel.Pos(),
-						"time.Now in %s: execution decisions must replay from a seed; "+
-							"read the injected trace.Clock instead", pass.Pkg.Path())
+						"time.%s in %s: execution decisions must replay from a seed; "+
+							"read the injected trace.Clock instead", name, pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":
 				if !randConstructors[sel.Sel.Name] {

@@ -13,8 +13,12 @@ func flaggedNow() int64 {
 	return time.Now().UnixNano() // want `time.Now in a`
 }
 
-func okSince(t time.Time) time.Duration {
-	return time.Since(t)
+func flaggedSince(t time.Time) time.Duration {
+	return time.Since(t) // want `time.Since in a`
+}
+
+func flaggedUntil(t time.Time) time.Duration {
+	return time.Until(t) // want `time.Until in a`
 }
 
 func flaggedGlobalRand() int {

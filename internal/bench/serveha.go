@@ -19,7 +19,7 @@ import (
 
 // The serve-ha experiment prices client-side failover: the spatial
 // join, closed-loop through a two-instance fudjd deployment behind a
-// failover pool, with the serving instance drained and restarted out
+// failover client, with the serving instance drained and restarted out
 // from under the client each round. Steady-state latency is the
 // baseline; the "failover" arm is the latency of the first query after
 // a drain — the price of the shed round trip, the peer's readiness
@@ -106,8 +106,8 @@ func runServeHAExperiment(cfg Config, w io.Writer) error {
 			cancel()
 		}
 	}()
-	pool, err := client.NewPool(client.PoolConfig{
-		Endpoints:       []string{"http://" + instances[0].addr, "http://" + instances[1].addr},
+	cli, err := client.New(client.Config{
+		BaseURL:         instances[0].addr + "," + instances[1].addr,
 		Session:         "bench-ha",
 		QueryPrefix:     "ha",
 		Seed:            cfg.Seed,
@@ -118,10 +118,10 @@ func runServeHAExperiment(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer pool.Close()
+	defer cli.Close()
 
 	ctx := context.Background()
-	query := func() (*client.Result, error) { return pool.Query(ctx, serveHASQL) }
+	query := func() (*client.Result, error) { return cli.Query(ctx, serveHASQL) }
 	const warmups, steadyIters, rounds = 3, 20, 4
 	for i := 0; i < warmups; i++ {
 		if _, err := query(); err != nil {
@@ -133,7 +133,7 @@ func runServeHAExperiment(cfg Config, w io.Writer) error {
 		return fmt.Errorf("serve-ha steady: %w", err)
 	}
 
-	// Each round: find the instance currently serving this pool, drain
+	// Each round: find the instance currently serving this client, drain
 	// it, and time the very next query — the full failover, end to end.
 	// Then restart the drained instance so the next round has a peer to
 	// fail over to (and its breaker a chance to close).
@@ -172,7 +172,7 @@ func runServeHAExperiment(cfg Config, w io.Writer) error {
 	}
 	sort.Slice(failover, func(i, j int) bool { return failover[i] < failover[j] })
 
-	st := pool.Stats()
+	st := cli.Stats()
 	fmt.Fprintf(w, "client-side failover, closed loop, %d steady iters then %d drain/restart rounds, two loopback instances:\n",
 		steadyIters, rounds)
 	printTable(w, []string{"arm", "p50", "p95", "max"}, [][]string{
@@ -200,7 +200,7 @@ func runServeHAExperiment(cfg Config, w io.Writer) error {
 
 // writeServeHAJSON records the measurement in the style of the other
 // results/BENCH_*.json artifacts, with stable field order.
-func writeServeHAJSON(cfg Config, steady, failover []time.Duration, st client.PoolStats) error {
+func writeServeHAJSON(cfg Config, steady, failover []time.Duration, st client.Stats) error {
 	runs := func(ds []time.Duration) string {
 		parts := make([]string, len(ds))
 		for i, d := range ds {
@@ -212,7 +212,7 @@ func writeServeHAJSON(cfg Config, steady, failover []time.Duration, st client.Po
 	fmt.Fprintf(&buf, "{\n")
 	fmt.Fprintf(&buf, "  %q: %q,\n", "benchmark", "bench experiment 'serve-ha': client-side failover across a rolling restart")
 	fmt.Fprintf(&buf, "  %q: %q,\n", "shape",
-		"the spatial example join, closed loop through a failover pool over two loopback fudjd instances; the steady arm queries a healthy pair, the failover arm times the first query after the serving instance drains — shed detection, peer readiness probe, session re-establishment, and re-key included")
+		"the spatial example join, closed loop through a failover client over two loopback fudjd instances; the steady arm queries a healthy pair, the failover arm times the first query after the serving instance drains — shed detection, peer readiness probe, session re-establishment, and re-key included")
 	fmt.Fprintf(&buf, "  %q: {%q: 4, %q: 2},\n", "cluster", "nodes", "cores_per_node")
 	fmt.Fprintf(&buf, "  %q: %q,\n", "command", "make bench-serve-ha")
 	fmt.Fprintf(&buf, "  %q: %q,\n", "cpu", cpuModel())
@@ -223,7 +223,7 @@ func writeServeHAJSON(cfg Config, steady, failover []time.Duration, st client.Po
 	fmt.Fprintf(&buf, "  %q: {%q: %d, %q: %d},\n", "median_ns",
 		"steady", quantile(steady, 0.5).Nanoseconds(),
 		"failover", quantile(failover, 0.5).Nanoseconds())
-	fmt.Fprintf(&buf, "  %q: {%q: %d, %q: %d, %q: %d, %q: %d, %q: %d, %q: %d, %q: %d},\n", "pool",
+	fmt.Fprintf(&buf, "  %q: {%q: %d, %q: %d, %q: %d, %q: %d, %q: %d, %q: %d, %q: %d},\n", "client",
 		"failovers", st.Failovers, "drain_failovers", st.DrainFailovers,
 		"rekeys", st.Rekeys, "breaker_opens", st.BreakerOpens,
 		"breaker_closes", st.BreakerCloses, "probes", st.Probes,
@@ -242,7 +242,7 @@ func init() {
 	register(Experiment{
 		ID:    "serve-ha",
 		Title: "Extra: client-side failover latency across a rolling restart of fudjd instances",
-		Paper: "not in the paper; multi-instance serving experiment — closed-loop latency of the spatial join through a failover pool, steady-state vs the first query after the serving instance drains",
+		Paper: "not in the paper; multi-instance serving experiment — closed-loop latency of the spatial join through a failover client, steady-state vs the first query after the serving instance drains",
 		Run:   runServeHAExperiment,
 	})
 }

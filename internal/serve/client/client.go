@@ -1,8 +1,10 @@
-// Package client is the retrying fudj network client. It speaks the
-// internal/serve frame protocol against a fudjd server and restores
-// the in-process programming model on the far side of the socket:
-// queries return *engine.Result, failures decode to the same concrete
-// error taxonomy, and fudj.IsRetryable classifies them identically.
+// Package client is the retrying, failover-capable fudj network
+// client. It speaks the internal/serve frame protocol against one or
+// more fudjd servers and restores the in-process programming model on
+// the far side of the socket: queries return *engine.Result, failures
+// decode to the same concrete error taxonomy, and fudj.IsRetryable
+// classifies them identically. A single server is the one-endpoint case
+// of the same machinery (failover.go).
 //
 // Robustness contract:
 //
@@ -15,10 +17,11 @@
 //     honored as the floor of the wait. Non-retryable errors
 //     (timeouts, resource overruns, UDF panics, parse errors) are
 //     returned on the first attempt, never retried.
-//   - Idempotency: every logical query carries a client-chosen query
-//     ID; all attempts reuse it, so a retry whose original response
-//     was lost replays the server's recorded response instead of
-//     executing the statement twice.
+//   - Idempotency: every logical query carries a client-chosen key
+//     scoped to the instance it lands on; all attempts against that
+//     instance reuse it, so a retry whose original response was lost
+//     replays the server's recorded response instead of executing the
+//     statement twice.
 //   - Cancellation: when the caller's context is canceled mid-query
 //     the client aborts the attempt, sends a best-effort /v1/cancel so
 //     the server-side execution stops too, and surfaces an error
@@ -44,37 +47,42 @@ import (
 	"fudj/internal/engine"
 	"fudj/internal/sched"
 	"fudj/internal/serve"
+	"fudj/internal/trace"
 	"fudj/internal/types"
 )
 
 // Config shapes one Client.
 type Config struct {
-	// BaseURL locates the server, e.g. "http://127.0.0.1:7531".
-	// Required.
+	// BaseURL locates the server, e.g. "http://127.0.0.1:7531", or
+	// several independent instances as a comma-separated list to fail
+	// over between. A bare host:port gets "http://". Required.
 	BaseURL string
-	// Session names the server-side session. Empty selects "default".
+	// Session names the server-side session, re-established on every
+	// instance the client touches. Empty selects "default".
 	Session string
 	// QueryPrefix namespaces this client's idempotency keys inside the
 	// session. Two concurrent clients sharing a session MUST use
 	// distinct prefixes or their replay records collide. Empty selects
 	// "q<Seed>".
 	QueryPrefix string
-	// MaxAttempts bounds tries per query (first attempt included).
-	// <=0 selects 4. 1 disables retry.
+	// MaxAttempts bounds tries per query across all endpoints (first
+	// attempt included). <=0 selects 4 per endpoint. 1 disables retry.
 	MaxAttempts int
 	// BackoffBase seeds the exponential backoff. <=0 selects 50ms.
 	BackoffBase time.Duration
 	// BackoffMax caps one backoff wait. <=0 selects 2s.
 	BackoffMax time.Duration
-	// AttemptTimeout bounds a single attempt end-to-end, so a stalled
+	// AttemptTimeout bounds every round trip to one endpoint (query
+	// attempt, readiness probe, catalog read) end-to-end, so a stalled
 	// connection turns into a retryable transport error instead of a
 	// hang. 0 means the caller's context is the only bound.
 	AttemptTimeout time.Duration
-	// Seed feeds the backoff jitter PRNG (deterministic tests).
-	// 0 selects 1.
+	// Seed feeds endpoint selection and backoff jitter (deterministic
+	// tests). 0 selects 1.
 	Seed int64
-	// HTTPClient overrides the transport (tests inject a chaos one).
-	HTTPClient *http.Client
+	// BreakerCooldown is how long an open breaker waits before a
+	// half-open probe. <=0 selects 250ms.
+	BreakerCooldown time.Duration
 }
 
 // Result is one successful query's outcome.
@@ -91,8 +99,7 @@ type Result struct {
 	// Instance is the serving instance's stable ID (HeaderInstance) —
 	// the scope of this query's idempotency key and session state.
 	Instance string
-	// Endpoint is the base URL that answered (pool queries only; a
-	// single-endpoint client leaves it empty).
+	// Endpoint is the base URL that answered.
 	Endpoint string
 }
 
@@ -116,29 +123,42 @@ func WithTrace() QueryOption {
 	return func(o *queryOpts) { o.traced = true }
 }
 
-// Client is a retrying connection to one fudjd server. Safe for
-// concurrent use.
+// Client is a retrying connection to one or more fudjd instances. Safe
+// for concurrent use.
 type Client struct {
-	cfg  Config
-	base string
-	hc   *http.Client
+	cfg   Config
+	hc    *http.Client
+	clock trace.Clock // breaker timing and deadline budgets; tests inject a fake
+	eps   []*endpoint
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	nextID int64
+	mu      sync.Mutex
+	rng     *rand.Rand
+	cursor  int // sticky: the endpoint queries currently route to
+	nextID  int64
+	journal []journalEntry
+	stats   Stats
 }
 
 // New builds a client. It does not dial; the first Query does.
 func New(cfg Config) (*Client, error) {
-	if cfg.BaseURL == "" {
-		return nil, errors.New("client: Config.BaseURL is required")
+	c := &Client{hc: &http.Client{}, clock: trace.WallClock{}}
+	for _, u := range strings.Split(cfg.BaseURL, ",") {
+		if u = strings.TrimSpace(u); u == "" {
+			continue
+		}
+		if !strings.Contains(u, "://") {
+			u = "http://" + u
+		}
+		if pu, err := url.Parse(u); err != nil || (pu.Scheme != "http" && pu.Scheme != "https") {
+			return nil, fmt.Errorf("client: bad base URL %q", u)
+		}
+		c.eps = append(c.eps, &endpoint{url: strings.TrimRight(u, "/")})
 	}
-	u, err := url.Parse(cfg.BaseURL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") {
-		return nil, fmt.Errorf("client: bad BaseURL %q", cfg.BaseURL)
+	if len(c.eps) == 0 {
+		return nil, fmt.Errorf("client: Config.BaseURL %q names no server", cfg.BaseURL)
 	}
 	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
+		cfg.MaxAttempts = 4 * len(c.eps)
 	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 50 * time.Millisecond
@@ -152,24 +172,27 @@ func New(cfg Config) (*Client, error) {
 	if cfg.QueryPrefix == "" {
 		cfg.QueryPrefix = "q" + strconv.FormatInt(cfg.Seed, 10)
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 250 * time.Millisecond
 	}
-	return &Client{
-		cfg:  cfg,
-		base: strings.TrimRight(cfg.BaseURL, "/"),
-		hc:   hc,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
+	c.cfg = cfg
+	c.rng = rand.New(rand.NewSource(cfg.Seed))
+	// Seeded-deterministic starting endpoint: spreads a fleet of clients
+	// across the instances without any shared state.
+	c.cursor = c.rng.Intn(len(c.eps))
+	return c, nil
 }
 
 // Close releases idle connections.
 func (c *Client) Close() { c.hc.CloseIdleConnections() }
 
-// Query executes one statement, retrying retryable failures until ctx
-// or the attempt budget runs out. The returned error decodes to the
-// same concrete taxonomy type the in-process engine would return.
+// Query executes one statement, failing over between endpoints and
+// retrying retryable failures until it succeeds, turns out
+// non-retryable, or ctx or the attempt budget runs out. The returned
+// error decodes to the same concrete taxonomy type the in-process
+// engine would return. The statement's idempotency key is scoped to the
+// instance each attempt lands on, so a replay can only come from the
+// instance that executed it.
 func (c *Client) Query(ctx context.Context, sql string, opts ...QueryOption) (*Result, error) {
 	var qo queryOpts
 	for _, o := range opts {
@@ -177,41 +200,127 @@ func (c *Client) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 	}
 	c.mu.Lock()
 	c.nextID++
-	queryID := fmt.Sprintf("%s-%d", c.cfg.QueryPrefix, c.nextID)
+	logical := c.nextID
 	c.mu.Unlock()
 
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		res, err := c.attempt(ctx, sql, queryID, "", qo)
+	n := len(c.eps)
+	var (
+		lastErr  error
+		lastEp   *endpoint
+		prevInst string
+		lastKey  string
+	)
+	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+		ep := c.route(ctx)
+		if lastEp != nil && ep != lastEp {
+			c.count(func(st *Stats) { st.Failovers++ })
+		}
+		lastEp = ep
+
+		inst, err := c.ensure(ctx, ep)
+		var res *Result
 		if err == nil {
+			if prevInst != "" && inst != prevInst {
+				c.count(func(st *Stats) { st.Rekeys++ })
+			}
+			prevInst = inst
+			lastKey = c.key(logical, inst)
+			res, err = c.attempt(ctx, ep, sql, lastKey, inst, qo)
+		}
+		if err == nil {
+			c.onSuccess(ep)
+			c.journalOnSuccess(sql, logical, ep)
 			res.Attempts = attempt
+			res.Endpoint = ep.url
 			return res, nil
 		}
 		lastErr = err
 
 		// The caller gave up: stop the server-side execution too, and
 		// surface the cancellation rather than the attempt's wreckage.
+		if ctx.Err() != nil {
+			break
+		}
+		var im *serve.InstanceMismatchError
+		if errors.As(err, &im) {
+			// The instance changed between our last contact and this
+			// query: adopt the identity it named and retry — ensure will
+			// replay the journal, key will re-key. Not a fault, so no
+			// breaker hit and no backoff.
+			ep.adoptInstance(im.Got)
+			continue
+		}
+		if !cluster.IsRetryable(err) {
+			return nil, err
+		}
+		if isDrainShed(err) {
+			// The instance announced it is going away: try a routable
+			// peer immediately — backing off would just idle against a
+			// server that already refused us.
+			if c.tripDrain(ep, err) {
+				continue
+			}
+		} else {
+			c.recordFailure(ep)
+		}
+		// A peer might answer right now; only back off once a full sweep
+		// of the endpoints has failed. One endpoint: after every failure.
+		if attempt%n != 0 {
+			continue
+		}
+		if attempt < c.cfg.MaxAttempts && sleep(ctx, c.backoffWait((attempt-1)/n+1, err)) != nil {
+			break
+		}
+	}
+	if ctx.Err() != nil {
+		if lastKey != "" {
+			c.cancelRemote(lastEp, lastKey)
+		}
 		// The attempt error is deliberately flattened to text — wrapping
 		// a retryable transport error here would reclassify the caller's
 		// own cancellation as retryable.
-		if ctx.Err() != nil {
-			c.cancelRemote(queryID)
-			return nil, fmt.Errorf("client: query %s: %w (last attempt: %s)", queryID, ctx.Err(), err.Error())
-		}
-		if !cluster.IsRetryable(err) || attempt >= c.cfg.MaxAttempts {
-			return nil, err
-		}
-		if err := c.backoff(ctx, attempt, err); err != nil {
-			c.cancelRemote(queryID)
-			return nil, fmt.Errorf("client: query %s: %w (last attempt: %s)", queryID, ctx.Err(), lastErr.Error())
-		}
+		return nil, fmt.Errorf("client: query %s-%d: %w (last attempt: %s)", c.cfg.QueryPrefix, logical, ctx.Err(), lastErr.Error())
 	}
+	return nil, lastErr
 }
 
-// backoff sleeps the wait backoffWait computes for `attempt`. Returns
-// ctx's error if the context dies first.
-func (c *Client) backoff(ctx context.Context, attempt int, err error) error {
-	t := time.NewTimer(c.backoffWait(attempt, err))
+// key mints the idempotency key for a logical query against one
+// instance: deterministic, so a retry against the same instance
+// replays, and instance-scoped, so a failover re-executes under a
+// fresh key instead of colliding with a stranger's replay record.
+func (c *Client) key(logical int64, instance string) string {
+	return fmt.Sprintf("%s-%d@%s", c.cfg.QueryPrefix, logical, instance)
+}
+
+// backoffWait computes the wait before retrying after failed sweep
+// `sweep` (one endpoint: one attempt). Without a server hint it is
+// jittered exponential backoff on [d/2, d] where d is the capped
+// exponential for this sweep. A server retry-after hint riding on err
+// is the *exact minimum* whenever present: the wait is hint plus jitter
+// on [0, d/2] — never below the hint (the server knows when it will
+// take work again; sleeping less just buys another refusal) and never
+// stripped of jitter (a fleet of clients all sleeping exactly the hint
+// would resubmit in lockstep).
+func (c *Client) backoffWait(sweep int, err error) time.Duration {
+	d := c.cfg.BackoffMax
+	if sweep <= 32 {
+		d = c.cfg.BackoffBase << (sweep - 1)
+		if d > c.cfg.BackoffMax || d <= 0 {
+			d = c.cfg.BackoffMax
+		}
+	}
+	c.mu.Lock()
+	jitter := time.Duration(c.rng.Int63n(int64(d/2) + 1))
+	c.mu.Unlock()
+	if hint, ok := serve.RetryAfter(err); ok {
+		return hint + jitter
+	}
+	return d/2 + jitter
+}
+
+// sleep waits d or until ctx dies.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -221,49 +330,21 @@ func (c *Client) backoff(ctx context.Context, attempt int, err error) error {
 	}
 }
 
-// backoffWait computes the wait before retrying `attempt`. Without a
-// server hint it is jittered exponential backoff on [d/2, d] where d
-// is the capped exponential for this attempt. A server retry-after
-// hint riding on err is the *exact minimum* whenever present: the wait
-// is hint plus jitter on [0, d/2] — never below the hint (the server
-// knows when it will take work again; sleeping less just buys another
-// refusal) and never stripped of jitter (a fleet of clients all
-// sleeping exactly the hint would resubmit in lockstep).
-func (c *Client) backoffWait(attempt int, err error) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return backoffWaitLocked(c.rng, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, err)
-}
-
-// backoffWaitLocked is the shared wait computation for Client and Pool
-// (each passes its own seeded rng, which the caller's lock guards).
-func backoffWaitLocked(rng *rand.Rand, base, max time.Duration, attempt int, err error) time.Duration {
-	d := max
-	if attempt <= 32 {
-		d = base << (attempt - 1)
-		if d > max || d <= 0 {
-			d = max
-		}
-	}
-	jitter := time.Duration(rng.Int63n(int64(d/2) + 1))
-	if hint, ok := serve.RetryAfter(err); ok {
-		return hint + jitter
-	}
-	return d/2 + jitter
-}
-
-// attempt runs one try of one query. A non-empty expect ships
-// HeaderExpectInstance, so a server that is not the named instance
-// refuses before touching its replay cache (the pool's failover
-// handshake).
-func (c *Client) attempt(parent context.Context, sql, queryID, expect string, qo queryOpts) (*Result, error) {
-	ctx := parent
+// bound derives the context for one round trip to one endpoint.
+func (c *Client) bound(ctx context.Context) (context.Context, context.CancelFunc) {
 	if c.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(parent, c.cfg.AttemptTimeout)
-		defer cancel()
+		return context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/query", strings.NewReader(sql))
+	return ctx, func() {}
+}
+
+// attempt runs one try of one query against ep. It ships
+// HeaderExpectInstance, so a server that is not the named instance
+// refuses before touching its replay cache (the failover handshake).
+func (c *Client) attempt(parent context.Context, ep *endpoint, sql, key, expect string, qo queryOpts) (*Result, error) {
+	ctx, cancel := c.bound(parent)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.url+"/v1/query", strings.NewReader(sql))
 	if err != nil {
 		return nil, &serve.TransportError{Op: "build request", Err: err}
 	}
@@ -271,14 +352,12 @@ func (c *Client) attempt(parent context.Context, sql, queryID, expect string, qo
 	if c.cfg.Session != "" {
 		req.Header.Set(serve.HeaderSession, c.cfg.Session)
 	}
-	req.Header.Set(serve.HeaderQueryID, queryID)
-	if expect != "" {
-		req.Header.Set(serve.HeaderExpectInstance, expect)
-	}
+	req.Header.Set(serve.HeaderQueryID, key)
+	req.Header.Set(serve.HeaderExpectInstance, expect)
 	// Deadline propagation: ship the remaining budget, not the
 	// absolute instant, so client/server clock skew cannot distort it.
 	if dl, ok := parent.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
+		ms := dl.Sub(c.clock.Now()).Milliseconds()
 		if ms < 1 {
 			ms = 1
 		}
@@ -315,38 +394,6 @@ func (c *Client) attempt(parent context.Context, sql, queryID, expect string, qo
 	}
 	res.Instance = resp.Header.Get(serve.HeaderInstance)
 	return res, nil
-}
-
-// Ready probes the server's /v1/ready readiness endpoint. It reports
-// whether the server is accepting new queries and which instance
-// answered; err is non-nil only when no well-formed answer came back
-// at all (a draining server's 503 is a valid "not ready", not an
-// error). The pool's circuit breaker half-open probe calls this.
-func (c *Client) Ready(ctx context.Context) (ready bool, instance string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/ready", nil)
-	if err != nil {
-		return false, "", &serve.TransportError{Op: "build request", Err: err}
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, "", &serve.TransportError{Op: "get /v1/ready", Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return false, "", &serve.TransportError{Op: "get /v1/ready", Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
-	}
-	var out struct {
-		Ready    bool   `json:"ready"`
-		Instance string `json:"instance"`
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	if err != nil {
-		return false, "", &serve.TransportError{Op: "get /v1/ready", Err: err}
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return false, "", &serve.TransportError{Op: "decode /v1/ready", Err: err}
-	}
-	return out.Ready, out.Instance, nil
 }
 
 // decodeResponse consumes a frame stream into a Result, or the decoded
@@ -423,17 +470,16 @@ func decodeResponse(r io.Reader) (*Result, error) {
 	}
 }
 
-// cancelRemote tells the server to cancel queryID's execution. Best
-// effort with its own short budget; the caller is already on the way
-// out.
-func (c *Client) cancelRemote(queryID string) {
+// cancelRemote tells ep to cancel key's execution. Best effort with its
+// own short budget; the caller is already on the way out.
+func (c *Client) cancelRemote(ep *endpoint, key string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	sess := c.cfg.Session
 	if sess == "" {
 		sess = "default"
 	}
-	u := fmt.Sprintf("%s/v1/cancel?session=%s&query=%s", c.base, url.QueryEscape(sess), url.QueryEscape(queryID))
+	u := fmt.Sprintf("%s/v1/cancel?session=%s&query=%s", ep.url, url.QueryEscape(sess), url.QueryEscape(key))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
 		return
@@ -446,27 +492,70 @@ func (c *Client) cancelRemote(queryID string) {
 	resp.Body.Close()
 }
 
-// Metrics fetches the server's /metrics snapshot.
+// Ready probes /v1/ready on the endpoint queries currently route to. It
+// reports whether the server is accepting new queries and which
+// instance answered; err is non-nil only when no well-formed answer
+// came back at all (a draining server's 503 is a valid "not ready",
+// not an error). The answering instance is recorded, so the next query
+// needs no first-contact probe of its own.
+func (c *Client) Ready(ctx context.Context) (ready bool, instance string, err error) {
+	ep, _ := c.pick()
+	ready, instance, err = c.ready(ctx, ep)
+	if err == nil && instance != "" {
+		ep.adoptInstance(instance)
+	}
+	return ready, instance, err
+}
+
+func (c *Client) ready(ctx context.Context, ep *endpoint) (bool, string, error) {
+	var out struct {
+		Ready    bool   `json:"ready"`
+		Instance string `json:"instance"`
+	}
+	err := c.getJSON(ctx, ep, "/v1/ready", &out)
+	return out.Ready, out.Instance, err
+}
+
+// Metrics fetches a /metrics snapshot from the first reachable endpoint
+// (cursor order, closed breakers first).
 func (c *Client) Metrics(ctx context.Context) (serve.MetricsSnapshot, error) {
 	var snap serve.MetricsSnapshot
-	err := c.getJSON(ctx, "/metrics", &snap)
+	err := c.getFirst(ctx, "/metrics", &snap)
 	return snap, err
 }
 
-// Catalog fetches the server's dataset and join listings.
+// Catalog fetches the dataset and join listings from the first
+// reachable endpoint (cursor order, closed breakers first).
 func (c *Client) Catalog(ctx context.Context) (datasets, joins []string, err error) {
-	var out struct {
-		Datasets []string `json:"datasets"`
-		Joins    []string `json:"joins"`
-	}
-	if err := c.getJSON(ctx, "/v1/catalog", &out); err != nil {
+	var out catalogJSON
+	if err := c.getFirst(ctx, "/v1/catalog", &out); err != nil {
 		return nil, nil, err
 	}
 	return out.Datasets, out.Joins, nil
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+type catalogJSON struct {
+	Datasets []string `json:"datasets"`
+	Joins    []string `json:"joins"`
+}
+
+func (c *Client) getFirst(ctx context.Context, path string, v any) error {
+	var err error
+	for _, ep := range c.epsInOrder() {
+		if err = c.getJSON(ctx, ep, path, v); err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
+// getJSON reads one JSON document from ep under AttemptTimeout. 200 and
+// 503 (a draining server's readiness answer) carry a body; any other
+// status is a transport error.
+func (c *Client) getJSON(ctx context.Context, ep *endpoint, path string, v any) error {
+	ctx, cancel := c.bound(ctx)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.url+path, nil)
 	if err != nil {
 		return &serve.TransportError{Op: "build request", Err: err}
 	}
@@ -475,7 +564,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 		return &serve.TransportError{Op: "get " + path, Err: err}
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 		return &serve.TransportError{Op: "get " + path, Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))

@@ -1,5 +1,5 @@
 // Rolling-restart high-availability suite: several real fudjd
-// instances on loopback listeners, a failover Pool in front of them,
+// instances on loopback listeners, a failover client in front of them,
 // and each instance drained and restarted in turn — under the seeded
 // fault-injecting listener — while an open-loop storm runs. The
 // acceptance bar (ISSUE 10): zero non-retryable client-visible
@@ -182,7 +182,7 @@ func (h *haInstance) servers() []*serve.Server {
 
 // assertExecAtMostOnce sweeps every generation of every instance: no
 // (instance, query-id) pair may have executed more than once, however
-// many times the pool retried or re-keyed.
+// many times the client retried or re-keyed.
 func assertExecAtMostOnce(t *testing.T, session string, instances []*haInstance) {
 	t.Helper()
 	for _, h := range instances {
@@ -199,15 +199,15 @@ func assertExecAtMostOnce(t *testing.T, session string, instances []*haInstance)
 // TestServeHAFailoverOnDrain is the deterministic core of the tentpole
 // contract: a session (including its DDL) survives its server. One
 // query lands on some instance, that instance drains, and the next
-// query — same pool, same session — succeeds on a peer with no
-// client-visible error, after the pool replays the session journal.
+// query — same client, same session — succeeds on a peer with no
+// client-visible error, after the client replays the session journal.
 func TestServeHAFailoverOnDrain(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	a := startHAInstance(t, "a", nil)
 	b := startHAInstance(t, "b", nil)
 
-	p, err := client.NewPool(client.PoolConfig{
-		Endpoints:       []string{a.base, b.base},
+	p, err := client.New(client.Config{
+		BaseURL:         a.base + "," + b.base,
 		Session:         "ha",
 		QueryPrefix:     "fo",
 		Seed:            11,
@@ -236,7 +236,7 @@ func TestServeHAFailoverOnDrain(t *testing.T) {
 		t.Fatalf("result missing provenance: instance=%q endpoint=%q", before.Instance, before.Endpoint)
 	}
 
-	// Drain whichever instance the pool is stuck to.
+	// Drain whichever instance the client is stuck to.
 	serving := a
 	if before.Endpoint == b.base {
 		serving = b
@@ -274,13 +274,13 @@ func TestServeHAFailoverOnDrain(t *testing.T) {
 
 // TestServeHAInstanceMismatchRekeys: a server replaced in place (same
 // address, new instance ID, fresh state) is detected by the
-// expect-instance handshake, not by luck: the pool re-keys, replays
+// expect-instance handshake, not by luck: the client re-keys, replays
 // its journal, and the query succeeds with no client-visible error.
 func TestServeHAInstanceMismatchRekeys(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	a := startHAInstance(t, "solo", nil)
-	p, err := client.NewPool(client.PoolConfig{
-		Endpoints:       []string{a.base},
+	p, err := client.New(client.Config{
+		BaseURL:         a.base,
 		Session:         "ha",
 		QueryPrefix:     "mm",
 		Seed:            5,
@@ -340,6 +340,52 @@ func TestServeHAInstanceMismatchRekeys(t *testing.T) {
 	assertExecAtMostOnce(t, "ha", []*haInstance{a})
 }
 
+// TestServeHASingleServerSessionSurvivesRestart: a client of one
+// server is the one-endpoint case of failover, so its session outlives
+// a restart of that server: the mismatch refusal re-keys, the journal
+// replays the session DDL, and the query that needs it succeeds.
+func TestServeHASingleServerSessionSurvivesRestart(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	a := startHAInstance(t, "single", nil)
+	c, err := client.New(client.Config{
+		BaseURL:     a.base,
+		Session:     "ha",
+		QueryPrefix: "ss",
+		BackoffBase: 2 * time.Millisecond,
+		BackoffMax:  50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := context.Background()
+	for _, sql := range []string{haJoinSQL, haIntoSQL} {
+		if _, err := c.Query(ctx, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	before, err := c.Query(ctx, haSessSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.drainRestart(10 * time.Millisecond)
+	after, err := c.Query(ctx, haSessSQL)
+	if err != nil {
+		t.Fatalf("session did not survive the restart: %v", err)
+	}
+	if after.Instance != "single-g2" {
+		t.Fatalf("answered by %q, want the restarted instance single-g2", after.Instance)
+	}
+	if !sameMultiset(rowKeys(before.Result), rowKeys(after.Result)) {
+		t.Fatal("restart changed the result")
+	}
+	if st := c.Stats(); st.Rekeys == 0 || st.JournalReplays != 2 {
+		t.Fatalf("stats %+v, want a re-key and two journal replays", st)
+	}
+	assertExecAtMostOnce(t, "ha", []*haInstance{a})
+}
+
 // TestServeHAReadinessProbes: /v1/health stays 200 through a drain
 // while /v1/ready flips to 503 the moment the drain starts, and every
 // response names the instance.
@@ -385,7 +431,7 @@ func TestServeHAReadinessProbes(t *testing.T) {
 }
 
 // TestServeHARollingRestart is the acceptance chaos suite: an
-// open-loop storm against three instances behind a failover pool,
+// open-loop storm against three instances behind a failover client,
 // every instance drained and restarted in turn under the seeded
 // fault-injecting listener.
 func TestServeHARollingRestart(t *testing.T) {
@@ -409,8 +455,8 @@ func TestServeHARollingRestart(t *testing.T) {
 	for i, h := range instances {
 		endpoints[i] = h.base
 	}
-	p, err := client.NewPool(client.PoolConfig{
-		Endpoints:       endpoints,
+	p, err := client.New(client.Config{
+		BaseURL:         strings.Join(endpoints, ","),
 		Session:         "ha",
 		QueryPrefix:     "storm",
 		Seed:            47,
@@ -520,9 +566,10 @@ func TestServeHARollingRestart(t *testing.T) {
 	// This forces the breaker lifecycle by construction: with every
 	// endpoint refusing connections, the failover sweep feeds each
 	// breaker its threshold of consecutive failures (opens), and the
-	// storm can only resume once half-open probes against the restarted
-	// instances succeed (closes). The pool must ride through the whole
-	// outage on its attempt budget with zero client-visible failures.
+	// storm resumes once a half-open probe or a query sent to the first
+	// breaker due back reaches a restarted instance (closes). The client
+	// must ride through the whole outage on its attempt budget with zero
+	// client-visible failures.
 	for _, h := range instances {
 		h.stop()
 	}

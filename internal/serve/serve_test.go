@@ -7,7 +7,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -283,11 +282,13 @@ func TestServeIdempotentReplay(t *testing.T) {
 
 	// Re-send the same query ID by hand: the response must replay from
 	// the record without executing again, and say so in the trailer.
+	// Keys are scoped to the instance that executed them.
+	key := "t-1@" + ts.srv.InstanceID()
 	req, err := http.NewRequest(http.MethodPost, ts.base+"/v1/query", strings.NewReader(demoJoinSQL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(serve.HeaderQueryID, "t-1")
+	req.Header.Set(serve.HeaderQueryID, key)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +304,7 @@ func TestServeIdempotentReplay(t *testing.T) {
 	if !trailer.Replayed {
 		t.Fatal("replayed response's trailer does not say Replayed")
 	}
-	if n := ts.srv.ExecCount("", "t-1"); n != 1 {
+	if n := ts.srv.ExecCount("", key); n != 1 {
 		t.Fatalf("query executed %d times, want 1", n)
 	}
 	if ctrs := ts.srv.Counters(); ctrs.Replayed != 1 {
@@ -311,7 +312,7 @@ func TestServeIdempotentReplay(t *testing.T) {
 	}
 	// The exec-count probe is a pure read: no session springs into
 	// being for an unknown name.
-	before := ts.srv.ExecCount("ghost-session", "t-1")
+	before := ts.srv.ExecCount("ghost-session", key)
 	snap, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -509,10 +510,11 @@ func TestServeChaosConvergence(t *testing.T) {
 		queries++
 		totalAttempts += res.Attempts
 	}
-	// Idempotency invariant: whatever the retry count, nothing ran twice.
-	for i := 1; i <= queries; i++ {
-		if n := ts.srv.ExecCount("", fmt.Sprintf("t-%d", i)); n > 1 {
-			t.Fatalf("query t-%d executed %d times", i, n)
+	// Idempotency invariant: whatever the retry count, nothing ran
+	// twice — swept over every key, since keys are instance-scoped.
+	for key, n := range ts.srv.ExecCounts("") {
+		if n > 1 {
+			t.Fatalf("query %s executed %d times", key, n)
 		}
 	}
 	cs := ts.chaos.Stats()

@@ -81,25 +81,14 @@ func (l *Local) DB() *fudj.DB { return l.db }
 // Close implements Executor.
 func (l *Local) Close() error { return nil }
 
-// Conn is the connection surface Remote needs — satisfied by both
-// *client.Client (one server) and *client.Pool (failover across
-// several), so the shell is indifferent to how many instances stand
-// behind its prompt.
-type Conn interface {
-	Query(ctx context.Context, sql string, opts ...client.QueryOption) (*client.Result, error)
-	Metrics(ctx context.Context) (serve.MetricsSnapshot, error)
-	Catalog(ctx context.Context) (datasets, joins []string, err error)
-	Close()
-}
-
 // Remote is the network Executor: statements travel to one or more
-// fudjd servers through the retrying client or failover pool.
+// fudjd servers through the retrying, failover-capable client.
 type Remote struct {
-	c Conn
+	c *client.Client
 }
 
-// NewRemote wraps a connected client or pool.
-func NewRemote(c Conn) *Remote { return &Remote{c: c} }
+// NewRemote wraps a client.
+func NewRemote(c *client.Client) *Remote { return &Remote{c: c} }
 
 // Execute implements Executor.
 func (r *Remote) Execute(ctx context.Context, sql string, traced bool) (*Outcome, error) {
