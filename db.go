@@ -20,9 +20,6 @@ type DB = engine.Database
 // scheduler, clock, and always-on tracing — are rejected there).
 type Option = engine.Option
 
-// ClusterConfig sizes the simulated cluster (nodes × cores per node).
-type ClusterConfig = cluster.Config
-
 // Result is the outcome of one executed statement. Counters are
 // grouped: Result.Join (operator counters), Result.Cluster (data
 // movement and makespan), Result.Faults (injected-fault recovery),
@@ -167,9 +164,6 @@ func MustOpen(opts ...Option) *DB { return engine.MustOpen(opts...) }
 func WithCluster(nodes, coresPerNode int) Option {
 	return engine.WithCluster(nodes, coresPerNode)
 }
-
-// WithClusterConfig applies a full cluster configuration.
-func WithClusterConfig(cfg ClusterConfig) Option { return engine.WithClusterConfig(cfg) }
 
 // WithJoinMode selects how FUDJ predicates execute.
 func WithJoinMode(m JoinMode) Option { return engine.WithJoinMode(m) }

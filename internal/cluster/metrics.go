@@ -355,10 +355,10 @@ func (m *Metrics) addSpeculative()          { m.addTo(MetricSpeculative, 1) }
 func (m *Metrics) addCorruptHealed()        { m.addTo(MetricCorruptHealed, 1) }
 func (m *Metrics) addBackpressure()         { m.addTo(MetricBackpressure, 1) }
 
-func (m *Metrics) addCheckpointBytes(n int64) { m.addTo(MetricCheckpointBytes, n) }
-func (m *Metrics) addCheckpointRecovered()    { m.addTo(MetricCheckpointRecovered, 1) }
-func (m *Metrics) addCheckpointDiscarded()    { m.addTo(MetricCheckpointDiscarded, 1) }
-func (m *Metrics) addBarrierKills(n int64)    { m.addTo(MetricBarrierKills, n) }
+func (m *Metrics) addCheckpointBytes(n int64)     { m.addTo(MetricCheckpointBytes, n) }
+func (m *Metrics) addCheckpointRecovered(n int64) { m.addTo(MetricCheckpointRecovered, n) }
+func (m *Metrics) addCheckpointDiscarded()        { m.addTo(MetricCheckpointDiscarded, 1) }
+func (m *Metrics) addBarrierKills(n int64)        { m.addTo(MetricBarrierKills, n) }
 
 // ReserveMemory charges bytes against the budget-tracked gauge and
 // records the new high-water mark. The engine calls this for COMBINE

@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"fudj/internal/storage"
 	"fudj/internal/types"
@@ -93,35 +93,60 @@ func (c *Cluster) NewRecoveryManager(store *storage.CheckpointStore) *RecoveryMa
 	return &RecoveryManager{c: c, store: store}
 }
 
-// Enabled reports whether a checkpoint store is attached.
-func (rm *RecoveryManager) Enabled() bool { return rm.store != nil }
-
-// CheckpointBlob persists one opaque blob (e.g. the encoded PPlan)
-// under key, charging checkpoint.bytes and then applying any injected
-// damage to the published file. Without a store it is a no-op.
-func (rm *RecoveryManager) CheckpointBlob(key string, blob []byte) error {
-	if !rm.Enabled() {
-		return nil
-	}
-	n, err := rm.store.SaveBlob(key, blob)
-	if err != nil {
-		return err
-	}
-	rm.c.metrics.addCheckpointBytes(n)
-	return rm.applyDamage(key)
+// A Piece is one unit of state at a barrier: the records partition Part
+// holds, or with Part -1 the records every partition holds a copy of
+// (the broadcast plan).
+type Piece struct {
+	Key  string // checkpoint key, unique within the query
+	Part int
+	// Recs is the holder's slot; a restore writes the records back here.
+	Recs *[]types.Record
+	// Recompute rebuilds the records from surviving state when the
+	// checkpoint fails its integrity check.
+	Recompute func() []types.Record
 }
 
-// CheckpointRecords persists one partition's record batch under key.
-func (rm *RecoveryManager) CheckpointRecords(key string, recs []types.Record) error {
-	if !rm.Enabled() {
+// Cross carries execution across barrier b. With a checkpoint store
+// attached it saves every piece (pieces is called only then), applies
+// any injected damage, and fires the barrier's kills; each piece held
+// by a lost partition is then restored in place, reloaded from its
+// checkpoint when that reopens cleanly and recomputed otherwise.
+// Without a store a loss is a retryable *BarrierLossError.
+func (rm *RecoveryManager) Cross(b Barrier, pieces func() []Piece) error {
+	var ps []Piece
+	if rm.store != nil {
+		ps = pieces()
+		for _, p := range ps {
+			n, err := rm.store.SaveRecords(p.Key, *p.Recs)
+			if err != nil {
+				return err
+			}
+			rm.c.metrics.addCheckpointBytes(n)
+			if err := rm.applyDamage(p.Key); err != nil {
+				return err
+			}
+		}
+	}
+	nodes, lost := rm.kill(b)
+	if len(nodes) == 0 {
 		return nil
 	}
-	n, err := rm.store.SaveRecords(key, recs)
-	if err != nil {
-		return err
+	if rm.store == nil {
+		return &BarrierLossError{Barrier: b, Nodes: nodes, Parts: lost}
 	}
-	rm.c.metrics.addCheckpointBytes(n)
-	return rm.applyDamage(key)
+	for _, p := range ps {
+		held := len(lost) // Part -1: every lost partition held a copy
+		if p.Part >= 0 {
+			if !slices.Contains(lost, p.Part) {
+				continue
+			}
+			held = 1
+		}
+		if err := rm.restore(p, held); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyDamage asks the fault injector whether the just-published
@@ -164,118 +189,66 @@ func (rm *RecoveryManager) applyDamage(key string) error {
 	return nil
 }
 
-// CrossBarrier marks execution crossing barrier b and returns the
-// partitions wiped by injected node deaths, sorted ascending. When
-// the trace is on, the crossing emits a "barrier <name>" span carrying
-// the loss so recovery shows up in the query tree.
-func (rm *RecoveryManager) CrossBarrier(b Barrier) (lostParts []int) {
+// kill fires the injected node deaths at barrier b and returns the
+// dead nodes and their partitions, both sorted ascending. A loss emits
+// a "barrier <name>" span so recovery shows up in the query tree.
+func (rm *RecoveryManager) kill(b Barrier) (nodes, lostParts []int) {
 	fi := rm.c.faults
-	if fi == nil || !fi.hasBarrierFaults() {
-		return nil
+	if !fi.hasBarrierFaults() {
+		return nil, nil
 	}
-	nodes := fi.killAtBarrier(rm.c.nextEpoch(), b, rm.c.cfg.Nodes)
+	nodes = fi.killAtBarrier(rm.c.nextEpoch(), b, rm.c.cfg.Nodes)
 	if len(nodes) == 0 {
-		return nil
+		return nil, nil
 	}
 	for _, n := range nodes {
 		for core := 0; core < rm.c.cfg.CoresPerNode; core++ {
 			lostParts = append(lostParts, n*rm.c.cfg.CoresPerNode+core)
 		}
 	}
-	sort.Ints(lostParts)
 	rm.c.metrics.addBarrierKills(int64(len(nodes)))
 	sp := rm.c.span.Child("barrier " + b.String())
 	sp.Add("nodes.lost", int64(len(nodes)))
 	sp.Add("parts.lost", int64(len(lostParts)))
 	sp.End()
-	return lostParts
+	return nodes, lostParts
 }
 
-// LossError builds the abort-and-rerun error for partitions lost at b
-// with no checkpoint store to heal them.
-func (rm *RecoveryManager) LossError(b Barrier, lostParts []int) error {
-	nodes := make(map[int]bool)
-	for _, p := range lostParts {
-		nodes[rm.c.NodeOf(p)] = true
-	}
-	ns := make([]int, 0, len(nodes))
-	for n := range nodes {
-		ns = append(ns, n)
-	}
-	sort.Ints(ns)
-	return &BarrierLossError{Barrier: b, Nodes: ns, Parts: lostParts}
-}
-
-// RecoverRecords restores one lost partition's record batch: from the
-// checkpoint under key when it reopens cleanly, or by calling
-// recompute when the checkpoint is missing or fails its integrity
-// check (which discards it). The reloaded bytes are charged against
-// the budget-tracked memory gauge so recovery registers in PeakMemory.
-// Each recovery emits a "recover" span under the current phase span.
-func (rm *RecoveryManager) RecoverRecords(key string, part int, recompute func() ([]types.Record, error)) ([]types.Record, error) {
-	if !rm.Enabled() {
-		return nil, fmt.Errorf("cluster: recover %s: no checkpoint store attached", key)
-	}
+// restore writes a lost piece back into its slot, counting it as
+// recovered once for each of the held lost partitions that had it. A
+// reload is charged against the budget-tracked memory gauge so recovery
+// registers in PeakMemory; a checkpoint that fails its integrity check
+// is counted, removed, and replaced by Recompute. Each restore emits a
+// "recover" span under the current phase span.
+func (rm *RecoveryManager) restore(p Piece, held int) error {
 	sp := rm.c.span.Child("recover")
 	defer sp.End()
-	sp.Add("part", int64(part))
-	recs, err := rm.store.LoadRecords(key)
-	if err == nil {
-		rm.c.metrics.addCheckpointRecovered()
+	if p.Part >= 0 {
+		sp.Add("part", int64(p.Part))
+	} else {
+		sp.Add("parts", int64(held))
+	}
+	recs, err := rm.store.LoadRecords(p.Key)
+	var ce *storage.CorruptError
+	switch {
+	case err == nil:
+		rm.c.metrics.addCheckpointRecovered(int64(held))
 		sp.Add("from.checkpoint", 1)
 		n := types.RecordsMemSize(recs)
 		rm.c.metrics.ReserveMemory(n)
 		rm.c.metrics.ReleaseMemory(n)
-		return recs, nil
-	}
-	if err := rm.discardDamaged(key, err); err != nil {
-		return nil, err
-	}
-	sp.Add("from.recompute", 1)
-	return recompute()
-}
-
-// RecoverBlob restores a lost blob checkpoint (the broadcast plan) for
-// the given lost partitions, falling back to fallback when the
-// checkpoint is missing or corrupt. Every lost partition counts as
-// recovered-from-checkpoint when the reload succeeds.
-func (rm *RecoveryManager) RecoverBlob(key string, parts []int, fallback func() ([]byte, error)) ([]byte, error) {
-	if !rm.Enabled() {
-		return nil, fmt.Errorf("cluster: recover %s: no checkpoint store attached", key)
-	}
-	sp := rm.c.span.Child("recover")
-	defer sp.End()
-	sp.Add("parts", int64(len(parts)))
-	blob, err := rm.store.LoadBlob(key)
-	if err == nil {
-		for range parts {
-			rm.c.metrics.addCheckpointRecovered()
-		}
-		sp.Add("from.checkpoint", 1)
-		return blob, nil
-	}
-	if err := rm.discardDamaged(key, err); err != nil {
-		return nil, err
-	}
-	sp.Add("from.recompute", 1)
-	return fallback()
-}
-
-// discardDamaged handles a failed checkpoint load: corruption is
-// counted, the damaged file removed, and nil returned so the caller
-// recomputes; a missing checkpoint silently recomputes; any other
-// error propagates.
-func (rm *RecoveryManager) discardDamaged(key string, err error) error {
-	var ce *storage.CorruptError
-	switch {
 	case errors.As(err, &ce):
 		rm.c.metrics.addCheckpointDiscarded()
-		return rm.store.Remove(key)
-	case errors.Is(err, os.ErrNotExist):
-		return nil
+		if err := rm.store.Remove(p.Key); err != nil {
+			return err
+		}
+		sp.Add("from.recompute", 1)
+		recs = p.Recompute()
 	default:
 		return err
 	}
+	*p.Recs = recs
+	return nil
 }
 
 // Sweep removes the checkpoint directory; called at query teardown so

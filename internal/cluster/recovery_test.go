@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"fudj/internal/storage"
@@ -26,6 +28,34 @@ func recoveryRecords(n int) []types.Record {
 	return recs
 }
 
+// lostParts crosses b on a store-less manager and returns the
+// partitions a kill there lost, from its *BarrierLossError.
+func lostParts(t *testing.T, rm *RecoveryManager, b Barrier) []int {
+	t.Helper()
+	err := rm.Cross(b, func() []Piece {
+		t.Fatal("pieces built without a checkpoint store")
+		return nil
+	})
+	if err == nil {
+		return nil
+	}
+	var ble *BarrierLossError
+	if !errors.As(err, &ble) {
+		t.Fatalf("Cross(%s) = %v, want *BarrierLossError", b, err)
+	}
+	return ble.Parts
+}
+
+// piece wraps recs as the piece partition part holds, with a recompute
+// that reports it ran.
+func piece(key string, part int, recs []types.Record, recomputed *bool) Piece {
+	slot := append([]types.Record(nil), recs...)
+	return Piece{Key: key, Part: part, Recs: &slot, Recompute: func() []types.Record {
+		*recomputed = true
+		return recs
+	}}
+}
+
 func TestKillAtBarrierTargetedFiresOnce(t *testing.T) {
 	c := New(Config{Nodes: 3, CoresPerNode: 2})
 	c.SetFaults(NewFaultInjector(FaultConfig{
@@ -33,15 +63,15 @@ func TestKillAtBarrierTargetedFiresOnce(t *testing.T) {
 	}))
 	rm := c.NewRecoveryManager(nil)
 
-	if lost := rm.CrossBarrier(BarrierPlan); lost != nil {
+	if lost := lostParts(t, rm, BarrierPlan); lost != nil {
 		t.Errorf("plan barrier lost %v, want none (kill targets shuffle)", lost)
 	}
-	lost := rm.CrossBarrier(BarrierShuffle)
+	lost := lostParts(t, rm, BarrierShuffle)
 	want := []int{2, 3} // node 1 × 2 cores
-	if len(lost) != len(want) || lost[0] != want[0] || lost[1] != want[1] {
+	if !slices.Equal(lost, want) {
 		t.Errorf("shuffle barrier lost %v, want %v", lost, want)
 	}
-	if again := rm.CrossBarrier(BarrierShuffle); again != nil {
+	if again := lostParts(t, rm, BarrierShuffle); again != nil {
 		t.Errorf("second crossing lost %v, want none (fire-once)", again)
 	}
 	if got := c.Metrics().Snapshot().BarrierKills; got != 1 {
@@ -56,43 +86,48 @@ func TestKillAtBarrierProbabilisticDeterminism(t *testing.T) {
 		rm := c.NewRecoveryManager(nil)
 		var out [][]int
 		for i := 0; i < 6; i++ {
-			out = append(out, rm.CrossBarrier(BarrierShuffle))
+			out = append(out, lostParts(t, rm, BarrierShuffle))
 		}
 		return out
 	}
 	a, b := run(), run()
 	for i := range a {
-		if len(a[i]) != len(b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatalf("crossing %d: %v vs %v — kills not deterministic", i, a[i], b[i])
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("crossing %d: %v vs %v — kills not deterministic", i, a[i], b[i])
-			}
 		}
 	}
 }
 
 func TestRecoverRecordsFromCheckpoint(t *testing.T) {
 	c := New(Config{Nodes: 2, CoresPerNode: 2})
+	c.SetFaults(NewFaultInjector(FaultConfig{
+		BarrierKills: []BarrierKill{{Barrier: BarrierShuffle, Node: 0}},
+	}))
 	rm := c.NewRecoveryManager(testStore(t))
 	recs := recoveryRecords(50)
-	if err := rm.CheckpointRecords("s0-left-p1", recs); err != nil {
+	recomputed := false
+	pieces := []Piece{
+		piece("s0-plan", -1, recoveryRecords(1), &recomputed), // every partition's copy
+		piece("s0-left-p1", 1, recs, &recomputed),
+		piece("s0-left-p3", 3, recs, &recomputed), // node 1 survives
+	}
+	survivor := pieces[2].Recs
+	before := &(*survivor)[0]
+	if err := rm.Cross(BarrierShuffle, func() []Piece { return pieces }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rm.RecoverRecords("s0-left-p1", 1, func() ([]types.Record, error) {
+	if recomputed {
 		t.Fatal("recompute called despite a healthy checkpoint")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
+	if got := *pieces[1].Recs; len(got) != len(recs) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(recs))
 	}
+	if &(*survivor)[0] != before {
+		t.Error("a surviving partition's piece was restored")
+	}
 	m := c.Metrics().Snapshot()
-	if m.CheckpointRecovered != 1 {
-		t.Errorf("CheckpointRecovered = %d, want 1", m.CheckpointRecovered)
+	if m.CheckpointRecovered != 3 {
+		t.Errorf("CheckpointRecovered = %d, want 3 (the plan once per lost partition, plus p1)", m.CheckpointRecovered)
 	}
 	if m.CheckpointBytes <= 0 {
 		t.Errorf("CheckpointBytes = %d, want > 0", m.CheckpointBytes)
@@ -112,24 +147,19 @@ func TestRecoverRecordsHealsTornWrite(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(Config{Nodes: 2, CoresPerNode: 2})
+			tc.cfg.BarrierKills = []BarrierKill{{Barrier: BarrierShuffle, Node: 0}}
 			c.SetFaults(NewFaultInjector(tc.cfg))
 			rm := c.NewRecoveryManager(testStore(t))
 			recs := recoveryRecords(50)
-			if err := rm.CheckpointRecords("s0-left-p0", recs); err != nil {
-				t.Fatal(err)
-			}
 			recomputed := false
-			got, err := rm.RecoverRecords("s0-left-p0", 0, func() ([]types.Record, error) {
-				recomputed = true
-				return recs, nil
-			})
-			if err != nil {
+			p := piece("s0-left-p0", 0, recs, &recomputed)
+			if err := rm.Cross(BarrierShuffle, func() []Piece { return []Piece{p} }); err != nil {
 				t.Fatal(err)
 			}
 			if !recomputed {
 				t.Error("damaged checkpoint was not healed by recompute")
 			}
-			if len(got) != len(recs) {
+			if got := *p.Recs; len(got) != len(recs) {
 				t.Errorf("recovered %d records, want %d", len(got), len(recs))
 			}
 			m := c.Metrics().Snapshot()
@@ -143,37 +173,25 @@ func TestRecoverRecordsHealsTornWrite(t *testing.T) {
 	}
 }
 
-func TestRecoverMissingCheckpointRecomputes(t *testing.T) {
-	c := New(Config{Nodes: 2, CoresPerNode: 2})
-	rm := c.NewRecoveryManager(testStore(t))
-	recs := recoveryRecords(5)
-	got, err := rm.RecoverRecords("never-saved", 0, func() ([]types.Record, error) {
-		return recs, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Errorf("recovered %d records, want %d from recompute", len(got), len(recs))
-	}
-	if d := c.Metrics().Snapshot().CheckpointDiscarded; d != 0 {
-		t.Errorf("CheckpointsDiscarded = %d, want 0 (missing is not corrupt)", d)
-	}
-}
-
 func TestBarrierLossErrorRetryable(t *testing.T) {
 	c := New(Config{Nodes: 3, CoresPerNode: 2})
+	c.SetFaults(NewFaultInjector(FaultConfig{
+		BarrierKills: []BarrierKill{{Barrier: BarrierShuffle, Node: 1}},
+	}))
 	rm := c.NewRecoveryManager(nil)
-	err := rm.LossError(BarrierShuffle, []int{2, 3})
+	err := rm.Cross(BarrierShuffle, nil)
 	if !IsRetryable(err) {
 		t.Error("BarrierLossError must be retryable")
 	}
 	ble, ok := err.(*BarrierLossError)
 	if !ok {
-		t.Fatalf("LossError returned %T", err)
+		t.Fatalf("Cross returned %T", err)
 	}
 	if len(ble.Nodes) != 1 || ble.Nodes[0] != 1 {
 		t.Errorf("Nodes = %v, want [1]", ble.Nodes)
+	}
+	if !slices.Equal(ble.Parts, []int{2, 3}) {
+		t.Errorf("Parts = %v, want [2 3]", ble.Parts)
 	}
 	if ble.Barrier.Class() != "post-shuffle" {
 		t.Errorf("Class = %q, want post-shuffle", ble.Barrier.Class())

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-
-	"fudj/internal/trace"
 )
 
 // Stats reports what the standalone executor did, mirroring the
@@ -41,16 +39,7 @@ func (s Stats) String() string {
 // When left and right are the same slice (a self-join) and the join is
 // SymmetricSummarize, the summary is computed once and reused, matching
 // the self-join optimization of §VI-C.
-func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any)) (Stats, error) {
-	return RunStandaloneTraced(j, left, right, params, emit, nil)
-}
-
-// RunStandaloneTraced is RunStandalone with span emission: each phase
-// (SUMMARIZE, PARTITION, COMBINE) becomes a child of parent, carrying
-// the same counters the distributed engine's spans carry. A nil parent
-// disables tracing at the cost of a few nil checks, so the standalone
-// runner and the cluster engine share one observability vocabulary.
-func RunStandaloneTraced(j Join, left, right []any, params []any, emit func(l, r any), parent *trace.Span) (stats Stats, err error) {
+func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any)) (stats Stats, err error) {
 	stats.LeftRecords = len(left)
 	stats.RightRecords = len(right)
 
@@ -75,8 +64,6 @@ func RunStandaloneTraced(j Join, left, right []any, params []any, emit func(l, r
 
 	// SUMMARIZE: local aggregation (one "node"), then a trivial global
 	// merge with the identity summary so both aggregate paths execute.
-	sumSpan := parent.Child("SUMMARIZE")
-	sumSpan.Add("rows.in", int64(len(left)+len(right)))
 	summarize := func(side Side, data []any) Summary {
 		s := j.NewSummary(side)
 		for i, k := range data {
@@ -98,19 +85,12 @@ func RunStandaloneTraced(j Join, left, right []any, params []any, emit func(l, r
 	// DIVIDE.
 	phase = "divide"
 	plan, err := j.Divide(ls, rs, params)
-	sumSpan.End()
 	if err != nil {
 		return stats, fmt.Errorf("divide: %w", err)
 	}
-	// Barrier marker: the point at which the distributed engine makes
-	// the broadcast plan durable. Standalone execution has nothing to
-	// checkpoint, but emitting the marker keeps the span vocabulary
-	// identical across both executors.
-	parent.Child("barrier plan").End()
 
 	// PARTITION: bucket both sides.
 	phase = "assign"
-	partSpan := parent.Child("PARTITION")
 	type entry struct {
 		key any
 		idx int
@@ -132,15 +112,9 @@ func RunStandaloneTraced(j Join, left, right []any, params []any, emit func(l, r
 	rb := bucketize(Right, right)
 	stats.LeftBuckets = len(lb)
 	stats.RightBuckets = len(rb)
-	partSpan.Add("buckets.left", int64(len(lb)))
-	partSpan.Add("buckets.right", int64(len(rb)))
-	partSpan.End()
-	// Barrier marker: post-shuffle durability point (see above).
-	parent.Child("barrier shuffle").End()
 
 	// COMBINE: match buckets, verify pairs, handle duplicates.
 	phase = "combine"
-	combSpan := parent.Child("COMBINE")
 	elim := desc.Dedup == DedupElimination
 	var seen map[[2]int]struct{}
 	if elim {
@@ -219,10 +193,6 @@ func RunStandaloneTraced(j Join, left, right []any, params []any, emit func(l, r
 			}
 		}
 	}
-	combSpan.Add("candidates", int64(stats.Candidates))
-	combSpan.Add("verified", int64(stats.Verified))
-	combSpan.Add("rows.out", int64(stats.Results))
-	combSpan.End()
 	return stats, nil
 }
 

@@ -307,7 +307,7 @@ func TestConcurrentExecuteWithMutatorsIsRaceFree(t *testing.T) {
 			}
 			db.MustConfigure(WithRetryPolicy(chaosRetry()),
 				WithBatchSize(i%2*7),
-				WithClusterConfig(cluster.Config{Nodes: 2 + i%2, CoresPerNode: 2}))
+				WithCluster(2+i%2, 2))
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

@@ -23,7 +23,7 @@ import (
 // and their joins created.
 func newTestDB(t *testing.T, opts ...Option) *Database {
 	t.Helper()
-	all := append([]Option{WithClusterConfig(cluster.Config{Nodes: 2, CoresPerNode: 2})}, opts...)
+	all := append([]Option{WithCluster(2, 2)}, opts...)
 	db := MustOpen(all...)
 	rng := rand.New(rand.NewSource(99))
 
@@ -515,7 +515,7 @@ func TestClusterSweepGivesSameAnswers(t *testing.T) {
 		{Nodes: 1, CoresPerNode: 8},
 		{Nodes: 6, CoresPerNode: 2},
 	} {
-		if err := db.Configure(WithClusterConfig(cfg)); err != nil {
+		if err := db.Configure(WithCluster(cfg.Nodes, cfg.CoresPerNode)); err != nil {
 			t.Fatal(err)
 		}
 		got := mustQuery(t, db, `
@@ -678,7 +678,7 @@ func TestMultiKeyOrderByAndLimitZero(t *testing.T) {
 }
 
 func TestSumMixedNumericWidening(t *testing.T) {
-	db := MustOpen(WithClusterConfig(cluster.Config{Nodes: 2, CoresPerNode: 1}))
+	db := MustOpen(WithCluster(2, 1))
 	schema := types.NewSchema(
 		types.Field{Name: "g", Kind: types.KindInt64},
 		types.Field{Name: "v", Kind: types.KindFloat64},

@@ -31,11 +31,7 @@ func (o openOnlyOption) applyOption(db *Database) error { return o.fn(db) }
 
 // WithCluster sizes the simulated cluster (nodes × cores per node).
 func WithCluster(nodes, coresPerNode int) Option {
-	return WithClusterConfig(cluster.Config{Nodes: nodes, CoresPerNode: coresPerNode})
-}
-
-// WithClusterConfig installs a full cluster configuration.
-func WithClusterConfig(cfg cluster.Config) Option {
+	cfg := cluster.Config{Nodes: nodes, CoresPerNode: coresPerNode}
 	return optionFunc(func(db *Database) error {
 		if err := cfg.Validate(); err != nil {
 			return err

@@ -62,29 +62,28 @@ func (q *queryRun) runFUDJRecoverable(jsp *trace.Span, step *joinStep, sink func
 		step.fudj.def.Name, step.ord, attempts, errors.Join(fails...))
 }
 
-// planBarrier crosses the plan barrier: the broadcast plan blob is
-// checkpointed, injected node deaths fire, and lost nodes recover by
-// re-reading the durable plan (healing a damaged checkpoint with a
-// re-broadcast of the coordinator's copy). Returns the plan bytes
-// every node should decode.
+// planBarrier crosses the plan barrier. The plan is one piece every
+// partition holds: a one-record checkpoint with one string column
+// holding planBuf. A lost node re-reads it, and a damaged checkpoint
+// heals by re-broadcasting the coordinator's copy (charged as such).
+// Returns the plan bytes every node should decode.
 func (q *queryRun) planBarrier(step int, planBuf []byte) ([]byte, error) {
-	rm := q.rm
-	if err := rm.CheckpointBlob(planKey(step), planBuf); err != nil {
+	var plan *[]types.Record
+	err := q.rm.Cross(cluster.BarrierPlan, func() []cluster.Piece {
+		rec := types.Record{types.NewString(string(planBuf))}
+		plan = &[]types.Record{rec}
+		return []cluster.Piece{{Key: planKey(step), Part: -1, Recs: plan, Recompute: func() []types.Record {
+			q.clus.Broadcast(planBuf)
+			return []types.Record{rec}
+		}}}
+	})
+	if err != nil {
 		return nil, err
 	}
-	lost := rm.CrossBarrier(cluster.BarrierPlan)
-	if len(lost) == 0 {
+	if plan == nil { // no checkpoint store: nothing was restored
 		return planBuf, nil
 	}
-	if !rm.Enabled() {
-		return nil, rm.LossError(cluster.BarrierPlan, lost)
-	}
-	return rm.RecoverBlob(planKey(step), lost, func() ([]byte, error) {
-		// Corrupt/torn plan checkpoint: the coordinator still holds the
-		// plan, so healing is a re-broadcast (charged as such).
-		q.clus.Broadcast(planBuf)
-		return planBuf, nil
-	})
+	return []byte((*plan)[0][0].Str()), nil
 }
 
 // shuffleSide is one input side at the shuffle barrier: its
@@ -99,40 +98,19 @@ type shuffleSide struct {
 	route cluster.Route
 }
 
-// shuffleBarrier crosses the shuffle barrier: every partition's
-// post-shuffle input (both sides) is checkpointed, injected node
-// deaths fire, and each lost partition is restored from its checkpoint
-// — or recomputed when the checkpoint is damaged — so only the lost
-// partitions' COMBINE re-runs.
+// shuffleBarrier crosses the shuffle barrier: each partition's
+// post-shuffle input on each side is one piece, so a lost partition's
+// inputs are reloaded (or rebuilt from the pre-shuffle data when the
+// checkpoint is damaged) and only that partition's COMBINE re-runs.
 func (q *queryRun) shuffleBarrier(step int, sides ...shuffleSide) error {
-	rm := q.rm
-	if rm.Enabled() {
+	return q.rm.Cross(cluster.BarrierShuffle, func() []cluster.Piece {
+		var pieces []cluster.Piece
 		for _, s := range sides {
 			for part := range s.data {
-				if err := rm.CheckpointRecords(shuffleKey(step, s.name, part), s.data[part]); err != nil {
-					return err
-				}
+				pieces = append(pieces, cluster.Piece{Key: shuffleKey(step, s.name, part), Part: part, Recs: &s.data[part],
+					Recompute: func() []types.Record { return cluster.Received(s.pre, s.route, part) }})
 			}
 		}
-	}
-	lost := rm.CrossBarrier(cluster.BarrierShuffle)
-	if len(lost) == 0 {
-		return nil
-	}
-	if !rm.Enabled() {
-		return rm.LossError(cluster.BarrierShuffle, lost)
-	}
-	for _, part := range lost {
-		for _, s := range sides {
-			s.data[part] = nil // wiped with the node
-			recs, err := rm.RecoverRecords(shuffleKey(step, s.name, part), part, func() ([]types.Record, error) {
-				return cluster.Received(s.pre, s.route, part), nil
-			})
-			if err != nil {
-				return err
-			}
-			s.data[part] = recs
-		}
-	}
-	return nil
+		return pieces
+	})
 }

@@ -36,23 +36,12 @@ type Config struct {
 	// MaxConns caps concurrently served connections; excess accepts
 	// block in the listener. <=0 selects 256.
 	MaxConns int
-	// ReadHeaderTimeout bounds header reads on each request (slowloris
-	// protection). <=0 selects 5s.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout closes keep-alive connections after inactivity.
-	// <=0 selects 60s.
-	IdleTimeout time.Duration
-	// MaxSQLBytes bounds one request's statement text. <=0 selects 1MiB.
-	MaxSQLBytes int64
 	// MaxQueryTime is the server-side ceiling on any query's execution
 	// time, whatever deadline the client sent. <=0 means no ceiling.
 	MaxQueryTime time.Duration
 	// SessionIdle is the idle expiry for sessions. <=0 selects
 	// DefaultSessionIdle.
 	SessionIdle time.Duration
-	// ReplayCap bounds per-session idempotent replay records. <=0
-	// selects DefaultReplayCap.
-	ReplayCap int
 	// ReplayBytes bounds per-session recorded response bytes retained
 	// for replay. <=0 selects DefaultReplayBytes.
 	ReplayBytes int64
@@ -70,6 +59,13 @@ type Config struct {
 	// runs make the default stderr log very noisy).
 	ErrorLog *log.Logger
 }
+
+// Per-connection limits.
+const (
+	readHeaderTimeout = 5 * time.Second  // header reads (slowloris protection)
+	idleTimeout       = 60 * time.Second // keep-alive connections after inactivity
+	maxSQLBytes       = 1 << 20          // one request's statement text
+)
 
 // Counters is the server's own activity snapshot, published under
 // "server" in /metrics.
@@ -127,15 +123,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 256
 	}
-	if cfg.ReadHeaderTimeout <= 0 {
-		cfg.ReadHeaderTimeout = 5 * time.Second
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.MaxSQLBytes <= 0 {
-		cfg.MaxSQLBytes = 1 << 20
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 250 * time.Millisecond
 	}
@@ -146,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		db:       cfg.DB,
 		clock:    cfg.Clock,
-		sessions: newSessions(cfg.SessionIdle, cfg.ReplayCap, cfg.ReplayBytes),
+		sessions: newSessions(cfg.SessionIdle, DefaultReplayCap, cfg.ReplayBytes),
 		instance: cfg.InstanceID,
 		mux:      http.NewServeMux(),
 		fresh:    make(map[net.Conn]struct{}),
@@ -166,8 +153,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.hs = &http.Server{
 		Handler:           s.stampInstance(s.mux),
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		IdleTimeout:       cfg.IdleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    64 << 10,
 		ErrorLog:          errorLog,
 		ConnState:         s.trackConn,
@@ -422,12 +409,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(EncodeError(&InstanceMismatchError{Want: want, Got: s.instance}, 0))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSQLBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSQLBytes+1))
 	if err != nil {
 		writeErr(Envelope{Code: CodeProto, Message: "read request: " + err.Error(), Retryable: true})
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxSQLBytes {
+	if len(body) > maxSQLBytes {
 		writeErr(Envelope{Code: CodeProto, Message: "statement exceeds size limit", Retryable: false})
 		return
 	}

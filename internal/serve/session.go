@@ -75,9 +75,6 @@ func newSessions(idle time.Duration, replayCap int, bytesCap int64) *sessions {
 	if idle <= 0 {
 		idle = DefaultSessionIdle
 	}
-	if replayCap <= 0 {
-		replayCap = DefaultReplayCap
-	}
 	if bytesCap <= 0 {
 		bytesCap = DefaultReplayBytes
 	}

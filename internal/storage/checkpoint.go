@@ -1,6 +1,6 @@
 // Crash-consistent checkpoints: durable snapshots of mid-query state
-// (the broadcast partitioning plan, each partition's post-shuffle
-// bucket inputs) written at phase barriers so a failure replays only
+// (the broadcast partitioning plan as a one-record batch, each
+// partition's post-shuffle bucket inputs) written at phase barriers so a failure replays only
 // the work downstream of the last barrier instead of the whole query.
 //
 // A checkpoint is a record-frame file (framefile.go; DESIGN "Frame
@@ -8,13 +8,13 @@
 // needs to detect its own damage:
 //
 //	magic "FCKP2\n"
-//	frame*   records (one types.EncodeBatch payload) or blob (opaque)
+//	frame*   records (one types.EncodeBatch payload)
 //	end      payload = uvarint count of the frames before it
 //
-// The caller knows which kind of frame it stored. The end frame makes
-// truncation detectable — a reader that hits EOF before a valid end
-// frame reports corruption rather than silently returning a prefix —
-// and the per-frame CRC catches bit rot and torn page writes.
+// The end frame makes truncation detectable — a reader that hits EOF
+// before a valid end frame reports corruption rather than silently
+// returning a prefix — and the per-frame CRC catches bit rot and torn
+// page writes.
 //
 // Crash consistency on the write side: a checkpoint is built in a
 // temp file and published with os.Rename after an fsync, so a
@@ -101,22 +101,11 @@ func (s *CheckpointStore) Remove(key string) error {
 // bytes written. The previous checkpoint under the same key, if any,
 // is atomically replaced.
 func (s *CheckpointStore) SaveRecords(key string, recs []types.Record) (int64, error) {
-	return s.save(key, func(w *CheckpointWriter) error { return w.Append(recs...) })
-}
-
-// SaveBlob checkpoints one opaque blob (e.g. an encoded PPlan) under
-// key, returning the bytes written.
-func (s *CheckpointStore) SaveBlob(key string, blob []byte) (int64, error) {
-	return s.save(key, func(w *CheckpointWriter) error { return w.AppendBlob(blob) })
-}
-
-// save builds one checkpoint under key with fill and publishes it.
-func (s *CheckpointStore) save(key string, fill func(*CheckpointWriter) error) (int64, error) {
 	w, err := s.NewCheckpointWriter(key)
 	if err != nil {
 		return 0, err
 	}
-	if err := fill(w); err != nil {
+	if err := w.Append(recs...); err != nil {
 		w.Abort()
 		return 0, err
 	}
@@ -149,23 +138,6 @@ func (s *CheckpointStore) LoadRecords(key string) ([]types.Record, error) {
 	}
 }
 
-// LoadBlob reads back a single-frame blob checkpoint.
-func (s *CheckpointStore) LoadBlob(key string) ([]byte, error) {
-	r, err := OpenCheckpoint(s.Path(key))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	blob, err := r.NextBlob()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, &CorruptError{Path: s.Path(key), Reason: "blob checkpoint holds no frame"}
-		}
-		return nil, err
-	}
-	return blob, nil
-}
-
 // CheckpointWriter builds one checkpoint in a temp file; Close
 // publishes it atomically under its key, Abort discards it. Exactly
 // one of the two must be called on every path.
@@ -195,18 +167,6 @@ func (s *CheckpointStore) NewCheckpointWriter(key string) (*CheckpointWriter, er
 // spillFrameTarget resident bytes.
 func (cw *CheckpointWriter) Append(recs ...types.Record) error {
 	return cw.appendRecords(recs)
-}
-
-// AppendBlob writes one opaque payload as its own frame, after any
-// records appended before it.
-func (cw *CheckpointWriter) AppendBlob(blob []byte) error {
-	if cw.done {
-		return fmt.Errorf("storage: append to finished checkpoint %s", cw.dst)
-	}
-	if err := cw.flushRecords(); err != nil {
-		return err
-	}
-	return cw.writeFrame(tagBlob, blob)
 }
 
 // Close seals the final frame, writes the end frame, syncs, and
@@ -252,7 +212,7 @@ func (cw *CheckpointWriter) Abort() {
 }
 
 // CheckpointReader streams a published checkpoint back frame by frame,
-// verifying integrity as it goes. Next/NextBlob return io.EOF only
+// verifying integrity as it goes. Next returns io.EOF only
 // after a valid end frame; any earlier end of file, bad magic, or
 // checksum mismatch is a *CorruptError.
 type CheckpointReader struct {
@@ -276,9 +236,9 @@ func OpenCheckpoint(path string) (*CheckpointReader, error) {
 	return &CheckpointReader{frameReader: fr}, nil
 }
 
-// nextPayload reads the payload of one frame tagged want, or io.EOF
+// Next returns the next frame decoded as a record batch, or io.EOF
 // after a valid end frame.
-func (cr *CheckpointReader) nextPayload(want byte) ([]byte, error) {
+func (cr *CheckpointReader) Next() ([]types.Record, error) {
 	if cr.ended {
 		return nil, io.EOF
 	}
@@ -294,27 +254,13 @@ func (cr *CheckpointReader) nextPayload(want byte) ([]byte, error) {
 		}
 		cr.ended = true
 		return nil, io.EOF
-	case tag != want:
-		return nil, &CorruptError{Path: cr.f.Name(), Reason: fmt.Sprintf("frame tag %d, want %d", tag, want)}
+	case tag != tagRecords:
+		return nil, &CorruptError{Path: cr.f.Name(), Reason: fmt.Sprintf("frame tag %d, want %d", tag, tagRecords)}
 	}
 	cr.read++
-	return payload, nil
-}
-
-// Next returns the next frame decoded as a record batch.
-func (cr *CheckpointReader) Next() ([]types.Record, error) {
-	payload, err := cr.nextPayload(tagRecords)
-	if err != nil {
-		return nil, err
-	}
 	recs, err := types.DecodeBatch(payload, cr.scratch)
 	if err != nil {
 		return nil, &CorruptError{Path: cr.f.Name(), Reason: fmt.Sprintf("frame decode: %v", err)}
 	}
 	return recs, nil
-}
-
-// NextBlob returns the next frame's raw payload.
-func (cr *CheckpointReader) NextBlob() ([]byte, error) {
-	return cr.nextPayload(tagBlob)
 }

@@ -57,21 +57,6 @@ func TestCheckpointEmptyRecords(t *testing.T) {
 	}
 }
 
-func TestCheckpointBlobRoundTrip(t *testing.T) {
-	s := newStore(t)
-	blob := []byte("encoded partitioning plan")
-	if _, err := s.SaveBlob("s0-plan", blob); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadBlob("s0-plan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Errorf("LoadBlob = %q, want %q", got, blob)
-	}
-}
-
 func TestCheckpointMissing(t *testing.T) {
 	s := newStore(t)
 	if _, err := s.LoadRecords("never-written"); !errors.Is(err, os.ErrNotExist) {
@@ -119,41 +104,57 @@ func TestCheckpointAbortLeavesNothing(t *testing.T) {
 	}
 }
 
+// planRecords is a checkpoint of the shape the plan barrier saves: one
+// record, one string column holding an encoded plan's binary bytes.
+func planRecords() []types.Record {
+	return []types.Record{{types.NewString("\x00\x01gob\xff\xfeplan\x7f\x80")}}
+}
+
 // TestCheckpointReopenAfterTruncation cuts a valid checkpoint at every
 // possible byte length and asserts a reopen either reports corruption
 // or (at the full length) returns exactly the saved records — never a
-// silent prefix and never wrong records.
+// silent prefix and never wrong records. The plan row's last cut drops
+// only the end frame.
 func TestCheckpointReopenAfterTruncation(t *testing.T) {
-	s := newStore(t)
-	recs := spillBatch(40, 16)
-	if _, err := s.SaveRecords("trunc", recs); err != nil {
-		t.Fatal(err)
-	}
-	path := s.Path("trunc")
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(full); cut++ {
-		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.LoadRecords("trunc")
-		var ce *CorruptError
-		if !errors.As(err, &ce) {
-			t.Fatalf("truncated to %d/%d bytes: err = %v (records %d), want *CorruptError",
-				cut, len(full), err, len(got))
-		}
-	}
-	if err := os.WriteFile(path, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadRecords("trunc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecords(got, recs) {
-		t.Error("restored full checkpoint no longer round-trips")
+	for _, tc := range []struct {
+		name string
+		recs []types.Record
+	}{
+		{"records", spillBatch(40, 16)},
+		{"plan", planRecords()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStore(t)
+			if _, err := s.SaveRecords("trunc", tc.recs); err != nil {
+				t.Fatal(err)
+			}
+			path := s.Path("trunc")
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cut := 0; cut < len(full); cut++ {
+				if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.LoadRecords("trunc")
+				var ce *CorruptError
+				if !errors.As(err, &ce) {
+					t.Fatalf("truncated to %d/%d bytes: err = %v (records %d), want *CorruptError",
+						cut, len(full), err, len(got))
+				}
+			}
+			if err := os.WriteFile(path, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.LoadRecords("trunc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecords(got, tc.recs) {
+				t.Error("restored full checkpoint no longer round-trips")
+			}
+		})
 	}
 }
 
@@ -205,9 +206,17 @@ func FuzzCheckpointReopen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if _, err := s.SaveRecords("plan", planRecords()); err != nil {
+		f.Fatal(err)
+	}
+	plan, err := os.ReadFile(s.Path("plan"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add([]byte(checkpointMagic))
 	f.Add(valid[:len(valid)/2])
+	f.Add(plan)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := s.Path("fuzz")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -3,8 +3,8 @@
 // wire frames (internal/wire/frame.go; DESIGN "Frame layout"), so every
 // frame is length-bounded and CRC-checked; a records frame holds one
 // types.EncodeBatch payload. The surfaces add only what is theirs:
-// file lifecycle, and for checkpoints a magic header, blob frames and
-// the closing end frame.
+// file lifecycle, and for checkpoints a magic header and the closing
+// end frame.
 package storage
 
 import (
@@ -19,7 +19,6 @@ import (
 // Frame tags of a record-frame file.
 const (
 	tagRecords byte = 1 // one types.EncodeBatch payload
-	tagBlob    byte = 2 // opaque bytes (checkpoints only)
 	tagEnd     byte = 3 // uvarint count of the frames before it (checkpoints only)
 )
 
