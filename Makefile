@@ -14,9 +14,10 @@ FUDJVET = bin/fudjvet
 all: build
 
 # vet runs the standard analyzers, then fudjvet, the repo's own
-# invariant suite (seeded determinism, UDF panic isolation, bounded
-# decoder allocation, error wrapping, uncontended hot loops). Any
-# fudjvet finding fails it; there is no suppression.
+# invariant suite (seeded determinism, bounded decoder allocation, error
+# wrapping, uncontended hot loops). Any fudjvet finding fails it; there
+# is no suppression. UDF panic isolation is a test's job:
+# TestUDFPanicMatrix, under make chaos.
 vet: fudjvet
 	$(GO) vet ./...
 	$(FUDJVET) ./...
@@ -120,6 +121,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzUvarintCountBound -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzCheckpointReopen -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzReadDataset -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/serve/client/
 
 # staticcheck and govulncheck are external tools pinned by version in

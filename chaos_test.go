@@ -4,18 +4,25 @@
 // barrier kills with checkpoints on, and must return the multiset a
 // fault-free run returns. One table row per library: how to build its
 // datasets, its CREATE JOIN, its query, and the fault seed and straggler
-// node of its equivalence run.
+// node of its equivalence run. The fourth table, TestUDFPanicMatrix,
+// makes every core.Join method of every library class panic in turn.
 package fudj_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fudj"
+	"fudj/internal/cluster"
+	"fudj/internal/expr"
 )
 
 var idField = fudj.Field{Name: "id", Kind: fudj.KindInt64}
@@ -299,4 +306,367 @@ func TestCheckpointRecovery(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestUDFPanicMatrix is the engine's panic-isolation guarantee: library
+// code is untrusted, so a panic in any core.Join method (or in the
+// class constructor) fails the statement with a *fudj.UDFError, never
+// the process. Every class shape of the five libraries runs under every
+// layout; a clean run counts the calls each method gets, then one run
+// per method panics on its first call and one on its last. Each such
+// run must fail with a UDFError naming the expected phase and place,
+// carrying a stack, without a retry, leaving TMPDIR empty and the DB
+// answering the clean multiset afterwards.
+func TestUDFPanicMatrix(t *testing.T) {
+	methods := []string{"New"} // the constructor, then core.Join's method set
+	joinType := reflect.TypeFor[fudj.Join]()
+	for i := 0; i < joinType.NumMethod(); i++ {
+		methods = append(methods, joinType.Method(i).Name)
+	}
+	raised := make(map[string]bool)
+	for _, s := range udfShapes {
+		l := chaosLib(t, s.lib)
+		ctor, err := l.lib().Resolve(s.class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc := ctor().Descriptor()
+		for _, lay := range udfLayouts {
+			t.Run(s.class+"/"+lay.name, func(t *testing.T) {
+				tmp := t.TempDir()
+				t.Setenv("TMPDIR", tmp)
+				p := &udfProbe{calls: make(map[string]*atomic.Int64)}
+				for _, m := range methods {
+					p.calls[m] = new(atomic.Int64)
+				}
+				lib := fudj.NewLibrary("panicjoins")
+				lib.MustRegister("panic.Join", func() fudj.Join {
+					p.hit("New")
+					return panicJoin{p, ctor()}
+				})
+				db := fudj.MustOpen(fudj.WithCluster(3, 2), fudj.WithRetryPolicy(chaosRetries), lay.opt)
+				l.build(t, db)
+				if err := db.InstallLibrary(lib); err != nil {
+					t.Fatal(err)
+				}
+				ddl, _, _ := strings.Cut(l.ddl, " AS ")
+				ddl += ` AS "panic.Join" AT panicjoins`
+				name, _, _ := strings.Cut(strings.TrimPrefix(ddl, "CREATE JOIN "), "(")
+				res := p.cleanRun(t, db, ddl, name, l.query)
+				if lay.name == "budget" && res.Memory.SpillRuns == 0 {
+					t.Error("the budget forced no spilling")
+				}
+				clean := res.Rows
+				counts := make(map[string]int64)
+				for _, m := range methods {
+					counts[m] = p.calls[m].Load()
+				}
+				for _, m := range methods {
+					if counts[m] == 0 {
+						continue // this shape never calls m
+					}
+					for _, nth := range slices.Compact([]int64{1, counts[m]}) {
+						want := udfSiteOf(m, nth == 1, desc, lay.smart)
+						p.arm(m, nth)
+						_, err := db.Execute(ddl)
+						atDDL := err != nil
+						if err == nil {
+							_, err = db.Execute(l.query)
+						}
+						p.arm("", 0)
+						checkUDFError(t, fmt.Sprintf("%s call %d", m, nth), err, name, m+" boom", want)
+						raised[m] = true
+						if atDDL != (want.phase == "create" && nth == 1) {
+							t.Errorf("%s call %d: failed at CREATE JOIN = %v", m, nth, atDDL)
+						}
+						if atDDL {
+							if _, err := db.Execute(ddl); err != nil {
+								t.Fatalf("CREATE JOIN after a panic in it: %v", err)
+							}
+						}
+						after, err := db.Execute(l.query)
+						if err != nil {
+							t.Fatalf("query after a %s panic: %v", m, err)
+						}
+						sameMultiset(t, clean, after.Rows)
+						if _, err := db.Execute("DROP JOIN " + name); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+					t.Errorf("%d entries left in TMPDIR (err %v): %v", len(left), err, left)
+				}
+			})
+		}
+	}
+	t.Run("builtin", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		l := chaosLib(t, "spatial")
+		db := fudj.MustOpen(fudj.WithCluster(3, 2), fudj.WithRetryPolicy(chaosRetries), fudj.WithJoinMode(fudj.ModeBuiltin))
+		l.build(t, db)
+		if err := db.InstallLibrary(l.lib()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Execute(l.ddl); err != nil {
+			t.Fatal(err)
+		}
+		var armed atomic.Bool
+		db.RegisterBuiltinJoin("spatial_join", func(c *cluster.Cluster, left cluster.Data, lkey expr.Evaluator,
+			right cluster.Data, rkey expr.Evaluator, params []fudj.Value) (cluster.Data, error) {
+			if armed.Load() {
+				panic("builtin boom")
+			}
+			return fudj.BuiltinSpatialPBSM(c, left, lkey, right, rkey, params)
+		})
+		clean, err := db.Execute(l.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		armed.Store(true)
+		_, err = db.Execute(l.query)
+		armed.Store(false)
+		checkUDFError(t, "builtin", err, "spatial_join", "builtin boom", udfSite{phase: "builtin", coord: true})
+		after, err := db.Execute(l.query)
+		if err != nil {
+			t.Fatalf("query after a builtin panic: %v", err)
+		}
+		sameMultiset(t, clean.Rows, after.Rows)
+		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+			t.Errorf("%d entries left in TMPDIR (err %v): %v", len(left), err, left)
+		}
+	})
+	for _, m := range methods {
+		if !raised[m] {
+			t.Errorf("no row saw a panic in %s come back as a UDFError", m)
+		}
+	}
+}
+
+// udfShapes covers every registered class shape of the five libraries
+// (the Auto classes share the shapes of the classes they tune), each
+// run on its library's chaos table row (datasets, query, DDL
+// signature).
+var udfShapes = []struct{ lib, class string }{
+	{"spatial", "pbsm.SpatialJoin"},                           // default match, avoidance
+	{"spatial", "pbsm.SpatialJoinReferencePoint"},             // custom dedup
+	{"spatial", "pbsm.SpatialJoinElimination"},                // elimination
+	{"spatial", "pbsm.SpatialJoinNoDedup"},                    // no dedup
+	{"spatial", "pbsm.SpatialJoinPlaneSweep"},                 // LocalJoin
+	{"spatial", "pbsm.SpatialJoinTheta"},                      // theta, avoidance
+	{"interval", "oip.IntervalJoin"},                          // theta
+	{"distance", "knn.PointsWithin"},                          // theta
+	{"textsim", "setsimilarity.SetSimilarityJoin"},            // symmetric self-join
+	{"textsim", "setsimilarity.SetSimilarityJoinElimination"}, // self-join, elimination
+	{"trajectory", "traj.ClosenessJoin"},                      // symmetric self-join
+}
+
+// udfLayouts are the execution shapes each class runs under: the
+// default (naive theta for custom MATCH), smart theta, and a budget
+// that spills COMBINE.
+var udfLayouts = []struct {
+	name  string
+	opt   fudj.Option
+	smart bool
+}{
+	{"default", nil, false},
+	{"smart-theta", fudj.WithSmartTheta(true), true},
+	{"budget", fudj.WithMemoryBudget(12288), false},
+}
+
+func chaosLib(t *testing.T, name string) chaosLibrary {
+	for _, l := range chaosLibraries {
+		if l.name == name {
+			return l
+		}
+	}
+	t.Fatalf("no chaos library %q", name)
+	return chaosLibrary{}
+}
+
+// udfProbe counts a row's calls into library code, per method, and
+// panics on the nth call of the armed method. It is shared by every
+// join instance the row's constructor builds.
+type udfProbe struct {
+	calls map[string]*atomic.Int64
+	armed string // method to panic in; "" disarms
+	nth   int64
+}
+
+// arm makes the nth call of method, counted from now, panic.
+func (p *udfProbe) arm(method string, nth int64) {
+	for _, c := range p.calls {
+		c.Store(0)
+	}
+	p.armed, p.nth = method, nth
+}
+
+func (p *udfProbe) hit(method string) {
+	if p.calls[method].Add(1) == p.nth && method == p.armed {
+		panic(method + " boom")
+	}
+}
+
+// cleanRun creates the join, runs the query, counting every call, and
+// drops the join again; it returns the query's result.
+func (p *udfProbe) cleanRun(t *testing.T, db *fudj.DB, ddl, name, query string) *fudj.Result {
+	t.Helper()
+	p.arm("", 0)
+	if _, err := db.Execute(ddl); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Execute(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("clean run produced no rows")
+	}
+	if _, err := db.Execute("DROP JOIN " + name); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// udfSite is where a panicking call must be reported: its phase, at
+// the coordinator (partition -1) or in a task, and whether a record
+// index is known.
+type udfSite struct {
+	phase  string
+	coord  bool
+	record bool
+}
+
+// udfSiteOf is where the first (or last) call of method runs.
+func udfSiteOf(method string, first bool, desc fudj.Descriptor, smart bool) udfSite {
+	switch method {
+	case "New", "Descriptor":
+		return udfSite{phase: "create", coord: true}
+	case "NewSummary": // a task's identity first, the coordinator's merge last
+		return udfSite{phase: "summarize", coord: !first}
+	case "LocalAggregate":
+		return udfSite{phase: "summarize", record: true}
+	case "EncodeSummary":
+		return udfSite{phase: "summarize"}
+	case "DecodeSummary", "GlobalAggregate":
+		return udfSite{phase: "summarize", coord: true}
+	case "Divide", "EncodePlan", "DecodePlan":
+		return udfSite{phase: "divide", coord: true}
+	case "Assign":
+		return udfSite{phase: "assign", record: true}
+	case "Match":
+		// Smart theta enumerates bucket pairs at the coordinator before
+		// COMBINE; duplicate avoidance asks MATCH again inside COMBINE.
+		if smart && !desc.DefaultMatch && (first || desc.Dedup != fudj.DedupAvoidance) {
+			return udfSite{phase: "match", coord: true}
+		}
+	}
+	return udfSite{phase: "combine"} // Match, Verify, Dedup, LocalJoin
+}
+
+// checkUDFError requires err to be the panic's *UDFError, reported at
+// want, with a stack, and not retried.
+func checkUDFError(t *testing.T, what string, err error, join, text string, want udfSite) {
+	t.Helper()
+	var ue *fudj.UDFError
+	if !errors.As(err, &ue) {
+		t.Fatalf("%s: error is not a *UDFError: %v", what, err)
+	}
+	if ue.Join != join || ue.Phase != want.phase {
+		t.Errorf("%s: join %q phase %q, want %q %q", what, ue.Join, ue.Phase, join, want.phase)
+	}
+	if want.coord != (ue.Partition == -1) {
+		t.Errorf("%s: partition %d, want coordinator=%v", what, ue.Partition, want.coord)
+	}
+	if want.record != (ue.Record >= 0) {
+		t.Errorf("%s: record %d, want a record index=%v", what, ue.Record, want.record)
+	}
+	if ue.Stack == "" {
+		t.Errorf("%s: no stack captured", what)
+	}
+	if !strings.Contains(err.Error(), text) {
+		t.Errorf("%s: message %q should carry %q", what, err.Error(), text)
+	}
+	if strings.Contains(err.Error(), "gave up after") {
+		t.Errorf("%s: the panic was retried: %v", what, err)
+	}
+}
+
+// panicJoin is a library class under the probe. It implements every
+// core.Join method itself, so a method added to the interface fails to
+// compile here until the matrix covers it.
+type panicJoin struct {
+	p *udfProbe
+	j fudj.Join
+}
+
+func (w panicJoin) Descriptor() fudj.Descriptor {
+	w.p.hit("Descriptor")
+	return w.j.Descriptor()
+}
+
+func (w panicJoin) NewSummary(side fudj.Side) any {
+	w.p.hit("NewSummary")
+	return w.j.NewSummary(side)
+}
+
+func (w panicJoin) LocalAggregate(side fudj.Side, key any, s any) any {
+	w.p.hit("LocalAggregate")
+	return w.j.LocalAggregate(side, key, s)
+}
+
+func (w panicJoin) GlobalAggregate(side fudj.Side, a, b any) any {
+	w.p.hit("GlobalAggregate")
+	return w.j.GlobalAggregate(side, a, b)
+}
+
+func (w panicJoin) Divide(left, right any, params []any) (any, error) {
+	w.p.hit("Divide")
+	return w.j.Divide(left, right, params)
+}
+
+func (w panicJoin) Assign(side fudj.Side, key any, plan any, dst []fudj.BucketID) []fudj.BucketID {
+	w.p.hit("Assign")
+	return w.j.Assign(side, key, plan, dst)
+}
+
+func (w panicJoin) Match(b1, b2 fudj.BucketID) bool {
+	w.p.hit("Match")
+	return w.j.Match(b1, b2)
+}
+
+func (w panicJoin) Verify(b1 fudj.BucketID, l any, b2 fudj.BucketID, r any, plan any) bool {
+	w.p.hit("Verify")
+	return w.j.Verify(b1, l, b2, r, plan)
+}
+
+func (w panicJoin) Dedup(b1 fudj.BucketID, l any, b2 fudj.BucketID, r any, plan any) bool {
+	w.p.hit("Dedup")
+	return w.j.Dedup(b1, l, b2, r, plan)
+}
+
+func (w panicJoin) LocalJoin(b1 fudj.BucketID, ls []any, b2 fudj.BucketID, rs []any, plan any, emit func(i, j int)) {
+	w.p.hit("LocalJoin")
+	w.j.LocalJoin(b1, ls, b2, rs, plan, emit)
+}
+
+func (w panicJoin) EncodeSummary(s any) ([]byte, error) {
+	w.p.hit("EncodeSummary")
+	return w.j.EncodeSummary(s)
+}
+
+func (w panicJoin) DecodeSummary(buf []byte) (any, error) {
+	w.p.hit("DecodeSummary")
+	return w.j.DecodeSummary(buf)
+}
+
+func (w panicJoin) EncodePlan(plan any) ([]byte, error) {
+	w.p.hit("EncodePlan")
+	return w.j.EncodePlan(plan)
+}
+
+func (w panicJoin) DecodePlan(buf []byte) (any, error) {
+	w.p.hit("DecodePlan")
+	return w.j.DecodePlan(buf)
 }

@@ -8,31 +8,17 @@ import (
 // This file is the interprocedural layer: per-function (and per-field)
 // facts computed bottom-up over the module's package dependency graph.
 // An analyzer running on package P records summaries of P's functions
-// ("makes an unguarded UDF call", "parameter 0 flows into a make size",
-// "result 1 carries a raw decoded length") in the pass's FactStore;
-// when a dependent package Q is analyzed later, the same store resolves
-// those summaries at Q's call sites, so a claim like "this helper only
-// runs under the caller's guard" is checked instead of asserted.
+// ("parameter 0 flows into a make size", "result 1 carries a raw
+// decoded length") in the pass's FactStore; when a dependent package Q
+// is analyzed later, the same store resolves those summaries at Q's
+// call sites, so a claim like "this length was bounds-checked before
+// it reached the allocator" is checked instead of asserted.
 //
 // Facts cross package boundaries in process: the driver analyzes
 // packages in dependency order sharing one store (see cmd/fudjvet).
 
 // FuncFact is the exported summary of one function.
 type FuncFact struct {
-	// NeedsGuard reports that calling this function may execute
-	// user-defined join code with no deferred panic guard installed
-	// between this function's entry and the UDF call. The guard
-	// obligation attaches to the function's callers (udfcatch).
-	NeedsGuard bool
-
-	// GuardedFnParams is a bitmask over parameters: bit i set means
-	// every invocation or onward pass of function-typed parameter i
-	// inside this function is dominated by a deferred panic guard (or
-	// forwarded to a callee that proves the same), so passing an
-	// unguarded UDF-calling function value at position i is safe
-	// (udfcatch).
-	GuardedFnParams uint64
-
 	// AllocParams is a bitmask over parameters: bit i set means
 	// parameter i flows unchecked into an allocation size (a make call,
 	// directly or through a callee with the same fact), so a raw

@@ -48,10 +48,11 @@ func TestObjectKeyLocals(t *testing.T) {
 }
 
 // markAnalyzer is a toy interprocedural analyzer: package-level
-// functions whose name starts with "Bad" export a NeedsGuard fact, and
-// any call to a function carrying that fact is reported. Running it
-// over two fixture packages proves a fact produced in package x is
-// consumed by a finding in package y.
+// functions whose name starts with "Bad" export boundedalloc's fact
+// shape (parameter 0 flows into an allocation size), and any call to a
+// function carrying that fact is reported. Running it over two fixture
+// packages proves a fact produced in package x is consumed by a
+// finding in package y.
 var markAnalyzer = &Analyzer{
 	Name: "mark",
 	Doc:  "test analyzer: flags calls to functions named Bad*, across packages",
@@ -64,7 +65,7 @@ var markAnalyzer = &Analyzer{
 				}
 				if strings.HasPrefix(fd.Name.Name, "Bad") {
 					pass.Facts.ExportFunc(pass.TypesInfo.ObjectOf(fd.Name), func(f *FuncFact) {
-						f.NeedsGuard = true
+						f.AllocParams |= 1
 					})
 				}
 			}
@@ -80,7 +81,7 @@ var markAnalyzer = &Analyzer{
 				case *ast.SelectorExpr:
 					obj = pass.TypesInfo.ObjectOf(fun.Sel)
 				}
-				if f := pass.Facts.Func(obj); f != nil && f.NeedsGuard {
+				if f := pass.Facts.Func(obj); f != nil && f.AllocParams&1 != 0 {
 					pass.Reportf(call.Pos(), "call to flagged function %s", obj.Name())
 				}
 				return true

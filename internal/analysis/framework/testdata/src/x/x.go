@@ -1,5 +1,5 @@
 // Package x is the fact-producing half of the framework's own
-// multi-package fixture: BadSpawn exports a NeedsGuard fact that the
+// multi-package fixture: BadSpawn exports an AllocParams fact that the
 // sibling fixture package y must see at its call sites.
 package x
 

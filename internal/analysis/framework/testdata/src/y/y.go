@@ -1,5 +1,5 @@
 // Package y consumes the fact exported while analyzing package x: the
-// finding below only fires if x.BadSpawn's NeedsGuard fact crossed the
+// finding below only fires if x.BadSpawn's AllocParams fact crossed the
 // package boundary through the shared store.
 package y
 

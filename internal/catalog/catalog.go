@@ -29,10 +29,22 @@ type JoinDef struct {
 	Class     string
 	Library   string
 	New       core.Constructor
+	// Desc is the class's descriptor, read once at CREATE JOIN: the
+	// planner, EXPLAIN and the executor read it here rather than
+	// building a join to ask.
+	Desc core.Descriptor
 }
 
 // Arity returns the total parameter count (keys + extra parameters).
 func (j *JoinDef) Arity() int { return len(j.ParamName) }
+
+// Instance builds the fresh join one query runs. The constructor is
+// library code, so a panic in it becomes a *core.UDFError of phase
+// "create" instead of escaping to the caller.
+func (j *JoinDef) Instance() (join core.Join, err error) {
+	defer core.CatchPanic(j.Name, "create", -1, nil, &err)
+	return j.New(), nil
+}
 
 // Catalog stores all metadata. It is safe for concurrent use.
 type Catalog struct {
@@ -150,9 +162,17 @@ func (c *Catalog) CreateJoin(name string, paramNames, paramTypes []string, class
 	if err != nil {
 		return err
 	}
+	// The constructor and Descriptor are library code: both run once,
+	// here, under a guard, and the descriptor serves every later query.
+	desc, err := func() (desc core.Descriptor, err error) {
+		defer core.CatchPanic(name, "create", -1, nil, &err)
+		return ctor().Descriptor(), nil
+	}()
+	if err != nil {
+		return err
+	}
 	// Validate the declared extra-parameter count against the library's
 	// descriptor so a wrong signature is rejected at DDL time.
-	desc := ctor().Descriptor()
 	declaredExtras := len(paramNames) - 2
 	if declaredExtras != desc.Params {
 		return fmt.Errorf("catalog: join %q declares %d extra parameters but class %q expects %d",
@@ -165,6 +185,7 @@ func (c *Catalog) CreateJoin(name string, paramNames, paramTypes []string, class
 		Class:     class,
 		Library:   library,
 		New:       ctor,
+		Desc:      desc,
 	}
 	return nil
 }

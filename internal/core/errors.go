@@ -11,10 +11,12 @@ import (
 // A UDF panic is deterministic, so the error is not retryable: the
 // executor fails the query instead of burning retry attempts on it.
 type UDFError struct {
-	// Join is the join algorithm name from the library descriptor.
+	// Join names the join: the CREATE JOIN function name in the
+	// engine, the descriptor's algorithm name in RunStandalone.
 	Join string
-	// Phase is the pipeline phase executing the UDF: "summarize",
-	// "divide", "assign", "match", "combine", or "builtin".
+	// Phase is the pipeline phase executing the UDF: "create" (the
+	// constructor or Descriptor), "summarize", "divide", "assign",
+	// "match", "combine", or "builtin".
 	Phase string
 	// Partition is the partition whose task ran the UDF, or -1 when the
 	// call happened at the coordinator.

@@ -32,6 +32,12 @@ func panicSpec(name string, mutate func(*Spec[int64, int64, int64, int64])) Join
 	return Wrap(s)
 }
 
+// panicDescriptor is a join whose Descriptor panics; RunStandalone must
+// read it under its guard.
+type panicDescriptor struct{ Join }
+
+func (panicDescriptor) Descriptor() Descriptor { panic("descriptor boom") }
+
 func intKeys(n int) []any {
 	out := make([]any, n)
 	for i := range out {
@@ -59,10 +65,14 @@ func TestStandalonePanicIsolation(t *testing.T) {
 		{"verify", "combine", true, func(s *Spec[int64, int64, int64, int64]) {
 			s.Verify = func(BucketID, int64, BucketID, int64, int64) bool { panic("verify boom") }
 		}},
+		{"descriptor", "create", false, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			j := panicSpec("panic_"+tc.name, tc.mutate)
+			var j Join = panicDescriptor{}
+			if tc.mutate != nil {
+				j = panicSpec("panic_"+tc.name, tc.mutate)
+			}
 			_, err := RunStandalone(j, intKeys(5), intKeys(5), nil, func(l, r any) {})
 			if err == nil {
 				t.Fatal("RunStandalone swallowed the panic")

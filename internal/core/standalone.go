@@ -46,9 +46,10 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 	// Panic isolation: a panic anywhere in the user's join functions is
 	// converted into a structured *UDFError naming the phase and record
 	// being processed, exactly as the distributed executor does.
-	phase := "summarize"
+	// Descriptor is library code too, so it is read under the guard.
+	phase := "create"
 	record := -1
-	desc := j.Descriptor()
+	var desc Descriptor
 	defer func() {
 		if p := recover(); p != nil {
 			err = &UDFError{
@@ -61,9 +62,11 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 			}
 		}
 	}()
+	desc = j.Descriptor()
 
 	// SUMMARIZE: local aggregation (one "node"), then a trivial global
 	// merge with the identity summary so both aggregate paths execute.
+	phase = "summarize"
 	summarize := func(side Side, data []any) Summary {
 		s := j.NewSummary(side)
 		for i, k := range data {

@@ -42,7 +42,7 @@ func bruteForceCombine(build, probe []types.Record, matches matchFn) []types.Rec
 	var out []types.Record
 	combine := pairUp(&out)
 	for _, b1 := range sortedIDs(lBuckets) {
-		for _, b2 := range matches(b1, rIDs) {
+		for _, b2 := range matches(nil, b1, rIDs) {
 			if rs, ok := rBuckets[b2]; ok {
 				combine(b1, lBuckets[b1], b2, rs)
 			}
@@ -82,17 +82,16 @@ func TestCombinePartitionMemoryMatrix(t *testing.T) {
 		name    string
 		matches matchFn
 	}{
-		{"hash", func(b1 int, _ []int) []int { return []int{b1} }},
-		{"match-predicate", func(b1 int, probeIDs []int) []int {
-			var m []int
+		{"hash", func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }},
+		{"match-predicate", func(dst []int, b1 int, probeIDs []int) []int {
 			for _, b2 := range probeIDs {
 				if d := b1 - b2; d >= -1 && d <= 1 {
-					m = append(m, b2)
+					dst = append(dst, b2)
 				}
 			}
-			return m
+			return dst
 		}},
-		{"owned-pairs", func(b1 int, _ []int) []int { return owned[b1] }},
+		{"owned-pairs", func(dst []int, b1 int, _ []int) []int { return append(dst, owned[b1]...) }},
 	}
 	budgets := []struct {
 		name      string

@@ -43,8 +43,11 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 
 	ctx, clus, clock := q.ctx, q.clus, q.db.clock
 	f := step.fudj
-	join := f.def.New()
-	desc := join.Descriptor()
+	desc := f.def.Desc
+	join, err := f.def.Instance()
+	if err != nil {
+		return nil, err
+	}
 
 	lkey, err := expr.Compile(f.leftKey, leftSchema)
 	if err != nil {
@@ -252,11 +255,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		// path).
 		byBucket := cluster.HashRoute(clus.Partitions(), func(r types.Record) uint64 { return r[0].Hash() })
 		lay = layout{left: byBucket, right: byBucket, matches: func(int) matchFn {
-			var self [1]int // one scratch per task, not one slice per bucket
-			return func(b1 int, _ []int) []int {
-				self[0] = b1
-				return self[:]
-			}
+			return func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
 		}}
 	case q.set.smartTheta:
 		// Balanced theta (the Theta Join Operator proposed as future
@@ -264,7 +263,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		// counts, enumerates the bucket pairs MATCH accepts, assigns
 		// each pair to a partition by greedy cost balancing, and records
 		// travel only to partitions owning pairs that need them.
-		lay, err = planSmartTheta(clus, join, lAssigned, rAssigned)
+		lay, err = planSmartTheta(clus, f.def.Name, join, lAssigned, rAssigned)
 		if err != nil {
 			return nil, err
 		}
@@ -272,8 +271,17 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		// Naive theta (the paper's measured configuration, §VII-C): no
 		// partitioning property helps, so the build side is broadcast and
 		// the probe side randomly partitioned, then buckets are matched
-		// pairwise through MATCH locally (matches stays nil).
-		lay = layout{left: cluster.ReplicateRoute(clus.Partitions()), right: cluster.RandomRoute(clus.Partitions())}
+		// pairwise through MATCH locally.
+		match := func(dst []int, b1 int, probeIDs []int) []int {
+			for _, b2 := range probeIDs {
+				if join.Match(b1, b2) {
+					dst = append(dst, b2)
+				}
+			}
+			return dst
+		}
+		p := clus.Partitions()
+		lay = layout{left: cluster.ReplicateRoute(p), right: cluster.RandomRoute(p), matches: func(int) matchFn { return match }}
 	}
 	build, err := clus.ExchangeMulti(lAssigned, lay.left)
 	if err != nil {
@@ -306,24 +314,8 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	counts := make([]taskCounts, clus.Partitions())
 	combined, err := clus.Run(build, func(part int, in []types.Record) (out []types.Record, err error) {
 		defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
-		var matches matchFn
-		if lay.matches != nil {
-			matches = lay.matches(part)
-		} else {
-			// Built here, under the guard, because it runs user code.
-			var accepted []int
-			matches = func(b1 int, probeIDs []int) []int {
-				accepted = accepted[:0]
-				for _, b2 := range probeIDs {
-					if join.Match(b1, b2) {
-						accepted = append(accepted, b2)
-					}
-				}
-				return accepted
-			}
-		}
 		t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: combineSink()}
-		if err := combinePartition(q.mem, f.def.Name, part, in, probe[part], matches, t.combineBuckets); err != nil {
+		if err := combinePartition(q.mem, f.def.Name, part, in, probe[part], lay.matches(part), t.combineBuckets); err != nil {
 			return nil, err
 		}
 		out = t.sink.finish()
@@ -506,8 +498,9 @@ func appendCols(dst, rec types.Record, cols []int) types.Record {
 // layout is how one COMBINE lays its inputs out over the cluster: the
 // route each side's records travel (pure, so the shuffle barrier can
 // rebuild a lost partition from them), and, per partition, which probe
-// buckets each build bucket joins. A nil matches asks the join's MATCH
-// about every bucket pair the partition holds.
+// buckets each build bucket joins. A matchFn that asks the join's MATCH
+// runs library code, so it is only called inside the guarded COMBINE
+// task.
 type layout struct {
 	left, right cluster.Route
 	matches     func(part int) matchFn

@@ -696,14 +696,14 @@ func (p *queryPlan) explain() string {
 				line("RESIDUAL FILTER %v", expr.JoinConjuncts(j.residual))
 			}
 			match := "HASH (default match)"
-			if !j.fudj.def.New().Descriptor().DefaultMatch {
+			if !j.fudj.def.Desc.DefaultMatch {
 				match = "THETA (custom match: broadcast + local bucket matching)"
 			}
 			sink := ""
 			if p.foldsAggregate(i) {
 				sink = " → partial aggregate"
 			}
-			line("COMBINE: %s, verify, dedup=%v%s", match, j.fudj.def.New().Descriptor().Dedup, sink)
+			line("COMBINE: %s, verify, dedup=%v%s", match, j.fudj.def.Desc.Dedup, sink)
 			left := p.scans[0].schema
 			if i > 0 {
 				left = p.joins[i-1].out

@@ -90,12 +90,11 @@ func (m *memState) cleanup() {
 // so implementations never call Native() per pair.
 type combineFn func(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error
 
-// matchFn lists the probe buckets build bucket b1 joins with, in
-// emission order; probeIDs are the partition's probe bucket ids in
-// ascending order. The result is only read until the next call, so an
-// implementation may reuse one scratch slice. Ids naming no probe
+// matchFn appends to dst the probe buckets build bucket b1 joins with,
+// in emission order, and returns the extended slice; probeIDs are the
+// partition's probe bucket ids in ascending order. Ids naming no probe
 // bucket of this partition are skipped by the caller.
-type matchFn func(b1 int, probeIDs []int) []int
+type matchFn func(dst []int, b1 int, probeIDs []int) []int
 
 // partAcct tracks one partition task's budget-charged bytes, mirroring
 // every reservation into the cluster-wide gauge so PeakMemory is
@@ -236,9 +235,11 @@ func combinePartition(mem *memState, joinName string, part int,
 	// buckets, the rest to their bucket's probe run ----
 	probeGroups := groupByBucket(probe)
 	probeIDs := sortedIDs(probeGroups)
+	var matched []int // one scratch per task, not one slice per bucket
 	for _, b1 := range buildIDs {
 		ls, bs := resident[b1], spilled[b1]
-		for _, b2 := range matches(b1, probeIDs) {
+		matched = matches(matched[:0], b1, probeIDs)
+		for _, b2 := range matched {
 			rs, ok := probeGroups[b2]
 			if !ok {
 				continue

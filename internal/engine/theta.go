@@ -29,7 +29,7 @@ import (
 //
 // Every matched pair is processed exactly once (at the owner of its
 // left record), so no result is produced twice.
-func planSmartTheta(clus *cluster.Cluster, join core.Join, lAssigned, rAssigned cluster.Data) (layout, error) {
+func planSmartTheta(clus *cluster.Cluster, name string, join core.Join, lAssigned, rAssigned cluster.Data) (layout, error) {
 	countBuckets := func(data cluster.Data) (map[int]int64, error) {
 		parts, err := cluster.RunValues(clus, data, func(_ int, in []types.Record) (map[int]int64, error) {
 			m := make(map[int]int64)
@@ -65,7 +65,6 @@ func planSmartTheta(clus *cluster.Cluster, join core.Join, lAssigned, rAssigned 
 	// fan-out is safe. Each worker runs under a panic guard — a MATCH
 	// panic in a bare goroutine would kill the whole process instead of
 	// failing the query.
-	name := join.Descriptor().Name
 	matches := make([][]int, len(lIDs))
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
@@ -195,7 +194,7 @@ func planSmartTheta(clus *cluster.Cluster, join core.Join, lAssigned, rAssigned 
 			return rDest[int(r[0].Int64())]
 		},
 		matches: func(part int) matchFn {
-			return func(b1 int, _ []int) []int { return ownedMatches[part][b1] }
+			return func(dst []int, b1 int, _ []int) []int { return append(dst, ownedMatches[part][b1]...) }
 		},
 	}, nil
 }

@@ -236,24 +236,22 @@ func (fr *FrameReader) Next() (typ byte, payload []byte, err error) {
 	return typ, payload, nil
 }
 
-// DecodeSchemaFrame rebuilds a schema from its frame payload. Duplicate
-// column names are an error here, not NewSchema's planner-bug panic:
-// the bytes came off the network.
+// DecodeSchemaFrame rebuilds a schema from its frame payload. The bytes
+// came off the network, so a column named twice is an error.
 func DecodeSchemaFrame(payload []byte) (*types.Schema, error) {
 	var sj schemaJSON
 	if err := json.Unmarshal(payload, &sj); err != nil {
 		return nil, fmt.Errorf("serve: decode schema frame: %w", err)
 	}
 	fields := make([]types.Field, len(sj.Fields))
-	seen := make(map[string]bool, len(sj.Fields))
 	for i, f := range sj.Fields {
-		if seen[f.Name] {
-			return nil, fmt.Errorf("serve: decode schema frame: duplicate field %q", f.Name)
-		}
-		seen[f.Name] = true
 		fields[i] = types.Field{Name: f.Name, Kind: f.Kind}
 	}
-	return types.NewSchema(fields...), nil
+	schema, err := types.CheckedSchema(fields...)
+	if err != nil {
+		return nil, fmt.Errorf("serve: decode schema frame: %w", err)
+	}
+	return schema, nil
 }
 
 // DecodeTrailerFrame rebuilds the trailer from its frame payload.

@@ -80,7 +80,9 @@ func ReadDataset(r io.Reader) (name string, schema *types.Schema, recs []types.R
 		}
 		fields[i].Kind = types.Kind(kind)
 	}
-	schema = types.NewSchema(fields...)
+	if schema, err = types.CheckedSchema(fields...); err != nil {
+		return "", nil, nil, fmt.Errorf("storage: %w", err)
+	}
 	// Every record needs at least one byte of payload.
 	nRecs, err := d.UvarintCount(1)
 	if err != nil {

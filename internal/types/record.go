@@ -22,14 +22,25 @@ type Schema struct {
 // NewSchema builds a schema. Field names must be unique; duplicates
 // indicate a planner bug and panic.
 func NewSchema(fields ...Field) *Schema {
+	s, err := CheckedSchema(fields...)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// CheckedSchema builds a schema from fields read off a file or the
+// network, where a duplicate name is bad input: an error, not
+// NewSchema's panic.
+func CheckedSchema(fields ...Field) (*Schema, error) {
 	s := &Schema{Fields: fields, byName: make(map[string]int, len(fields))}
 	for i, f := range fields {
 		if _, dup := s.byName[f.Name]; dup {
-			panic(fmt.Sprintf("types: duplicate field %q in schema", f.Name))
+			return nil, fmt.Errorf("types: duplicate field %q in schema", f.Name)
 		}
 		s.byName[f.Name] = i
 	}
-	return s
+	return s, nil
 }
 
 // Index returns the position of the named field, or -1.
