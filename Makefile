@@ -14,10 +14,10 @@ FUDJVET = bin/fudjvet
 all: build
 
 # vet runs the standard analyzers, then fudjvet, the repo's own
-# invariant suite (seeded determinism, bounded decoder allocation, error
-# wrapping, uncontended hot loops). Any fudjvet finding fails it; there
-# is no suppression. UDF panic isolation is a test's job:
-# TestUDFPanicMatrix, under make chaos.
+# invariant suite (seeded determinism, error wrapping, uncontended hot
+# loops). Any fudjvet finding fails it; there is no suppression. UDF
+# panic isolation and bounded decoding are tests' jobs:
+# TestUDFPanicMatrix under make chaos, and the targets of make fuzz.
 vet: fudjvet
 	$(GO) vet ./...
 	$(FUDJVET) ./...
@@ -109,21 +109,20 @@ bench-e2e:
 bench-serve-ha:
 	$(GO) run ./cmd/benchrunner -exp serve-ha -json results/BENCH_serve_ha.json
 
-# fuzz smoke-runs every native fuzz target briefly. The committed
-# corpora under testdata/fuzz/ also run as regression seeds in plain
-# `go test`, so CI covers them even without this target.
+# fuzz smoke-runs every native fuzz target briefly. It asks go test for
+# each package's Fuzz functions, so a new target runs here with no edit;
+# DESIGN.md §9 requires one for every decoder of bytes the process did not
+# write. The committed corpora under testdata/fuzz/ also run as
+# regression seeds in plain `go test`, so CI covers them even without
+# this target.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME) ./internal/types/
-	$(GO) test -run xxx -fuzz FuzzMemSize -fuzztime $(FUZZTIME) ./internal/types/
-	$(GO) test -run xxx -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/types/
-	$(GO) test -run xxx -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run xxx -fuzz FuzzUvarintCountBound -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run xxx -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run xxx -fuzz FuzzCheckpointReopen -fuzztime $(FUZZTIME) ./internal/storage/
-	$(GO) test -run xxx -fuzz FuzzReadDataset -fuzztime $(FUZZTIME) ./internal/storage/
-	$(GO) test -run xxx -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) ./internal/storage/
-	$(GO) test -run xxx -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/serve/client/
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1 } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2 "=" t[i]; n = 0 } /^FAIL/ { bad = 1 } END { exit bad }') || exit 1; \
+	for pt in $$targets; do \
+		echo "$(GO) test -run xxx -fuzz '^$${pt#*=}$$' -fuzztime $(FUZZTIME) $${pt%%=*}"; \
+		$(GO) test -run xxx -fuzz "^$${pt#*=}\$$" -fuzztime $(FUZZTIME) "$${pt%%=*}" || exit 1; \
+	done
 
 # staticcheck and govulncheck are external tools pinned by version in
 # CI; locally they run only if already installed (the build environment

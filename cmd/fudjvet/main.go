@@ -3,8 +3,7 @@
 // invariant violation.
 //
 // It loads the packages itself (go list -export) and analyzes them in
-// one process, in dependency order with one shared fact store, so
-// interprocedural facts resolve at their dependents' call sites:
+// one process, one package at a time in import-path order:
 //
 //	fudjvet [packages]   (default ./...)
 //
@@ -29,10 +28,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	facts := framework.NewFactStore()
 	findings := 0
 	for _, pkg := range pkgs {
-		diags, err := framework.RunAnalyzers(pkg, analysis.All(), facts)
+		diags, err := framework.RunAnalyzers(pkg, analysis.All())
 		if err != nil {
 			fatal(err)
 		}

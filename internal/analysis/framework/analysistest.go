@@ -11,13 +11,7 @@ import (
 // RunTest is the analysistest-style fixture driver: it loads each
 // package directory under <testdata>/src, runs the analyzer, and
 // compares the findings against `// want` expectations embedded in the
-// fixture sources.
-//
-// The named packages are analyzed in order with one shared fact store,
-// and a later package may import an earlier one by directory name —
-// that is how cross-package fact propagation (a fact produced in
-// package `a`, a finding in package `b`) is exercised. Independent
-// fixture packages simply don't import each other.
+// fixture sources. The packages are independent; none imports another.
 //
 // Expectation syntax, on the line a finding is expected at:
 //
@@ -28,15 +22,14 @@ import (
 // finding.
 func RunTest(t *testing.T, testdata string, a *Analyzer, pkgs ...string) {
 	t.Helper()
-	loaded, err := LoadFixtureDirs(filepath.Join(testdata, "src"), pkgs...)
-	if err != nil {
-		t.Fatalf("load fixtures %v: %v", pkgs, err)
-	}
-	facts := NewFactStore()
-	for i, pkg := range loaded {
-		diags, err := RunAnalyzers(pkg, []*Analyzer{a}, facts)
+	for _, name := range pkgs {
+		pkg, err := loadFixture(filepath.Join(testdata, "src", name))
 		if err != nil {
-			t.Fatalf("run %s on %s: %v", a.Name, pkgs[i], err)
+			t.Fatalf("load fixture %s: %v", name, err)
+		}
+		diags, err := RunAnalyzers(pkg, []*Analyzer{a})
+		if err != nil {
+			t.Fatalf("run %s on %s: %v", a.Name, name, err)
 		}
 		checkExpectations(t, pkg, diags)
 	}

@@ -1,8 +1,8 @@
 // Package framework is a self-contained, stdlib-only re-implementation
 // of the subset of golang.org/x/tools/go/analysis that the fudjvet
 // analyzers need: an Analyzer/Pass/Diagnostic vocabulary, a loader that
-// type-checks packages against gc export data, a cross-package fact
-// store, and an analysistest-style fixture driver.
+// type-checks packages against gc export data, and an analysistest-style
+// fixture driver.
 //
 // The build environment intentionally carries no third-party modules,
 // so the real x/tools framework is unavailable; this package keeps the
@@ -55,12 +55,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the interprocedural store shared across the packages of
-	// one run: analyzers read facts exported by the packages this one
-	// imports and record facts about this package's own functions for
-	// the packages analyzed after it. Never nil.
-	Facts *FactStore
-
 	report func(Diagnostic)
 }
 
@@ -99,15 +93,7 @@ func (d Diagnostic) String() string {
 
 // RunAnalyzers executes each analyzer over pkg and returns the findings
 // sorted by position.
-//
-// facts carries interprocedural function summaries across packages:
-// pass nil for a fresh single-package run, or one shared store while
-// analyzing a module in dependency order so facts exported by
-// dependencies resolve at their dependents' call sites.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		if !a.appliesTo(pkg.Types.Path()) {
@@ -119,7 +105,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diag
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Facts:     facts,
 		}
 		pass.report = func(d Diagnostic) { diags = append(diags, d) }
 		if err := a.Run(pass); err != nil {

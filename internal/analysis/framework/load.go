@@ -26,34 +26,30 @@ type Package struct {
 	Info  *types.Info
 }
 
-// ExportLookup resolves an import path to its gc export data, the way
-// the go command hands export files to vet tools.
-type ExportLookup func(path string) (io.ReadCloser, error)
-
-// TypeCheck parses the given files and type-checks them against export
-// data supplied by lookup. It is the shared core of the driver's
-// package loader and the fixture loader.
-func TypeCheck(path string, filenames []string, lookup ExportLookup) (*Package, error) {
+// parseFiles parses the named files, with comments, into one file set.
+func parseFiles(filenames []string) (*token.FileSet, []*ast.File, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		files = append(files, f)
 	}
-	return typeCheckFiles(path, fset, files, lookup)
+	return fset, files, nil
 }
 
-func typeCheckFiles(path string, fset *token.FileSet, files []*ast.File, lookup ExportLookup) (*Package, error) {
+// typeCheck type-checks files against the export data idx names. It is
+// the shared core of the driver's package loader and the fixture loader.
+func typeCheck(path string, fset *token.FileSet, files []*ast.File, idx exportIndex) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", importer.Lookup(lookup))}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", importer.Lookup(idx.lookup))}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
@@ -68,7 +64,6 @@ type listedPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	Incomplete bool
 }
@@ -78,7 +73,7 @@ type listedPackage struct {
 func goList(dir string, patterns []string) ([]listedPackage, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Imports,Standard,Incomplete",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard,Incomplete",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -103,7 +98,8 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-// exportIndex maps import paths to export data files.
+// exportIndex maps import paths to export data files, the way the go
+// command hands export files to vet tools.
 type exportIndex map[string]string
 
 func (idx exportIndex) lookup(path string) (io.ReadCloser, error) {
@@ -117,12 +113,8 @@ func (idx exportIndex) lookup(path string) (io.ReadCloser, error) {
 // LoadPackages loads and type-checks the non-standard-library packages
 // matching patterns (e.g. "./..."), resolving imports through the build
 // cache's export data. Only production files are loaded; the go tool
-// already excludes testdata directories.
-//
-// Packages are returned in dependency order (imports before importers),
-// so a caller analyzing them front to back with one shared FactStore
-// sees every dependency's facts at its dependents' call sites. Ties are
-// broken by import path for stable output.
+// already excludes testdata directories. Packages are returned in
+// import-path order, for stable output.
 func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -159,13 +151,18 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 		seen[p.ImportPath] = true
 		picked = append(picked, p)
 	}
+	sort.Slice(picked, func(i, j int) bool { return picked[i].ImportPath < picked[j].ImportPath })
 	var out []*Package
-	for _, p := range topoOrder(picked) {
+	for _, p := range picked {
 		files := make([]string, len(p.GoFiles))
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
-		pkg, err := TypeCheck(p.ImportPath, files, idx.lookup)
+		fset, parsed, err := parseFiles(files)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := typeCheck(p.ImportPath, fset, parsed, idx)
 		if err != nil {
 			return nil, err
 		}
@@ -174,133 +171,38 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	return out, nil
 }
 
-// topoOrder sorts pkgs so every package follows the packages it imports
-// (restricted to the given set). The import graph is acyclic — the go
-// tool enforces that — so the traversal terminates.
-func topoOrder(pkgs []listedPackage) []listedPackage {
-	byPath := make(map[string]listedPackage, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		paths = append(paths, p.ImportPath)
-	}
-	sort.Strings(paths)
-	var out []listedPackage
-	done := make(map[string]bool, len(pkgs))
-	var visit func(path string)
-	visit = func(path string) {
-		p, ok := byPath[path]
-		if !ok || done[path] {
-			return
-		}
-		done[path] = true
-		imps := append([]string(nil), p.Imports...)
-		sort.Strings(imps)
-		for _, imp := range imps {
-			visit(imp)
-		}
-		out = append(out, p)
-	}
-	for _, path := range paths {
-		visit(path)
-	}
-	return out
-}
-
-// LoadFixtureDirs parses and type-checks several fixture directories
-// under root (testdata/src) as one multi-package fixture, in the order
-// given. A later fixture may import an earlier one by its directory
-// name (`import "a"`), which is how cross-package fact propagation is
-// tested; dependency fixtures therefore come first. Standard-library
-// imports resolve through the go tool's export data as usual.
-func LoadFixtureDirs(root string, names ...string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	srcPkgs := make(map[string]*types.Package)
-	var out []*Package
-	for _, name := range names {
-		dir := filepath.Join(root, name)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		var files []*ast.File
-		importSet := make(map[string]bool)
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-			for _, imp := range f.Imports {
-				p := imp.Path.Value[1 : len(imp.Path.Value)-1]
-				if srcPkgs[p] == nil {
-					importSet[p] = true
-				}
-			}
-		}
-		if len(files) == 0 {
-			return nil, fmt.Errorf("no Go files in %s", dir)
-		}
-		idx := make(exportIndex)
-		if len(importSet) > 0 {
-			var paths []string
-			for p := range importSet {
-				paths = append(paths, p)
-			}
-			sort.Strings(paths)
-			listed, err := goList(dir, paths)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range listed {
-				if p.Export != "" {
-					idx[p.ImportPath] = p.Export
-				}
-			}
-		}
-		pkg, err := typeCheckFixture(name, fset, files, srcPkgs, idx.lookup)
-		if err != nil {
-			return nil, err
-		}
-		srcPkgs[name] = pkg.Types
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// fixtureImporter resolves sibling fixture packages from source before
-// falling back to gc export data for everything else.
-type fixtureImporter struct {
-	src map[string]*types.Package
-	gc  types.Importer
-}
-
-func (im fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := im.src[path]; ok {
-		return p, nil
-	}
-	return im.gc.Import(path)
-}
-
-func typeCheckFixture(path string, fset *token.FileSet, files []*ast.File, src map[string]*types.Package, lookup ExportLookup) (*Package, error) {
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: fixtureImporter{
-		src: src,
-		gc:  importer.ForCompiler(fset, "gc", importer.Lookup(lookup)),
-	}}
-	pkg, err := conf.Check(path, fset, files, info)
+// loadFixture parses and type-checks the fixture package in dir, a
+// directory under testdata/src whose name is the package's import path.
+// Its imports resolve through the go tool's export data.
+func loadFixture(dir string) (*Package, error) {
+	filenames, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", path, err)
+		return nil, err
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: pkg, Info: info}, nil
+	if len(filenames) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	fset, files, err := parseFiles(filenames)
+	if err != nil {
+		return nil, err
+	}
+	var imports []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			imports = append(imports, strings.Trim(imp.Path.Value, `"`))
+		}
+	}
+	idx := make(exportIndex)
+	if len(imports) > 0 {
+		listed, err := goList(dir, imports)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				idx[p.ImportPath] = p.Export
+			}
+		}
+	}
+	return typeCheck(filepath.Base(dir), fset, files, idx)
 }

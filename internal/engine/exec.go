@@ -574,17 +574,17 @@ func (p *queryPlan) filterRows(rows []types.Record) ([]types.Record, error) {
 }
 
 // distinctRows removes duplicate output rows, preserving first-seen
-// order.
+// order: a row is kept when it opens a new group of the groupTable
+// GROUP BY uses.
 func distinctRows(rows []types.Record) []types.Record {
-	seen := make(map[string]bool, len(rows))
+	groups := newGroupTable(0)
 	out := rows[:0]
 	for _, row := range rows {
-		key := string(types.EncodeRecords([]types.Record{row}))
-		if seen[key] {
-			continue
+		before := len(groups.order)
+		groups.lookup(row)
+		if len(groups.order) > before {
+			out = append(out, row)
 		}
-		seen[key] = true
-		out = append(out, row)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fudj/internal/types"
@@ -44,8 +45,28 @@ type Literal struct {
 	V types.Value
 }
 
-// String implements fmt.Stringer.
-func (l *Literal) String() string { return l.V.String() }
+// String implements fmt.Stringer. Strings and floats print as SQL
+// literals, so the text parses back to the same value: a float keeps
+// its decimal point and never takes an exponent.
+func (l *Literal) String() string {
+	switch l.V.Kind() {
+	case types.KindString:
+		return Quote(l.V.Str())
+	case types.KindFloat64:
+		s := strconv.FormatFloat(l.V.Float64(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
+	}
+	return l.V.String()
+}
+
+// Quote renders s as a SQL string literal: single-quoted, with each
+// quote inside doubled, the one escape the lexer reads.
+func Quote(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
 
 // Walk implements Expr.
 func (l *Literal) Walk(f func(Expr) bool) { f(l) }
@@ -85,7 +106,16 @@ type Binary struct {
 
 // String implements fmt.Stringer.
 func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+	return "(" + operand(b.L) + " " + b.Op.String() + " " + operand(b.R) + ")"
+}
+
+// operand renders a binary operand. NOT binds looser than every binary
+// operator but AND and OR, so a negated operand keeps its parentheses.
+func operand(e Expr) string {
+	if _, ok := e.(*Not); ok {
+		return "(" + e.String() + ")"
+	}
+	return e.String()
 }
 
 // Walk implements Expr.

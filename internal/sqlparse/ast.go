@@ -39,8 +39,8 @@ func (c *CreateJoin) String() string {
 	for i, p := range c.Params {
 		params[i] = p.Name + ": " + p.Type
 	}
-	return fmt.Sprintf("CREATE JOIN %s(%s) RETURNS %s AS %q AT %s",
-		c.Name, strings.Join(params, ", "), c.Returns, c.Class, c.Library)
+	return fmt.Sprintf("CREATE JOIN %s(%s) RETURNS %s AS %s AT %s",
+		c.Name, strings.Join(params, ", "), c.Returns, expr.Quote(c.Class), c.Library)
 }
 
 // DropJoin removes an installed join.

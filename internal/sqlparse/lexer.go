@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer tokens.
@@ -103,12 +104,23 @@ scan:
 	start := l.pos
 	c := l.in[l.pos]
 
-	switch {
-	case isIdentStart(rune(c)):
-		for l.pos < len(l.in) && isIdentPart(rune(l.in[l.pos])) {
-			l.pos++
+	switch r, size := l.runeAt(l.pos); {
+	case isIdentStart(r):
+		ascii := size == 1
+		for l.pos < len(l.in) {
+			r, size := l.runeAt(l.pos)
+			if !isIdentPart(r) {
+				break
+			}
+			ascii = ascii && size == 1
+			l.pos += size
 		}
 		word := l.in[start:l.pos]
+		if !ascii {
+			// Fold first, so the keyword test sees the text the printer
+			// emits: "LİMIT" lowers to the keyword "limit".
+			word = strings.ToLower(word)
+		}
 		upper := strings.ToUpper(word)
 		if keywords[upper] {
 			return token{kind: tokKeyword, text: upper, pos: start}, nil
@@ -168,8 +180,17 @@ scan:
 			l.pos++
 			return token{kind: tokPunct, text: string(c), pos: start}, nil
 		}
-		return token{}, l.errf(l.pos, "unexpected character %q", c)
+		return token{}, l.errf(l.pos, "unexpected character %q", r)
 	}
+}
+
+// runeAt decodes the rune at byte offset i; invalid UTF-8 decodes as
+// utf8.RuneError, which is no identifier character.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if c := l.in[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.in[i:])
 }
 
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }

@@ -284,6 +284,8 @@ func TestParseStringRoundTrip(t *testing.T) {
 		`EXPLAIN SELECT MIN(t.v) FROM t WHERE t.v <> NULL ORDER BY t.v ASC`,
 		`CREATE JOIN j(a: geometry, b: geometry, n: int) RETURNS boolean AS "x.Y" AT lib`,
 		`DROP JOIN j(a: geometry, b: geometry)`,
+		`SELECT café FROM t WHERE a = 'x"y' AND b = 'x\y' AND NOT (NOT c) = d`,
+		`SELECT * FROM t WHERE a = 3.0 OR a < 0.00001 OR a > 100000000000000000000000.0`,
 	}
 	for _, q := range queries {
 		first, err := Parse(q)
@@ -297,6 +299,21 @@ func TestParseStringRoundTrip(t *testing.T) {
 		}
 		if second.String() != rendered {
 			t.Errorf("not a fixed point:\n  %q\n  %q", rendered, second.String())
+		}
+	}
+}
+
+// Literals print as SQL that reads back as the same value: quotes and
+// backslashes inside strings stay as they were, and a float stays a
+// float.
+func TestParseLiteralRoundTrip(t *testing.T) {
+	sel := parseSelect(t, `SELECT * FROM t WHERE a = 'x"y' AND b = 'x\y' AND c = 3.0 AND d = 0.00001`)
+	again := parseSelect(t, sel.String())
+	want, got := expr.SplitConjuncts(sel.Where), expr.SplitConjuncts(again.Where)
+	for i := range want {
+		w, g := want[i].(*expr.Binary).R.(*expr.Literal).V, got[i].(*expr.Binary).R.(*expr.Literal).V
+		if !g.Equal(w) {
+			t.Errorf("literal %d: %v read back as %v", i, w, g)
 		}
 	}
 }
