@@ -111,7 +111,7 @@ func TestBatchMetricsSurfaced(t *testing.T) {
 	if rpb := j.RowsPerBatch(); rpb < 1 || rpb > 1024 {
 		t.Errorf("RowsPerBatch() = %v, want within [1, 1024]", rpb)
 	}
-	// The registry view carries the same counters under batch.* names.
+	// Result.Metrics carries the same counters under batch.* names.
 	if res.Metrics["batch.count"] != j.Batches {
 		t.Errorf("metrics batch.count = %d, Join.Batches = %d", res.Metrics["batch.count"], j.Batches)
 	}

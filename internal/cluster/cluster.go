@@ -13,7 +13,7 @@
 // time; MaxBusy approximates the makespan on ideal hardware and is what
 // the scalability experiments report alongside wall time.
 //
-// Observability: cost counters live in the Metrics registry
+// Observability: cost counters live in one Metrics struct
 // (metrics.go); when the engine attaches a trace span via SetSpan,
 // every partition task and exchange emits a child span, so a traced
 // query yields the full query → phase → task tree.
@@ -125,7 +125,7 @@ func (c *Cluster) SetBatchSize(n int) {
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Metrics returns the cluster's metric registry.
+// Metrics returns the cluster's execution counters.
 func (c *Cluster) Metrics() *Metrics { return c.metrics }
 
 // SetClock replaces the clock used for busy-time accounting and span
@@ -299,7 +299,7 @@ func runTask[T any](c *Cluster, ctx context.Context, epoch int64, part int, in [
 			return zero, err
 		}
 		if attempt > 0 {
-			c.metrics.addRetry()
+			c.metrics.AddRetry()
 			sp.Add("retries", 1)
 			if backoffNext && !sleepCtx(ctx, c.retry.backoff(attempt)) {
 				return zero, ctx.Err()
@@ -312,7 +312,7 @@ func runTask[T any](c *Cluster, ctx context.Context, epoch int64, part int, in [
 		sp.Add("busy.ns", int64(busy))
 		if err == nil {
 			if attempt > 0 {
-				c.metrics.addRecovered()
+				c.metrics.update(func(s *Snapshot) { s.Recovered++ })
 			}
 			return res, nil
 		}
@@ -322,7 +322,7 @@ func runTask[T any](c *Cluster, ctx context.Context, epoch int64, part int, in [
 		if errors.Is(err, errStragglerAbandoned) {
 			// Speculation abandoned a straggling attempt before it did any
 			// user work; re-execute immediately without backoff.
-			c.metrics.addSpeculative()
+			c.metrics.update(func(s *Snapshot) { s.Speculative++ })
 			backoffNext = false
 			fails = append(fails, fmt.Errorf("attempt %d: %w", attempt, err))
 			continue
@@ -538,10 +538,11 @@ func (c *Cluster) Deliver(outbox [][][]types.Record) (Data, error) {
 // one "exchange" span carrying the byte/record deltas.
 func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 	if sp := c.span.Child("exchange"); sp != nil {
-		b0, r0 := c.metrics.counterValue(MetricShuffleBytes), c.metrics.counterValue(MetricShuffleRecords)
+		s0 := c.metrics.Snapshot()
 		defer func() {
-			sp.Add("shuffle.bytes", c.metrics.counterValue(MetricShuffleBytes)-b0)
-			sp.Add("shuffle.records", c.metrics.counterValue(MetricShuffleRecords)-r0)
+			s := c.metrics.Snapshot()
+			sp.Add("shuffle.bytes", s.BytesShuffled-s0.BytesShuffled)
+			sp.Add("shuffle.records", s.RecordsShuffled-s0.RecordsShuffled)
 			sp.End()
 		}()
 	}
@@ -582,13 +583,13 @@ func (c *Cluster) deliver(outbox [][][]types.Record) (Data, error) {
 				hi, size := c.cutFrame(batch, lo, frameBytes)
 				frame := batch[lo:hi]
 				lo = hi
-				c.metrics.reserveMemory(size)
+				c.metrics.ReserveMemory(size)
 				var err error
 				if crossNode {
 					frame, err = c.transferFrame(epoch, src, dst, frame, frameIdx, maxAttempts, dec)
 				}
 				recs = append(recs, frame...)
-				c.metrics.releaseMemory(size)
+				c.metrics.ReleaseMemory(size)
 				if err != nil {
 					return err
 				}
@@ -633,7 +634,7 @@ func (c *Cluster) cutFrame(batch []types.Record, lo int, maxBytes int64) (hi int
 	for hi = lo; hi < len(batch) && hi-lo < c.batchSize; hi++ {
 		sz := batch[hi].MemSize()
 		if hi > lo && size+sz > maxBytes {
-			c.metrics.addBackpressure()
+			c.metrics.update(func(s *Snapshot) { s.Backpressure++ })
 			break
 		}
 		size += sz
@@ -656,18 +657,22 @@ func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record,
 		if fi != nil && fi.corrupt(epoch, int64(src), int64(dst), frameIdx*131071+int64(attempt)) {
 			buf = corruptPayload(buf)
 		}
-		c.metrics.addShuffle(int64(len(buf)), int64(len(frame)))
-		c.metrics.addBatch(int64(len(frame)))
+		c.metrics.update(func(s *Snapshot) {
+			s.BytesShuffled += int64(len(buf))
+			s.RecordsShuffled += int64(len(frame))
+			s.Batches++
+			s.BatchRows += int64(len(frame))
+		})
 		if decoded, err = types.DecodeBatch(buf, dec); err == nil {
 			break
 		}
-		c.metrics.addRetry()
+		c.metrics.AddRetry()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shuffle %d->%d decode failed after %d attempts: %w", src, dst, attempt, err)
 	}
 	if attempt > 0 {
-		c.metrics.addCorruptHealed()
+		c.metrics.update(func(s *Snapshot) { s.CorruptHealed++ })
 	}
 	return decoded, nil
 }
@@ -675,7 +680,7 @@ func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record,
 // Broadcast accounts for shipping one opaque blob (e.g. an encoded
 // partitioning plan) from the coordinator to every node.
 func (c *Cluster) Broadcast(blob []byte) {
-	c.metrics.addBroadcast(int64(len(blob)) * int64(c.cfg.Nodes))
+	c.metrics.update(func(s *Snapshot) { s.BytesBroadcast += int64(len(blob)) * int64(c.cfg.Nodes) })
 }
 
 // GatherBytes accounts for shipping per-partition blobs (e.g. encoded
@@ -685,5 +690,5 @@ func (c *Cluster) GatherBytes(blobs [][]byte) {
 	for _, b := range blobs {
 		total += int64(len(b))
 	}
-	c.metrics.addBroadcast(total)
+	c.metrics.update(func(s *Snapshot) { s.BytesBroadcast += total })
 }

@@ -191,10 +191,10 @@ func TestExchangeHashGroupsKeys(t *testing.T) {
 	}
 }
 
-// TestMetricsReadableMidQuery reads the registry from another
+// TestMetricsReadableMidQuery reads the metrics from another
 // goroutine while exchanges write it, as a /metrics scrape or a
 // progress probe would. Under -race it fails if any reader or writer
-// touches registry state without mu; without -race it still checks that
+// touches metric state without mu; without -race it still checks that
 // a mid-query reader never sees a counter go backwards.
 func TestMetricsReadableMidQuery(t *testing.T) {
 	c := New(Config{Nodes: 2, CoresPerNode: 2})
@@ -204,7 +204,7 @@ func TestMetricsReadableMidQuery(t *testing.T) {
 		var last int64
 		for {
 			s := c.Metrics().Snapshot()
-			recs := c.Metrics().Values()[MetricShuffleRecords]
+			recs := c.Metrics().Values()["shuffle.records"]
 			if s.RecordsShuffled < last || recs < s.RecordsShuffled {
 				readerErr <- fmt.Errorf("shuffle.records went backwards: %d, then %d, then %d", last, s.RecordsShuffled, recs)
 				return

@@ -37,7 +37,7 @@ func TestMetricsSnapshotConsistent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				m.addShuffle(2, 1)
+				m.update(func(s *Snapshot) { s.BytesShuffled += 2; s.RecordsShuffled++ })
 			}
 		}
 	}()

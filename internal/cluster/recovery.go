@@ -121,7 +121,7 @@ func (rm *RecoveryManager) Cross(b Barrier, pieces func() []Piece) error {
 			if err != nil {
 				return err
 			}
-			rm.c.metrics.addCheckpointBytes(n)
+			rm.c.metrics.update(func(s *Snapshot) { s.CheckpointBytes += n })
 			if err := rm.applyDamage(p.Key); err != nil {
 				return err
 			}
@@ -206,7 +206,7 @@ func (rm *RecoveryManager) kill(b Barrier) (nodes, lostParts []int) {
 			lostParts = append(lostParts, n*rm.c.cfg.CoresPerNode+core)
 		}
 	}
-	rm.c.metrics.addBarrierKills(int64(len(nodes)))
+	rm.c.metrics.update(func(s *Snapshot) { s.BarrierKills += int64(len(nodes)) })
 	sp := rm.c.span.Child("barrier " + b.String())
 	sp.Add("nodes.lost", int64(len(nodes)))
 	sp.Add("parts.lost", int64(len(lostParts)))
@@ -232,13 +232,13 @@ func (rm *RecoveryManager) restore(p Piece, held int) error {
 	var ce *storage.CorruptError
 	switch {
 	case err == nil:
-		rm.c.metrics.addCheckpointRecovered(int64(held))
+		rm.c.metrics.update(func(s *Snapshot) { s.CheckpointRecovered += int64(held) })
 		sp.Add("from.checkpoint", 1)
 		n := types.RecordsMemSize(recs)
 		rm.c.metrics.ReserveMemory(n)
 		rm.c.metrics.ReleaseMemory(n)
 	case errors.As(err, &ce):
-		rm.c.metrics.addCheckpointDiscarded()
+		rm.c.metrics.update(func(s *Snapshot) { s.CheckpointDiscarded++ })
 		if err := rm.store.Remove(p.Key); err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"fudj/internal/cluster"
 	"fudj/internal/sched"
 	"fudj/internal/trace"
 )
@@ -18,9 +17,9 @@ import (
 // query may queue, receive a reduced memory lease (degrading into
 // spill pressure), or be shed with a retryable *sched.AdmissionError.
 
-// Scheduler metric names, stamped into each query's metric registry so
-// Result.Metrics and EXPLAIN ANALYZE surface admission behaviour
-// alongside the transport and memory counters.
+// Scheduler metric names, written into each query's Result.Metrics so
+// it surfaces admission behaviour alongside the transport and memory
+// counters.
 const (
 	// MetricSchedAdmitted counts this query's admission (always 1 for a
 	// query that produced a Result).
@@ -32,9 +31,11 @@ const (
 	// observed at this query's admission (shed queries never produce a
 	// Result of their own to carry it).
 	MetricSchedShedTotal = "sched.shed.total"
-	// MetricSchedQueueWait is the queue-latency histogram (nanoseconds).
+	// MetricSchedQueueWait is the queue wait in nanoseconds, reported as
+	// a one-observation ".count", ".sum" and ".max".
 	MetricSchedQueueWait = "sched.queue.wait.ns"
-	// MetricSchedLease gauges the memory lease granted to this query.
+	// MetricSchedLease is the memory lease granted to this query, with
+	// an equal ".peak".
 	MetricSchedLease = "sched.lease.bytes"
 )
 
@@ -126,22 +127,25 @@ func wrapTimeout(err error, eo execOpts) error {
 	return err
 }
 
-// stampSched records the admission outcome into the query's metric
-// registry and trace, so Result.Metrics, Result.Sched and EXPLAIN
+// stampSched records the admission outcome into the query's metrics
+// map and trace, so Result.Metrics, Result.Sched and EXPLAIN
 // ANALYZE all tell the same story. The sched span only appears when
 // the scheduler actually did something (queued the query or granted a
 // lease), keeping unlimited-mode traces unchanged.
-func stampSched(reg *cluster.Metrics, root *trace.Span, ticket *sched.Ticket, st sched.Stats) {
-	reg.Counter(MetricSchedAdmitted).Add(1)
-	if ticket.Wait() > 0 {
-		reg.Counter(MetricSchedQueued).Add(1)
-		reg.Histogram(MetricSchedQueueWait).Observe(int64(ticket.Wait()))
+func stampSched(m map[string]int64, root *trace.Span, ticket *sched.Ticket, st sched.Stats) {
+	m[MetricSchedAdmitted] = 1
+	if wait := int64(ticket.Wait()); wait > 0 {
+		m[MetricSchedQueued] = 1
+		m[MetricSchedQueueWait+".count"] = 1
+		m[MetricSchedQueueWait+".sum"] = wait
+		m[MetricSchedQueueWait+".max"] = wait
 	}
 	if st.Shed > 0 {
-		reg.Counter(MetricSchedShedTotal).Add(st.Shed)
+		m[MetricSchedShedTotal] = st.Shed
 	}
-	if ticket.Lease() > 0 {
-		reg.Gauge(MetricSchedLease).Add(ticket.Lease())
+	if lease := ticket.Lease(); lease > 0 {
+		m[MetricSchedLease] = lease
+		m[MetricSchedLease+".peak"] = lease
 	}
 	if ticket.Wait() > 0 || ticket.Lease() > 0 {
 		sp := root.Child("sched")

@@ -108,7 +108,7 @@ func TestAdmissionShedsOnQueueFull(t *testing.T) {
 
 // TestMemoryLeaseBecomesBudget pins the lease lifecycle: under a
 // shared pool the admitted query's budget IS its lease — Result.Sched
-// reports it, the metric registry gauges it, and the memory subsystem's
+// reports it, Result.Metrics carries it, and the memory subsystem's
 // peak stays under it.
 func TestMemoryLeaseBecomesBudget(t *testing.T) {
 	const pool = 64 << 20

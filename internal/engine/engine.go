@@ -300,9 +300,9 @@ type MemoryStats struct {
 // Cluster for transport/compute, Faults for recovery, Memory for
 // bounded-execution behaviour. Trace holds the root execution span
 // when tracing was enabled (WithTracing, the Trace exec option, or
-// EXPLAIN ANALYZE), nil otherwise. Metrics is the unified name→value
-// view of the cluster's metric registry, taken in one snapshot at
-// query end.
+// EXPLAIN ANALYZE), nil otherwise. Metrics is the flat name→value
+// view of the same counters: the cluster's, taken in one snapshot at
+// query end, plus the join.* and sched.* entries the engine adds.
 type Result struct {
 	Schema  *types.Schema
 	Rows    []types.Record
@@ -348,19 +348,18 @@ func (s *JoinStats) fold(tasks []taskCounts) taskCounts {
 	return sum
 }
 
-// flush copies the join stats into named counters of the cluster's
-// metric registry, so one Values() call sees the whole execution (the
-// registry's single-snapshot discipline).
-func (s *JoinStats) flush(m *cluster.Metrics) {
-	m.Counter("join.candidates").Add(s.Candidates)
-	m.Counter("join.verified").Add(s.Verified)
-	m.Counter("join.deduped").Add(s.Deduped)
-	m.Counter("join.output").Add(s.Output)
-	m.Counter("join.materialized").Add(s.Materialized)
-	m.Counter("join.state.bytes").Add(s.StateBytes)
-	m.Counter("join.summarize.ns").Add(int64(s.SummarizeTime))
-	m.Counter("join.partition.ns").Add(int64(s.PartitionTime))
-	m.Counter("join.combine.ns").Add(int64(s.CombineTime))
+// flush writes the join stats into the query's Result.Metrics map at
+// query end, beside the cluster's counters.
+func (s *JoinStats) flush(m map[string]int64) {
+	m["join.candidates"] = s.Candidates
+	m["join.verified"] = s.Verified
+	m["join.deduped"] = s.Deduped
+	m["join.output"] = s.Output
+	m["join.materialized"] = s.Materialized
+	m["join.state.bytes"] = s.StateBytes
+	m["join.summarize.ns"] = int64(s.SummarizeTime)
+	m["join.partition.ns"] = int64(s.PartitionTime)
+	m["join.combine.ns"] = int64(s.CombineTime)
 }
 
 // execOpts carries per-query execution options.

@@ -243,14 +243,15 @@ func (p *queryPlan) run(ctx context.Context, eo execOpts, ticket *sched.Ticket) 
 	clus.SetSpan(prevOut)
 	root.End()
 
-	// Flush the join stats into the registry, then take one consistent
-	// snapshot of every cluster counter (a field-by-field read could mix
-	// epochs if anything were still in flight).
+	// Take one consistent snapshot of the cluster counters (a
+	// field-by-field read could mix epochs if anything were still in
+	// flight), then add the join and admission entries to their map.
 	reg := clus.Metrics()
-	q.stats.flush(reg)
+	metrics := reg.Values()
+	q.stats.flush(metrics)
 	var schedStats SchedStats
 	if ticket != nil {
-		stampSched(reg, root, ticket, db.sched.Stats())
+		stampSched(metrics, root, ticket, db.sched.Stats())
 		schedStats = SchedStats{
 			QueueWait:  ticket.Wait(),
 			LeaseBytes: ticket.Lease(),
@@ -294,7 +295,7 @@ func (p *queryPlan) run(ctx context.Context, eo execOpts, ticket *sched.Ticket) 
 		},
 		Sched:   schedStats,
 		Trace:   root,
-		Metrics: reg.Values(),
+		Metrics: metrics,
 	}
 	return res, nil
 }
@@ -406,7 +407,10 @@ func (j *joinStep) joinRow(l, r types.Record) types.Record {
 	return appendCols(appendCols(row, l, j.needL), r, j.needR)
 }
 
-// runHashJoin shuffles both sides by key hash and joins locally.
+// runHashJoin shuffles both sides by key hash and joins locally. Keys
+// hash and compare as the = operator does (expr.EqualHash,
+// expr.ValuesEqual), so 1 joins 1.0 and -0.0 joins 0.0 as they do under
+// the nested-loop plan of the same predicate.
 func (q *queryRun) runHashJoin(step *joinStep,
 	left cluster.Data, leftSchema *types.Schema,
 	right cluster.Data, rightSchema *types.Schema) (cluster.Data, error) {
@@ -426,7 +430,7 @@ func (q *queryRun) runHashJoin(step *joinStep,
 			if err != nil {
 				return 0
 			}
-			return v.Hash()
+			return expr.EqualHash(v)
 		}
 	}
 	lShuf, err := clus.ExchangeHash(left, hashOf(lkey))
@@ -447,7 +451,7 @@ func (q *queryRun) runHashJoin(step *joinStep,
 			if err != nil {
 				return nil, err
 			}
-			h := v.Hash()
+			h := expr.EqualHash(v)
 			build[h] = append(build[h], r)
 			keys[h] = append(keys[h], v)
 		}
@@ -458,10 +462,10 @@ func (q *queryRun) runHashJoin(step *joinStep,
 			if err != nil {
 				return nil, err
 			}
-			h := v.Hash()
+			h := expr.EqualHash(v)
 			for i, r := range build[h] {
 				n.candidates++
-				if !v.Equal(keys[h][i]) {
+				if !expr.ValuesEqual(v, keys[h][i]) {
 					continue
 				}
 				n.verified++

@@ -720,7 +720,7 @@ func (p *queryPlan) explain() string {
 		case joinHash:
 			line("HASH JOIN on %v = %v", j.hashL, j.hashR)
 		case joinNLJ:
-			line("NESTED-LOOP JOIN on %v  (broadcast right)", j.cond)
+			line("NESTED-LOOP JOIN on %v  (broadcast smaller input)", j.cond)
 		case joinCross:
 			line("CROSS JOIN")
 		}

@@ -52,7 +52,7 @@ func (q *queryRun) runFUDJRecoverable(jsp *trace.Span, step *joinStep, sink func
 			// Abort-and-rerun: no checkpoint store, so the barrier loss
 			// replays the whole step — SUMMARIZE included — which is
 			// exactly the waste checkpointed execution avoids.
-			q.clus.Metrics().Counter(cluster.MetricRetries).Add(1)
+			q.clus.Metrics().AddRetry()
 			fails = append(fails, err)
 			continue
 		}

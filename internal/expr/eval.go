@@ -154,7 +154,7 @@ func compileBinary(op BinOp, l, r Evaluator) (Evaluator, error) {
 			if err != nil {
 				return types.Null, err
 			}
-			eq := valuesEqual(lv, rv)
+			eq := ValuesEqual(lv, rv)
 			return types.NewBool(eq == wantEq), nil
 		}, nil
 
@@ -202,15 +202,28 @@ func compileBinary(op BinOp, l, r Evaluator) (Evaluator, error) {
 	return nil, fmt.Errorf("expr: unsupported operator %v", op)
 }
 
-// valuesEqual compares with numeric widening, so 1 = 1.0 holds as SQL
-// users expect.
-func valuesEqual(a, b types.Value) bool {
+// ValuesEqual is the = operator's equality: it compares with numeric
+// widening, so 1 = 1.0 holds as SQL users expect.
+func ValuesEqual(a, b types.Value) bool {
 	if a.Kind() != b.Kind() {
 		af, aok := a.AsFloat()
 		bf, bok := b.AsFloat()
 		return aok && bok && af == bf
 	}
 	return a.Equal(b)
+}
+
+// EqualHash hashes v so that ValuesEqual values hash alike: a numeric
+// value by its float64 value, with -0.0 folded to 0.0.
+func EqualHash(v types.Value) uint64 {
+	f, ok := v.AsFloat()
+	if !ok {
+		return v.Hash()
+	}
+	if f == 0 {
+		f = 0 // -0.0 == 0.0
+	}
+	return types.NewFloat64(f).Hash()
 }
 
 func compareValues(a, b types.Value) (int, error) {

@@ -191,10 +191,7 @@ func encodeColumn(e *wire.Encoder, recs []Record, c int, tag byte) {
 // encodeRowWise emits the zero-width/ragged frame.
 func encodeRowWise(e *wire.Encoder, recs []Record) {
 	e.Byte(batchFormatRowWise)
-	e.Uvarint(uint64(len(recs)))
-	for _, r := range recs {
-		r.MarshalWire(e)
-	}
+	appendRecords(e, recs)
 }
 
 // DecodeBatch decodes one batch frame and materializes its records. A
@@ -215,7 +212,7 @@ func DecodeBatch(buf []byte, scratch *Batch) ([]Record, error) {
 	case batchFormatColumnar:
 		return decodeColumnarRecords(d, scratch)
 	case batchFormatRowWise:
-		return decodeRowWise(d)
+		return decodeRecords(d)
 	}
 	return nil, fmt.Errorf("types: unknown batch format 0x%02x", format)
 }
@@ -351,19 +348,4 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 		}
 	}
 	return nil
-}
-
-// decodeRowWise reads a row-wise payload (zero-width or ragged rows).
-func decodeRowWise(d *wire.Decoder) ([]Record, error) {
-	n, err := d.UvarintCount(1)
-	if err != nil {
-		return nil, fmt.Errorf("types: batch row count: %w", err)
-	}
-	out := make([]Record, n)
-	for i := range out {
-		if out[i], err = DecodeRecord(d); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

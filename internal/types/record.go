@@ -149,22 +149,32 @@ func DecodeRecord(d *wire.Decoder) (Record, error) {
 // EncodeRecords encodes a batch of records into one buffer.
 func EncodeRecords(recs []Record) []byte {
 	e := wire.NewEncoder(len(recs) * 32)
+	appendRecords(e, recs)
+	return e.Bytes()
+}
+
+// appendRecords writes a record count, then each record: the body of
+// EncodeRecords and of the batch codec's row-wise frame.
+func appendRecords(e *wire.Encoder, recs []Record) {
 	e.Uvarint(uint64(len(recs)))
 	for _, r := range recs {
 		r.MarshalWire(e)
 	}
-	return e.Bytes()
 }
 
 // DecodeRecords decodes a batch encoded by EncodeRecords.
 func DecodeRecords(buf []byte) ([]Record, error) {
-	d := wire.NewDecoder(buf)
+	return decodeRecords(wire.NewDecoder(buf))
+}
+
+// decodeRecords reads what appendRecords wrote.
+func decodeRecords(d *wire.Decoder) ([]Record, error) {
 	// Every record needs at least one byte, so UvarintCount rejects a
 	// corrupted header claiming more records than the buffer can hold
 	// before anything is allocated for them.
 	n, err := d.UvarintCount(1)
 	if err != nil {
-		return nil, fmt.Errorf("types: record batch count: %w", err)
+		return nil, fmt.Errorf("types: record count: %w", err)
 	}
 	out := make([]Record, n)
 	for i := range out {

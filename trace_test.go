@@ -19,13 +19,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // traceEnv opens a deterministic database: fixed seeds, small datasets,
 // the three reference joins, and a fake clock so the whole stack runs
-// off injected time.
-func traceEnv(t *testing.T) *fudj.DB {
+// off injected time. opts are added to Open's.
+func traceEnv(t *testing.T, opts ...fudj.Option) *fudj.DB {
 	t.Helper()
-	db, err := fudj.Open(
+	db, err := fudj.Open(append([]fudj.Option{
 		fudj.WithCluster(4, 2),
 		fudj.WithClock(trace.NewFakeClock(time.Unix(1700000000, 0), time.Millisecond)),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,27 +196,115 @@ func TestResultTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsValues checks Result.Metrics, the flat named-counter view
-// of the unified registry.
+// TestMetricsValues pins Result.Metrics, the flat name → value view of
+// one query's counters, under four configurations: the exact key set,
+// every counter equal to its typed Result field, and the sched.* keys
+// present only when the scheduler queued the query or granted a lease.
 func TestMetricsValues(t *testing.T) {
-	db := traceEnv(t)
-	res, err := db.Execute(exampleQueries["spatial"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{
-		"shuffle.bytes", "shuffle.records", "tasks",
-		"join.candidates", "join.verified", "task.busy.count",
+	const budget = 256 << 10
+	retries := chaosRetries
+	retries.SpeculativeAfter = 2 * time.Millisecond
+	for _, c := range []struct {
+		name   string
+		budget int64 // bound on Memory.Peak; 0 for none
+		opts   []fudj.Option
+	}{
+		{"plain", 0, nil},
+		{"budget-checkpoints", budget, []fudj.Option{fudj.WithMemoryBudget(budget), fudj.WithCheckpoints()}},
+		{"pool", budget, []fudj.Option{fudj.WithMemoryPool(budget), fudj.WithConcurrencyLimit(2)}},
+		{"faults", 0, []fudj.Option{fudj.WithCheckpoints(), fudj.WithRetryPolicy(retries),
+			fudj.WithFaults(&fudj.FaultConfig{
+				Seed:           3,
+				CrashProb:      0.2,
+				CorruptProb:    0.05,
+				StragglerNodes: []int{2},
+				StragglerDelay: 5 * time.Millisecond,
+				BarrierKills:   []fudj.BarrierKill{{Barrier: fudj.BarrierShuffle, Node: 1}},
+				TornWriteProb:  1,
+			})}},
 	} {
-		if _, ok := res.Metrics[key]; !ok {
-			t.Errorf("Result.Metrics missing %q (have %d keys)", key, len(res.Metrics))
-		}
-	}
-	if res.Metrics["shuffle.bytes"] != res.Cluster.BytesShuffled {
-		t.Errorf("registry and snapshot disagree: %d vs %d",
-			res.Metrics["shuffle.bytes"], res.Cluster.BytesShuffled)
-	}
-	if res.Metrics["join.candidates"] != res.Join.Candidates {
-		t.Errorf("join.candidates %d != %d", res.Metrics["join.candidates"], res.Join.Candidates)
+		t.Run(c.name, func(t *testing.T) {
+			db := traceEnv(t, c.opts...)
+			res, err := db.Execute(exampleQueries["spatial"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]int64{
+				"shuffle.bytes":                   res.Cluster.BytesShuffled,
+				"shuffle.records":                 res.Cluster.RecordsShuffled,
+				"broadcast.bytes":                 res.Cluster.BytesBroadcast,
+				"tasks":                           res.Cluster.Tasks,
+				"task.busy.count":                 res.Cluster.Tasks,
+				"task.busy.sum":                   int64(res.Cluster.TotalBusy),
+				"retries":                         res.Faults.Retries,
+				"recovered":                       res.Faults.Recovered,
+				"speculative":                     res.Faults.Speculative,
+				"corruptions.healed":              res.Faults.CorruptionsHealed,
+				"barrier.kills":                   res.Faults.BarrierKills,
+				"checkpoint.bytes":                res.Faults.CheckpointBytes,
+				"checkpoint.partitions.recovered": res.Faults.PartitionsRecovered,
+				"checkpoint.discarded":            res.Faults.CheckpointsDiscarded,
+				"mem.reserved.peak":               res.Memory.Peak,
+				"mem.input":                       res.Memory.PeakInput,
+				"mem.input.peak":                  res.Memory.PeakInput,
+				"spill.bytes":                     res.Memory.BytesSpilled,
+				"spill.runs":                      res.Memory.SpillRuns,
+				"buckets.split":                   res.Memory.BucketsSplit,
+				"backpressure":                    res.Memory.Backpressure,
+				"batch.count":                     res.Join.Batches,
+				"batch.rows":                      res.Join.BatchRows,
+				"join.candidates":                 res.Join.Candidates,
+				"join.verified":                   res.Join.Verified,
+				"join.deduped":                    res.Join.Deduped,
+				"join.output":                     res.Join.Output,
+				"join.materialized":               res.Join.Materialized,
+				"join.state.bytes":                res.Join.StateBytes,
+				"join.summarize.ns":               int64(res.Join.SummarizeTime),
+				"join.partition.ns":               int64(res.Join.PartitionTime),
+				"join.combine.ns":                 int64(res.Join.CombineTime),
+				"sched.admitted":                  1,
+			}
+			if wait := int64(res.Sched.QueueWait); wait > 0 {
+				want["sched.queued"] = 1
+				want["sched.queue.wait.ns.count"] = 1
+				want["sched.queue.wait.ns.sum"] = wait
+				want["sched.queue.wait.ns.max"] = wait
+			}
+			if lease := res.Sched.LeaseBytes; lease > 0 {
+				want["sched.lease.bytes"] = lease
+				want["sched.lease.bytes.peak"] = lease
+			}
+			// Values without a typed field: checked by bound below.
+			want["mem.reserved"] = res.Metrics["mem.reserved"]
+			want["task.busy.max"] = res.Metrics["task.busy.max"]
+			for k, v := range want {
+				got, ok := res.Metrics[k]
+				if !ok {
+					t.Errorf("Result.Metrics missing %q", k)
+				} else if got != v {
+					t.Errorf("Result.Metrics[%q] = %d, want %d", k, got, v)
+				}
+			}
+			for k := range res.Metrics {
+				if _, ok := want[k]; !ok {
+					t.Errorf("Result.Metrics has unexpected key %q", k)
+				}
+			}
+			if m := res.Metrics["task.busy.max"]; m <= 0 || m > int64(res.Cluster.MaxBusy) {
+				t.Errorf("task.busy.max = %d outside (0, MaxBusy %d]", m, res.Cluster.MaxBusy)
+			}
+			if m := res.Metrics["mem.reserved"]; m < 0 || m > res.Memory.Peak {
+				t.Errorf("mem.reserved = %d outside [0, peak %d]", m, res.Memory.Peak)
+			}
+			if c.budget > 0 && res.Memory.Peak > c.budget {
+				t.Errorf("mem.reserved.peak = %d above the %d budget", res.Memory.Peak, c.budget)
+			}
+			if c.name == "faults" && (res.Faults.BarrierKills == 0 || res.Faults.CheckpointsDiscarded == 0) {
+				t.Errorf("fault configuration injected nothing: %+v", res.Faults)
+			}
+			if c.name == "pool" && res.Sched.LeaseBytes == 0 {
+				t.Error("memory pool granted no lease")
+			}
+		})
 	}
 }
