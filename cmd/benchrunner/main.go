@@ -6,8 +6,9 @@
 //	benchrunner -exp fig9 -scale 2      # one experiment, bigger data
 //	benchrunner -list                   # list experiment ids
 //
-// Experiment ids follow the paper: table1, table2, fig1, fig9 (a/b/c),
-// fig10, fig11, fig12a, fig12b, fig12c, plus the ablation_* extras.
+// -list prints the ids: the paper's table1, table2, fig1, fig9 (a/b/c),
+// fig10, fig11 and fig12a/b/c; the ablation_* and extra_* experiments;
+// and stress, stress-net and serve-ha, the serving experiments.
 package main
 
 import (

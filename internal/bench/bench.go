@@ -2,9 +2,8 @@
 // and figure of the paper's evaluation (§VII). Each experiment is a
 // named runner that builds the synthetic workload, executes the query
 // arms being compared (FUDJ / built-in / on-top), and prints the same
-// rows or series the paper reports. cmd/benchrunner is the CLI front
-// end; the root bench_test.go exposes each experiment as a testing.B
-// benchmark.
+// rows or series the paper reports. cmd/benchrunner is its one front end;
+// go test runs every experiment once at a tiny scale.
 package bench
 
 import (
@@ -17,22 +16,16 @@ import (
 	"fudj"
 )
 
-// Config scales and shapes an experiment run. The defaults are sized
-// for a laptop; the paper's cluster-scale parameters are recovered by
-// raising Scale and the cluster shape.
+// Config scales and shapes an experiment run. cmd/benchrunner's flag
+// defaults are sized for a laptop; the paper's cluster-scale parameters
+// are recovered by raising Scale and the cluster shape.
 type Config struct {
 	Scale   float64       // record-count multiplier (1.0 = laptop defaults)
 	Nodes   int           // simulated cluster nodes
 	Cores   int           // cores (worker partitions) per node
 	Seed    int64         // RNG seed for data generation
 	Budget  time.Duration // per-run wall budget; slower arms are marked DNF
-	Verbose bool
-	JSONOut string // when set, experiments that produce artifacts write JSON here
-}
-
-// DefaultConfig returns the laptop-scale defaults.
-func DefaultConfig() Config {
-	return Config{Scale: 1, Nodes: 4, Cores: 2, Seed: 42, Budget: 20 * time.Second}
+	JSONOut string        // when set, experiments that produce artifacts write JSON here
 }
 
 // scaled applies the scale factor to a base record count.

@@ -24,12 +24,6 @@ func init() {
 		Run:   runExtraINLJ,
 	})
 	register(Experiment{
-		ID:    "extra_phases",
-		Title: "Extra: FUDJ phase breakdown (SUMMARIZE / PARTITION / COMBINE)",
-		Paper: "the phase decomposition of §IV, measured per join type",
-		Run:   runExtraPhases,
-	})
-	register(Experiment{
 		ID:    "extra_distance",
 		Title: "Extra: point distance join (kNN-style), FUDJ vs on-top",
 		Paper: "not in the paper; demonstrates the model on the distance join class (refs [40][41])",
@@ -136,69 +130,6 @@ func runExtraINLJ(cfg Config, w io.Writer) error {
 	fmt.Fprintln(w, "   with |indexed side| rather than |indexed side|/P, which is the §I")
 	fmt.Fprintln(w, "   scalability caveat the partition-based joins avoid)")
 	return nil
-}
-
-func runExtraPhases(cfg Config, w io.Writer) error {
-	e, err := newEnv(cfg, cfg.scaled(2000), cfg.scaled(4000), cfg.scaled(4000), cfg.scaled(4000))
-	if err != nil {
-		return err
-	}
-	queries := map[string]string{
-		"spatial (grid 32)": `SELECT COUNT(*) FROM parks p, wildfires w
-			WHERE spatial_join(p.boundary, w.location, 32)`,
-		"interval (1000 granules)": `SELECT COUNT(*) FROM nyctaxi a, nyctaxi b
-			WHERE a.vendor = 1 AND b.vendor = 2
-			AND overlapping_interval(a.ride_interval, b.ride_interval, 1000)`,
-		"text-similarity (t=0.9)": `SELECT COUNT(*) FROM amazonreview a, amazonreview b
-			WHERE a.overall = 5 AND b.overall = 4
-			AND text_similarity_join(a.review, b.review, 0.9)`,
-	}
-	var rows [][]string
-	for _, name := range []string{"spatial (grid 32)", "interval (1000 granules)", "text-similarity (t=0.9)"} {
-		res, err := e.db.Execute(queries[name], fudj.Trace())
-		if err != nil {
-			return err
-		}
-		total := res.Join.SummarizeTime + res.Join.PartitionTime + res.Join.CombineTime
-		pct := func(d float64) string { return fmt.Sprintf("%.0f%%", 100*d/total.Seconds()) }
-		phases := phaseSpans(res.Trace)
-		cnt := func(phase, counter string) string {
-			if sp := phases[phase]; sp != nil {
-				return fmt.Sprintf("%d", sp.Counter(counter))
-			}
-			return "-"
-		}
-		rows = append(rows, []string{
-			name,
-			fmtDur(res.Join.SummarizeTime), pct(res.Join.SummarizeTime.Seconds()), cnt("SUMMARIZE", "state.bytes"),
-			fmtDur(res.Join.PartitionTime), pct(res.Join.PartitionTime.Seconds()), cnt("PARTITION", "rows.out"),
-			fmtDur(res.Join.CombineTime), pct(res.Join.CombineTime.Seconds()), cnt("COMBINE", "rows.out"),
-		})
-	}
-	printTable(w, []string{
-		"join",
-		"SUMMARIZE", "", "stateB",
-		"PARTITION", "", "rows",
-		"COMBINE", "", "rows",
-	}, rows)
-	fmt.Fprintln(w, "  (COMBINE dominates for the theta interval join — the §VII-C bottleneck;")
-	fmt.Fprintln(w, "   SUMMARIZE is heaviest for text-similarity, whose summary is a token map)")
-	return nil
-}
-
-// phaseSpans walks a query trace and indexes the first join step's
-// phase spans by name.
-func phaseSpans(root *fudj.Span) map[string]*fudj.Span {
-	out := make(map[string]*fudj.Span)
-	root.Walk(func(depth int, sp *fudj.Span) {
-		switch sp.Name() {
-		case "SUMMARIZE", "PARTITION", "COMBINE":
-			if _, ok := out[sp.Name()]; !ok {
-				out[sp.Name()] = sp
-			}
-		}
-	})
-	return out
 }
 
 func runExtraDistance(cfg Config, w io.Writer) error {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -198,44 +197,58 @@ func runServeHAExperiment(cfg Config, w io.Writer) error {
 	return nil
 }
 
-// writeServeHAJSON records the measurement in the style of the other
-// results/BENCH_*.json artifacts, with stable field order.
+// metric is one entry of a results/BENCH_*.json metrics array:
+// BENCHMARK.json's name, unit and better, the reading, and the runs it
+// was read from where there are several.
+type metric struct {
+	Name    string    `json:"name"`
+	Unit    string    `json:"unit"`
+	Better  string    `json:"better"`
+	Value   float64   `json:"value"`
+	Samples []float64 `json:"samples,omitempty"`
+}
+
+// writeServeHAJSON records the measurement as results/BENCH_*.json do:
+// context strings, then every number in the metrics array.
 func writeServeHAJSON(cfg Config, steady, failover []time.Duration, st client.Stats) error {
-	runs := func(ds []time.Duration) string {
-		parts := make([]string, len(ds))
-		for i, d := range ds {
-			parts[i] = fmt.Sprintf("%d", d.Nanoseconds())
+	p50 := func(name string, ds []time.Duration) metric {
+		m := metric{name, "ms", "lower", float64(quantile(ds, 0.5)) / 1e6, nil}
+		for _, d := range ds {
+			m.Samples = append(m.Samples, float64(d)/1e6)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return m
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "{\n")
-	fmt.Fprintf(&buf, "  %q: %q,\n", "benchmark", "bench experiment 'serve-ha': client-side failover across a rolling restart")
-	fmt.Fprintf(&buf, "  %q: %q,\n", "shape",
-		"the spatial example join, closed loop through a failover client over two loopback fudjd instances; the steady arm queries a healthy pair, the failover arm times the first query after the serving instance drains — shed detection, peer readiness probe, session re-establishment, and re-key included")
-	fmt.Fprintf(&buf, "  %q: {%q: 4, %q: 2},\n", "cluster", "nodes", "cores_per_node")
-	fmt.Fprintf(&buf, "  %q: %q,\n", "command", "make bench-serve-ha")
-	fmt.Fprintf(&buf, "  %q: %q,\n", "cpu", cpuModel())
-	fmt.Fprintf(&buf, "  %q: {\n", "runs_ns")
-	fmt.Fprintf(&buf, "    %q: %s,\n", "steady", runs(steady))
-	fmt.Fprintf(&buf, "    %q: %s\n", "failover", runs(failover))
-	fmt.Fprintf(&buf, "  },\n")
-	fmt.Fprintf(&buf, "  %q: {%q: %d, %q: %d},\n", "median_ns",
-		"steady", quantile(steady, 0.5).Nanoseconds(),
-		"failover", quantile(failover, 0.5).Nanoseconds())
-	fmt.Fprintf(&buf, "  %q: {%q: %d, %q: %d, %q: %d, %q: %d, %q: %d, %q: %d, %q: %d},\n", "client",
-		"failovers", st.Failovers, "drain_failovers", st.DrainFailovers,
-		"rekeys", st.Rekeys, "breaker_opens", st.BreakerOpens,
-		"breaker_closes", st.BreakerCloses, "probes", st.Probes,
-		"journal_replays", st.JournalReplays)
-	fmt.Fprintf(&buf, "  %q: %q\n", "guard",
-		"every query must succeed — a drain of the serving instance is never client-visible as a failure; the experiment itself fails if no drain failover or re-key was recorded, so the failover arm cannot silently measure a healthy pair")
-	fmt.Fprintf(&buf, "}\n")
-	var check any
-	if err := json.Unmarshal(buf.Bytes(), &check); err != nil {
-		return fmt.Errorf("serve-ha: malformed artifact: %w", err)
+	buf, err := json.MarshalIndent(struct {
+		Benchmark string   `json:"benchmark"`
+		Shape     string   `json:"shape"`
+		Cluster   string   `json:"cluster"`
+		Command   string   `json:"command"`
+		CPU       string   `json:"cpu"`
+		Guard     string   `json:"guard"`
+		Metrics   []metric `json:"metrics"`
+	}{
+		"bench experiment 'serve-ha': client-side failover across a rolling restart",
+		"the spatial example join, closed loop through a failover client over two loopback fudjd instances; the steady arm queries a healthy pair, the failover arm times the first query after the serving instance drains — shed detection, peer readiness probe, session re-establishment, and re-key included",
+		fmt.Sprintf("%d nodes, %d cores per node", cfg.Nodes, cfg.Cores),
+		"make bench-serve-ha",
+		cpuModel(),
+		"every query must succeed — a drain of the serving instance is never client-visible as a failure; the experiment itself fails if no drain failover or re-key was recorded, so the failover arm cannot silently measure a healthy pair",
+		[]metric{
+			p50("serve_ha.steady_p50_ms", steady),
+			p50("serve_ha.failover_p50_ms", failover),
+			{"client.failovers", "count", "lower", float64(st.Failovers), nil},
+			{"client.drain_failovers", "count", "higher", float64(st.DrainFailovers), nil},
+			{"client.rekeys", "count", "higher", float64(st.Rekeys), nil},
+			{"client.breaker_opens", "count", "lower", float64(st.BreakerOpens), nil},
+			{"client.breaker_closes", "count", "higher", float64(st.BreakerCloses), nil},
+			{"client.probes", "count", "lower", float64(st.Probes), nil},
+			{"client.journal_replays", "count", "lower", float64(st.JournalReplays), nil},
+		},
+	}, "", "  ")
+	if err != nil {
+		return err
 	}
-	return os.WriteFile(cfg.JSONOut, buf.Bytes(), 0o644)
+	return os.WriteFile(cfg.JSONOut, append(buf, '\n'), 0o644)
 }
 
 func init() {

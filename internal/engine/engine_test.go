@@ -415,6 +415,27 @@ func TestHashJoinAgreesWithEquals(t *testing.T) {
 	}
 }
 
+// TestGroupingAgreesWithEquals checks that GROUP BY and DISTINCT hold
+// 0.0 and -0.0 as one value, as the = operator does.
+func TestGroupingAgreesWithEquals(t *testing.T) {
+	db := MustOpen(WithCluster(2, 2))
+	schema := types.NewSchema(types.Field{Name: "v", Kind: types.KindFloat64})
+	recs := []types.Record{{types.NewFloat64(0)}, {types.NewFloat64(math.Copysign(0, -1))}}
+	if err := db.CreateDataset("t", schema, recs); err != nil {
+		t.Fatal(err)
+	}
+	if n := mustQuery(t, db, `SELECT COUNT(*) FROM t a, t b WHERE a.v = b.v`).Rows[0][0].Int64(); n != 4 {
+		t.Fatalf("= paired %d rows, want 4: the two zeros are equal", n)
+	}
+	if rows := mustQuery(t, db, `SELECT DISTINCT t.v FROM t t`).Rows; len(rows) != 1 {
+		t.Errorf("DISTINCT returned %v, want one row", rows)
+	}
+	rows := mustQuery(t, db, `SELECT t.v, COUNT(*) FROM t t GROUP BY t.v`).Rows
+	if len(rows) != 1 || rows[0][1].Int64() != 2 {
+		t.Errorf("GROUP BY returned %v, want one group of 2", rows)
+	}
+}
+
 // TestExplainNestedLoopBroadcast pins what EXPLAIN says about the
 // nested-loop join against what it does: with the smaller input on the
 // left, the left side is the one replicated.

@@ -174,12 +174,22 @@ func decodePartial(vals []types.Value) aggState {
 	}
 }
 
+// appendGroupKey appends the bytes that key vals' group: each value's
+// wire encoding, with -0.0 folded to 0.0 so that GROUP BY and DISTINCT,
+// like the = operator, hold the two zeros as one value.
+func appendGroupKey(e *wire.Encoder, vals []types.Value) {
+	for _, v := range vals {
+		if v.Kind() == types.KindFloat64 && v.Float64() == 0 {
+			v = types.NewFloat64(0)
+		}
+		v.MarshalWire(e)
+	}
+}
+
 // groupKey serializes group values into a comparable string.
 func groupKey(vals []types.Value) string {
 	e := wire.NewEncoder(32)
-	for _, v := range vals {
-		v.MarshalWire(e)
-	}
+	appendGroupKey(e, vals)
 	return string(e.Bytes())
 }
 
@@ -216,9 +226,7 @@ func (t *groupTable) lookup(vals []types.Value) *group {
 		return t.order[0]
 	}
 	t.enc.Reset()
-	for _, v := range vals {
-		v.MarshalWire(t.enc)
-	}
+	appendGroupKey(t.enc, vals)
 	if g, ok := t.byKey[string(t.enc.Bytes())]; ok {
 		return g
 	}

@@ -33,13 +33,6 @@ func LookupBuiltin(name string) (Builtin, bool) {
 	return f, ok
 }
 
-// BuiltinNames reports whether a name is a built-in (used by the
-// parser to distinguish FUDJ predicates from scalar calls).
-func IsBuiltin(name string) bool {
-	_, ok := builtins[name]
-	return ok
-}
-
 func wantArgs(name string, args []types.Value, n int) error {
 	if len(args) != n {
 		return fmt.Errorf("%s expects %d arguments, got %d", name, n, len(args))

@@ -153,8 +153,11 @@ func TestCallBuiltin(t *testing.T) {
 	if _, err := Compile(&Call{Name: "no_such_fn"}, testSchema()); err == nil {
 		t.Error("unknown function should fail to compile")
 	}
-	if !IsBuiltin("st_contains") || IsBuiltin("nope") {
-		t.Error("IsBuiltin")
+	if _, ok := LookupBuiltin("st_contains"); !ok {
+		t.Error("LookupBuiltin(st_contains) not found")
+	}
+	if _, ok := LookupBuiltin("nope"); ok {
+		t.Error("LookupBuiltin(nope) found")
 	}
 }
 

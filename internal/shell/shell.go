@@ -13,7 +13,6 @@ import (
 	"context"
 	"fudj"
 
-	"fudj/internal/storage"
 	"fudj/internal/trace"
 )
 
@@ -205,17 +204,9 @@ func saveLoad(db *fudj.DB, cmd string) error {
 	name, path := parts[1], parts[2]
 	switch parts[0] {
 	case `\save`:
-		ds, err := db.Catalog().Dataset(name)
-		if err != nil {
-			return err
-		}
-		return storage.SaveFile(path, ds.Name, ds.Schema, ds.Records)
+		return fudj.SaveDataset(db, name, path)
 	case `\load`:
-		_, schema, recs, err := storage.LoadFile(path)
-		if err != nil {
-			return err
-		}
-		return db.CreateDataset(name, schema, recs)
+		return fudj.LoadDataset(db, name, path)
 	}
 	return fmt.Errorf("unknown command %q", parts[0])
 }

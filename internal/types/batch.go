@@ -32,7 +32,7 @@ import (
 //	    Bool, Int64        varint(i)
 //	    Float64            float64(f)
 //	    String             uvarint length + bytes
-//	    UUID, Interval     varint(i) varint(j)
+//	    Interval           varint(i) varint(j)
 //	    Point              float64(f) float64(f2)
 //	    Rect               float64(f) float64(f2) float64(f3) float64(f4)
 //	    generic            Value.MarshalWire / DecodeValue (kind byte
@@ -71,7 +71,7 @@ func NewBatch(width int) *Batch {
 // typedKind reports whether a uniform column of kind k is written as a
 // typed column (reference kinds use the generic representation).
 func typedKind(k Kind) bool {
-	return int(k) < len(kindNames) && k != KindPolygon && k != KindList && k != KindLineString
+	return int(k) < len(kindNames) && kindNames[k] != "" && k != KindPolygon && k != KindList && k != KindLineString
 }
 
 // EncodeBatch encodes a record slice as one batch frame. The second
@@ -168,7 +168,7 @@ func encodeColumn(e *wire.Encoder, recs []Record, c int, tag byte) {
 		for _, r := range recs {
 			e.String(r[c].s)
 		}
-	case KindUUID, KindInterval:
+	case KindInterval:
 		for _, r := range recs {
 			e.Varint(r[c].i)
 			e.Varint(r[c].j)
@@ -310,7 +310,7 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			}
 			arena[row*width+c] = Value{kind: KindString, s: v}
 		}
-	case KindUUID, KindInterval:
+	case KindInterval:
 		for row := 0; row < rows; row++ {
 			i, err := d.Varint()
 			if err != nil {

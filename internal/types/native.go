@@ -27,7 +27,7 @@ func (v Value) Geometry() (geo.Geometry, bool) {
 //
 //	int64 → int64, float64 → float64, string → string, bool → bool,
 //	point/rect/polygon → geo.Geometry, interval → interval.Interval,
-//	uuid → [2]int64, list of strings → []string, other lists → []any.
+//	list of strings → []string, other lists → []any.
 func (v Value) Native() any {
 	switch v.kind {
 	case KindNull:
@@ -40,8 +40,6 @@ func (v Value) Native() any {
 		return v.f
 	case KindString:
 		return v.s
-	case KindUUID:
-		return [2]int64{v.j, v.i}
 	case KindPoint:
 		return v.Point()
 	case KindRect:

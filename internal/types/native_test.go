@@ -19,7 +19,6 @@ func TestNativeConversions(t *testing.T) {
 		{NewInt64(-3), int64(-3)},
 		{NewFloat64(1.5), 1.5},
 		{NewString("x"), "x"},
-		{NewUUID(7, 9), [2]int64{7, 9}},
 		{NewPoint(geo.Point{X: 1, Y: 2}), geo.Point{X: 1, Y: 2}},
 		{NewRect(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}), geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}},
 		{NewInterval(interval.Interval{Start: 1, End: 2}), interval.Interval{Start: 1, End: 2}},
@@ -95,9 +94,6 @@ func TestValueStrings(t *testing.T) {
 	}
 	if s := NewList([]Value{NewInt64(1), NewString("a")}).String(); s != `[1, "a"]` {
 		t.Errorf("list String = %q", s)
-	}
-	if s := NewUUID(1, 2).String(); !strings.HasPrefix(s, "uuid(") {
-		t.Errorf("uuid String = %q", s)
 	}
 	rec := Record{NewInt64(1), NewString("x")}
 	if got := rec.String(); got != `{1, "x"}` {

@@ -20,7 +20,6 @@ func sampleValues() []Value {
 		NewFloat64(3.25),
 		NewString(""),
 		NewString("hello"),
-		NewUUID(7, 9),
 		NewPoint(geo.Point{X: 1, Y: 2}),
 		NewRect(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 5}),
 		NewPolygon(geo.NewPolygon([]geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}})),
@@ -41,10 +40,6 @@ func TestValueAccessors(t *testing.T) {
 	}
 	if NewString("ab").Str() != "ab" {
 		t.Error("Str accessor")
-	}
-	hi, lo := NewUUID(3, 4).UUID()
-	if hi != 3 || lo != 4 {
-		t.Error("UUID accessor")
 	}
 	if NewPoint(geo.Point{X: 1, Y: 2}).Point() != (geo.Point{X: 1, Y: 2}) {
 		t.Error("Point accessor")

@@ -26,7 +26,7 @@ const (
 	KindInt64
 	KindFloat64
 	KindString
-	KindUUID
+	_ // 5 is reserved: no kind number moves in any wire, file or schema
 	KindPoint
 	KindRect
 	KindPolygon
@@ -37,14 +37,14 @@ const (
 
 var kindNames = [...]string{
 	KindNull: "null", KindBool: "bool", KindInt64: "int64",
-	KindFloat64: "float64", KindString: "string", KindUUID: "uuid",
+	KindFloat64: "float64", KindString: "string",
 	KindPoint: "point", KindRect: "rect", KindPolygon: "polygon",
 	KindInterval: "interval", KindList: "list", KindLineString: "linestring",
 }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
@@ -55,9 +55,9 @@ func (k Kind) String() string {
 // polygon, list) live behind the ptr fields. The zero Value is null.
 type Value struct {
 	kind Kind
-	i    int64   // bool/int64/uuid-lo/interval-start
-	j    int64   // uuid-hi/interval-end
-	f    float64 // float64 / point.X / rect fields via list? no: points use f,f2
+	i    int64   // bool/int64/interval-start
+	j    int64   // interval-end
+	f    float64 // float64 / point.X / rect.MinX
 	f2   float64
 	f3   float64
 	f4   float64
@@ -87,9 +87,6 @@ func NewFloat64(f float64) Value { return Value{kind: KindFloat64, f: f} }
 
 // NewString wraps a string.
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
-
-// NewUUID wraps a 128-bit id given as two halves.
-func NewUUID(hi, lo int64) Value { return Value{kind: KindUUID, i: lo, j: hi} }
 
 // NewPoint wraps a geo.Point.
 func NewPoint(p geo.Point) Value { return Value{kind: KindPoint, f: p.X, f2: p.Y} }
@@ -131,9 +128,6 @@ func (v Value) Float64() float64 { v.check(KindFloat64); return v.f }
 
 // Str returns the string payload.
 func (v Value) Str() string { v.check(KindString); return v.s }
-
-// UUID returns the (hi, lo) halves of the id payload.
-func (v Value) UUID() (hi, lo int64) { v.check(KindUUID); return v.j, v.i }
 
 // Point returns the point payload.
 func (v Value) Point() geo.Point { v.check(KindPoint); return geo.Point{X: v.f, Y: v.f2} }
@@ -205,8 +199,6 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
-	case KindUUID:
-		return fmt.Sprintf("uuid(%x%x)", uint64(v.j), uint64(v.i))
 	case KindPoint:
 		return v.Point().String()
 	case KindRect:
@@ -243,7 +235,7 @@ func (v Value) Equal(o Value) bool {
 		return v.f == o.f
 	case KindString:
 		return v.s == o.s
-	case KindUUID, KindInterval:
+	case KindInterval:
 		return v.i == o.i && v.j == o.j
 	case KindPoint:
 		return v.f == o.f && v.f2 == o.f2
@@ -299,11 +291,6 @@ func (v Value) Compare(o Value) int {
 		return cmpFloat(v.f, o.f)
 	case KindString:
 		return strings.Compare(v.s, o.s)
-	case KindUUID:
-		if c := cmpInt(v.j, o.j); c != 0 {
-			return c
-		}
-		return cmpInt(v.i, o.i)
 	case KindInterval:
 		if c := cmpInt(v.i, o.i); c != 0 {
 			return c
@@ -425,7 +412,7 @@ func (v Value) hashInto(h *hash64) {
 		writeInt(h, int64(math.Float64bits(v.f)))
 	case KindString:
 		h.writeString(v.s)
-	case KindUUID, KindInterval:
+	case KindInterval:
 		writeInt(h, v.i)
 		writeInt(h, v.j)
 	case KindPoint:
@@ -479,7 +466,7 @@ func (v Value) MarshalWire(e *wire.Encoder) {
 		e.Float64(v.f)
 	case KindString:
 		e.String(v.s)
-	case KindUUID, KindInterval:
+	case KindInterval:
 		e.Varint(v.i)
 		e.Varint(v.j)
 	case KindPoint:
@@ -530,7 +517,7 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 			return Null, err
 		}
 		return NewString(s), nil
-	case KindUUID, KindInterval:
+	case KindInterval:
 		i, err := d.Varint()
 		if err != nil {
 			return Null, err

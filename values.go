@@ -19,7 +19,6 @@ const (
 	KindInt64      = types.KindInt64
 	KindFloat64    = types.KindFloat64
 	KindString     = types.KindString
-	KindUUID       = types.KindUUID
 	KindPoint      = types.KindPoint
 	KindRect       = types.KindRect
 	KindPolygon    = types.KindPolygon
