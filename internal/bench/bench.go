@@ -2,8 +2,12 @@
 // and figure of the paper's evaluation (§VII). Each experiment is a
 // named runner that builds the synthetic workload, executes the query
 // arms being compared (FUDJ / built-in / on-top), and prints the same
-// rows or series the paper reports. cmd/benchrunner is its one front end;
-// go test runs every experiment once at a tiny scale.
+// rows or series the paper reports. Every comparison experiment is a
+// figure: sweep points × arms through one runner (fig9.go), which
+// builds each point's database, applies and undoes each arm's setup,
+// marks arms DNF past the budget, checks that the live arms agree on
+// the result count, and renders the table. cmd/benchrunner is its one
+// front end; go test runs every experiment once at a small scale.
 package bench
 
 import (
@@ -12,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"fudj"
 )
@@ -84,40 +89,27 @@ func Run(id string, cfg Config, w io.Writer) error {
 	return fmt.Errorf("bench: unknown experiment %q (have %s, all)", id, strings.Join(ids, ", "))
 }
 
-// env is a database preloaded with the standard datasets and joins.
-type env struct {
-	db *fudj.DB
-}
-
-// newEnv builds the standard experiment environment: the four
-// datasets at the configured scale, all three libraries installed,
-// joins created, and built-in operators registered. Extra options
-// (admission limits, memory pools) are applied after the cluster shape.
-func newEnv(cfg Config, parks, fires, rides, reviews int, opts ...fudj.Option) (*env, error) {
+// newEnv opens the standard experiment database: the four datasets at
+// the given record counts (0 skips one; the i-th is seeded cfg.Seed+i),
+// all three libraries installed, joins created, and built-in operators
+// registered. Extra options (admission limits, memory pools) are
+// applied after the cluster shape.
+func newEnv(cfg Config, parks, fires, rides, reviews int, opts ...fudj.Option) (*fudj.DB, error) {
 	db, err := fudj.Open(append([]fudj.Option{fudj.WithCluster(cfg.Nodes, cfg.Cores)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
-	load := func(name string, ds *fudj.GeneratedDataset) error {
-		return fudj.LoadGenerated(db, name, ds)
-	}
-	if parks > 0 {
-		if err := load("parks", fudj.GenParks(cfg.Seed, parks)); err != nil {
-			return nil, err
+	sets := []struct {
+		name string
+		n    int
+		gen  func(seed int64, n int) *fudj.GeneratedDataset
+	}{{"parks", parks, fudj.GenParks}, {"wildfires", fires, fudj.GenWildfires},
+		{"nyctaxi", rides, fudj.GenNYCTaxi}, {"amazonreview", reviews, fudj.GenAmazonReview}}
+	for i, ds := range sets {
+		if ds.n == 0 {
+			continue
 		}
-	}
-	if fires > 0 {
-		if err := load("wildfires", fudj.GenWildfires(cfg.Seed+1, fires)); err != nil {
-			return nil, err
-		}
-	}
-	if rides > 0 {
-		if err := load("nyctaxi", fudj.GenNYCTaxi(cfg.Seed+2, rides)); err != nil {
-			return nil, err
-		}
-	}
-	if reviews > 0 {
-		if err := load("amazonreview", fudj.GenAmazonReview(cfg.Seed+3, reviews)); err != nil {
+		if err := fudj.LoadGenerated(db, ds.name, ds.gen(cfg.Seed+int64(i), ds.n)); err != nil {
 			return nil, err
 		}
 	}
@@ -130,6 +122,7 @@ func newEnv(cfg Config, parks, fires, rides, reviews int, opts ...fudj.Option) (
 		`CREATE JOIN spatial_join(a: geometry, b: geometry, n: int) RETURNS boolean AS "pbsm.SpatialJoin" AT spatialjoins`,
 		`CREATE JOIN spatial_join_rp(a: geometry, b: geometry, n: int) RETURNS boolean AS "pbsm.SpatialJoinReferencePoint" AT spatialjoins`,
 		`CREATE JOIN spatial_join_elim(a: geometry, b: geometry, n: int) RETURNS boolean AS "pbsm.SpatialJoinElimination" AT spatialjoins`,
+		`CREATE JOIN spatial_join_nodedup(a: geometry, b: geometry, n: int) RETURNS boolean AS "pbsm.SpatialJoinNoDedup" AT spatialjoins`,
 		`CREATE JOIN spatial_join_theta(a: geometry, b: geometry, n: int) RETURNS boolean AS "pbsm.SpatialJoinTheta" AT spatialjoins`,
 		`CREATE JOIN spatial_join_sweep(a: geometry, b: geometry, n: int) RETURNS boolean AS "pbsm.SpatialJoinPlaneSweep" AT spatialjoins`,
 		`CREATE JOIN text_similarity_join(a: string, b: string, t: double) RETURNS boolean AS "setsimilarity.SetSimilarityJoin" AT flexiblejoins`,
@@ -146,18 +139,39 @@ func newEnv(cfg Config, parks, fires, rides, reviews int, opts ...fudj.Option) (
 	db.RegisterBuiltinJoin("spatial_join", fudj.BuiltinSpatialPBSM)
 	db.RegisterBuiltinJoin("text_similarity_join", fudj.BuiltinTextSimilarity)
 	db.RegisterBuiltinJoin("overlapping_interval", fudj.BuiltinIntervalOIP)
-	return &env{db: db}, nil
+	return db, nil
+}
+
+// soloEnv opens a database holding one generated dataset, one library
+// and the one join created on it by ddl.
+func soloEnv(cfg Config, name string, ds *fudj.GeneratedDataset, lib *fudj.Library, ddl string) (*fudj.DB, error) {
+	db, err := fudj.Open(fudj.WithCluster(cfg.Nodes, cfg.Cores))
+	if err != nil {
+		return nil, err
+	}
+	if err := fudj.LoadGenerated(db, name, ds); err != nil {
+		return nil, err
+	}
+	if err := db.InstallLibrary(lib); err != nil {
+		return nil, err
+	}
+	if _, err := db.Execute(ddl); err != nil {
+		return nil, err
+	}
+	return db, nil
 }
 
 // runResult is one measured arm.
 type runResult struct {
-	elapsed  time.Duration
-	maxBusy  time.Duration
-	rows     int64
-	shuffled int64 // records moved across node boundaries
-	bytes    int64 // bytes moved across node boundaries
-	dnf      bool
-	err      error
+	elapsed    time.Duration
+	maxBusy    time.Duration
+	rows       int64
+	shuffled   int64         // records moved across node boundaries
+	bytes      int64         // bytes moved across node boundaries
+	stateBytes int64         // encoded summaries and plan moved
+	summarize  time.Duration // time spent in SUMMARIZE
+	dnf        bool
+	err        error
 }
 
 func (r runResult) String() string {
@@ -181,9 +195,8 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// timedQuery runs a query and measures it; when budget > 0 and the
-// result exceeds it, later callers can consult runResult.elapsed to
-// decide to mark larger runs DNF.
+// timedQuery runs a query and measures it. Its rows are the value of a
+// single-integer result (a COUNT(*)), else the number of result rows.
 func timedQuery(db *fudj.DB, sql string) runResult {
 	res, err := db.Execute(sql)
 	if err != nil {
@@ -198,6 +211,7 @@ func timedQuery(db *fudj.DB, sql string) runResult {
 	return runResult{
 		elapsed: res.Elapsed, maxBusy: res.Cluster.MaxBusy, rows: count,
 		shuffled: res.Cluster.RecordsShuffled, bytes: res.Cluster.BytesShuffled,
+		stateBytes: res.Join.StateBytes, summarize: res.Join.SummarizeTime,
 	}
 }
 
@@ -212,12 +226,12 @@ func modeledTime(r runResult, bytesPerSec float64) time.Duration {
 func printTable(w io.Writer, header []string, rows [][]string) {
 	widths := make([]int, len(header))
 	for i, h := range header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -240,8 +254,5 @@ func printTable(w io.Writer, header []string, rows [][]string) {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(0, w-utf8.RuneCountInString(s)))
 }

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // tinyConfig runs every experiment at a scale where the whole suite
-// completes in seconds.
+// completes in seconds and most rows still return results, so the
+// runner's agreement check compares non-zero counts.
 func tinyConfig() Config {
-	return Config{Scale: 0.02, Nodes: 2, Cores: 1, Seed: 7, Budget: 30 * time.Second}
+	return Config{Scale: 0.1, Nodes: 2, Cores: 1, Seed: 7, Budget: 30 * time.Second}
 }
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -32,6 +35,55 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFigureRunner checks the runner's two gates on ablation_dedup's
+// table, whose arms (avoidance and pbsm.SpatialJoinNoDedup on the
+// polygon self-join) return different counts by design.
+func TestFigureRunner(t *testing.T) {
+	cfg := tinyConfig()
+	dedup := ablationDedup(cfg)[0]
+
+	t.Run("disagreement names arm and point", func(t *testing.T) {
+		f := dedup
+		f.points, f.cols, f.countsDiffer = []int{64}, nil, false
+		var buf bytes.Buffer
+		err := f.run(cfg, &buf)
+		if err == nil || !strings.Contains(err.Error(), "no dedup") || !strings.Contains(err.Error(), "grid n 64") {
+			t.Fatalf("want an error naming arm %q and point %q, got %v", "no dedup", "grid n 64", err)
+		}
+	})
+
+	t.Run("declared differing counts pass", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := dedup.run(cfg, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("budget marks later cells DNF", func(t *testing.T) {
+		c := cfg
+		c.Budget = time.Nanosecond
+		var buf bytes.Buffer
+		if err := dedup.run(c, &buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		rows := lines[2:] // below the header and its rule
+		if len(rows) != len(dedup.points) {
+			t.Fatalf("%d rows, want %d:\n%s", len(rows), len(dedup.points), buf.String())
+		}
+		if first := strings.Fields(rows[0]); slices.Contains(first, "DNF") {
+			t.Errorf("first row already DNF: %q", rows[0])
+		}
+		for _, row := range rows[1:] {
+			for _, cell := range strings.Fields(row)[1:] {
+				if cell != "DNF" {
+					t.Errorf("cell %q in later row %q, want DNF", cell, row)
+				}
+			}
+		}
+	})
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -108,6 +160,14 @@ func TestPrintTable(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "a ") || !strings.Contains(out, "xx") {
 		t.Errorf("printTable output:\n%s", out)
+	}
+
+	// Columns align by character, so a µs cell pads like an ms cell.
+	buf.Reset()
+	printTable(&buf, []string{"wall", "n"}, [][]string{{"250µs", "1"}, {"1.5ms", "2"}})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if utf8.RuneCountInString(lines[2]) != utf8.RuneCountInString(lines[3]) {
+		t.Errorf("columns misaligned:\n%s", buf.String())
 	}
 }
 

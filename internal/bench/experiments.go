@@ -83,18 +83,18 @@ func runFig1(cfg Config, w io.Writer) error {
 		builtinLOC += r.Builtin
 	}
 
-	e, err := newEnv(cfg, cfg.scaled(1500), cfg.scaled(3000), 0, 0)
+	db, err := newEnv(cfg, cfg.scaled(1500), cfg.scaled(3000), 0, 0)
 	if err != nil {
 		return err
 	}
 	q := `SELECT COUNT(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 32)`
 	onTopQ := `SELECT COUNT(*) FROM parks p, wildfires w WHERE st_intersects(p.boundary, w.location)`
 
-	fudjRun := timedQuery(e.db, q)
-	e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
-	builtinRun := timedQuery(e.db, q)
-	e.db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
-	ontopRun := timedQuery(e.db, onTopQ)
+	fudjRun := timedQuery(db, q)
+	db.MustConfigure(fudj.WithJoinMode(fudj.ModeBuiltin))
+	builtinRun := timedQuery(db, q)
+	db.MustConfigure(fudj.WithJoinMode(fudj.ModeFUDJ))
+	ontopRun := timedQuery(db, onTopQ)
 	for _, r := range []runResult{fudjRun, builtinRun, ontopRun} {
 		if r.err != nil {
 			return r.err

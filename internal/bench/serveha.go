@@ -41,13 +41,13 @@ type haBenchInstance struct {
 }
 
 func (h *haBenchInstance) start() error {
-	e, err := newEnv(h.cfg, h.cfg.scaled(60), h.cfg.scaled(150), 8, 8)
+	db, err := newEnv(h.cfg, h.cfg.scaled(60), h.cfg.scaled(150), 8, 8)
 	if err != nil {
 		return err
 	}
 	h.gen++
 	srv, err := serve.New(serve.Config{
-		DB:         e.db,
+		DB:         db,
 		InstanceID: fmt.Sprintf("%s-g%d", h.name, h.gen),
 		RetryAfter: 20 * time.Millisecond,
 	})

@@ -146,7 +146,7 @@ func stressEnv(cfg StressConfig) (*fudj.DB, []stressClass, error) {
 		scale = 1
 	}
 	base := Config{Scale: scale, Nodes: cfg.Nodes, Cores: cfg.Cores, Seed: cfg.Seed}
-	e, err := newEnv(base, base.scaled(60), base.scaled(150), base.scaled(150), base.scaled(100),
+	db, err := newEnv(base, base.scaled(60), base.scaled(150), base.scaled(150), base.scaled(100),
 		fudj.WithConcurrencyLimit(cfg.MaxConcurrent),
 		fudj.WithQueueDepth(cfg.QueueDepth),
 		fudj.WithMemoryPool(cfg.Pool),
@@ -157,10 +157,10 @@ func stressEnv(cfg StressConfig) (*fudj.DB, []stressClass, error) {
 	}
 	lib := fudj.NewLibrary("poisonlib")
 	lib.MustRegister("poison.Overlap", newPoisonJoin)
-	if err := e.db.InstallLibrary(lib); err != nil {
+	if err := db.InstallLibrary(lib); err != nil {
 		return nil, nil, err
 	}
-	if _, err := e.db.Execute(`CREATE JOIN poison_overlap(a: interval, b: interval, n: int)
+	if _, err := db.Execute(`CREATE JOIN poison_overlap(a: interval, b: interval, n: int)
 		RETURNS boolean AS "poison.Overlap" AT poisonlib`); err != nil {
 		return nil, nil, err
 	}
@@ -178,13 +178,13 @@ func stressEnv(cfg StressConfig) (*fudj.DB, []stressClass, error) {
 	// Serial baselines: with the queue idle each runs alone, so the
 	// hash is the ground-truth multiset for the class.
 	for i := range classes {
-		res, err := e.db.Execute(classes[i].sql)
+		res, err := db.Execute(classes[i].sql)
 		if err != nil {
 			return nil, nil, fmt.Errorf("baseline %s: %w", classes[i].name, err)
 		}
 		classes[i].base = multisetHash(res.Rows)
 	}
-	return e.db, classes, nil
+	return db, classes, nil
 }
 
 // RunStress executes one open-loop storm and returns the report. The

@@ -129,10 +129,7 @@ func (w *wrapped[KL, KR, S, P]) Assign(side Side, key any, plan PPlan, dst []Buc
 	if side == Right && w.spec.AssignRight != nil {
 		return w.spec.AssignRight(castKey[KR](w.spec.Name, side, key), p, dst)
 	}
-	if side == Right && w.spec.AssignRight == nil {
-		// Symmetric assign: the right key must be a KL.
-		return w.spec.AssignLeft(castKey[KL](w.spec.Name, side, key), p, dst)
-	}
+	// Left side, or a symmetric assign: the key must be a KL.
 	return w.spec.AssignLeft(castKey[KL](w.spec.Name, side, key), p, dst)
 }
 

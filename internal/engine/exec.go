@@ -566,11 +566,11 @@ func (p *queryPlan) filterRows(rows []types.Record) ([]types.Record, error) {
 	}
 	out := rows[:0]
 	for _, row := range rows {
-		v, err := pred(row)
+		ok, err := holds(pred, row)
 		if err != nil {
 			return nil, err
 		}
-		if v.Kind() == types.KindBool && v.Bool() {
+		if ok {
 			out = append(out, row)
 		}
 	}

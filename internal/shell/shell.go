@@ -24,11 +24,6 @@ type Config struct {
 	LoadDemo bool // load datasets + create the three joins
 }
 
-// DefaultConfig returns the interactive defaults.
-func DefaultConfig() Config {
-	return Config{Nodes: 4, Cores: 2, Records: 2000, LoadDemo: true}
-}
-
 // Setup opens a database per the config: libraries installed, demo
 // datasets loaded, joins created, and built-in operators registered.
 func Setup(cfg Config) (*fudj.DB, error) {
