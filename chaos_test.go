@@ -223,6 +223,71 @@ func TestChaosEquivalence(t *testing.T) {
 	})
 }
 
+// TestBucketPruningConserves checks the hash layout's bucket pruning on
+// every DefaultMatch library of the table: each assigned record is
+// either pruned before the exchange (its bucket is one the other side
+// never reached) or delivered to COMBINE, and the join funnel is the
+// one the unpruned exchange produced (the want values are the counts
+// every record shipped gave, before pruning existed). The cluster's
+// shuffle_records counts only the delivered records that cross a node,
+// so it is bounded by the delivered count, not equal to it.
+func TestBucketPruningConserves(t *testing.T) {
+	// The pruned counts: textsim's row is a self-join over one
+	// unfiltered dataset with one assign for both sides, so both sides
+	// reach exactly the same buckets and nothing may be pruned; the
+	// trajectory join assigns its left side to an expanded MBR, so a
+	// self-join still has buckets only the left side reaches.
+	funnels := map[string]struct {
+		funnel [3]int64 // candidates, verified, output
+		pruned int64
+	}{
+		"spatial":    {[3]int64{103, 23, 23}, 38},
+		"textsim":    {[3]int64{2181, 287, 228}, 0},
+		"trajectory": {[3]int64{760, 323, 204}, 8},
+	}
+	forEachChaosLibrary(t, func(t *testing.T, db *fudj.DB, l chaosLibrary, _ []fudj.Record) {
+		res, err := db.Execute(l.query, fudj.Trace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var assigned, delivered, shuffled int64
+		pruned := int64(-1)
+		res.Trace.Walk(func(_ int, sp *fudj.Span) {
+			switch sp.Name() {
+			case "PARTITION":
+				assigned = sp.Counter("rows.out")
+				if n, ok := sp.Counters()["rows.pruned"]; ok {
+					pruned = n
+				}
+			case "COMBINE":
+				delivered = sp.Counter("rows.in")
+				for _, ex := range sp.Children() {
+					shuffled += ex.Counter("shuffle.records")
+				}
+			}
+		})
+		want, hash := funnels[l.name]
+		if !hash {
+			if pruned >= 0 {
+				t.Errorf("theta MATCH reported rows.pruned=%d; only the hash layout prunes", pruned)
+			}
+			return
+		}
+		if pruned+delivered != assigned {
+			t.Errorf("rows.pruned %d + COMBINE rows.in %d != PARTITION rows.out %d", pruned, delivered, assigned)
+		}
+		if shuffled > delivered {
+			t.Errorf("shuffle.records %d exceeds the %d records delivered", shuffled, delivered)
+		}
+		if pruned != want.pruned {
+			t.Errorf("rows.pruned = %d, want %d", pruned, want.pruned)
+		}
+		if got := [3]int64{res.Join.Candidates, res.Join.Verified, res.Join.Output}; got != want.funnel {
+			t.Errorf("candidates/verified/output = %v, want %v", got, want.funnel)
+		}
+	})
+}
+
 // TestMemoryBoundedChaos degrades each join twice over: a budget far
 // below the working set (forcing spill-to-disk COMBINE) plus 20% task
 // crashes. Results must still match the unbounded fault-free run.

@@ -413,6 +413,17 @@ func HashRoute(parts int, key func(r types.Record) uint64) Route {
 	}
 }
 
+// FilterRoute sends each record keep accepts where route sends it, and
+// every other record nowhere.
+func FilterRoute(route Route, keep func(r types.Record) bool) Route {
+	return func(src, i int, r types.Record, dsts []int) []int {
+		if !keep(r) {
+			return dsts
+		}
+		return route(src, i, r, dsts)
+	}
+}
+
 // ReplicateRoute sends every record to every partition — the broadcast
 // side of a theta (multi-join) bucket matching stage.
 func ReplicateRoute(parts int) Route {
@@ -677,18 +688,14 @@ func (c *Cluster) transferFrame(epoch int64, src, dst int, frame []types.Record,
 	return decoded, nil
 }
 
-// Broadcast accounts for shipping one opaque blob (e.g. an encoded
+// Broadcast accounts for shipping n bytes (e.g. an encoded
 // partitioning plan) from the coordinator to every node.
-func (c *Cluster) Broadcast(blob []byte) {
-	c.metrics.update(func(s *Snapshot) { s.BytesBroadcast += int64(len(blob)) * int64(c.cfg.Nodes) })
+func (c *Cluster) Broadcast(n int64) {
+	c.metrics.update(func(s *Snapshot) { s.BytesBroadcast += n * int64(c.cfg.Nodes) })
 }
 
-// GatherBytes accounts for shipping per-partition blobs (e.g. encoded
-// local summaries) to the coordinator.
-func (c *Cluster) GatherBytes(blobs [][]byte) {
-	var total int64
-	for _, b := range blobs {
-		total += int64(len(b))
-	}
-	c.metrics.update(func(s *Snapshot) { s.BytesBroadcast += total })
+// GatherBytes accounts for shipping n bytes in all from the partitions
+// to the coordinator (e.g. encoded local summaries).
+func (c *Cluster) GatherBytes(n int64) {
+	c.metrics.update(func(s *Snapshot) { s.BytesBroadcast += n })
 }

@@ -314,11 +314,11 @@ func TestIntraNodeMovesAreFree(t *testing.T) {
 
 func TestBroadcastAccounting(t *testing.T) {
 	c := New(Config{Nodes: 3, CoresPerNode: 1})
-	c.Broadcast(make([]byte, 100))
+	c.Broadcast(100)
 	if got := c.Metrics().Snapshot().BytesBroadcast; got != 300 {
 		t.Errorf("BytesBroadcast = %d, want 300", got)
 	}
-	c.GatherBytes([][]byte{make([]byte, 10), make([]byte, 20)})
+	c.GatherBytes(30)
 	if got := c.Metrics().Snapshot().BytesBroadcast; got != 330 {
 		t.Errorf("after gather = %d, want 330", got)
 	}

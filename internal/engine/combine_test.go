@@ -11,6 +11,7 @@ import (
 
 	"fudj/internal/cluster"
 	"fudj/internal/core"
+	"fudj/internal/trace"
 	"fudj/internal/types"
 )
 
@@ -267,9 +268,9 @@ func TestBoundedLocalJoinSeesWholeGroups(t *testing.T) {
 // TestSmartThetaConcurrentSwitchKeepsLayout pins that the smart-theta
 // switch is read once, at query start: a join whose Divide flips the
 // switch on the Database mid-query keeps the layout it started with
-// (the balanced layout is recognisable in the span tree by its two
-// bucket-count passes: five task waves under COMBINE instead of three),
-// and only the next query runs under the new setting.
+// (the balanced layout is recognisable in the span tree by the bucket
+// statistics it gathers: its PARTITION span reports rows.pruned, naive
+// theta's does not), and only the next query runs under the new setting.
 func TestSmartThetaConcurrentSwitchKeepsLayout(t *testing.T) {
 	db := newTestDB(t)
 	flipTo := true
@@ -284,16 +285,23 @@ func TestSmartThetaConcurrentSwitchKeepsLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := `SELECT a.id, b.id FROM rides a, rides b WHERE flipping_divide(a.id, b.id)`
-	const parts = 4
-	combineTasks := func(res *Result) int { return phaseTasks(res.Trace, "COMBINE") }
+	balanced := func(res *Result) bool {
+		found := false
+		res.Trace.Walk(func(_ int, sp *trace.Span) {
+			if _, ok := sp.Counters()["rows.pruned"]; ok && sp.Name() == "PARTITION" {
+				found = true
+			}
+		})
+		return found
+	}
 
 	// Starts naive; Divide turns smart theta on under it.
 	res, err := db.Execute(sql, Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := combineTasks(res); got != 3*parts {
-		t.Errorf("query started under naive theta ran %d COMBINE tasks, want %d (naive layout)", got, 3*parts)
+	if balanced(res) {
+		t.Error("query started under naive theta gathered bucket statistics (balanced layout)")
 	}
 	// The next query starts smart; its Divide turns the switch off again.
 	flipTo = false
@@ -301,8 +309,8 @@ func TestSmartThetaConcurrentSwitchKeepsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := combineTasks(res2); got != 5*parts {
-		t.Errorf("query started under smart theta ran %d COMBINE tasks, want %d (balanced layout)", got, 5*parts)
+	if !balanced(res2) {
+		t.Error("query started under smart theta gathered no bucket statistics (naive layout)")
 	}
 	sameRows(t, "layouts agree", res.Rows, res2.Rows)
 	if len(res.Rows) != 100 {

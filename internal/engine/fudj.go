@@ -16,8 +16,9 @@ import (
 //	           coordinator → global aggregate → DIVIDE → encoded PPlan
 //	           broadcast to all nodes
 //	PARTITION  assign each record to buckets (unnest) and shuffle:
-//	           hash exchange on bucket id for default-match joins,
-//	           broadcast + random partitioning for theta (multi-join)
+//	           hash exchange on bucket id of buckets both sides reach
+//	           for default-match joins, broadcast + random partitioning
+//	           for theta (multi-join)
 //	COMBINE    per-bucket candidate pairs → VERIFY → duplicate handling
 //
 // Records travel through the pipeline as
@@ -92,12 +93,16 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		// Ship the encoded local summaries to the coordinator, then
 		// merge them with the global aggregate (guarded: the merge runs
 		// user code at the coordinator).
-		clus.GatherBytes(locals)
+		var shipped int64
+		for _, buf := range locals {
+			shipped += int64(len(buf))
+		}
+		clus.GatherBytes(shipped)
+		q.stats.StateBytes += shipped
 		return func() (global core.Summary, err error) {
 			defer core.CatchPanic(f.def.Name, "summarize", -1, nil, &err)
 			global = join.NewSummary(side)
 			for _, buf := range locals {
-				q.stats.StateBytes += int64(len(buf))
 				s, err := join.DecodeSummary(buf)
 				if err != nil {
 					return nil, err
@@ -142,7 +147,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		return nil, err
 	}
 	q.stats.StateBytes += int64(len(planBuf))
-	clus.Broadcast(planBuf)
+	clus.Broadcast(int64(len(planBuf)))
 	// Plan barrier: the broadcast plan becomes durable, and a node
 	// killed here re-reads it instead of forcing SUMMARIZE to re-run.
 	planBuf, err = q.planBarrier(step.ord, planBuf)
@@ -189,10 +194,20 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	assign := func(side core.Side, data cluster.Data, key expr.Evaluator, need []int) (cluster.Data, error) {
-		return clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
+	// The layouts that read bucket statistics — the hash layout prunes
+	// by them, smart theta plans by them — have every assign task count
+	// its records per bucket id, and the coordinator gathers the counts.
+	// Naive theta, the paper's measured configuration, gathers nothing.
+	gather := desc.DefaultMatch || q.set.smartTheta
+	assign := func(side core.Side, data cluster.Data, key expr.Evaluator, need []int) (cluster.Data, map[int]int64, error) {
+		counts := make([]map[int]int64, len(data))
+		out, err := clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
+			var n map[int]int64
+			if gather {
+				n = make(map[int]int64)
+			}
 			var ids []core.BucketID
 			for i, r := range in {
 				rec = i
@@ -213,6 +228,9 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 					meta = types.NewList(list)
 				}
 				for _, id := range ids {
+					if n != nil {
+						n[id]++
+					}
 					ext := make(types.Record, 0, extraCols+len(need))
 					ext = append(ext, types.NewInt64(int64(id)), v)
 					if extraCols == 3 {
@@ -221,29 +239,23 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 					out = append(out, appendCols(ext, r, need))
 				}
 			}
+			counts[part] = n
 			return out, nil
 		})
+		if err != nil || !gather {
+			return out, nil, err
+		}
+		return out, gatherCounts(clus, counts), nil
 	}
-	lAssigned, err := assign(core.Left, left, lkey, step.needL)
+	lAssigned, lCounts, err := assign(core.Left, left, lkey, step.needL)
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign left: %w", f.def.Name, err)
 	}
-	rAssigned, err := assign(core.Right, right, rkey, step.needR)
+	rAssigned, rCounts, err := assign(core.Right, right, rkey, step.needR)
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign right: %w", f.def.Name, err)
 	}
 
-	q.stats.PartitionTime += clock.Now().Sub(phaseStart)
-	partSpan.Add("rows.out", int64(lAssigned.Rows())+int64(rAssigned.Rows()))
-	partSpan.End()
-	combSpan := jsp.Child("COMBINE")
-	clus.SetSpan(combSpan)
-	phaseStart = clock.Now()
-
-	// ---- COMBINE ----
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	// The three layouts differ only in where records travel and which
 	// bucket pairs a partition joins; the exchange → barrier → COMBINE
 	// tail below is shared.
@@ -252,18 +264,34 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	case desc.DefaultMatch:
 		// Single-join: hash partition both sides on bucket id, so every
 		// bucket meets exactly its namesake (the optimizer's hash-join
-		// path).
+		// path). A bucket only one side reached can yield no pair, so
+		// the coordinator broadcasts the live bucket ids (8 B each) and
+		// a record of any other bucket is not shipped at all.
 		byBucket := cluster.HashRoute(clus.Partitions(), func(r types.Record) uint64 { return r[0].Hash() })
-		lay = layout{left: byBucket, right: byBucket, matches: func(int) matchFn {
-			return func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
-		}}
+		inL := func(b int) bool { return lCounts[b] > 0 }
+		inR := func(b int) bool { return rCounts[b] > 0 }
+		lay = layout{
+			left:   cluster.FilterRoute(byBucket, func(r types.Record) bool { return inR(int(r[0].Int64())) }),
+			right:  cluster.FilterRoute(byBucket, func(r types.Record) bool { return inL(int(r[0].Int64())) }),
+			pruned: unrouted(lCounts, inR) + unrouted(rCounts, inL),
+			matches: func(int) matchFn {
+				return func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
+			},
+		}
+		var live int64
+		for b := range lCounts {
+			if inR(b) {
+				live++
+			}
+		}
+		clus.Broadcast(8 * live)
 	case q.set.smartTheta:
 		// Balanced theta (the Theta Join Operator proposed as future
-		// work in §VIII): the coordinator gathers per-bucket record
-		// counts, enumerates the bucket pairs MATCH accepts, assigns
+		// work in §VIII): from the gathered per-bucket record counts the
+		// coordinator enumerates the bucket pairs MATCH accepts, assigns
 		// each pair to a partition by greedy cost balancing, and records
 		// travel only to partitions owning pairs that need them.
-		lay, err = planSmartTheta(clus, f.def.Name, join, lAssigned, rAssigned)
+		lay, err = planSmartTheta(clus, f.def.Name, join, lCounts, rCounts)
 		if err != nil {
 			return nil, err
 		}
@@ -283,6 +311,21 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		p := clus.Partitions()
 		lay = layout{left: cluster.ReplicateRoute(p), right: cluster.RandomRoute(p), matches: func(int) matchFn { return match }}
 	}
+
+	q.stats.PartitionTime += clock.Now().Sub(phaseStart)
+	partSpan.Add("rows.out", int64(lAssigned.Rows())+int64(rAssigned.Rows()))
+	if gather {
+		partSpan.Add("rows.pruned", lay.pruned)
+	}
+	partSpan.End()
+	combSpan := jsp.Child("COMBINE")
+	clus.SetSpan(combSpan)
+	phaseStart = clock.Now()
+
+	// ---- COMBINE ----
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	build, err := clus.ExchangeMulti(lAssigned, lay.left)
 	if err != nil {
 		return nil, err
@@ -301,6 +344,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	if err != nil {
 		return nil, err
 	}
+	combSpan.Add("rows.in", int64(build.Rows())+int64(probe.Rows()))
 	// Under elimination the rows COMBINE accepts still carry their row-id
 	// pair through one more exchange, so COMBINE keeps them and the
 	// distinct stage feeds the step's sink.
@@ -504,6 +548,33 @@ func appendCols(dst, rec types.Record, cols []int) types.Record {
 type layout struct {
 	left, right cluster.Route
 	matches     func(part int) matchFn
+	pruned      int64 // records the routes ship nowhere: their bucket can pair with none
+}
+
+// gatherCounts ships every partition's per-bucket record counts to the
+// coordinator, 16 bytes per distinct bucket (its id and count), and
+// merges them.
+func gatherCounts(clus *cluster.Cluster, parts []map[int]int64) map[int]int64 {
+	acc := make(map[int]int64)
+	var shipped int64
+	for _, m := range parts {
+		shipped += 16 * int64(len(m))
+		for id, n := range m {
+			acc[id] += n
+		}
+	}
+	clus.GatherBytes(shipped)
+	return acc
+}
+
+// unrouted sums the records of the buckets a route ships nowhere.
+func unrouted(counts map[int]int64, routed func(b int) bool) (n int64) {
+	for b, c := range counts {
+		if !routed(b) {
+			n += c
+		}
+	}
+	return n
 }
 
 // appendBuckets decodes a cached assign list column into dst.

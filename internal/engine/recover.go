@@ -73,7 +73,7 @@ func (q *queryRun) planBarrier(step int, planBuf []byte) ([]byte, error) {
 		rec := types.Record{types.NewString(string(planBuf))}
 		plan = &[]types.Record{rec}
 		return []cluster.Piece{{Key: planKey(step), Part: -1, Recs: plan, Recompute: func() []types.Record {
-			q.clus.Broadcast(planBuf)
+			q.clus.Broadcast(int64(len(planBuf)))
 			return []types.Record{rec}
 		}}}
 	})

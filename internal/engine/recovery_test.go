@@ -49,6 +49,28 @@ func phaseTasks(root *trace.Span, phase string) int {
 	return n
 }
 
+// shuffled reads what a traced query's join exchanges moved: the
+// records PARTITION pruned, the records the exchanges delivered to
+// COMBINE (counted after the shuffle barrier, so after any recovery),
+// and the records they shuffled across nodes.
+func shuffled(t *testing.T, res *Result) [3]int64 {
+	t.Helper()
+	var n [3]int64
+	res.Trace.Walk(func(_ int, sp *trace.Span) {
+		switch sp.Name() {
+		case "PARTITION":
+			n[0] += sp.Counter("rows.pruned")
+		case "COMBINE":
+			n[1] += sp.Counter("rows.in")
+		}
+	})
+	n[2] = res.Cluster.RecordsShuffled
+	if n[0] == 0 || n[1] == 0 {
+		t.Errorf("pruned/delivered/shuffled = %v: the hash layout pruned or delivered nothing", n)
+	}
+	return n
+}
+
 // TestCheckpointRecoveryAtShuffleBarrier is the headline acceptance
 // property: a node killed right after the shuffle barrier, with
 // checkpointing on, yields multiset-identical results, recovers its
@@ -181,7 +203,10 @@ func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 		db.MustConfigure(WithSmartTheta(lay.smartTheta))
 		db.SetCheckpoints(false)
 		db.MustConfigure(WithFaults(nil))
-		base := mustQuery(t, db, lay.sql)
+		base, err := db.Execute(lay.sql, Trace())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
 			name string
 			arm  func(cfg *cluster.FaultConfig)
@@ -194,8 +219,19 @@ func TestCheckpointRecoveryHealsDamage(t *testing.T) {
 				tc.arm(cfg)
 				db.SetCheckpoints(true)
 				db.MustConfigure(WithFaults(cfg))
-				res := mustQuery(t, db, lay.sql)
+				res, err := db.Execute(lay.sql, Trace())
+				if err != nil {
+					t.Fatal(err)
+				}
 				sameRows(t, tc.name, res.Rows, base.Rows)
+				// Every damaged partition was rebuilt by cluster.Received
+				// from the pre-shuffle data: under the hash layout it must
+				// rebuild exactly the pruned input.
+				if lay.prefix == "" {
+					if got, want := shuffled(t, res), shuffled(t, base); got != want {
+						t.Errorf("pruned/delivered/shuffled = %v, want the fault-free %v", got, want)
+					}
+				}
 				if res.Faults.CheckpointsDiscarded == 0 {
 					t.Error("no damaged checkpoints discarded at p=1")
 				}
@@ -226,14 +262,26 @@ func TestKillAtBarrierMatrix(t *testing.T) {
 	queries = append(queries, query{"interval-smart-theta", chaosQueries[2].sql, true})
 	for _, q := range queries {
 		db.MustConfigure(WithSmartTheta(q.smartTheta))
-		base := mustQuery(t, db, q.sql)
+		base, err := db.Execute(q.sql, Trace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := q.name == "spatial" || q.name == "textsim"
 		db.SetCheckpoints(true)
 		for _, b := range []cluster.Barrier{cluster.BarrierPlan, cluster.BarrierShuffle} {
 			for node := 0; node < 2; node++ {
 				name := fmt.Sprintf("%s/%s-node%d", q.name, b, node)
 				db.MustConfigure(WithFaults(barrierKillConfig(b, node)))
-				res := mustQuery(t, db, q.sql)
+				res, err := db.Execute(q.sql, Trace())
+				if err != nil {
+					t.Fatal(err)
+				}
 				sameRows(t, name, res.Rows, base.Rows)
+				if hash && b == cluster.BarrierShuffle {
+					if got, want := shuffled(t, res), shuffled(t, base); got != want {
+						t.Errorf("%s: pruned/delivered/shuffled = %v, want the fault-free %v", name, got, want)
+					}
+				}
 				if res.Faults.BarrierKills != 1 {
 					t.Errorf("%s: BarrierKills = %d, want 1", name, res.Faults.BarrierKills)
 				}

@@ -14,8 +14,8 @@ import (
 // paper proposes as future work (§VIII) to lift the interval join's
 // scalability limit. Instead of broadcasting one whole side it
 //
-//  1. gathers per-bucket record counts from both sides (tiny: one count
-//     per distinct bucket id),
+//  1. reads the per-bucket record counts runFUDJ gathered from both
+//     sides after assign (tiny: one count per distinct bucket id),
 //  2. enumerates, in parallel, which right buckets each left bucket
 //     matches, and greedily assigns each left bucket — with cost
 //     |b1| * Σ|matching b2| — to the least-loaded partition,
@@ -24,39 +24,13 @@ import (
 // partition owning its bucket, each right record is multicast only to
 // the partitions owning at least one matching left bucket, and each
 // partition joins its owned left buckets against the matching right
-// buckets it received. Both routes are pure functions of the plan, so
-// runFUDJ's shuffle barrier can rebuild a lost partition from them.
+// buckets it received. The coordinator broadcasts the owner map, and
+// both routes are pure functions of it, so runFUDJ's shuffle barrier
+// can rebuild a lost partition from them.
 //
 // Every matched pair is processed exactly once (at the owner of its
 // left record), so no result is produced twice.
-func planSmartTheta(clus *cluster.Cluster, name string, join core.Join, lAssigned, rAssigned cluster.Data) (layout, error) {
-	countBuckets := func(data cluster.Data) (map[int]int64, error) {
-		parts, err := cluster.RunValues(clus, data, func(_ int, in []types.Record) (map[int]int64, error) {
-			m := make(map[int]int64)
-			for _, r := range in {
-				m[int(r[0].Int64())]++
-			}
-			return m, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		acc := make(map[int]int64)
-		for _, m := range parts {
-			for b, n := range m {
-				acc[b] += n
-			}
-		}
-		return acc, nil
-	}
-	lCounts, err := countBuckets(lAssigned)
-	if err != nil {
-		return layout{}, err
-	}
-	rCounts, err := countBuckets(rAssigned)
-	if err != nil {
-		return layout{}, err
-	}
+func planSmartTheta(clus *cluster.Cluster, name string, join core.Join, lCounts, rCounts map[int]int64) (layout, error) {
 	lIDs := sortedIDs(lCounts)
 	rIDs := sortedIDs(rCounts)
 
@@ -176,7 +150,13 @@ func planSmartTheta(clus *cluster.Cluster, name string, join core.Join, lAssigne
 		}
 	}
 
+	// The owner map travels as one entry per routed bucket: its id and a
+	// bitmask of its destination partitions. A bucket without an entry
+	// routes nowhere.
+	clus.Broadcast(int64(len(lOwners)+len(rDest)) * (8 + 8*int64((p+63)/64)))
 	return layout{
+		pruned: unrouted(lCounts, func(b int) bool { return lOwners[b] != nil }) +
+			unrouted(rCounts, func(b int) bool { return rDest[b] != nil }),
 		// Left records spread over their bucket's owners by their position
 		// in the source partition (a pure function, so re-execution and
 		// recovery route identically).

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"fudj/internal/cluster"
+	"fudj/internal/core"
+	"fudj/internal/joins/intervaljoin"
+	"fudj/internal/trace"
 )
 
 // thetaSQL exercises the balanced theta operator (smart theta): a
@@ -128,5 +131,87 @@ func TestSmartThetaBarrierLossFallsBackRetryable(t *testing.T) {
 		if ress[i].Faults.PartitionsRecovered != 0 {
 			t.Errorf("query %d: PartitionsRecovered = %d, want 0 without a store", i, ress[i].Faults.PartitionsRecovered)
 		}
+	}
+}
+
+// TestSmartThetaChargesBucketGather pins the accounting of the bucket
+// statistics smart theta plans from. Beyond SUMMARIZE's broadcast (the
+// summaries and the plan), the query ships exactly the gather — 16 B
+// per distinct bucket per partition and side — and the owner map sent
+// back to every node, one 16 B entry (id and partition bitmask) per
+// bucket routed anywhere. The expectation is replayed from the rides
+// data through the library's own SUMMARIZE, DIVIDE, ASSIGN and MATCH,
+// on newTestDB's 2×2 cluster with its round-robin load placement.
+func TestSmartThetaChargesBucketGather(t *testing.T) {
+	const nodes, parts = 2, 4
+	db := newTestDB(t)
+	db.MustConfigure(WithSmartTheta(true))
+	res, err := db.Execute(thetaSQL, Trace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var summarized int64
+	res.Trace.Walk(func(_ int, sp *trace.Span) {
+		if sp.Name() == "SUMMARIZE" {
+			summarized += sp.Counter("broadcast.bytes")
+		}
+	})
+
+	ds, err := db.Catalog().Dataset("rides")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := intervaljoin.New()
+	var keys [2][parts][]any // side (vendor 1 left, 2 right), partition
+	for i, r := range ds.Records {
+		side := r[1].Int64() - 1
+		keys[side][i%parts] = append(keys[side][i%parts], r[2].Native())
+	}
+	var sums [2]core.Summary
+	for s := range keys {
+		side := core.Side(s)
+		sums[s] = join.NewSummary(side)
+		for _, part := range keys[s] {
+			local := join.NewSummary(side)
+			for _, k := range part {
+				local = join.LocalAggregate(side, k, local)
+			}
+			sums[s] = join.GlobalAggregate(side, sums[s], local)
+		}
+	}
+	plan, err := join.Divide(sums[0], sums[1], []any{int64(50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gathered int64
+	reached := [2]map[int]bool{{}, {}}
+	for s := range keys {
+		for _, part := range keys[s] {
+			distinct := make(map[int]bool)
+			for _, k := range part {
+				for _, b := range join.Assign(core.Side(s), k, plan, nil) {
+					distinct[b] = true
+					reached[s][b] = true
+				}
+			}
+			gathered += 16 * int64(len(distinct))
+		}
+	}
+	var routed int64
+	for s := range reached {
+		for b := range reached[s] {
+			for o := range reached[1-s] {
+				if (s == 0 && join.Match(b, o)) || (s == 1 && join.Match(o, b)) {
+					routed++
+					break
+				}
+			}
+		}
+	}
+	if gathered == 0 || routed == 0 {
+		t.Fatalf("replay gathered %d bytes over %d routed buckets", gathered, routed)
+	}
+	if got, want := res.Cluster.BytesBroadcast-summarized, gathered+nodes*16*routed; got != want {
+		t.Errorf("broadcast beyond SUMMARIZE = %d B, want the %d B gather + %d B owner map", got, gathered, nodes*16*routed)
 	}
 }

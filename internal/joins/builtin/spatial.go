@@ -2,6 +2,7 @@ package builtin
 
 import (
 	"fmt"
+	"maps"
 
 	"fudj/internal/cluster"
 	"fudj/internal/expr"
@@ -79,10 +80,13 @@ func spatial(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluator,
 	}
 	grid := geo.NewGrid(space, n)
 
-	assign := func(data cluster.Data, key expr.Evaluator) (cluster.Data, error) {
-		return c.Run(data, func(_ int, in []types.Record) ([]types.Record, error) {
+	// Each assign task also notes the tiles its records reach.
+	assign := func(data cluster.Data, key expr.Evaluator) (cluster.Data, map[int]bool, error) {
+		seen := make([]map[int]bool, len(data))
+		out, err := c.Run(data, func(part int, in []types.Record) ([]types.Record, error) {
 			var out []types.Record
 			var tiles []int
+			reached := make(map[int]bool)
 			for _, rec := range in {
 				v, err := key(rec)
 				if err != nil {
@@ -91,26 +95,39 @@ func spatial(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluator,
 				m, _ := v.MBR()
 				tiles = grid.OverlappingTiles(m, tiles[:0])
 				for _, tile := range tiles {
+					reached[tile] = true
 					out = append(out, tag(tile, v, rec))
 				}
 			}
+			seen[part] = reached
 			return out, nil
 		})
+		all := make(map[int]bool)
+		for _, m := range seen {
+			maps.Copy(all, m)
+		}
+		return out, all, err
 	}
-	lAssigned, err := assign(left, leftKey)
+	lAssigned, lTiles, err := assign(left, leftKey)
 	if err != nil {
 		return nil, err
 	}
-	rAssigned, err := assign(right, rightKey)
+	rAssigned, rTiles, err := assign(right, rightKey)
 	if err != nil {
 		return nil, err
 	}
-	tileHash := func(r types.Record) uint64 { return r[0].Hash() }
-	lShuf, err := c.ExchangeHash(lAssigned, tileHash)
+	// Hash shuffle by tile, of the tiles both sides reach: a tile only
+	// one side reaches yields no pair, so its records are not shipped
+	// (the live-bucket filter of the FUDJ hash layout).
+	byTile := cluster.HashRoute(c.Partitions(), func(r types.Record) uint64 { return r[0].Hash() })
+	reachedBy := func(other map[int]bool) cluster.Route {
+		return cluster.FilterRoute(byTile, func(r types.Record) bool { return other[int(r[0].Int64())] })
+	}
+	lShuf, err := c.ExchangeMulti(lAssigned, reachedBy(rTiles))
 	if err != nil {
 		return nil, err
 	}
-	rShuf, err := c.ExchangeHash(rAssigned, tileHash)
+	rShuf, err := c.ExchangeMulti(rAssigned, reachedBy(lTiles))
 	if err != nil {
 		return nil, err
 	}
