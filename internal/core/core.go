@@ -123,6 +123,8 @@ type Join interface {
 	NewSummary(side Side) Summary
 	// LocalAggregate folds one key into a node-local summary and
 	// returns the updated summary (the paper's local_aggregate).
+	// Executors fold a partition through LocalAggregateAll, which calls
+	// this once per key unless the Join was built by Wrap.
 	LocalAggregate(side Side, key any, s Summary) Summary
 	// GlobalAggregate merges two summaries (the paper's
 	// global_aggregate). It must be associative and commutative.
@@ -152,7 +154,8 @@ type Join interface {
 
 	// LocalJoin runs the join's custom local bucket-joining algorithm
 	// over one matched bucket pair, emitting verified position pairs.
-	// Only called when Descriptor().LocalJoin is true.
+	// Only called when Descriptor().LocalJoin is true. The key slices
+	// are the caller's scratch, not to be retained after it returns.
 	LocalJoin(b1 BucketID, leftKeys []any, b2 BucketID, rightKeys []any, plan PPlan, emit func(i, j int))
 
 	// EncodeSummary and DecodeSummary serialize summaries for network
@@ -164,6 +167,22 @@ type Join interface {
 	// broadcast to all nodes.
 	EncodePlan(p PPlan) ([]byte, error)
 	DecodePlan(buf []byte) (PPlan, error)
+}
+
+// LocalAggregateAll folds keys into s in order, writing the index of
+// the key in hand to *rec so a panic names its record. A Wrap-built
+// join folds them in one typed loop; any other Join is called per key.
+func LocalAggregateAll(j Join, side Side, keys []any, s Summary, rec *int) Summary {
+	if b, ok := j.(interface {
+		localAggregateAll(Side, []any, Summary, *int) Summary
+	}); ok {
+		return b.localAggregateAll(side, keys, s, rec)
+	}
+	for i, k := range keys {
+		*rec = i
+		s = j.LocalAggregate(side, k, s)
+	}
+	return s
 }
 
 // DefaultMatch is the framework-provided MATCH: plain bucket equality,

@@ -47,25 +47,37 @@ func intKeys(n int) []any {
 }
 
 func TestStandalonePanicIsolation(t *testing.T) {
+	// SUMMARIZE and ASSIGN panic on key 3 only, so the error must name
+	// exactly that record; VERIFY panics on its first pair (record 0).
 	cases := []struct {
-		name      string
-		phase     string
-		hasRecord bool
-		mutate    func(*Spec[int64, int64, int64, int64])
+		name   string
+		phase  string
+		record int
+		mutate func(*Spec[int64, int64, int64, int64])
 	}{
-		{"summarize", "summarize", true, func(s *Spec[int64, int64, int64, int64]) {
-			s.LocalAggLeft = func(int64, int64) int64 { panic("agg boom") }
+		{"summarize", "summarize", 3, func(s *Spec[int64, int64, int64, int64]) {
+			s.LocalAggLeft = func(k, s int64) int64 {
+				if k == 3 {
+					panic("agg boom")
+				}
+				return s
+			}
 		}},
-		{"divide", "divide", false, func(s *Spec[int64, int64, int64, int64]) {
+		{"divide", "divide", -1, func(s *Spec[int64, int64, int64, int64]) {
 			s.Divide = func(int64, int64, []any) (int64, error) { panic("divide boom") }
 		}},
-		{"assign", "assign", true, func(s *Spec[int64, int64, int64, int64]) {
-			s.AssignLeft = func(int64, int64, []BucketID) []BucketID { panic("assign boom") }
+		{"assign", "assign", 3, func(s *Spec[int64, int64, int64, int64]) {
+			s.AssignLeft = func(k int64, _ int64, dst []BucketID) []BucketID {
+				if k == 3 {
+					panic("assign boom")
+				}
+				return append(dst, 0)
+			}
 		}},
-		{"verify", "combine", true, func(s *Spec[int64, int64, int64, int64]) {
+		{"verify", "combine", 0, func(s *Spec[int64, int64, int64, int64]) {
 			s.Verify = func(BucketID, int64, BucketID, int64, int64) bool { panic("verify boom") }
 		}},
-		{"descriptor", "create", false, nil},
+		{"descriptor", "create", -1, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,8 +99,8 @@ func TestStandalonePanicIsolation(t *testing.T) {
 			if ue.Partition != -1 {
 				t.Errorf("partition = %d, want -1 (standalone)", ue.Partition)
 			}
-			if tc.hasRecord && ue.Record < 0 {
-				t.Errorf("record = %d, want a record index", ue.Record)
+			if ue.Record != tc.record {
+				t.Errorf("record = %d, want %d", ue.Record, tc.record)
 			}
 			if ue.Stack == "" {
 				t.Error("no stack captured")

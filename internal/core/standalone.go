@@ -69,10 +69,8 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 	phase = "summarize"
 	summarize := func(side Side, data []any) Summary {
 		s := j.NewSummary(side)
-		for i, k := range data {
-			record = i
-			s = j.LocalAggregate(side, k, s)
-		}
+		record = 0
+		s = LocalAggregateAll(j, side, data, s, &record)
 		record = -1
 		return j.GlobalAggregate(side, s, j.NewSummary(side))
 	}

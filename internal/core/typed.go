@@ -45,7 +45,8 @@ type Spec[KL, KR, S, P any] struct {
 	// record key of both buckets and must call emit(i, j) for each
 	// VERIFIED joining pair of positions; the framework still applies
 	// duplicate handling to emitted pairs. Correctness contract: the
-	// emitted pair set must equal what Verify would accept.
+	// emitted pair set must equal what Verify would accept, and the key
+	// slices must not be retained after LocalJoin returns.
 	LocalJoin func(b1 BucketID, left []KL, b2 BucketID, right []KR, plan P, emit func(i, j int))
 }
 
@@ -106,7 +107,21 @@ func castKey[K any](joinName string, side Side, key any) K {
 }
 
 func (w *wrapped[KL, KR, S, P]) LocalAggregate(side Side, key any, s Summary) Summary {
+	return w.localAgg(side, key, s.(S))
+}
+
+// localAggregateAll is LocalAggregate over a whole partition: the typed
+// summary is unboxed and boxed once, not once per key.
+func (w *wrapped[KL, KR, S, P]) localAggregateAll(side Side, keys []any, s Summary, rec *int) Summary {
 	sum := s.(S)
+	for i, k := range keys {
+		*rec = i
+		sum = w.localAgg(side, k, sum)
+	}
+	return sum
+}
+
+func (w *wrapped[KL, KR, S, P]) localAgg(side Side, key any, sum S) S {
 	if side == Right && w.spec.LocalAggRight != nil {
 		return w.spec.LocalAggRight(castKey[KR](w.spec.Name, side, key), sum)
 	}

@@ -195,6 +195,9 @@ func TestQueryCancelMidFlight(t *testing.T) {
 	awaitGoroutines(t, base)
 }
 
+// panicKey is the one key panic_summarize and panic_assign blow up on.
+const panicKey = 37
+
 // panicLibrary builds joins that blow up in a chosen phase, to prove
 // the engine converts UDF panics into structured errors instead of
 // crashing the process.
@@ -225,13 +228,23 @@ func panicLibrary() *core.Library {
 	s.Verify = func(core.BucketID, int64, core.BucketID, int64, int64) bool { panic("verify boom") }
 	lib.MustRegister("test.PanicVerify", func() core.Join { return core.Wrap(s) })
 	a := base("panic_assign")
-	a.AssignLeft = func(int64, int64, []core.BucketID) []core.BucketID { panic("assign boom") }
+	a.AssignLeft = func(key int64, _ int64, dst []core.BucketID) []core.BucketID {
+		if key == panicKey {
+			panic("assign boom")
+		}
+		return append(dst, 0)
+	}
 	lib.MustRegister("test.PanicAssign", func() core.Join { return core.Wrap(a) })
 	d := base("panic_divide")
 	d.Divide = func(int64, int64, []any) (int64, error) { panic("divide boom") }
 	lib.MustRegister("test.PanicDivide", func() core.Join { return core.Wrap(d) })
 	g := base("panic_summarize")
-	g.LocalAggLeft = func(int64, int64) int64 { panic("summarize boom") }
+	g.LocalAggLeft = func(key int64, s int64) int64 {
+		if key == panicKey {
+			panic("summarize boom")
+		}
+		return s
+	}
 	lib.MustRegister("test.PanicSummarize", func() core.Join { return core.Wrap(g) })
 	return lib
 }
@@ -253,19 +266,22 @@ func TestUDFPanicIsolation(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		join      string
-		phase     string
-		text      string
-		atCoord   bool // panic happens at the coordinator (partition -1)
-		hasRecord bool // panic is attributed to a record index
+		join    string
+		phase   string
+		text    string
+		atCoord bool // panic happens at the coordinator (partition -1)
+		exact   bool // panic is attributed to the record holding panicKey
 	}{
 		{"panic_summarize", "summarize", "summarize boom", false, true},
 		{"panic_divide", "divide", "divide boom", true, false},
 		{"panic_assign", "assign", "assign boom", false, true},
 		{"panic_verify", "combine", "verify boom", false, false},
 	}
+	// Rides are scattered round-robin over the 2×2 cluster's four
+	// partitions, so ride id panicKey is record panicKey/4 of partition
+	// panicKey%4.
 	for _, tc := range cases {
-		sql := `SELECT n1.id FROM rides n1, rides n2 WHERE ` + tc.join + `(n1.vendor, n2.vendor)`
+		sql := `SELECT n1.id FROM rides n1, rides n2 WHERE ` + tc.join + `(n1.id, n2.id)`
 		_, err := db.Execute(sql)
 		if err == nil {
 			t.Fatalf("%s: query succeeded through a panicking UDF", tc.join)
@@ -286,8 +302,9 @@ func TestUDFPanicIsolation(t *testing.T) {
 		if !tc.atCoord && ue.Partition < 0 {
 			t.Errorf("%s: partition = %d, want a task partition", tc.join, ue.Partition)
 		}
-		if tc.hasRecord && ue.Record < 0 {
-			t.Errorf("%s: record = %d, want the failing record index", tc.join, ue.Record)
+		if tc.exact && (ue.Partition != panicKey%4 || ue.Record != panicKey/4) {
+			t.Errorf("%s: partition %d record %d, want partition %d record %d (ride %d)",
+				tc.join, ue.Partition, ue.Record, panicKey%4, panicKey/4, panicKey)
 		}
 		if !strings.Contains(err.Error(), tc.text) {
 			t.Errorf("%s: message %q should contain %q", tc.join, err.Error(), tc.text)
@@ -309,7 +326,7 @@ func TestUDFPanicNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.MustConfigure(WithRetryPolicy(cluster.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}))
-	_, err := db.Execute(`SELECT n1.id FROM rides n1, rides n2 WHERE panic_assign2(n1.vendor, n2.vendor)`)
+	_, err := db.Execute(`SELECT n1.id FROM rides n1, rides n2 WHERE panic_assign2(n1.id, n2.id)`)
 	if err == nil {
 		t.Fatal("query should fail")
 	}

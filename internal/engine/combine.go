@@ -27,10 +27,12 @@ func (g *bucketGroup) add(r types.Record) {
 	g.keys = append(g.keys, r[1].Native())
 }
 
-// singleGroup wraps one probe record as a group, for the spilled pass,
-// which re-streams a bucket's probe run one record at a time.
-func singleGroup(r types.Record) *bucketGroup {
-	return &bucketGroup{recs: []types.Record{r}, keys: []any{r[1].Native()}}
+// only makes g hold just r: the spilled pass re-streams a probe run one
+// record at a time through one scratch group per task.
+func (g *bucketGroup) only(r types.Record) *bucketGroup {
+	g.recs = append(g.recs[:0], r)
+	g.keys = append(g.keys[:0], r[1].Native())
+	return g
 }
 
 // groupByBucket groups extended records by their bucket id (column 0),

@@ -71,19 +71,25 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		before = clus.Metrics().Snapshot()
 	}
 	phaseStart := clock.Now()
+	// boxed[side][part]: the keys a SUMMARIZE task boxed, reused by that
+	// partition's assign task (a retried task overwrites its own slot).
+	boxed := [2][][]any{make([][]any, len(left)), make([][]any, len(right))}
 	summarize := func(side core.Side, data cluster.Data, key expr.Evaluator) (core.Summary, error) {
 		locals, err := cluster.RunValues(clus, data, func(part int, in []types.Record) (buf []byte, err error) {
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "summarize", part, &rec, &err)
-			s := join.NewSummary(side)
+			keys := make([]any, len(in))
 			for i, r := range in {
-				rec = i
 				v, err := key(r)
 				if err != nil {
 					return nil, err
 				}
-				s = join.LocalAggregate(side, v.Native(), s)
+				keys[i] = v.Native()
 			}
+			boxed[side][part] = keys
+			s := join.NewSummary(side)
+			rec = 0
+			s = core.LocalAggregateAll(join, side, keys, s, &rec)
 			rec = -1
 			return join.EncodeSummary(s)
 		})
@@ -204,6 +210,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		out, err := clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
+			keys := boxed[side][part] // nil when this side's SUMMARIZE was skipped (self-join)
 			var n map[int]int64
 			if gather {
 				n = make(map[int]int64)
@@ -215,7 +222,13 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 				if err != nil {
 					return nil, err
 				}
-				ids = join.Assign(side, v.Native(), plan, ids[:0])
+				var k any
+				if keys != nil {
+					k = keys[i]
+				} else {
+					k = v.Native()
+				}
+				ids = join.Assign(side, k, plan, ids[:0])
 				var meta types.Value
 				switch {
 				case elimination:
@@ -255,6 +268,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign right: %w", f.def.Name, err)
 	}
+	boxed = [2][][]any{} // COMBINE boxes its keys again, on the receiving node
 
 	// The three layouts differ only in where records travel and which
 	// bucket pairs a partition joins; the exchange → barrier → COMBINE

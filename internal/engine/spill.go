@@ -263,6 +263,7 @@ func combinePartition(mem *memState, joinName string, part int,
 	// the resident bytes and the tracked peak can exceed the budget.
 	acct.release(acct.used)
 	resident = nil
+	var probeOne bucketGroup
 	for _, b1 := range sortedIDs(spilled) {
 		bs := spilled[b1]
 		if err := bs.left.Close(); err != nil {
@@ -279,7 +280,7 @@ func combinePartition(mem *memState, joinName string, part int,
 		if bs.right.Records() == 0 {
 			continue // no probe record matched this bucket
 		}
-		if err := joinSpilledBucket(mem, acct, b1, bs, combine); err != nil {
+		if err := joinSpilledBucket(mem, acct, b1, bs, &probeOne, combine); err != nil {
 			return err
 		}
 	}
@@ -290,7 +291,7 @@ func combinePartition(mem *memState, joinName string, part int,
 // loaded in budget-sized chunks (skew splitting — one chunk when the
 // bucket fits, several when its build side alone exceeds the budget),
 // and the bucket's probe run is re-streamed against every chunk.
-func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, combine combineFn) error {
+func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, probeOne *bucketGroup, combine combineFn) error {
 
 	lr, err := storage.OpenRun(bs.left.Path())
 	if err != nil {
@@ -342,7 +343,7 @@ func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, c
 				}
 				for _, r := range frame {
 					b2 := int(r[0].Int64())
-					if err := combine(b1, ls, b2, singleGroup(r)); err != nil {
+					if err := combine(b1, ls, b2, probeOne.only(r)); err != nil {
 						return err
 					}
 				}
