@@ -13,7 +13,7 @@ import (
 // tinyBudget is small enough that every example join's COMBINE working
 // set exceeds its partition share (forcing spill) while any single
 // extended record stays below the hard cap.
-const tinyBudget = 8192
+const tinyBudget = 4096
 
 // TestBoundedEquivalence is the headline memory-bounding property:
 // with a budget far below the working set, every example join spills

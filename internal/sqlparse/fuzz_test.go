@@ -20,7 +20,7 @@ func allocated(fn func()) uint64 {
 
 // Parsing may allocate a fixed overhead plus a bounded multiple of its
 // input: one input byte can become a token and an expression node
-// holding a 112-byte literal value.
+// holding a 32-byte literal value.
 const (
 	allocPerByte  = 512
 	allocOverhead = 2 << 20

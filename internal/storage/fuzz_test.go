@@ -21,7 +21,7 @@ func allocated(fn func()) uint64 {
 }
 
 // A reader may allocate a fixed overhead plus a bounded multiple of its
-// input: a decoded value is 112 bytes from as little as one input byte,
+// input: a decoded value is 32 bytes from as little as one input byte,
 // and the TSV scanner's line buffer is 1 MiB whatever the input.
 const (
 	allocPerByte  = 512

@@ -3,6 +3,8 @@ package types
 import (
 	"fmt"
 
+	"fudj/internal/geo"
+	"fudj/internal/interval"
 	"fudj/internal/wire"
 )
 
@@ -158,32 +160,29 @@ func encodeColumn(e *wire.Encoder, recs []Record, c int, tag byte) {
 		}
 	case KindBool, KindInt64:
 		for _, r := range recs {
-			e.Varint(r[c].i)
+			e.Varint(r[c].int())
 		}
 	case KindFloat64:
 		for _, r := range recs {
-			e.Float64(r[c].f)
+			e.Float64(r[c].float())
 		}
 	case KindString:
 		for _, r := range recs {
-			e.String(r[c].s)
+			e.String(r[c].str())
 		}
 	case KindInterval:
 		for _, r := range recs {
-			e.Varint(r[c].i)
-			e.Varint(r[c].j)
+			e.Varint(r[c].int())
+			e.Varint(r[c].int2())
 		}
 	case KindPoint:
 		for _, r := range recs {
-			e.Float64(r[c].f)
-			e.Float64(r[c].f2)
+			e.Float64(r[c].float())
+			e.Float64(r[c].float2())
 		}
 	case KindRect:
 		for _, r := range recs {
-			e.Float64(r[c].f)
-			e.Float64(r[c].f2)
-			e.Float64(r[c].f3)
-			e.Float64(r[c].f4)
+			r[c].rect().MarshalWire(e)
 		}
 	}
 }
@@ -292,7 +291,7 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = Value{kind: k, i: v}
+			arena[row*width+c] = Value{kind: k, a: uint64(v)}
 		}
 	case KindFloat64:
 		for row := 0; row < rows; row++ {
@@ -300,7 +299,7 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = Value{kind: KindFloat64, f: v}
+			arena[row*width+c] = NewFloat64(v)
 		}
 	case KindString:
 		for row := 0; row < rows; row++ {
@@ -308,7 +307,7 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = Value{kind: KindString, s: v}
+			arena[row*width+c] = NewString(v)
 		}
 	case KindInterval:
 		for row := 0; row < rows; row++ {
@@ -320,7 +319,7 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = Value{kind: k, i: i, j: j}
+			arena[row*width+c] = NewInterval(interval.Interval{Start: i, End: j})
 		}
 	case KindPoint:
 		for row := 0; row < rows; row++ {
@@ -332,19 +331,15 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = Value{kind: KindPoint, f: x, f2: y}
+			arena[row*width+c] = NewPoint(geo.Point{X: x, Y: y})
 		}
 	case KindRect:
 		for row := 0; row < rows; row++ {
-			var vs [4]float64
-			for i := range vs {
-				v, err := d.Float64()
-				if err != nil {
-					return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
-				}
-				vs[i] = v
+			var r geo.Rect
+			if err := r.UnmarshalWire(d); err != nil {
+				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = Value{kind: KindRect, f: vs[0], f2: vs[1], f3: vs[2], f4: vs[3]}
+			arena[row*width+c] = NewRect(r)
 		}
 	}
 	return nil

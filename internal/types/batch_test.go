@@ -92,6 +92,39 @@ func TestBatchRoundTripAllKinds(t *testing.T) {
 			sameRecords(t, got, recs)
 		})
 	}
+	// The edge values through typed columns (string, float64, rect) and
+	// generic ones (lists, polygons).
+	t.Run("edges", func(t *testing.T) {
+		edges := map[string]edgeCase{}
+		for _, c := range edgeValues() {
+			edges[c.name] = c
+		}
+		rows := [][]string{
+			{"empty-string", "nan", "rect", "nil-list", "polygon"},
+			{"empty-string", "negative-zero", "rect", "empty-list", "polygon"},
+			{"empty-string", "nan", "rect", "nested-list", "polygon"},
+		}
+		recs := make([]Record, len(rows))
+		for i, row := range rows {
+			for _, name := range row {
+				recs[i] = append(recs[i], edges[name].v)
+			}
+		}
+		buf := EncodeBatch(recs, nil)
+		want := []byte{byte(KindString), byte(KindFloat64), byte(KindRect), batchGenericTag, batchGenericTag}
+		if tags := buf[2 : 2+len(want)]; !bytes.Equal(tags, want) {
+			t.Fatalf("column tags % x, want % x", tags, want)
+		}
+		got, err := DecodeBatch(buf, nil)
+		if err != nil {
+			t.Fatalf("DecodeBatch: %v", err)
+		}
+		for i, row := range rows {
+			for j, name := range row {
+				sameEdgeValue(t, got[i][j], edges[name])
+			}
+		}
+	})
 }
 
 // TestBatchGoldenBytes pins the wire format: spill runs and checkpoints
@@ -263,6 +296,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	pad := EncodeBatch([]Record{{Null, NewString(strings.Repeat("n", 40))}}, nil)
 	f.Add(pad)
 	f.Add(EncodeBatch(richRows(1024), nil))
+	f.Add(EncodeBatch(rectAndEmptyList(), nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeBatch(data, nil)

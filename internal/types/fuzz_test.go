@@ -79,12 +79,23 @@ func sameWire(a, b Value) bool {
 	return bytes.Equal(ea.Bytes(), eb.Bytes())
 }
 
+// rectAndEmptyList seeds the fuzzers with the boxed rect and the
+// zero-length list, the payloads the compact Value holds behind its
+// pointer word.
+func rectAndEmptyList() []Record {
+	return []Record{
+		{NewRect(geo.Rect{MinX: -1, MinY: -2, MaxX: 3, MaxY: 4}), NewList([]Value{})},
+		{NewRect(geo.Rect{MaxX: 1, MaxY: 1}), NewList(nil)},
+	}
+}
+
 // FuzzMemSize pins the memory accounting against arbitrary decoded
 // records: estimates must be positive and grow with payload size,
 // since the budget enforcement divides by them.
 func FuzzMemSize(f *testing.F) {
 	f.Add(EncodeRecords(batch(2)), 10)
 	f.Add(EncodeRecords(nil), 1000)
+	f.Add(EncodeRecords(rectAndEmptyList()), 3)
 	f.Fuzz(func(t *testing.T, data []byte, pad int) {
 		recs, err := DecodeRecords(data)
 		if err != nil {

@@ -15,9 +15,9 @@ func (v Value) Geometry() (geo.Geometry, bool) {
 	case KindRect:
 		return v.Rect(), true
 	case KindPolygon:
-		return v.poly, true
+		return v.poly(), true
 	case KindLineString:
-		return v.line, true
+		return v.line(), true
 	}
 	return nil, false
 }
@@ -35,31 +35,32 @@ func (v Value) Native() any {
 	case KindBool:
 		return v.Bool()
 	case KindInt64:
-		return v.i
+		return v.int()
 	case KindFloat64:
-		return v.f
+		return v.float()
 	case KindString:
-		return v.s
+		return v.str()
 	case KindPoint:
 		return v.Point()
 	case KindRect:
 		return v.Rect()
 	case KindPolygon:
-		return v.poly
+		return v.poly()
 	case KindLineString:
-		return v.line
+		return v.line()
 	case KindInterval:
 		return v.Interval()
 	case KindList:
-		if allStrings(v.list) {
-			out := make([]string, len(v.list))
-			for i, e := range v.list {
+		list := v.list()
+		if allStrings(list) {
+			out := make([]string, len(list))
+			for i, e := range list {
 				out[i] = e.Str()
 			}
 			return out
 		}
-		out := make([]any, len(v.list))
-		for i, e := range v.list {
+		out := make([]any, len(list))
+		for i, e := range list {
 			out[i] = e.Native()
 		}
 		return out

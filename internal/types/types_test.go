@@ -1,9 +1,12 @@
 package types
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fudj/internal/geo"
 	"fudj/internal/interval"
@@ -120,6 +123,74 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// edgeCase is a value at an edge of the 32-byte representation (a zero
+// length behind a pointer word, a float whose bits are its identity, a
+// boxed or pointed-to payload) with a check of what its accessor reads.
+type edgeCase struct {
+	name  string
+	v     Value
+	check func(Value) bool
+}
+
+func edgeValues() []edgeCase {
+	r := geo.Rect{MinX: -1, MinY: 2, MaxX: 3, MaxY: 4}
+	poly := geo.NewPolygon([]geo.Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 0, Y: 2}})
+	return []edgeCase{
+		{"empty-string", NewString(""), func(v Value) bool { return v.Str() == "" }},
+		{"nil-list", NewList(nil), func(v Value) bool { return len(v.List()) == 0 }},
+		{"empty-list", NewList([]Value{}), func(v Value) bool { return len(v.List()) == 0 }},
+		{"nested-list", NewList([]Value{NewInt64(1), NewList([]Value{NewString("in"), NewList(nil)})}),
+			func(v Value) bool { return v.List()[1].List()[0].Str() == "in" }},
+		{"nan", NewFloat64(math.NaN()), func(v Value) bool { return math.IsNaN(v.Float64()) }},
+		{"negative-zero", NewFloat64(math.Copysign(0, -1)),
+			func(v Value) bool { return v.Float64() == 0 && math.Signbit(v.Float64()) }},
+		{"rect", NewRect(r), func(v Value) bool { return v.Rect() == r }},
+		{"polygon", NewPolygon(poly), func(v Value) bool { return reflect.DeepEqual(v.Polygon().Ring, poly.Ring) }},
+	}
+}
+
+// TestValueLayout pins the engine value at four words and its hash at
+// the values the 112-byte layout produced: hash partitioning routes
+// every shuffle by Value.Hash, so a representation change must not
+// move a single record.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	golden := []struct {
+		v    Value
+		hash uint64
+	}{
+		{Null, 0x25fc6dd36ce04b20},
+		{NewBool(true), 0x5d3ab85ad03d30f9},
+		{NewInt64(-42), 0x8b40a6aff194c79c},
+		{NewFloat64(3.25), 0x0ced6b29b9f305cf},
+		{NewFloat64(math.Copysign(0, -1)), 0x65b282e9c2caae3c},
+		{NewString(""), 0x8a278a2522b32b28},
+		{NewString("hello"), 0x77e15826a8f0567c},
+		{NewPoint(geo.Point{X: 1, Y: 2}), 0xe978aaa5bab95df0},
+		{NewRect(geo.Rect{MinX: 0, MinY: -1, MaxX: 4, MaxY: 5}), 0x60041a9735c5ee38},
+		{NewPolygon(geo.NewPolygon([]geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}})), 0x36d343cec0fed5e2},
+		{NewInterval(interval.Interval{Start: 10, End: 20}), 0x3edbd49c74f1ad1c},
+		{NewList(nil), 0x8f322bb9678204b8},
+		{NewList([]Value{}), 0x8f322bb9678204b8},
+		{NewList([]Value{NewInt64(1), NewString("x"), NewList([]Value{NewBool(false)})}), 0x046ebbdd927e1387},
+		{NewLineString(geo.NewLineString([]geo.Point{{X: 0, Y: 0}, {X: 2, Y: 3}})), 0xbab6be9ce33c5ee4},
+	}
+	for _, g := range golden {
+		if got := g.v.Hash(); got != g.hash {
+			t.Errorf("%v (%v).Hash() = %#x, want %#x", g.v, g.v.Kind(), got, g.hash)
+		}
+	}
+	if NewList(nil).List() != nil || NewList([]Value{}).List() == nil {
+		t.Error("List() must keep a nil list nil and an empty list non-nil")
+	}
+	rect := NewRect(geo.Rect{MaxX: 1, MaxY: 1})
+	if got, want := rect.MemSize(), valueBase+int64(unsafe.Sizeof(geo.Rect{})); got != want {
+		t.Errorf("rect MemSize = %d, want %d (the value and its boxed rect)", got, want)
+	}
+}
+
 func TestValueWireRoundTrip(t *testing.T) {
 	for _, v := range sampleValues() {
 		e := wire.NewEncoder(0)
@@ -131,6 +202,44 @@ func TestValueWireRoundTrip(t *testing.T) {
 		if !got.Equal(v) {
 			t.Errorf("round trip %v -> %v", v, got)
 		}
+	}
+	for _, c := range edgeValues() {
+		t.Run(c.name, func(t *testing.T) {
+			e := wire.NewEncoder(0)
+			c.v.MarshalWire(e)
+			got, err := DecodeValue(wire.NewDecoder(e.Bytes()))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			sameEdgeValue(t, got, c)
+		})
+	}
+}
+
+// sameEdgeValue checks got, a decoded copy of c.v, through every read
+// path: the accessor, Native, the wire bytes, Equal, Compare and Hash.
+// NaN is the one value not Equal to itself; it must still compare 0
+// and hash alike.
+func sameEdgeValue(t *testing.T, got Value, c edgeCase) {
+	t.Helper()
+	if !c.check(c.v) || !c.check(got) {
+		t.Errorf("accessor: built %v, decoded %v", c.v, got)
+	}
+	nan := isNaN(c.v)
+	if !nan && !reflect.DeepEqual(got.Native(), c.v.Native()) {
+		t.Errorf("Native: %#v, want %#v", got.Native(), c.v.Native())
+	}
+	if !sameWire(got, c.v) {
+		t.Errorf("wire bytes differ: %v vs %v", got, c.v)
+	}
+	if got.Equal(c.v) == nan || c.v.Equal(c.v) == nan {
+		t.Errorf("Equal: decoded %v, self %v, want %v", got.Equal(c.v), c.v.Equal(c.v), !nan)
+	}
+	if got.Compare(c.v) != 0 || c.v.Compare(got) != 0 {
+		t.Errorf("Compare: %d / %d, want 0", got.Compare(c.v), c.v.Compare(got))
+	}
+	if got.Hash() != c.v.Hash() {
+		t.Errorf("Hash: %#x, want %#x", got.Hash(), c.v.Hash())
 	}
 }
 

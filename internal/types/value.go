@@ -8,8 +8,10 @@ package types
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"fudj/internal/geo"
 	"fudj/internal/interval"
@@ -50,21 +52,27 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Value is a dynamically typed engine value. It is a small tagged
-// union: scalar payloads live inline, reference payloads (string,
-// polygon, list) live behind the ptr fields. The zero Value is null.
+// Value is a dynamically typed engine value: a 32-byte tagged union of
+// a kind, two scalar words and one pointer. Per kind:
+//
+//	bool, int64   a = the integer (bool: 0 or 1)
+//	float64       a = math.Float64bits
+//	point         a, b = the bits of X, Y
+//	interval      a, b = Start, End
+//	string        p = unsafe.StringData, a = length
+//	list          p = unsafe.SliceData, a = length
+//	polygon       p = the *geo.Polygon
+//	linestring    p = the *geo.LineString
+//	rect          p = a boxed *geo.Rect (four floats do not fit inline)
+//
+// The zero Value is null. The zero-size func array keeps Value
+// non-comparable, so == and map keys cannot compare string pointers
+// instead of contents.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	i    int64   // bool/int64/interval-start
-	j    int64   // interval-end
-	f    float64 // float64 / point.X / rect.MinX
-	f2   float64
-	f3   float64
-	f4   float64
-	s    string
-	poly *geo.Polygon
-	line *geo.LineString
-	list []Value
+	a, b uint64
+	p    unsafe.Pointer
 }
 
 // Null is the null value.
@@ -74,41 +82,59 @@ var Null = Value{}
 func NewBool(b bool) Value {
 	v := Value{kind: KindBool}
 	if b {
-		v.i = 1
+		v.a = 1
 	}
 	return v
 }
 
 // NewInt64 wraps an int64.
-func NewInt64(i int64) Value { return Value{kind: KindInt64, i: i} }
+func NewInt64(i int64) Value { return Value{kind: KindInt64, a: uint64(i)} }
 
 // NewFloat64 wraps a float64.
-func NewFloat64(f float64) Value { return Value{kind: KindFloat64, f: f} }
+func NewFloat64(f float64) Value { return Value{kind: KindFloat64, a: math.Float64bits(f)} }
 
 // NewString wraps a string.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
-
-// NewPoint wraps a geo.Point.
-func NewPoint(p geo.Point) Value { return Value{kind: KindPoint, f: p.X, f2: p.Y} }
-
-// NewRect wraps a geo.Rect.
-func NewRect(r geo.Rect) Value {
-	return Value{kind: KindRect, f: r.MinX, f2: r.MinY, f3: r.MaxX, f4: r.MaxY}
+func NewString(s string) Value {
+	return Value{kind: KindString, a: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
 }
 
+// NewPoint wraps a geo.Point.
+func NewPoint(p geo.Point) Value {
+	return Value{kind: KindPoint, a: math.Float64bits(p.X), b: math.Float64bits(p.Y)}
+}
+
+// NewRect wraps a geo.Rect.
+func NewRect(r geo.Rect) Value { return Value{kind: KindRect, p: unsafe.Pointer(&r)} }
+
 // NewPolygon wraps a polygon.
-func NewPolygon(p *geo.Polygon) Value { return Value{kind: KindPolygon, poly: p} }
+func NewPolygon(p *geo.Polygon) Value { return Value{kind: KindPolygon, p: unsafe.Pointer(p)} }
 
 // NewInterval wraps an interval.
 func NewInterval(iv interval.Interval) Value {
-	return Value{kind: KindInterval, i: iv.Start, j: iv.End}
+	return Value{kind: KindInterval, a: uint64(iv.Start), b: uint64(iv.End)}
 }
 
 // NewList wraps a list of values.
-func NewList(vs []Value) Value { return Value{kind: KindList, list: vs} }
+func NewList(vs []Value) Value {
+	return Value{kind: KindList, a: uint64(len(vs)), p: unsafe.Pointer(unsafe.SliceData(vs))}
+}
 
 // NewLineString wraps a polyline.
-func NewLineString(ls *geo.LineString) Value { return Value{kind: KindLineString, line: ls} }
+func NewLineString(ls *geo.LineString) Value {
+	return Value{kind: KindLineString, p: unsafe.Pointer(ls)}
+}
+
+// The private accessors read the payload words as their kind's type;
+// the caller has already checked the kind.
+func (v Value) int() int64            { return int64(v.a) }
+func (v Value) int2() int64           { return int64(v.b) }
+func (v Value) float() float64        { return math.Float64frombits(v.a) }
+func (v Value) float2() float64       { return math.Float64frombits(v.b) }
+func (v Value) str() string           { return unsafe.String((*byte)(v.p), int(v.a)) }
+func (v Value) list() []Value         { return unsafe.Slice((*Value)(v.p), int(v.a)) }
+func (v Value) rect() geo.Rect        { return *(*geo.Rect)(v.p) }
+func (v Value) poly() *geo.Polygon    { return (*geo.Polygon)(v.p) }
+func (v Value) line() *geo.LineString { return (*geo.LineString)(v.p) }
 
 // Kind returns the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -118,40 +144,37 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Bool returns the boolean payload; it panics on kind mismatch, which
 // indicates a planner bug rather than a data error.
-func (v Value) Bool() bool { v.check(KindBool); return v.i != 0 }
+func (v Value) Bool() bool { v.check(KindBool); return v.a != 0 }
 
 // Int64 returns the integer payload.
-func (v Value) Int64() int64 { v.check(KindInt64); return v.i }
+func (v Value) Int64() int64 { v.check(KindInt64); return v.int() }
 
 // Float64 returns the float payload.
-func (v Value) Float64() float64 { v.check(KindFloat64); return v.f }
+func (v Value) Float64() float64 { v.check(KindFloat64); return v.float() }
 
 // Str returns the string payload.
-func (v Value) Str() string { v.check(KindString); return v.s }
+func (v Value) Str() string { v.check(KindString); return v.str() }
 
 // Point returns the point payload.
-func (v Value) Point() geo.Point { v.check(KindPoint); return geo.Point{X: v.f, Y: v.f2} }
+func (v Value) Point() geo.Point { v.check(KindPoint); return geo.Point{X: v.float(), Y: v.float2()} }
 
 // Rect returns the rect payload.
-func (v Value) Rect() geo.Rect {
-	v.check(KindRect)
-	return geo.Rect{MinX: v.f, MinY: v.f2, MaxX: v.f3, MaxY: v.f4}
-}
+func (v Value) Rect() geo.Rect { v.check(KindRect); return v.rect() }
 
 // Polygon returns the polygon payload.
-func (v Value) Polygon() *geo.Polygon { v.check(KindPolygon); return v.poly }
+func (v Value) Polygon() *geo.Polygon { v.check(KindPolygon); return v.poly() }
 
 // Interval returns the interval payload.
 func (v Value) Interval() interval.Interval {
 	v.check(KindInterval)
-	return interval.Interval{Start: v.i, End: v.j}
+	return interval.Interval{Start: v.int(), End: v.int2()}
 }
 
 // List returns the list payload.
-func (v Value) List() []Value { v.check(KindList); return v.list }
+func (v Value) List() []Value { v.check(KindList); return v.list() }
 
 // LineString returns the polyline payload.
-func (v Value) LineString() *geo.LineString { v.check(KindLineString); return v.line }
+func (v Value) LineString() *geo.LineString { v.check(KindLineString); return v.line() }
 
 func (v Value) check(k Kind) {
 	if v.kind != k {
@@ -163,9 +186,9 @@ func (v Value) check(k Kind) {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt64:
-		return float64(v.i), true
+		return float64(v.int()), true
 	case KindFloat64:
-		return v.f, true
+		return v.float(), true
 	}
 	return 0, false
 }
@@ -175,13 +198,13 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) MBR() (geo.Rect, bool) {
 	switch v.kind {
 	case KindPoint:
-		return geo.RectFromPoint(geo.Point{X: v.f, Y: v.f2}), true
+		return geo.RectFromPoint(v.Point()), true
 	case KindRect:
-		return geo.Rect{MinX: v.f, MinY: v.f2, MaxX: v.f3, MaxY: v.f4}, true
+		return v.rect(), true
 	case KindPolygon:
-		return v.poly.MBR(), true
+		return v.poly().MBR(), true
 	case KindLineString:
-		return v.line.MBR(), true
+		return v.line().MBR(), true
 	}
 	return geo.EmptyRect(), false
 }
@@ -192,26 +215,27 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		return strconv.FormatBool(v.i != 0)
+		return strconv.FormatBool(v.a != 0)
 	case KindInt64:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case KindPoint:
 		return v.Point().String()
 	case KindRect:
 		return v.Rect().String()
 	case KindPolygon:
-		return v.poly.String()
+		return v.poly().String()
 	case KindLineString:
-		return v.line.String()
+		return v.line().String()
 	case KindInterval:
 		return v.Interval().String()
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		list := v.list()
+		parts := make([]string, len(list))
+		for i, e := range list {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -230,47 +254,23 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindBool, KindInt64:
-		return v.i == o.i
+		return v.a == o.a
 	case KindFloat64:
-		return v.f == o.f
+		return v.float() == o.float()
 	case KindString:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindInterval:
-		return v.i == o.i && v.j == o.j
+		return v.a == o.a && v.b == o.b
 	case KindPoint:
-		return v.f == o.f && v.f2 == o.f2
+		return v.Point() == o.Point()
 	case KindRect:
-		return v.f == o.f && v.f2 == o.f2 && v.f3 == o.f3 && v.f4 == o.f4
+		return v.rect() == o.rect()
 	case KindPolygon:
-		if len(v.poly.Ring) != len(o.poly.Ring) {
-			return false
-		}
-		for i := range v.poly.Ring {
-			if v.poly.Ring[i] != o.poly.Ring[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.poly().Ring, o.poly().Ring)
 	case KindLineString:
-		if len(v.line.Points) != len(o.line.Points) {
-			return false
-		}
-		for i := range v.line.Points {
-			if v.line.Points[i] != o.line.Points[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.line().Points, o.line().Points)
 	case KindList:
-		if len(v.list) != len(o.list) {
-			return false
-		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(v.list(), o.list(), Value.Equal)
 	}
 	return false
 }
@@ -286,48 +286,43 @@ func (v Value) Compare(o Value) int {
 	case KindNull:
 		return 0
 	case KindBool, KindInt64:
-		return cmpInt(v.i, o.i)
+		return cmpInt(v.int(), o.int())
 	case KindFloat64:
-		return cmpFloat(v.f, o.f)
+		return cmpFloat(v.float(), o.float())
 	case KindString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindInterval:
-		if c := cmpInt(v.i, o.i); c != 0 {
+		if c := cmpInt(v.int(), o.int()); c != 0 {
 			return c
 		}
-		return cmpInt(v.j, o.j)
+		return cmpInt(v.int2(), o.int2())
 	case KindPoint:
-		if c := cmpFloat(v.f, o.f); c != 0 {
+		if c := cmpFloat(v.float(), o.float()); c != 0 {
 			return c
 		}
-		return cmpFloat(v.f2, o.f2)
+		return cmpFloat(v.float2(), o.float2())
 	case KindRect:
-		for _, pair := range [][2]float64{{v.f, o.f}, {v.f2, o.f2}, {v.f3, o.f3}, {v.f4, o.f4}} {
-			if c := cmpFloat(pair[0], pair[1]); c != 0 {
-				return c
-			}
-		}
-		return 0
+		return cmpRect(v.rect(), o.rect())
 	case KindPolygon:
-		a, b := v.poly.MBR(), o.poly.MBR()
-		return NewRect(a).Compare(NewRect(b))
+		return cmpRect(v.poly().MBR(), o.poly().MBR())
 	case KindLineString:
-		a, b := v.line.MBR(), o.line.MBR()
-		if c := NewRect(a).Compare(NewRect(b)); c != 0 {
+		a, b := v.line(), o.line()
+		if c := cmpRect(a.MBR(), b.MBR()); c != 0 {
 			return c
 		}
-		return cmpInt(int64(len(v.line.Points)), int64(len(o.line.Points)))
+		return cmpInt(int64(len(a.Points)), int64(len(b.Points)))
 	case KindList:
-		n := len(v.list)
-		if len(o.list) < n {
-			n = len(o.list)
+		return slices.CompareFunc(v.list(), o.list(), Value.Compare)
+	}
+	return 0
+}
+
+// cmpRect orders rects by MinX, MinY, MaxX, MaxY.
+func cmpRect(a, b geo.Rect) int {
+	for _, pair := range [][2]float64{{a.MinX, b.MinX}, {a.MinY, b.MinY}, {a.MaxX, b.MaxX}, {a.MaxY, b.MaxY}} {
+		if c := cmpFloat(pair[0], pair[1]); c != 0 {
+			return c
 		}
-		for i := 0; i < n; i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
-				return c
-			}
-		}
-		return cmpInt(int64(len(v.list)), int64(len(o.list)))
 	}
 	return 0
 }
@@ -406,36 +401,31 @@ func (v Value) Hash() uint64 {
 func (v Value) hashInto(h *hash64) {
 	h.writeByte(byte(v.kind))
 	switch v.kind {
-	case KindBool, KindInt64:
-		writeInt(h, v.i)
-	case KindFloat64:
-		writeInt(h, int64(math.Float64bits(v.f)))
+	case KindBool, KindInt64, KindFloat64:
+		writeInt(h, int64(v.a))
 	case KindString:
-		h.writeString(v.s)
-	case KindInterval:
-		writeInt(h, v.i)
-		writeInt(h, v.j)
-	case KindPoint:
-		writeInt(h, int64(math.Float64bits(v.f)))
-		writeInt(h, int64(math.Float64bits(v.f2)))
+		h.writeString(v.str())
+	case KindInterval, KindPoint:
+		writeInt(h, int64(v.a))
+		writeInt(h, int64(v.b))
 	case KindRect:
-		for _, f := range []float64{v.f, v.f2, v.f3, v.f4} {
-			writeInt(h, int64(math.Float64bits(f)))
-		}
+		r := v.rect()
+		writePoints(h, []geo.Point{{X: r.MinX, Y: r.MinY}, {X: r.MaxX, Y: r.MaxY}})
 	case KindPolygon:
-		for _, p := range v.poly.Ring {
-			writeInt(h, int64(math.Float64bits(p.X)))
-			writeInt(h, int64(math.Float64bits(p.Y)))
-		}
+		writePoints(h, v.poly().Ring)
 	case KindLineString:
-		for _, p := range v.line.Points {
-			writeInt(h, int64(math.Float64bits(p.X)))
-			writeInt(h, int64(math.Float64bits(p.Y)))
-		}
+		writePoints(h, v.line().Points)
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range v.list() {
 			e.hashInto(h)
 		}
+	}
+}
+
+func writePoints(h *hash64, pts []geo.Point) {
+	for _, p := range pts {
+		writeInt(h, int64(math.Float64bits(p.X)))
+		writeInt(h, int64(math.Float64bits(p.Y)))
 	}
 }
 
@@ -461,29 +451,27 @@ func (v Value) MarshalWire(e *wire.Encoder) {
 	switch v.kind {
 	case KindNull:
 	case KindBool, KindInt64:
-		e.Varint(v.i)
+		e.Varint(v.int())
 	case KindFloat64:
-		e.Float64(v.f)
+		e.Float64(v.float())
 	case KindString:
-		e.String(v.s)
+		e.String(v.str())
 	case KindInterval:
-		e.Varint(v.i)
-		e.Varint(v.j)
+		e.Varint(v.int())
+		e.Varint(v.int2())
 	case KindPoint:
-		e.Float64(v.f)
-		e.Float64(v.f2)
+		e.Float64(v.float())
+		e.Float64(v.float2())
 	case KindRect:
-		e.Float64(v.f)
-		e.Float64(v.f2)
-		e.Float64(v.f3)
-		e.Float64(v.f4)
+		v.rect().MarshalWire(e)
 	case KindPolygon:
-		v.poly.MarshalWire(e)
+		v.poly().MarshalWire(e)
 	case KindLineString:
-		v.line.MarshalWire(e)
+		v.line().MarshalWire(e)
 	case KindList:
-		e.Uvarint(uint64(len(v.list)))
-		for _, elem := range v.list {
+		list := v.list()
+		e.Uvarint(uint64(len(list)))
+		for _, elem := range list {
 			elem.MarshalWire(e)
 		}
 	}
@@ -504,7 +492,7 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		return Value{kind: k, i: i}, nil
+		return Value{kind: k, a: uint64(i)}, nil
 	case KindFloat64:
 		f, err := d.Float64()
 		if err != nil {
@@ -526,7 +514,7 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		return Value{kind: k, i: i, j: j}, nil
+		return NewInterval(interval.Interval{Start: i, End: j}), nil
 	case KindPoint:
 		x, err := d.Float64()
 		if err != nil {
