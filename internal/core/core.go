@@ -185,6 +185,18 @@ func LocalAggregateAll(j Join, side Side, keys []any, s Summary, rec *int) Summa
 	return s
 }
 
+// PrepareKey converts one raw key into the form j's functions take. A
+// Wrap-built join applies its Spec.Prepare; any other Join, and a spec
+// without Prepare, gets raw unchanged. Executors call it once per
+// record wherever they box a key, and hand the result to every later
+// call about that record.
+func PrepareKey(j Join, side Side, raw any) any {
+	if p, ok := j.(interface{ prepareKey(Side, any) any }); ok {
+		return p.prepareKey(side, raw)
+	}
+	return raw
+}
+
 // DefaultMatch is the framework-provided MATCH: plain bucket equality,
 // which turns the COMBINE phase into a single-join that the optimizer
 // can execute with its hash join operator.

@@ -152,6 +152,57 @@ func TestWrapValidation(t *testing.T) {
 			Verify:       func(BucketID, int64, BucketID, int64, int) bool { return true },
 		})
 	})
+	mustPanic("prepare with differing key types", func() {
+		Wrap(Spec[int64, string, int, int]{
+			Name:         "x",
+			Prepare:      func(any) int64 { return 0 },
+			NewSummary:   func() int { return 0 },
+			LocalAggLeft: func(int64, int) int { return 0 },
+			GlobalAgg:    func(a, b int) int { return 0 },
+			Divide:       func(int, int, []any) (int, error) { return 0, nil },
+			AssignLeft:   func(int64, int, []BucketID) []BucketID { return nil },
+			Verify:       func(BucketID, int64, BucketID, string, int) bool { return true },
+		})
+	})
+}
+
+// TestPrepareKey pins the two key paths of a spec with Prepare: the
+// engine's, which prepares once through PrepareKey, and a caller of the
+// untyped methods passing raw keys, which castKey prepares per call.
+// Joins without Prepare get the raw key back.
+func TestPrepareKey(t *testing.T) {
+	var prepared int
+	j := Wrap(Spec[[]int64, []int64, int64, int64]{
+		Name: "digits",
+		Prepare: func(raw any) []int64 {
+			prepared++
+			return []int64{raw.(int64) % 10}
+		},
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(k []int64, s int64) int64 { return s + k[0] },
+		GlobalAgg:    func(a, b int64) int64 { return a + b },
+		Divide:       func(l, r int64, _ []any) (int64, error) { return l + r, nil },
+		AssignLeft:   func(k []int64, _ int64, dst []BucketID) []BucketID { return append(dst, int(k[0])) },
+		Verify:       func(_ BucketID, l []int64, _ BucketID, r []int64, _ int64) bool { return l[0] == r[0] },
+	})
+	k := PrepareKey(j, Left, int64(42))
+	if got, ok := k.([]int64); !ok || len(got) != 1 || got[0] != 2 || prepared != 1 {
+		t.Fatalf("PrepareKey = %v (%d calls), want [2] from one call", k, prepared)
+	}
+	if !j.Verify(0, k, 0, PrepareKey(j, Right, int64(12)), int64(0)) || prepared != 2 {
+		t.Errorf("prepared keys: Verify or call count (%d) wrong", prepared)
+	}
+	if !j.Verify(0, int64(42), 0, int64(12), int64(0)) || prepared != 4 {
+		t.Errorf("raw keys: Verify or call count (%d) wrong", prepared)
+	}
+	if got := j.Assign(Left, int64(7), int64(0), nil); len(got) != 1 || got[0] != 7 {
+		t.Errorf("raw-key Assign = %v, want [7]", got)
+	}
+	for _, raw := range []Join{newEquiJoin(), struct{ Join }{j}} {
+		if got := PrepareKey(raw, Left, int64(42)); got != int64(42) {
+			t.Errorf("PrepareKey without Prepare = %v, want the raw key", got)
+		}
+	}
 }
 
 func TestDescriptor(t *testing.T) {

@@ -47,8 +47,9 @@ func intKeys(n int) []any {
 }
 
 func TestStandalonePanicIsolation(t *testing.T) {
-	// SUMMARIZE and ASSIGN panic on key 3 only, so the error must name
-	// exactly that record; VERIFY panics on its first pair (record 0).
+	// SUMMARIZE, ASSIGN and PREPARE panic on key 3 only, so the error
+	// must name exactly that record (a key is prepared at SUMMARIZE);
+	// VERIFY panics on its first pair (record 0).
 	cases := []struct {
 		name   string
 		phase  string
@@ -72,6 +73,14 @@ func TestStandalonePanicIsolation(t *testing.T) {
 					panic("assign boom")
 				}
 				return append(dst, 0)
+			}
+		}},
+		{"prepare", "summarize", 3, func(s *Spec[int64, int64, int64, int64]) {
+			s.Prepare = func(raw any) int64 {
+				if raw.(int64) == 3 {
+					panic("prepare boom")
+				}
+				return raw.(int64)
 			}
 		}},
 		{"verify", "combine", 0, func(s *Spec[int64, int64, int64, int64]) {

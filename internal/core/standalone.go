@@ -64,23 +64,36 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 	}()
 	desc = j.Descriptor()
 
-	// SUMMARIZE: local aggregation (one "node"), then a trivial global
+	// SUMMARIZE: every key is prepared once, as the engine's SUMMARIZE
+	// does, then local aggregation (one "node") and a trivial global
 	// merge with the identity summary so both aggregate paths execute.
+	// Every later phase works on the prepared keys; emit still gets the
+	// caller's raw ones.
 	phase = "summarize"
-	summarize := func(side Side, data []any) Summary {
+	prepare := func(side Side, data []any) []any {
+		keys := make([]any, len(data))
+		for i, k := range data {
+			record = i
+			keys[i] = PrepareKey(j, side, k)
+		}
+		record = -1
+		return keys
+	}
+	summarize := func(side Side, keys []any) Summary {
 		s := j.NewSummary(side)
 		record = 0
-		s = LocalAggregateAll(j, side, data, s, &record)
+		s = LocalAggregateAll(j, side, keys, s, &record)
 		record = -1
 		return j.GlobalAggregate(side, s, j.NewSummary(side))
 	}
-	ls := summarize(Left, left)
+	lkeys, rkeys := prepare(Left, left), prepare(Right, right)
+	ls := summarize(Left, lkeys)
 	var rs Summary
 	if sameSlice(left, right) && desc.SymmetricSummarize {
 		rs = ls
 		stats.SummaryReused = true
 	} else {
-		rs = summarize(Right, right)
+		rs = summarize(Right, rkeys)
 	}
 
 	// DIVIDE.
@@ -96,10 +109,10 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 		key any
 		idx int
 	}
-	bucketize := func(side Side, data []any) map[BucketID][]entry {
+	bucketize := func(side Side, keys []any) map[BucketID][]entry {
 		buckets := make(map[BucketID][]entry)
 		var ids []BucketID
-		for i, k := range data {
+		for i, k := range keys {
 			record = i
 			ids = j.Assign(side, k, plan, ids[:0])
 			for _, id := range ids {
@@ -109,8 +122,8 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 		record = -1
 		return buckets
 	}
-	lb := bucketize(Left, left)
-	rb := bucketize(Right, right)
+	lb := bucketize(Left, lkeys)
+	rb := bucketize(Right, rkeys)
 	stats.LeftBuckets = len(lb)
 	stats.RightBuckets = len(rb)
 
@@ -138,7 +151,7 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 			seen[pair] = struct{}{}
 		}
 		stats.Results++
-		emit(le.key, re.key)
+		emit(left[le.idx], right[re.idx])
 	}
 
 	useLocalJoin := desc.LocalJoin

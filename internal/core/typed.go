@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 
 	"fudj/internal/wire"
 )
@@ -25,6 +26,15 @@ type Spec[KL, KR, S, P any] struct {
 	Name   string
 	Params int
 	Dedup  DedupMode
+
+	// Prepare, when non-nil, converts a raw key of either side into the
+	// library's own form (a sorted token set, say) once per record; every
+	// other function then takes the prepared key, so work they would all
+	// repeat is done once. It needs KL == KR, and KL must not be a type
+	// raw keys arrive as: a key that is not yet a KL is taken for a raw
+	// one and prepared where it is cast, so callers of the untyped Join
+	// methods may still pass raw keys.
+	Prepare func(raw any) KL
 
 	NewSummary    func() S
 	LocalAggLeft  func(key KL, s S) S
@@ -72,6 +82,10 @@ func Wrap[KL, KR, S, P any](spec Spec[KL, KR, S, P]) Join {
 	if spec.Dedup == DedupCustom && spec.DedupFn == nil {
 		panic(fmt.Sprintf("core: spec %q sets DedupCustom without DedupFn", spec.Name))
 	}
+	if spec.Prepare != nil && reflect.TypeFor[KL]() != reflect.TypeFor[KR]() {
+		panic(fmt.Sprintf("core: spec %q sets Prepare but its keys differ: %v and %v",
+			spec.Name, reflect.TypeFor[KL](), reflect.TypeFor[KR]()))
+	}
 	return &wrapped[KL, KR, S, P]{spec: spec}
 }
 
@@ -95,15 +109,32 @@ func (w *wrapped[KL, KR, S, P]) Descriptor() Descriptor {
 func (w *wrapped[KL, KR, S, P]) NewSummary(Side) Summary { return w.spec.NewSummary() }
 
 // castKey converts an engine-supplied key to the concrete type the
-// library expects, failing loudly: a kind mismatch means the CREATE
-// JOIN signature and the query disagree, which the planner should have
-// rejected.
-func castKey[K any](joinName string, side Side, key any) K {
-	k, ok := key.(K)
-	if !ok {
-		panic(fmt.Sprintf("core: join %q %s key is %T, want %T", joinName, side, key, *new(K)))
+// library expects. Verify calls it twice per candidate pair, so the
+// fallback for a raw key stays off this path, in prepareCast.
+func castKey[K any](w Join, side Side, key any) K {
+	if k, ok := key.(K); ok {
+		return k
 	}
-	return k
+	return prepareCast[K](w, side, key)
+}
+
+// prepareCast prepares a key that is not yet a K: a raw key. Anything
+// else fails loudly: a kind mismatch means the CREATE JOIN signature and
+// the query disagree, which the planner should have rejected.
+func prepareCast[K any](w Join, side Side, key any) K {
+	if k, ok := PrepareKey(w, side, key).(K); ok {
+		return k
+	}
+	panic(fmt.Sprintf("core: join %q %s key is %T, want %T", w.Descriptor().Name, side, key, *new(K)))
+}
+
+// prepareKey is Prepare boxed for the engine, or raw unchanged without
+// one. Prepare serves both sides, which Wrap made sure share one type.
+func (w *wrapped[KL, KR, S, P]) prepareKey(_ Side, raw any) any {
+	if w.spec.Prepare == nil {
+		return raw
+	}
+	return w.spec.Prepare(raw)
 }
 
 func (w *wrapped[KL, KR, S, P]) LocalAggregate(side Side, key any, s Summary) Summary {
@@ -123,9 +154,9 @@ func (w *wrapped[KL, KR, S, P]) localAggregateAll(side Side, keys []any, s Summa
 
 func (w *wrapped[KL, KR, S, P]) localAgg(side Side, key any, sum S) S {
 	if side == Right && w.spec.LocalAggRight != nil {
-		return w.spec.LocalAggRight(castKey[KR](w.spec.Name, side, key), sum)
+		return w.spec.LocalAggRight(castKey[KR](w, side, key), sum)
 	}
-	return w.spec.LocalAggLeft(castKey[KL](w.spec.Name, side, key), sum)
+	return w.spec.LocalAggLeft(castKey[KL](w, side, key), sum)
 }
 
 func (w *wrapped[KL, KR, S, P]) GlobalAggregate(_ Side, a, b Summary) Summary {
@@ -142,10 +173,10 @@ func (w *wrapped[KL, KR, S, P]) Divide(left, right Summary, params []any) (PPlan
 func (w *wrapped[KL, KR, S, P]) Assign(side Side, key any, plan PPlan, dst []BucketID) []BucketID {
 	p := plan.(P)
 	if side == Right && w.spec.AssignRight != nil {
-		return w.spec.AssignRight(castKey[KR](w.spec.Name, side, key), p, dst)
+		return w.spec.AssignRight(castKey[KR](w, side, key), p, dst)
 	}
 	// Left side, or a symmetric assign: the key must be a KL.
-	return w.spec.AssignLeft(castKey[KL](w.spec.Name, side, key), p, dst)
+	return w.spec.AssignLeft(castKey[KL](w, side, key), p, dst)
 }
 
 func (w *wrapped[KL, KR, S, P]) Match(b1, b2 BucketID) bool {
@@ -157,16 +188,16 @@ func (w *wrapped[KL, KR, S, P]) Match(b1, b2 BucketID) bool {
 
 func (w *wrapped[KL, KR, S, P]) Verify(b1 BucketID, leftKey any, b2 BucketID, rightKey any, plan PPlan) bool {
 	return w.spec.Verify(b1,
-		castKey[KL](w.spec.Name, Left, leftKey), b2,
-		castKey[KR](w.spec.Name, Right, rightKey), plan.(P))
+		castKey[KL](w, Left, leftKey), b2,
+		castKey[KR](w, Right, rightKey), plan.(P))
 }
 
 func (w *wrapped[KL, KR, S, P]) Dedup(b1 BucketID, leftKey any, b2 BucketID, rightKey any, plan PPlan) bool {
 	switch w.spec.Dedup {
 	case DedupCustom:
 		return w.spec.DedupFn(b1,
-			castKey[KL](w.spec.Name, Left, leftKey), b2,
-			castKey[KR](w.spec.Name, Right, rightKey), plan.(P))
+			castKey[KL](w, Left, leftKey), b2,
+			castKey[KR](w, Right, rightKey), plan.(P))
 	case DedupAvoidance:
 		return DefaultDedup(w, b1, leftKey, b2, rightKey, plan)
 	default:
@@ -180,11 +211,11 @@ func (w *wrapped[KL, KR, S, P]) LocalJoin(b1 BucketID, leftKeys []any, b2 Bucket
 	}
 	ls := make([]KL, len(leftKeys))
 	for i, k := range leftKeys {
-		ls[i] = castKey[KL](w.spec.Name, Left, k)
+		ls[i] = castKey[KL](w, Left, k)
 	}
 	rs := make([]KR, len(rightKeys))
 	for i, k := range rightKeys {
-		rs[i] = castKey[KR](w.spec.Name, Right, k)
+		rs[i] = castKey[KR](w, Right, k)
 	}
 	w.spec.LocalJoin(b1, ls, b2, rs, plan.(P), emit)
 }

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -311,6 +313,67 @@ func TestUDFPanicIsolation(t *testing.T) {
 		}
 		if ue.Stack == "" {
 			t.Errorf("%s: no stack captured", tc.join)
+		}
+	}
+}
+
+// TestPreparePanicAttribution makes a join's Prepare panic on the nth
+// preparation of ride panicKey. In this self-join the key is prepared
+// at left SUMMARIZE, at right assign (whose SUMMARIZE the self-join
+// skips), then once per side at COMBINE, so each n names a phase; no
+// phase prepares a key it was handed prepared.
+func TestPreparePanicAttribution(t *testing.T) {
+	db := newTestDB(t)
+	lib := core.NewLibrary("preparelib")
+	for _, n := range []int64{1, 2, 3} {
+		lib.MustRegister(fmt.Sprintf("test.PanicPrepare%d", n), func() core.Join {
+			var calls atomic.Int64 // a query constructs its own instance
+			return core.Wrap(core.Spec[int64, int64, int64, int64]{
+				Name: "panic_prepare",
+				Prepare: func(raw any) int64 {
+					if raw.(int64) == panicKey && calls.Add(1) == n {
+						panic("prepare boom")
+					}
+					return raw.(int64)
+				},
+				NewSummary:   func() int64 { return 0 },
+				LocalAggLeft: func(key, s int64) int64 { return s },
+				GlobalAgg:    func(a, b int64) int64 { return a },
+				Divide:       func(l, r int64, _ []any) (int64, error) { return 0, nil },
+				AssignLeft:   func(_, _ int64, dst []core.BucketID) []core.BucketID { return append(dst, 0) },
+				Verify:       func(_ core.BucketID, l int64, _ core.BucketID, r int64, _ int64) bool { return l == r },
+			})
+		})
+	}
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	// Every ride lands in bucket 0, and COMBINE joins it on the
+	// partition the bucket id hashes to.
+	combinePart := int(types.NewInt64(0).Hash() % 4)
+	cases := []struct {
+		phase     string
+		partition int
+		record    int
+	}{
+		{"summarize", panicKey % 4, panicKey / 4},
+		{"assign", panicKey % 4, panicKey / 4},
+		{"combine", combinePart, -1},
+	}
+	for i, tc := range cases {
+		name := fmt.Sprintf("panic_prepare%d", i+1)
+		mustQuery(t, db, fmt.Sprintf(`CREATE JOIN %s(a: int, b: int) RETURNS boolean AS "test.PanicPrepare%d" AT preparelib`, name, i+1))
+		_, err := db.Execute(`SELECT n1.id FROM rides n1, rides n2 WHERE ` + name + `(n1.id, n2.id)`)
+		var ue *core.UDFError
+		if !errors.As(err, &ue) {
+			t.Fatalf("%s: error is not a *core.UDFError: %v", name, err)
+		}
+		if ue.Phase != tc.phase || ue.Partition != tc.partition || ue.Record != tc.record {
+			t.Errorf("%s: phase %q partition %d record %d, want %q %d %d",
+				name, ue.Phase, ue.Partition, ue.Record, tc.phase, tc.partition, tc.record)
+		}
+		if !strings.Contains(err.Error(), "prepare boom") {
+			t.Errorf("%s: message %q should carry the panic value", name, err.Error())
 		}
 	}
 }

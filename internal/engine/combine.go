@@ -1,42 +1,58 @@
 // COMBINE bucket groups: the batch-native unit the match/verify loops
 // operate on. A bucketGroup pairs one bucket's records with a parallel
-// column of their join keys already unboxed via Native(), so the
-// O(|ls|·|rs|) verify loop touches a prebuilt key vector instead of
-// re-boxing r[1].Native() for every candidate pair — the allocation
-// that dominated the record-at-a-time hot path.
+// column of their join keys, boxed via Native() and prepared by the
+// join once per record, so the O(|ls|·|rs|) verify loop touches a
+// prebuilt key vector instead of re-boxing r[1].Native() for every
+// candidate pair — the allocation that dominated the record-at-a-time
+// hot path.
 package engine
 
 import (
 	"sort"
 
+	"fudj/internal/core"
 	"fudj/internal/types"
 )
 
 // bucketGroup is one bucket's records with their join keys cached in a
-// parallel column. keys[i] is recs[i][1].Native(), computed exactly
-// once when the record enters the group.
+// parallel column. keys[i] is recs[i]'s key, boxed and prepared; the
+// column is filled lazily, by prepared, so a group that is never
+// combined prepares nothing.
 type bucketGroup struct {
 	recs  []types.Record
 	keys  []any
 	bytes int64 // budget-charged size of recs (build side only; 0 without a budget)
 }
 
-// add appends one extended record, caching its key.
-func (g *bucketGroup) add(r types.Record) {
-	g.recs = append(g.recs, r)
-	g.keys = append(g.keys, r[1].Native())
-}
+// add appends one extended record; its key waits for prepared.
+func (g *bucketGroup) add(r types.Record) { g.recs = append(g.recs, r) }
 
 // only makes g hold just r: the spilled pass re-streams a probe run one
 // record at a time through one scratch group per task.
 func (g *bucketGroup) only(r types.Record) *bucketGroup {
 	g.recs = append(g.recs[:0], r)
-	g.keys = append(g.keys[:0], r[1].Native())
+	g.keys = g.keys[:0]
 	return g
 }
 
-// groupByBucket groups extended records by their bucket id (column 0),
-// caching each record's key as it lands in its group.
+// prepared returns g's key column, first preparing the keys of the
+// records added since the last call. It runs library code, so it is
+// only called inside the guarded COMBINE task; it runs once per bucket
+// pair, so the usual case, a column already full, stays inlined.
+func (g *bucketGroup) prepared(join core.Join, side core.Side) []any {
+	if len(g.keys) < len(g.recs) {
+		g.fill(join, side)
+	}
+	return g.keys
+}
+
+func (g *bucketGroup) fill(join core.Join, side core.Side) {
+	for _, r := range g.recs[len(g.keys):] {
+		g.keys = append(g.keys, core.PrepareKey(join, side, r[1].Native()))
+	}
+}
+
+// groupByBucket groups extended records by their bucket id (column 0).
 func groupByBucket(recs []types.Record) map[int]*bucketGroup {
 	out := make(map[int]*bucketGroup)
 	for _, r := range recs {

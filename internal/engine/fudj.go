@@ -71,8 +71,8 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		before = clus.Metrics().Snapshot()
 	}
 	phaseStart := clock.Now()
-	// boxed[side][part]: the keys a SUMMARIZE task boxed, reused by that
-	// partition's assign task (a retried task overwrites its own slot).
+	// boxed[side][part]: the prepared keys of a SUMMARIZE task, reused by
+	// that partition's assign task (a retried task overwrites its slot).
 	boxed := [2][][]any{make([][]any, len(left)), make([][]any, len(right))}
 	summarize := func(side core.Side, data cluster.Data, key expr.Evaluator) (core.Summary, error) {
 		locals, err := cluster.RunValues(clus, data, func(part int, in []types.Record) (buf []byte, err error) {
@@ -80,12 +80,14 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 			defer core.CatchPanic(f.def.Name, "summarize", part, &rec, &err)
 			keys := make([]any, len(in))
 			for i, r := range in {
+				rec = i
 				v, err := key(r)
 				if err != nil {
 					return nil, err
 				}
-				keys[i] = v.Native()
+				keys[i] = core.PrepareKey(join, side, v.Native())
 			}
+			rec = -1
 			boxed[side][part] = keys
 			s := join.NewSummary(side)
 			rec = 0
@@ -226,7 +228,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 				if keys != nil {
 					k = keys[i]
 				} else {
-					k = v.Native()
+					k = core.PrepareKey(join, side, v.Native())
 				}
 				ids = join.Assign(side, k, plan, ids[:0])
 				var meta types.Value
@@ -268,7 +270,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign right: %w", f.def.Name, err)
 	}
-	boxed = [2][][]any{} // COMBINE boxes its keys again, on the receiving node
+	boxed = [2][][]any{} // COMBINE prepares its keys again, on the receiving node
 
 	// The three layouts differ only in where records travel and which
 	// bucket pairs a partition joins; the exchange → barrier → COMBINE
@@ -450,28 +452,30 @@ type combineTask struct {
 
 // combineBuckets joins one matched bucket pair, through the join's
 // custom local algorithm when it provides one (§VII-F), or the verify
-// loop otherwise. Both paths read the groups' cached key columns, so no
-// key is boxed more than once per record.
+// loop otherwise. Both paths, and DedupCustom, read the groups' key
+// columns, which prepare each record's key once, the first time its
+// group is combined.
 func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
+	lk, rk := ls.prepared(t.join, core.Left), rs.prepared(t.join, core.Right)
 	if t.desc.LocalJoin {
 		t.n.candidates += int64(len(ls.recs)) * int64(len(rs.recs))
-		t.join.LocalJoin(b1, ls.keys, b2, rs.keys, t.plan, func(i, k int) {
+		t.join.LocalJoin(b1, lk, b2, rk, t.plan, func(i, k int) {
 			t.n.verified++
 			if t.err == nil {
-				t.err = t.accept(ls.recs[i], rs.recs[k])
+				t.err = t.accept(ls.recs[i], rs.recs[k], lk[i], rk[k])
 			}
 		})
 		return t.err
 	}
 	for i, l := range ls.recs {
-		k1 := ls.keys[i]
+		k1 := lk[i]
 		for k, r := range rs.recs {
 			t.n.candidates++
-			if !t.join.Verify(b1, k1, b2, rs.keys[k], t.plan) {
+			if !t.join.Verify(b1, k1, b2, rk[k], t.plan) {
 				continue
 			}
 			t.n.verified++
-			if err := t.accept(l, r); err != nil {
+			if err := t.accept(l, r, k1, rk[k]); err != nil {
 				return err
 			}
 		}
@@ -479,10 +483,11 @@ func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucket
 	return nil
 }
 
-// accept applies dedup to one verified candidate pair and hands the
-// joined row — the two records' carried fields, behind their row-id
-// pair under elimination — to the sink, in storage the sink provides.
-func (t *combineTask) accept(l, r types.Record) error {
+// accept applies dedup to one verified candidate pair, whose prepared
+// keys are lk and rk, and hands the joined row — the two records'
+// carried fields, behind their row-id pair under elimination — to the
+// sink, in storage the sink provides.
+func (t *combineTask) accept(l, r types.Record, lk, rk any) error {
 	b1 := int(l[0].Int64())
 	b2 := int(r[0].Int64())
 	switch t.desc.Dedup {
@@ -497,7 +502,7 @@ func (t *combineTask) accept(l, r types.Record) error {
 			return nil
 		}
 	case core.DedupCustom:
-		if !t.join.Dedup(b1, l[1].Native(), b2, r[1].Native(), t.plan) {
+		if !t.join.Dedup(b1, lk, b2, rk, t.plan) {
 			t.n.deduped++
 			return nil
 		}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
 	"fudj/internal/geo"
 	"fudj/internal/interval"
@@ -175,10 +176,12 @@ func wordTokens(args []types.Value) (types.Value, error) {
 	return types.NewList(vals), nil
 }
 
-func tokenList(name string, v types.Value) ([]string, error) {
+// tokenSet returns v's tokens as the sorted set Jaccard takes: a
+// string's TokenSet, or a sorted copy of a token list without repeats.
+func tokenSet(name string, v types.Value) ([]string, error) {
 	switch v.Kind() {
 	case types.KindString:
-		return text.Tokenize(v.Str()), nil
+		return text.TokenSet(v.Str()), nil
 	case types.KindList:
 		list := v.List()
 		out := make([]string, len(list))
@@ -188,7 +191,8 @@ func tokenList(name string, v types.Value) ([]string, error) {
 			}
 			out[i] = e.Str()
 		}
-		return out, nil
+		slices.Sort(out)
+		return slices.Compact(out), nil
 	}
 	return nil, fmt.Errorf("%s: want string or token list, got %v", name, v.Kind())
 }
@@ -197,11 +201,11 @@ func similarityJaccard(args []types.Value) (types.Value, error) {
 	if err := wantArgs("similarity_jaccard", args, 2); err != nil {
 		return types.Null, err
 	}
-	a, err := tokenList("similarity_jaccard", args[0])
+	a, err := tokenSet("similarity_jaccard", args[0])
 	if err != nil {
 		return types.Null, err
 	}
-	b, err := tokenList("similarity_jaccard", args[1])
+	b, err := tokenSet("similarity_jaccard", args[1])
 	if err != nil {
 		return types.Null, err
 	}

@@ -216,7 +216,7 @@ func TestTextSimilarityMatchesReference(t *testing.T) {
 	right := textData(rng, c, 60)
 	for _, threshold := range []float64{0.6, 0.8, 0.9} {
 		want := nljReference(left, right, func(l, r types.Value) bool {
-			return text.Jaccard(text.Tokenize(l.Str()), text.Tokenize(r.Str())) >= threshold
+			return text.Jaccard(text.TokenSet(l.Str()), text.TokenSet(r.Str())) >= threshold
 		})
 		got, err := TextSimilarity(c, left, keyCol(0), right, keyCol(0), []types.Value{types.NewFloat64(threshold)})
 		if err != nil {

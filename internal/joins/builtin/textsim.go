@@ -10,10 +10,9 @@ import (
 )
 
 // TextSimilarity is the hand-built prefix-filtering set-similarity
-// join. Unlike the FUDJ version it tokenizes each record once and
-// carries the token list through the pipeline — the kind of local
-// optimization a built-in operator can apply. params[0] is the Jaccard
-// threshold.
+// join. It carries each record's token set through the shuffle, so
+// its verify never tokenizes — the kind of local optimization a
+// built-in operator can apply. params[0] is the Jaccard threshold.
 func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluator,
 	right cluster.Data, rightKey expr.Evaluator, params []types.Value) (cluster.Data, error) {
 
@@ -33,7 +32,7 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 				if err != nil {
 					return nil, err
 				}
-				for _, tok := range text.Tokenize(v.Str()) {
+				for _, tok := range text.TokenSet(v.Str()) {
 					m[tok]++
 				}
 			}
@@ -63,7 +62,8 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 	}
 	ranks := text.BuildRankTable(lCounts)
 
-	// Assign: record becomes [rank, tokenList, fields...] — tokens cached.
+	// Assign: record becomes [rank, tokenSet, fields...] — tokens cached,
+	// sorted as Jaccard takes them.
 	assign := func(data cluster.Data, key expr.Evaluator) (cluster.Data, error) {
 		return c.Run(data, func(_ int, in []types.Record) ([]types.Record, error) {
 			var out []types.Record
@@ -72,7 +72,7 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 				if err != nil {
 					return nil, err
 				}
-				tokens := text.Tokenize(v.Str())
+				tokens := text.TokenSet(v.Str())
 				tokenVals := make([]types.Value, len(tokens))
 				for i, tok := range tokens {
 					tokenVals[i] = types.NewString(tok)

@@ -12,6 +12,7 @@ import (
 
 	"fudj/internal/core"
 	"fudj/internal/text"
+	"fudj/internal/wire"
 )
 
 // Summary maps token → occurrence count for one side.
@@ -19,7 +20,8 @@ type Summary map[string]int64
 
 // Plan is the text-similarity PPlan: the global token ranks plus the
 // similarity threshold (the algorithm needs the threshold in every
-// stage, so it rides inside the plan exactly as §VI-A describes).
+// stage, so it rides inside the plan exactly as §VI-A describes). The
+// ranks are dense: 0 to NextRank−1, one per token.
 type Plan struct {
 	Ranks     map[string]int
 	NextRank  int
@@ -30,16 +32,94 @@ func (p Plan) rankTable() *text.RankTable {
 	return &text.RankTable{Ranks: p.Ranks, Next: p.NextRank}
 }
 
-func spec(name string, dedup core.DedupMode) core.Spec[string, string, Summary, Plan] {
-	return core.Spec[string, string, Summary, Plan]{
+// MarshalWire encodes the summary as its size, then each token and its
+// count.
+func (s Summary) MarshalWire(e *wire.Encoder) {
+	e.Uvarint(uint64(len(s)))
+	for tok, n := range s {
+		e.String(tok)
+		e.Uvarint(uint64(n))
+	}
+}
+
+// UnmarshalWire decodes what MarshalWire wrote. An entry takes at least
+// two bytes, the token's length and its count, which bounds the size
+// the map is made with.
+func (s *Summary) UnmarshalWire(d *wire.Decoder) error {
+	n, err := d.UvarintCount(2)
+	if err != nil {
+		return err
+	}
+	m := make(Summary, n)
+	for range n {
+		tok, err := d.String()
+		if err != nil {
+			return err
+		}
+		c, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		m[tok] = int64(c)
+	}
+	*s = m
+	return nil
+}
+
+// MarshalWire encodes the plan as its threshold, then its tokens in
+// rank order: a token's rank is its position, and NextRank the count.
+func (p Plan) MarshalWire(e *wire.Encoder) {
+	e.Float64(p.Threshold)
+	toks := make([]string, len(p.Ranks))
+	for tok, r := range p.Ranks {
+		toks[r] = tok
+	}
+	e.Uvarint(uint64(len(toks)))
+	for _, tok := range toks {
+		e.String(tok)
+	}
+}
+
+// UnmarshalWire decodes what MarshalWire wrote; every token takes at
+// least its length byte.
+func (p *Plan) UnmarshalWire(d *wire.Decoder) error {
+	threshold, err := d.Float64()
+	if err != nil {
+		return err
+	}
+	n, err := d.UvarintCount(1)
+	if err != nil {
+		return err
+	}
+	ranks := make(map[string]int, n)
+	for i := range n {
+		tok, err := d.String()
+		if err != nil {
+			return err
+		}
+		if _, dup := ranks[tok]; dup {
+			return fmt.Errorf("textsim: plan repeats token %q", tok)
+		}
+		ranks[tok] = i
+	}
+	*p = Plan{Ranks: ranks, NextRank: n, Threshold: threshold}
+	return nil
+}
+
+func spec(name string, dedup core.DedupMode) core.Spec[[]string, []string, Summary, Plan] {
+	return core.Spec[[]string, []string, Summary, Plan]{
 		Name:   name,
 		Params: 1, // similarity threshold
 		Dedup:  dedup,
 
+		// Every function below takes a review as its sorted token set,
+		// tokenized once per record.
+		Prepare: func(raw any) []string { return text.TokenSet(raw.(string)) },
+
 		// SUMMARIZE: token counting.
 		NewSummary: func() Summary { return make(Summary) },
-		LocalAggLeft: func(txt string, s Summary) Summary {
-			for _, tok := range text.Tokenize(txt) {
+		LocalAggLeft: func(toks []string, s Summary) Summary {
+			for _, tok := range toks {
 				s[tok]++
 			}
 			return s
@@ -69,18 +149,15 @@ func spec(name string, dedup core.DedupMode) core.Spec[string, string, Summary, 
 		},
 
 		// ASSIGN: prefix ranks (multi-assign; rarest tokens first).
-		AssignLeft: func(txt string, p Plan, dst []core.BucketID) []core.BucketID {
-			for _, rank := range p.rankTable().PrefixRanks(text.Tokenize(txt), p.Threshold) {
-				dst = append(dst, rank)
-			}
-			return dst
+		AssignLeft: func(toks []string, p Plan, dst []core.BucketID) []core.BucketID {
+			return append(dst, p.rankTable().PrefixRanks(toks, p.Threshold)...)
 		},
 
 		// MATCH: nil → default equality.
 
 		// VERIFY: exact Jaccard against the threshold.
-		Verify: func(_ core.BucketID, l string, _ core.BucketID, r string, p Plan) bool {
-			return text.Jaccard(text.Tokenize(l), text.Tokenize(r)) >= p.Threshold
+		Verify: func(_ core.BucketID, l []string, _ core.BucketID, r []string, p Plan) bool {
+			return text.Jaccard(l, r) >= p.Threshold
 		},
 	}
 }

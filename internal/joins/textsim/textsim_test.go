@@ -41,7 +41,7 @@ func brute(left, right []string, threshold float64) map[[2]string]int {
 	out := map[[2]string]int{}
 	for _, l := range left {
 		for _, r := range right {
-			if text.Jaccard(text.Tokenize(l), text.Tokenize(r)) >= threshold {
+			if text.Jaccard(text.TokenSet(l), text.TokenSet(r)) >= threshold {
 				out[[2]string{l, r}]++
 			}
 		}

@@ -5,7 +5,9 @@
 package text
 
 import (
+	"iter"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -17,58 +19,76 @@ import (
 func Tokenize(s string) []string {
 	var tokens []string
 	seen := make(map[string]struct{})
-	start := -1
-	lower := strings.ToLower(s)
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		tok := lower[start:end]
+	for tok := range words(strings.ToLower(s)) {
 		if _, dup := seen[tok]; !dup {
 			seen[tok] = struct{}{}
 			tokens = append(tokens, tok)
 		}
-		start = -1
 	}
-	for i, r := range lower {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-		} else {
-			flush(i)
-		}
-	}
-	flush(len(lower))
 	return tokens
 }
 
-// Jaccard returns |a ∩ b| / |a ∪ b| for two token sets. Both inputs
-// must already be deduplicated (as Tokenize guarantees). Two empty sets
-// have similarity 0 by convention.
+// TokenSet returns the tokens of s as Tokenize does, but as a sorted
+// set: the form Jaccard takes. It counts the words first, so the set is
+// one allocation of exactly that size (none more when s is lower-case
+// ASCII, since ToLower then returns s itself).
+func TokenSet(s string) []string {
+	lower := strings.ToLower(s)
+	n := 0
+	for range words(lower) {
+		n++
+	}
+	tokens := make([]string, 0, n)
+	for tok := range words(lower) {
+		tokens = append(tokens, tok)
+	}
+	slices.Sort(tokens)
+	return slices.Compact(tokens)
+}
+
+// words yields the maximal runs of letters and digits of s, in order.
+func words(s string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		start := -1
+		for i, r := range s {
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				if start < 0 {
+					start = i
+				}
+			} else if start >= 0 {
+				if !yield(s[start:i]) {
+					return
+				}
+				start = -1
+			}
+		}
+		if start >= 0 {
+			yield(s[start:])
+		}
+	}
+}
+
+// Jaccard returns |a ∩ b| / |a ∪ b| for two token sets, each sorted and
+// free of repeats (as TokenSet returns them), by one merge of the two.
+// Two empty sets have similarity 0 by convention.
 func Jaccard(a, b []string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	set := make(map[string]struct{}, len(small))
-	for _, t := range small {
-		set[t] = struct{}{}
-	}
 	inter := 0
-	for _, t := range large {
-		if _, ok := set[t]; ok {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c == 0:
 			inter++
+			i++
+			j++
+		case c < 0:
+			i++
+		default:
+			j++
 		}
 	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // PrefixLength returns the number of least-frequent tokens of a record

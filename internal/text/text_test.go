@@ -3,6 +3,8 @@ package text
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,7 @@ func TestQuickPrefixFilterCompleteness(t *testing.T) {
 				out = append(out, tok)
 			}
 		}
+		slices.Sort(out) // Jaccard takes sorted sets
 		return out
 	}
 
@@ -163,16 +166,11 @@ func TestQuickJaccardBounds(t *testing.T) {
 	}
 }
 
+// dedup returns in as a sorted set, the form Jaccard takes.
 func dedup(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func sameSet(a, b []string) bool {
@@ -189,4 +187,58 @@ func sameSet(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// randomText draws a string from a small alphabet of mixed-case ASCII
+// and non-ASCII letters, digits, punctuation and spaces, so tokens
+// repeat, differ only by case, and span multi-byte runes.
+func randomText(rng *rand.Rand) string {
+	alphabet := []string{"a", "b", "A", "B", "é", "É", "ß", "ж", "Ж", "語", "7", " ", ",", "-", "!", "\t", "·"}
+	var sb strings.Builder
+	for n := rng.Intn(24); n > 0; n-- {
+		sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+	}
+	return sb.String()
+}
+
+// Property: TokenSet is Tokenize sorted, and Jaccard over two token sets
+// equals a brute-force count of their intersection and union.
+func TestQuickTokenSetJaccard(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 5000; trial++ {
+		a, b := randomText(rng), randomText(rng)
+		want := Tokenize(a)
+		slices.Sort(want)
+		sa := TokenSet(a)
+		if !slices.Equal(sa, want) {
+			t.Fatalf("TokenSet(%q) = %q, want sorted Tokenize %q", a, sa, want)
+		}
+		sb := TokenSet(b)
+		inter := 0
+		for _, x := range sa {
+			if slices.Contains(sb, x) {
+				inter++
+			}
+		}
+		brute := 0.0
+		if union := len(sa) + len(sb) - inter; union > 0 {
+			brute = float64(inter) / float64(union)
+		}
+		if got := Jaccard(sa, sb); got != brute {
+			t.Fatalf("Jaccard(%q, %q) = %v, want %v", sa, sb, got, brute)
+		}
+	}
+}
+
+// TestTokenSetAllocs pins TokenSet's cost: on lower-case input its one
+// allocation is the set itself.
+func TestTokenSetAllocs(t *testing.T) {
+	review := "great lake trail, quiet camping and 2 scenic river views near the lake"
+	if got := testing.AllocsPerRun(100, func() { TokenSet(review) }); got > 1 {
+		t.Errorf("TokenSet: %.0f allocations, want at most 1", got)
+	}
+	a, b := TokenSet(review), TokenSet("quiet lake camping")
+	if got := testing.AllocsPerRun(100, func() { Jaccard(a, b) }); got != 0 {
+		t.Errorf("Jaccard: %.0f allocations, want 0", got)
+	}
 }
