@@ -39,7 +39,7 @@ race:
 # corruption), cancellation/deadline handling, UDF panic isolation,
 # and memory-bounded execution (spill, backpressure, skew splits).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Retry|Straggler|Corrupt|Deadline|Cancel|UDFPanic|StandalonePanic|Bounded|Memory|Spill|ResourceError|BucketSplit|Backpressure' \
+	$(GO) test -race -run 'Chaos|Fault|Retry|Straggler|Corrupt|Deadline|Cancel|UDFPanic|StandalonePanic|PanicAttribution|Bounded|Memory|Spill|ResourceError|BucketSplit|Backpressure' \
 		./internal/cluster/ ./internal/core/ ./internal/engine/ ./internal/storage/ .
 
 # chaos-recovery runs the checkpointed-execution matrix under the race

@@ -622,8 +622,8 @@ func udfSiteOf(method string, first bool, desc fudj.Descriptor, smart bool) udfS
 		return udfSite{phase: "assign", record: true}
 	case "Match":
 		// Smart theta enumerates bucket pairs at the coordinator before
-		// COMBINE; duplicate avoidance asks MATCH again inside COMBINE.
-		if smart && !desc.DefaultMatch && (first || desc.Dedup != fudj.DedupAvoidance) {
+		// COMBINE.
+		if smart && !desc.DefaultMatch {
 			return udfSite{phase: "match", coord: true}
 		}
 	}

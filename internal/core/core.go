@@ -149,7 +149,9 @@ type Join interface {
 	Verify(b1 BucketID, leftKey any, b2 BucketID, rightKey any, plan PPlan) bool
 
 	// Dedup reports whether the pair should be emitted from this bucket
-	// pair (true = keep). Only consulted under DedupAvoidance/DedupCustom.
+	// pair (true = keep). Both executors call it for every verified pair
+	// under DedupAvoidance and DedupCustom, and under no other mode; a
+	// Wrap-built join answers DefaultDedup under DedupAvoidance.
 	Dedup(b1 BucketID, leftKey any, b2 BucketID, rightKey any, plan PPlan) bool
 
 	// LocalJoin runs the join's custom local bucket-joining algorithm
@@ -202,36 +204,46 @@ func PrepareKey(j Join, side Side, raw any) any {
 // can execute with its hash join operator.
 func DefaultMatch(b1, b2 BucketID) bool { return b1 == b2 }
 
-// CanonicalPair returns the first bucket pair (in left-outer,
-// right-inner order over the assign lists) that MATCH accepts — the
-// canonical bucket pair in which a joining record pair is reported
-// under duplicate avoidance. ok is false when no pair matches, which
-// only happens for a non-deterministic Assign (a library bug).
-func CanonicalPair(j Join, lb, rb []BucketID) (b1, b2 BucketID, ok bool) {
-	for _, x := range lb {
-		for _, y := range rb {
-			if j.Match(x, y) {
-				return x, y, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
 // DefaultDedup implements the framework's duplicate-avoidance method
-// (§IV-C): re-run assign on both keys, and keep the pair only in the
-// canonical bucket pair. Requires no extra shuffle stage. Engines that
-// already hold the assign lists (the distributed executor carries them
-// through the partition phase) use CanonicalPair directly and skip the
-// re-assignment.
+// (§IV-C): re-run assign on both keys, and keep the pair only in its
+// canonical bucket pair, the first pair (left assign list outer, right
+// inner) that MATCH accepts. It needs no extra shuffle stage. Both
+// executors reach it through Join.Dedup under DedupAvoidance.
 func DefaultDedup(j Join, b1 BucketID, leftKey any, b2 BucketID, rightKey any, plan PPlan) bool {
 	lb := j.Assign(Left, leftKey, plan, nil)
 	rb := j.Assign(Right, rightKey, plan, nil)
-	x, y, ok := CanonicalPair(j, lb, rb)
-	if !ok {
-		// The current pair was produced, so a matching pair must exist;
-		// err on the side of keeping the result.
-		return true
+	for _, x := range lb {
+		for _, y := range rb {
+			if j.Match(x, y) {
+				return x == b1 && y == b2
+			}
+		}
 	}
-	return x == b1 && y == b2
+	// The current pair was produced, so a matching pair must exist
+	// unless Assign is non-deterministic (a library bug); err on the
+	// side of keeping the result.
+	return true
+}
+
+// JoinBuckets joins one matched bucket pair, whose prepared keys are lk
+// and rk, and calls emit(i, k) for every verified position pair: through
+// the join's custom local algorithm when local is set (§VII-F), or the
+// nested VERIFY loop over every candidate pair otherwise, which writes
+// the left position in hand to *rec when rec is non-nil, so a panic can
+// name its record. Both executors join every bucket pair through it.
+func JoinBuckets(j Join, local bool, b1 BucketID, lk []any, b2 BucketID, rk []any, plan PPlan, rec *int, emit func(i, k int)) {
+	if local {
+		j.LocalJoin(b1, lk, b2, rk, plan, emit)
+		return
+	}
+	for i, l := range lk {
+		if rec != nil {
+			*rec = i
+		}
+		for k, r := range rk {
+			if j.Verify(b1, l, b2, r, plan) {
+				emit(i, k)
+			}
+		}
+	}
 }

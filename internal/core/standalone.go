@@ -49,9 +49,13 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 	// Descriptor is library code too, so it is read under the guard.
 	phase := "create"
 	record := -1
+	var inBucket []int // COMBINE's record is a position in the left bucket: its input indexes
 	var desc Descriptor
 	defer func() {
 		if p := recover(); p != nil {
+			if phase == "combine" && record >= 0 {
+				record = inBucket[record]
+			}
 			err = &UDFError{
 				Join:      desc.Name,
 				Phase:     phase,
@@ -105,18 +109,20 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 
 	// PARTITION: bucket both sides.
 	phase = "assign"
-	type entry struct {
-		key any
-		idx int
-	}
-	bucketize := func(side Side, keys []any) map[BucketID][]entry {
-		buckets := make(map[BucketID][]entry)
+	bucketize := func(side Side, keys []any) map[BucketID]*bucket {
+		buckets := make(map[BucketID]*bucket)
 		var ids []BucketID
 		for i, k := range keys {
 			record = i
 			ids = j.Assign(side, k, plan, ids[:0])
 			for _, id := range ids {
-				buckets[id] = append(buckets[id], entry{key: k, idx: i})
+				b := buckets[id]
+				if b == nil {
+					b = &bucket{}
+					buckets[id] = b
+				}
+				b.keys = append(b.keys, k)
+				b.idx = append(b.idx, i)
 			}
 		}
 		record = -1
@@ -136,14 +142,19 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 	}
 	applyDedup := desc.Dedup == DedupAvoidance || desc.Dedup == DedupCustom
 
-	// accept applies duplicate handling to one verified pair and emits.
-	accept := func(b1 BucketID, le entry, b2 BucketID, re entry) {
-		if applyDedup && !j.Dedup(b1, le.key, b2, re.key, plan) {
+	// accept applies duplicate handling to one verified position pair of
+	// the bucket pair in hand and emits it.
+	var b1, b2 BucketID
+	var lbk, rbk *bucket
+	accept := func(i, k int) {
+		stats.Verified++
+		if applyDedup && !j.Dedup(b1, lbk.keys[i], b2, rbk.keys[k], plan) {
 			stats.Deduped++
 			return
 		}
+		li, ri := lbk.idx[i], rbk.idx[k]
 		if elim {
-			pair := [2]int{le.idx, re.idx}
+			pair := [2]int{li, ri}
 			if _, dup := seen[pair]; dup {
 				stats.Deduped++
 				return
@@ -151,48 +162,22 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 			seen[pair] = struct{}{}
 		}
 		stats.Results++
-		emit(left[le.idx], right[re.idx])
+		emit(left[li], right[ri])
 	}
-
-	useLocalJoin := desc.LocalJoin
-	joinBuckets := func(b1 BucketID, les []entry, b2 BucketID, res []entry) {
+	joinBuckets := func(x, y BucketID) {
+		b1, b2, lbk, rbk = x, y, lb[x], rb[y]
 		stats.BucketPairs++
-		if useLocalJoin {
-			// Custom local bucket joining (§VII-F): the library emits the
-			// verified position pairs itself.
-			lk := make([]any, len(les))
-			for i, e := range les {
-				lk[i] = e.key
-			}
-			rk := make([]any, len(res))
-			for i, e := range res {
-				rk[i] = e.key
-			}
-			stats.Candidates += len(les) * len(res)
-			j.LocalJoin(b1, lk, b2, rk, plan, func(i, k int) {
-				stats.Verified++
-				accept(b1, les[i], b2, res[k])
-			})
-			return
-		}
-		for _, le := range les {
-			record = le.idx
-			for _, re := range res {
-				stats.Candidates++
-				if !j.Verify(b1, le.key, b2, re.key, plan) {
-					continue
-				}
-				stats.Verified++
-				accept(b1, le, b2, re)
-			}
-		}
+		stats.Candidates += len(lbk.keys) * len(rbk.keys)
+		inBucket = lbk.idx
+		JoinBuckets(j, desc.LocalJoin, b1, lbk.keys, b2, rbk.keys, plan, &record, accept)
+		record = -1
 	}
 
 	if desc.DefaultMatch {
 		// Single-join: only identical bucket ids match (hash-join path).
 		for _, b := range sortedBuckets(lb) {
-			if res, ok := rb[b]; ok {
-				joinBuckets(b, lb[b], b, res)
+			if _, ok := rb[b]; ok {
+				joinBuckets(b, b)
 			}
 		}
 	} else {
@@ -202,12 +187,19 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 		for _, b1 := range lids {
 			for _, b2 := range rids {
 				if j.Match(b1, b2) {
-					joinBuckets(b1, lb[b1], b2, rb[b2])
+					joinBuckets(b1, b2)
 				}
 			}
 		}
 	}
 	return stats, nil
+}
+
+// bucket is one bucket's prepared keys, with each key's record index in
+// the input alongside.
+type bucket struct {
+	keys []any
+	idx  []int
 }
 
 func sortedBuckets[V any](m map[BucketID]V) []BucketID {

@@ -248,11 +248,34 @@ func panicLibrary() *core.Library {
 		return s
 	}
 	lib.MustRegister("test.PanicSummarize", func() core.Join { return core.Wrap(g) })
+	// A theta join under duplicate avoidance whose MATCH panics once
+	// VERIFY has accepted a pair: the coordinator's bucket-pair
+	// enumeration under smart theta passes, and the panic comes from the
+	// MATCH that avoidance runs inside COMBINE.
+	m := base("panic_dedup_match")
+	m.Dedup = core.DedupAvoidance
+	lib.MustRegister("test.PanicDedupMatch", func() core.Join {
+		var accepted atomic.Bool // a query constructs its own instance
+		s := m
+		s.Verify = func(_ core.BucketID, l int64, _ core.BucketID, r int64, _ int64) bool {
+			if l == r {
+				accepted.Store(true)
+			}
+			return l == r
+		}
+		s.Match = func(b1, b2 core.BucketID) bool {
+			if accepted.Load() {
+				panic("match boom")
+			}
+			return b1 == b2
+		}
+		return core.Wrap(s)
+	})
 	return lib
 }
 
 func TestUDFPanicIsolation(t *testing.T) {
-	db := newTestDB(t)
+	db := newTestDB(t, WithSmartTheta(true)) // only panic_dedup_match is a theta join
 	if err := db.InstallLibrary(panicLibrary()); err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +284,7 @@ func TestUDFPanicIsolation(t *testing.T) {
 		`CREATE JOIN panic_assign(a: int, b: int) RETURNS boolean AS "test.PanicAssign" AT paniclib`,
 		`CREATE JOIN panic_divide(a: int, b: int) RETURNS boolean AS "test.PanicDivide" AT paniclib`,
 		`CREATE JOIN panic_summarize(a: int, b: int) RETURNS boolean AS "test.PanicSummarize" AT paniclib`,
+		`CREATE JOIN panic_dedup_match(a: int, b: int) RETURNS boolean AS "test.PanicDedupMatch" AT paniclib`,
 	}
 	for _, stmt := range ddl {
 		if _, err := db.Execute(stmt); err != nil {
@@ -278,6 +302,7 @@ func TestUDFPanicIsolation(t *testing.T) {
 		{"panic_divide", "divide", "divide boom", true, false},
 		{"panic_assign", "assign", "assign boom", false, true},
 		{"panic_verify", "combine", "verify boom", false, false},
+		{"panic_dedup_match", "combine", "match boom", false, false},
 	}
 	// Rides are scattered round-robin over the 2×2 cluster's four
 	// partitions, so ride id panicKey is record panicKey/4 of partition

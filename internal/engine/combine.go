@@ -28,7 +28,7 @@ type bucketGroup struct {
 func (g *bucketGroup) add(r types.Record) { g.recs = append(g.recs, r) }
 
 // only makes g hold just r: the spilled pass re-streams a probe run one
-// record at a time through one scratch group per task.
+// record at a time through one scratch group per spilled bucket.
 func (g *bucketGroup) only(r types.Record) *bucketGroup {
 	g.recs = append(g.recs[:0], r)
 	g.keys = g.keys[:0]

@@ -317,3 +317,39 @@ func TestSmartThetaConcurrentSwitchKeepsLayout(t *testing.T) {
 		t.Errorf("rows = %d, want 100", len(res.Rows))
 	}
 }
+
+// TestCombineBucketsAllocatesNothingPerPair pins that COMBINE binds
+// nothing per bucket pair: over prepared groups of a theta join whose
+// VERIFY rejects every pair, combineBuckets allocates nothing, so a
+// closure built per pair cannot come back unseen.
+func TestCombineBucketsAllocatesNothingPerPair(t *testing.T) {
+	join := core.Wrap(core.Spec[int64, int64, int64, int64]{
+		Name:         "reject_all",
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_, s int64) int64 { return s },
+		GlobalAgg:    func(a, _ int64) int64 { return a },
+		Divide:       func(_, _ int64, _ []any) (int64, error) { return 0, nil },
+		AssignLeft:   func(k, _ int64, dst []core.BucketID) []core.BucketID { return append(dst, int(k%4)) },
+		Match:        func(_, _ core.BucketID) bool { return true },
+		Verify:       func(core.BucketID, int64, core.BucketID, int64, int64) bool { return false },
+	})
+	var ls, rs bucketGroup
+	for i := range 8 {
+		ls.add(extRec(1, i, "l"))
+		rs.add(extRec(2, 100+i, "r"))
+	}
+	ls.prepared(join, core.Left)
+	rs.prepared(join, core.Right)
+	task := newCombineTask(join, int64(0), join.Descriptor(), 2, newAppendSink())
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := task.combineBuckets(1, &ls, 2, &rs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("combineBuckets allocated %.1f times per bucket pair, want 0", allocs)
+	}
+	if task.n.candidates == 0 || task.n.verified != 0 {
+		t.Errorf("funnel %d candidates, %d verified: want candidates and no verified pair", task.n.candidates, task.n.verified)
+	}
+}

@@ -22,10 +22,11 @@ import (
 //	COMBINE    per-bucket candidate pairs → VERIFY → duplicate handling
 //
 // Records travel through the pipeline as
-// [bucket_id, key, (meta), required fields...]: the key is carried so
-// verify never recomputes key expressions per candidate pair, meta is a
-// globally unique row id under DedupElimination or the assign list
-// under DedupAvoidance, and of the record's own fields only the
+// [bucket_id, key, (row id), required fields...]: the key, so verify
+// never recomputes key expressions per candidate pair and duplicate
+// avoidance can re-run ASSIGN on both keys of a verified pair, as the
+// paper does; a globally unique row id only under DedupElimination,
+// whose distinct stage needs it; and of the record's own fields only the
 // columns something after the join reads (step.needL / step.needR, the
 // planner's requireColumns) — so the exchange, the checkpoints, spill
 // runs and the memory accounting all move exactly what the consumer
@@ -188,15 +189,13 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 
 	// ---- PARTITION (assign + unnest) ----
 	// Records are extended with leading metadata columns:
-	//   [bucket_id, key, (meta), required fields...]
-	// where meta is a unique row id under DedupElimination, or the full
-	// assign list under DedupAvoidance — carrying the list computed here
-	// lets the COMBINE phase find the canonical bucket pair without
-	// re-running ASSIGN per candidate pair.
+	//   [bucket_id, key, (row id), required fields...]
+	// where the globally unique row id is carried only under
+	// DedupElimination. Duplicate avoidance needs nothing more: COMBINE
+	// re-runs ASSIGN on the keys of a verified pair (core.DefaultDedup).
 	elimination := desc.Dedup == core.DedupElimination
-	cacheAssign := desc.Dedup == core.DedupAvoidance
 	extraCols := 2
-	if elimination || cacheAssign {
+	if elimination {
 		extraCols = 3
 	}
 	if err := ctx.Err(); err != nil {
@@ -231,25 +230,14 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 					k = core.PrepareKey(join, side, v.Native())
 				}
 				ids = join.Assign(side, k, plan, ids[:0])
-				var meta types.Value
-				switch {
-				case elimination:
-					meta = types.NewInt64(int64(part)<<32 | int64(i))
-				case cacheAssign:
-					list := make([]types.Value, len(ids))
-					for j, id := range ids {
-						list[j] = types.NewInt64(int64(id))
-					}
-					meta = types.NewList(list)
-				}
 				for _, id := range ids {
 					if n != nil {
 						n[id]++
 					}
 					ext := make(types.Record, 0, extraCols+len(need))
 					ext = append(ext, types.NewInt64(int64(id)), v)
-					if extraCols == 3 {
-						ext = append(ext, meta)
+					if elimination {
+						ext = append(ext, types.NewInt64(int64(part)<<32|int64(i)))
 					}
 					out = append(out, appendCols(ext, r, need))
 				}
@@ -374,7 +362,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	counts := make([]taskCounts, clus.Partitions())
 	combined, err := clus.Run(build, func(part int, in []types.Record) (out []types.Record, err error) {
 		defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
-		t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: combineSink()}
+		t := newCombineTask(join, plan, desc, extraCols, combineSink())
 		if err := combinePartition(q.mem, f.def.Name, part, in, probe[part], lay.matches(part), t.combineBuckets); err != nil {
 			return nil, err
 		}
@@ -446,65 +434,45 @@ type combineTask struct {
 
 	sink   rowSink
 	n      taskCounts
-	lb, rb []core.BucketID // decoded assign lists of the pair in hand
-	err    error           // first sink error inside a LocalJoin callback
+	ls, rs *bucketGroup   // the bucket pair in hand
+	lk, rk []any          // their prepared key columns
+	emit   func(i, k int) // t.pair, bound once per task
+	err    error          // first sink error; the task fails with it
 }
 
-// combineBuckets joins one matched bucket pair, through the join's
-// custom local algorithm when it provides one (§VII-F), or the verify
-// loop otherwise. Both paths, and DedupCustom, read the groups' key
-// columns, which prepare each record's key once, the first time its
-// group is combined.
+// newCombineTask returns a task whose emit is bound, once, to its pair.
+func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extraCols int, sink rowSink) *combineTask {
+	t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: sink}
+	t.emit = t.pair
+	return t
+}
+
+// combineBuckets joins one matched bucket pair through core.JoinBuckets,
+// over the groups' key columns, which prepare each record's key once,
+// the first time its group is combined.
 func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
-	lk, rk := ls.prepared(t.join, core.Left), rs.prepared(t.join, core.Right)
-	if t.desc.LocalJoin {
-		t.n.candidates += int64(len(ls.recs)) * int64(len(rs.recs))
-		t.join.LocalJoin(b1, lk, b2, rk, t.plan, func(i, k int) {
-			t.n.verified++
-			if t.err == nil {
-				t.err = t.accept(ls.recs[i], rs.recs[k], lk[i], rk[k])
-			}
-		})
-		return t.err
-	}
-	for i, l := range ls.recs {
-		k1 := lk[i]
-		for k, r := range rs.recs {
-			t.n.candidates++
-			if !t.join.Verify(b1, k1, b2, rk[k], t.plan) {
-				continue
-			}
-			t.n.verified++
-			if err := t.accept(l, r, k1, rk[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	t.ls, t.rs = ls, rs
+	t.lk, t.rk = ls.prepared(t.join, core.Left), rs.prepared(t.join, core.Right)
+	t.n.candidates += int64(len(t.lk)) * int64(len(t.rk))
+	core.JoinBuckets(t.join, t.desc.LocalJoin, b1, t.lk, b2, t.rk, t.plan, nil, t.emit)
+	return t.err
 }
 
-// accept applies dedup to one verified candidate pair, whose prepared
-// keys are lk and rk, and hands the joined row — the two records'
-// carried fields, behind their row-id pair under elimination — to the
-// sink, in storage the sink provides.
-func (t *combineTask) accept(l, r types.Record, lk, rk any) error {
-	b1 := int(l[0].Int64())
-	b2 := int(r[0].Int64())
+// pair handles one verified position pair of the bucket pair in hand:
+// it applies dedup and hands the joined row — the two records' carried
+// fields, behind their row-id pair under elimination — to the sink, in
+// storage the sink provides. After a sink error it only counts.
+func (t *combineTask) pair(i, k int) {
+	t.n.verified++
+	if t.err != nil {
+		return
+	}
+	l, r := t.ls.recs[i], t.rs.recs[k]
 	switch t.desc.Dedup {
-	case core.DedupAvoidance:
-		// Framework avoidance using the assign lists carried through
-		// the partition phase: keep only the canonical bucket pair.
-		t.lb = appendBuckets(t.lb[:0], l[2])
-		t.rb = appendBuckets(t.rb[:0], r[2])
-		x, y, ok := core.CanonicalPair(t.join, t.lb, t.rb)
-		if ok && (x != b1 || y != b2) {
+	case core.DedupAvoidance, core.DedupCustom:
+		if !t.join.Dedup(int(l[0].Int64()), t.lk[i], int(r[0].Int64()), t.rk[k], t.plan) {
 			t.n.deduped++
-			return nil
-		}
-	case core.DedupCustom:
-		if !t.join.Dedup(b1, lk, b2, rk, t.plan) {
-			t.n.deduped++
-			return nil
+			return
 		}
 	}
 	// Under elimination the pair is output only if it survives the
@@ -522,7 +490,7 @@ func (t *combineTask) accept(l, r types.Record, lk, rk any) error {
 	}
 	joined = append(joined, l[t.extraCols:]...)
 	joined = append(joined, r[t.extraCols:]...)
-	return t.sink.push(joined)
+	t.err = t.sink.push(joined)
 }
 
 // rowSink is where a join's last stage puts the rows it accepts, one
@@ -594,12 +562,4 @@ func unrouted(counts map[int]int64, routed func(b int) bool) (n int64) {
 		}
 	}
 	return n
-}
-
-// appendBuckets decodes a cached assign list column into dst.
-func appendBuckets(dst []core.BucketID, v types.Value) []core.BucketID {
-	for _, e := range v.List() {
-		dst = append(dst, int(e.Int64()))
-	}
-	return dst
 }

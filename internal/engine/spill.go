@@ -263,7 +263,6 @@ func combinePartition(mem *memState, joinName string, part int,
 	// the resident bytes and the tracked peak can exceed the budget.
 	acct.release(acct.used)
 	resident = nil
-	var probeOne bucketGroup
 	for _, b1 := range sortedIDs(spilled) {
 		bs := spilled[b1]
 		if err := bs.left.Close(); err != nil {
@@ -280,7 +279,7 @@ func combinePartition(mem *memState, joinName string, part int,
 		if bs.right.Records() == 0 {
 			continue // no probe record matched this bucket
 		}
-		if err := joinSpilledBucket(mem, acct, b1, bs, &probeOne, combine); err != nil {
+		if err := joinSpilledBucket(mem, acct, b1, bs, combine); err != nil {
 			return err
 		}
 	}
@@ -290,8 +289,11 @@ func combinePartition(mem *memState, joinName string, part int,
 // joinSpilledBucket re-joins one spilled bucket: build-side records are
 // loaded in budget-sized chunks (skew splitting — one chunk when the
 // bucket fits, several when its build side alone exceeds the budget),
-// and the bucket's probe run is re-streamed against every chunk.
-func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, probeOne *bucketGroup, combine combineFn) error {
+// and the bucket's probe run is re-streamed against every chunk, one
+// record at a time through one scratch group. That group is the
+// bucket's, not the task's, so a task that spills nothing makes none.
+func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, combine combineFn) error {
+	var probeOne bucketGroup
 
 	lr, err := storage.OpenRun(bs.left.Path())
 	if err != nil {
