@@ -204,6 +204,9 @@ func (c *Cluster) NewData() Data { return make(Data, c.Partitions()) }
 func (c *Cluster) Scatter(recs []types.Record) Data {
 	data := c.NewData()
 	p := c.Partitions()
+	for i := range data {
+		data[i] = make([]types.Record, 0, (len(recs)-i+p-1)/p)
+	}
 	for i, r := range recs {
 		data[i%p] = append(data[i%p], r)
 	}

@@ -72,6 +72,23 @@ func TestScatterAndFlatten(t *testing.T) {
 	}
 }
 
+// TestScatterAllocatesOncePerPartition pins Scatter's presizing: each
+// partition is made at its round-robin share, so scattering allocates
+// the Data header and one slice per partition, whatever the row count.
+func TestScatterAllocatesOncePerPartition(t *testing.T) {
+	c := New(Config{Nodes: 2, CoresPerNode: 2})
+	recs := intRecords(1001)
+	allocs := testing.AllocsPerRun(50, func() {
+		data := c.Scatter(recs)
+		if data.Rows() != len(recs) {
+			t.Fatalf("Rows = %d, want %d", data.Rows(), len(recs))
+		}
+	})
+	if want := float64(c.Partitions() + 1); allocs != want {
+		t.Errorf("Scatter allocated %.0f times, want %.0f", allocs, want)
+	}
+}
+
 func TestNodeOf(t *testing.T) {
 	c := New(Config{Nodes: 3, CoresPerNode: 2})
 	wants := []int{0, 0, 1, 1, 2, 2}

@@ -13,7 +13,10 @@
 // translation layer of Fig. 7 (see internal/engine).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // BucketID identifies one logical bucket produced by the PARTITION
 // phase (Definition 5 in the paper).
@@ -208,12 +211,15 @@ func DefaultMatch(b1, b2 BucketID) bool { return b1 == b2 }
 // (§IV-C): re-run assign on both keys, and keep the pair only in its
 // canonical bucket pair, the first pair (left assign list outer, right
 // inner) that MATCH accepts. It needs no extra shuffle stage. Both
-// executors reach it through Join.Dedup under DedupAvoidance.
+// executors reach it through Join.Dedup under DedupAvoidance, once per
+// verified pair, so the two assign lists are pooled scratch.
 func DefaultDedup(j Join, b1 BucketID, leftKey any, b2 BucketID, rightKey any, plan PPlan) bool {
-	lb := j.Assign(Left, leftKey, plan, nil)
-	rb := j.Assign(Right, rightKey, plan, nil)
-	for _, x := range lb {
-		for _, y := range rb {
+	lists := assignLists.Get().(*[2][]BucketID)
+	defer assignLists.Put(lists)
+	lists[0] = j.Assign(Left, leftKey, plan, lists[0][:0])
+	lists[1] = j.Assign(Right, rightKey, plan, lists[1][:0])
+	for _, x := range lists[0] {
+		for _, y := range lists[1] {
 			if j.Match(x, y) {
 				return x == b1 && y == b2
 			}
@@ -224,6 +230,10 @@ func DefaultDedup(j Join, b1 BucketID, leftKey any, b2 BucketID, rightKey any, p
 	// side of keeping the result.
 	return true
 }
+
+// assignLists holds DefaultDedup's scratch: a left and a right assign
+// list.
+var assignLists = sync.Pool{New: func() any { return new([2][]BucketID) }}
 
 // JoinBuckets joins one matched bucket pair, whose prepared keys are lk
 // and rk, and calls emit(i, k) for every verified position pair: through

@@ -52,17 +52,38 @@ func (g *bucketGroup) fill(join core.Join, side core.Side) {
 	}
 }
 
-// groupByBucket groups extended records by their bucket id (column 0).
-func groupByBucket(recs []types.Record) map[int]*bucketGroup {
-	out := make(map[int]*bucketGroup)
+// carveGroups returns one empty group per distinct bucket id of recs
+// (column 0), its recs and keys carved at exactly the bucket's size from
+// one flat slice each, so adding the bucket's records and filling their
+// keys never grows a slice. Map order places groups in the flat slices;
+// it cannot change what they hold.
+func carveGroups(recs []types.Record) map[int]*bucketGroup {
+	sizes := make(map[int]int)
 	for _, r := range recs {
-		id := int(r[0].Int64())
-		g := out[id]
-		if g == nil {
-			g = &bucketGroup{}
-			out[id] = g
-		}
-		g.add(r)
+		sizes[int(r[0].Int64())]++
+	}
+	groups := make([]bucketGroup, 0, len(sizes))
+	flatRecs := make([]types.Record, len(recs))
+	flatKeys := make([]any, len(recs))
+	out := make(map[int]*bucketGroup, len(sizes))
+	off := 0
+	for id, n := range sizes {
+		groups = append(groups, bucketGroup{
+			recs: flatRecs[off : off : off+n],
+			keys: flatKeys[off : off : off+n],
+		})
+		out[id] = &groups[len(groups)-1]
+		off += n
+	}
+	return out
+}
+
+// groupByBucket groups extended records by their bucket id (column 0),
+// in carved groups.
+func groupByBucket(recs []types.Record) map[int]*bucketGroup {
+	out := carveGroups(recs)
+	for _, r := range recs {
+		out[int(r[0].Int64())].add(r)
 	}
 	return out
 }

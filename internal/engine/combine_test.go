@@ -353,3 +353,80 @@ func TestCombineBucketsAllocatesNothingPerPair(t *testing.T) {
 		t.Errorf("funnel %d candidates, %d verified: want candidates and no verified pair", task.n.candidates, task.n.verified)
 	}
 }
+
+// TestCarvedGroupsAllocatePerBucket pins COMBINE's carved groups: over a
+// multi-bucket input with every key prepared, grouping a side and the
+// whole of combinePartition allocate per distinct bucket, not per row.
+// Groups that grew a record slice and a key slice per bucket would
+// allocate about twice per doubling of every bucket.
+func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
+	join := core.Wrap(core.Spec[int64, int64, int64, int64]{
+		Name:         "pass",
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_, s int64) int64 { return s },
+		GlobalAgg:    func(a, _ int64) int64 { return a },
+		Divide:       func(_, _ int64, _ []any) (int64, error) { return 0, nil },
+		AssignLeft:   func(k, _ int64, dst []core.BucketID) []core.BucketID { return append(dst, int(k)) },
+		Verify:       func(core.BucketID, int64, core.BucketID, int64, int64) bool { return true },
+	})
+	const buckets = 8
+	recs := make([]types.Record, 4096)
+	for i := range recs {
+		recs[i] = extRec(i%buckets, i%200, "r") // ids below 256 box without allocating
+	}
+	bound := float64(3 * buckets)
+
+	grouped := testing.AllocsPerRun(20, func() {
+		groups := groupByBucket(recs)
+		for _, g := range groups {
+			if len(g.prepared(join, core.Left)) != len(recs)/buckets {
+				t.Fatal("group lost records")
+			}
+		}
+	})
+	if grouped > bound {
+		t.Errorf("groupByBucket allocated %.0f times over %d rows in %d buckets, want at most %.0f", grouped, len(recs), buckets, bound)
+	}
+
+	mem := newMemState(cluster.New(cluster.Config{Nodes: 1, CoresPerNode: 1}))
+	hash := func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
+	var pairs int
+	combine := func(_ int, ls *bucketGroup, _ int, rs *bucketGroup) error {
+		pairs += len(ls.prepared(join, core.Left)) * len(rs.prepared(join, core.Right))
+		return nil
+	}
+	combined := testing.AllocsPerRun(20, func() {
+		if err := combinePartition(mem, "test", 0, recs, recs, hash, combine); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if combined > 2*bound {
+		t.Errorf("combinePartition allocated %.0f times over %d rows per side in %d buckets, want at most %.0f", combined, len(recs), buckets, 2*bound)
+	}
+	if pairs == 0 {
+		t.Error("combinePartition joined no bucket pair")
+	}
+}
+
+// TestRecordArenaKeepsNeighbours pins PARTITION's carved records: each
+// is full at cap == len, so appending to one copies it and leaves its
+// neighbour in the chunk unchanged, across chunk boundaries too.
+func TestRecordArenaKeepsNeighbours(t *testing.T) {
+	a := recordArena{width: 3, rows: 64}
+	recs := make([]types.Record, 150)
+	for i := range recs {
+		recs[i] = append(a.next(), types.NewInt64(int64(i)), types.NewInt64(int64(-i)), types.NewString("x"))
+		if len(recs[i]) != 3 || cap(recs[i]) != 3 {
+			t.Fatalf("record %d: len %d cap %d, want 3 and 3", i, len(recs[i]), cap(recs[i]))
+		}
+	}
+	for i := range recs {
+		grown := append(recs[i], types.NewString("extra"))
+		grown[0] = types.NewInt64(-1)
+	}
+	for i, r := range recs {
+		if r[0].Int64() != int64(i) || r[1].Int64() != int64(-i) || r[2].Str() != "x" {
+			t.Fatalf("record %d changed to %v after appending to its neighbours", i, r)
+		}
+	}
+}

@@ -217,6 +217,8 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 				n = make(map[int]int64)
 			}
 			var ids []core.BucketID
+			out = make([]types.Record, 0, len(in))
+			arena := recordArena{width: extraCols + len(need), rows: max(len(in), 64)}
 			for i, r := range in {
 				rec = i
 				v, err := key(r)
@@ -234,8 +236,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 					if n != nil {
 						n[id]++
 					}
-					ext := make(types.Record, 0, extraCols+len(need))
-					ext = append(ext, types.NewInt64(int64(id)), v)
+					ext := append(arena.next(), types.NewInt64(int64(id)), v)
 					if elimination {
 						ext = append(ext, types.NewInt64(int64(part)<<32|int64(i)))
 					}
@@ -517,6 +518,27 @@ func (s *appendSink) push(row types.Record) error {
 }
 
 func (s *appendSink) finish() []types.Record { return s.rows }
+
+// recordArena hands out empty records of one width, carved from shared
+// chunks, so an assign task allocates its extended records once per
+// chunk rather than once per record. Every record has cap == width, so
+// once filled an append to it copies it and never writes into its
+// neighbour. A chunk lives as long as any record carved from it.
+type recordArena struct {
+	chunk []types.Value
+	width int
+	rows  int // records per chunk
+}
+
+// next returns a record of length 0 and capacity width.
+func (a *recordArena) next() types.Record {
+	if len(a.chunk) < a.width {
+		a.chunk = make([]types.Value, a.rows*a.width)
+	}
+	r := a.chunk[:0:a.width]
+	a.chunk = a.chunk[a.width:]
+	return r
+}
 
 // appendCols appends rec's fields at the given positions to dst.
 func appendCols(dst, rec types.Record, cols []int) types.Record {

@@ -176,6 +176,9 @@ func combinePartition(mem *memState, joinName string, part int,
 	}
 
 	// ---- build pass: group the build side under the budget ----
+	// A bucket takes its carved group on its first record; a bucket
+	// once spilled never returns, so each group is taken at most once.
+	carved := carveGroups(build)
 	resident := make(map[int]*bucketGroup)
 	for _, r := range build {
 		b := int(r[0].Int64())
@@ -215,7 +218,7 @@ func combinePartition(mem *memState, joinName string, part int,
 		acct.reserve(sz)
 		g := resident[b]
 		if g == nil {
-			g = &bucketGroup{}
+			g = carved[b]
 			resident[b] = g
 		}
 		g.add(r)
