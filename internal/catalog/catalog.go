@@ -69,6 +69,9 @@ func (c *Catalog) CreateDataset(name string, schema *types.Schema, recs []types.
 	if name == "" || schema == nil {
 		return fmt.Errorf("catalog: dataset needs a name and a schema")
 	}
+	if err := schema.CheckWidths(recs); err != nil {
+		return fmt.Errorf("catalog: dataset %q: %w", name, err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.datasets[name]; dup {

@@ -56,6 +56,33 @@ func TestDatasetLifecycle(t *testing.T) {
 	}
 }
 
+// TestCreateDatasetRejectsRaggedRecords: every record below the
+// catalog has its schema's width — the batch codec's precondition, and
+// what compiled expressions index by — so a record of another width is
+// refused on the way in, naming the dataset, the record and both widths.
+func TestCreateDatasetRejectsRaggedRecords(t *testing.T) {
+	c := New()
+	schema := types.NewSchema(types.Field{Name: "a", Kind: types.KindInt64}, types.Field{Name: "b", Kind: types.KindString})
+	for _, tc := range []struct {
+		recs []types.Record
+		want string
+	}{
+		{[]types.Record{{types.NewInt64(1)}}, `catalog: dataset "t": record 0 has 1 fields, schema 2`},
+		{[]types.Record{
+			{types.NewInt64(1), types.NewString("a")},
+			{types.NewInt64(2)},
+			{types.NewInt64(3), types.NewString("c"), types.NewBool(true)},
+		}, `catalog: dataset "t": record 1 has 1 fields, schema 2`},
+	} {
+		if err := c.CreateDataset("t", schema, tc.recs); err == nil || err.Error() != tc.want {
+			t.Fatalf("CreateDataset = %v, want %q", err, tc.want)
+		}
+		if _, err := c.Dataset("t"); err == nil {
+			t.Fatal("a refused dataset was registered")
+		}
+	}
+}
+
 func TestLibraryAndJoinLifecycle(t *testing.T) {
 	c := New()
 	lib := core.NewLibrary("testlib")

@@ -447,16 +447,6 @@ func RandomRoute(parts int) Route {
 	}
 }
 
-// Exchange repartitions data: route maps each record to one
-// destination partition. Records crossing a node boundary are
-// serialized, counted, and deserialized; intra-node moves are free, as
-// on a real cluster.
-func (c *Cluster) Exchange(data Data, route func(part int, r types.Record) int) (Data, error) {
-	return c.exchange(data, func(src, _ int, r types.Record, dsts []int) []int {
-		return append(dsts, route(src, r))
-	})
-}
-
 // ExchangeMulti exchanges under an arbitrary route: each record travels
 // to every destination the route names (multicast). It is the primitive
 // behind the balanced theta operator, where records go only to the

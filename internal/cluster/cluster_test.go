@@ -142,8 +142,8 @@ func TestRunRejectsWrongPartitionCount(t *testing.T) {
 	if _, err := c.Run(make(Data, 5), nil); err == nil {
 		t.Error("want partition count mismatch error")
 	}
-	if _, err := c.Exchange(make(Data, 5), nil); err == nil {
-		t.Error("Exchange: want partition count mismatch error")
+	if _, err := c.ExchangeMulti(make(Data, 5), nil); err == nil {
+		t.Error("ExchangeMulti: want partition count mismatch error")
 	}
 	if _, err := c.Replicate(make(Data, 5)); err == nil {
 		t.Error("Replicate: want partition count mismatch error")
@@ -253,7 +253,7 @@ func TestMetricsReadableMidQuery(t *testing.T) {
 
 func TestExchangeRouteOutOfRange(t *testing.T) {
 	c := New(Config{Nodes: 2, CoresPerNode: 1})
-	_, err := c.Exchange(c.Scatter(intRecords(3)), func(int, types.Record) int { return 99 })
+	_, err := c.ExchangeMulti(c.Scatter(intRecords(3)), func(_, _ int, _ types.Record, dsts []int) []int { return append(dsts, 99) })
 	if err == nil {
 		t.Error("out-of-range route should error")
 	}

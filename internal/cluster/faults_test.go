@@ -177,11 +177,11 @@ func TestShuffleCorruptionHealed(t *testing.T) {
 	data := c.Scatter(intRecords(40))
 	p := c.Partitions()
 	// Reverse routing: every move crosses the node boundary.
-	out, err := c.Exchange(data, func(_ int, r types.Record) int {
-		return p - 1 - int(r[0].Int64())%p
+	out, err := c.ExchangeMulti(data, func(_, _ int, r types.Record, dsts []int) []int {
+		return append(dsts, p-1-int(r[0].Int64())%p)
 	})
 	if err != nil {
-		t.Fatalf("Exchange with corruption: %v", err)
+		t.Fatalf("ExchangeMulti with corruption: %v", err)
 	}
 	got := recordInts(out.Flatten())
 	if len(got) != 40 {
@@ -205,9 +205,9 @@ func TestShuffleCorruptionExhausts(t *testing.T) {
 	c.SetFaults(NewFaultInjector(FaultConfig{Seed: 2, CorruptProb: 1.0}))
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	data := c.Scatter(intRecords(4))
-	_, err := c.Exchange(data, func(part int, _ types.Record) int { return 1 - part })
+	_, err := c.ExchangeMulti(data, func(src, _ int, _ types.Record, dsts []int) []int { return append(dsts, 1-src) })
 	if err == nil {
-		t.Fatal("Exchange should fail when every transfer corrupts")
+		t.Fatal("ExchangeMulti should fail when every transfer corrupts")
 	}
 	if !strings.Contains(err.Error(), "decode failed after 2 attempts") {
 		t.Errorf("unexpected error: %v", err)

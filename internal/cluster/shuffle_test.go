@@ -51,15 +51,14 @@ func sameRecords(a, b []types.Record) bool {
 // walk and what Received recomputes for it.
 func TestShuffleDeliveryBudgetsAndCorruption(t *testing.T) {
 	const parts = 4
-	oneDst := func(_ int, r types.Record) int { return int(r[0].Int64()+1) % parts }
 	variants := []struct {
 		name  string
 		route Route
 		run   func(c *Cluster, data Data, route Route) (Data, error)
 	}{
-		{"Exchange",
-			func(src, _ int, r types.Record, dsts []int) []int { return append(dsts, oneDst(src, r)) },
-			func(c *Cluster, data Data, _ Route) (Data, error) { return c.Exchange(data, oneDst) }},
+		{"Exchange", // one destination per record
+			func(_, _ int, r types.Record, dsts []int) []int { return append(dsts, int(r[0].Int64()+1)%parts) },
+			func(c *Cluster, data Data, route Route) (Data, error) { return c.ExchangeMulti(data, route) }},
 		{"ExchangeMulti",
 			// Every third record is dropped, the rest multicast to two
 			// partitions, one chosen by position within the source.
@@ -154,7 +153,7 @@ func TestShuffleCancelMidDelivery(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// Every record crosses the node boundary, so Batches counts every frame.
-	_, err := c.Exchange(pre, func(part int, _ types.Record) int { return (part + 2) % 4 })
+	_, err := c.ExchangeMulti(pre, func(src, _ int, _ types.Record, dsts []int) []int { return append(dsts, (src+2)%4) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

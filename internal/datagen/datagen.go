@@ -29,10 +29,11 @@ type Dataset struct {
 	Records []types.Record
 }
 
-// SizeBytes reports the wire-encoded size of the dataset, the analogue
-// of Table I's on-disk size column.
+// SizeBytes reports the dataset's records encoded as one batch payload
+// — what a dataset file holds, less its few framing bytes — the
+// analogue of Table I's on-disk size column.
 func (d *Dataset) SizeBytes() int {
-	return len(types.EncodeRecords(d.Records))
+	return len(types.EncodeBatch(d.Records, nil))
 }
 
 // String renders a Table I style row.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,14 +18,15 @@ import (
 
 // blockingBuiltin registers a hand-built spatial_join operator that
 // parks until release is closed (or the query's context ends), giving
-// admission tests a query whose lifetime they fully control.
+// admission tests a query whose lifetime they fully control. It emits
+// no pairs.
 func blockingBuiltin(db *Database, release <-chan struct{}) {
 	db.RegisterBuiltinJoin("spatial_join", func(c *cluster.Cluster, left cluster.Data, _ expr.Evaluator,
 		_ cluster.Data, _ expr.Evaluator, _ []types.Value) (cluster.Data, error) {
 		for {
 			select {
 			case <-release:
-				return left, nil
+				return make(cluster.Data, len(left)), nil
 			case <-time.After(time.Millisecond):
 				if err := c.Err(); err != nil {
 					return nil, err
@@ -36,6 +38,28 @@ func blockingBuiltin(db *Database, release <-chan struct{}) {
 }
 
 const blockableQuery = `SELECT count(*) FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 8)`
+
+// TestBuiltinOutputWidthChecked: a hand-built operator whose output
+// rows are not the step's width is refused where its output enters the
+// plan, naming the operator, rather than crashing a later task that
+// reads a column the row lacks or shipping ragged frames.
+func TestBuiltinOutputWidthChecked(t *testing.T) {
+	db := newTestDB(t)
+	db.RegisterBuiltinJoin("spatial_join", func(_ *cluster.Cluster, left cluster.Data, _ expr.Evaluator,
+		right cluster.Data, _ expr.Evaluator, _ []types.Value) (cluster.Data, error) {
+		out := make(cluster.Data, len(left))
+		out[0] = []types.Record{
+			append(left.Flatten()[0].Clone(), right.Flatten()[0]...),
+			left.Flatten()[1], // one row short of the right side
+		}
+		return out, nil
+	})
+	db.MustConfigure(WithJoinMode(ModeBuiltin))
+	_, err := db.Execute(`SELECT p.id, w.id FROM parks p, wildfires w WHERE spatial_join(p.boundary, w.location, 8)`)
+	if err == nil || !strings.Contains(err.Error(), `built-in operator "spatial_join" partition 0: record 1 has`) {
+		t.Fatalf("err = %v, want the operator's ragged row named", err)
+	}
+}
 
 func waitStats(t *testing.T, db *Database, cond func(sched.Stats) bool) {
 	t.Helper()

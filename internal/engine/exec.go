@@ -510,6 +510,11 @@ func (q *queryRun) runBuiltinJoin(step *joinStep,
 	if err != nil {
 		return nil, err
 	}
+	for part, recs := range out {
+		if err := step.out.CheckWidths(recs); err != nil {
+			return nil, fmt.Errorf("engine: built-in operator %q partition %d: %w", f.def.Name, part, err)
+		}
+	}
 	q.stats.Output += int64(out.Rows())
 	return out, nil
 }

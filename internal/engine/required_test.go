@@ -305,8 +305,8 @@ func TestAggregateSinkCountsStayLogical(t *testing.T) {
 
 // TestZeroWidthRowsCrossTheShuffle: when nothing downstream of a cross
 // join reads a column, the replicated intermediate is rows of width
-// zero, and the only frame that can carry them is the batch codec's
-// row-wise one. The queries must ship frames across the node boundary
+// zero, which the batch codec carries as a width-0 frame of one pad
+// byte per row. The queries must ship frames across the node boundary
 // and answer what a single partition — which serializes nothing —
 // answers, at the default frame size and at one row per frame.
 func TestZeroWidthRowsCrossTheShuffle(t *testing.T) {

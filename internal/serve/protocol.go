@@ -2,10 +2,13 @@
 // HTTP daemon that turn one engine.Database into the fudjd service,
 // without giving up the robustness guarantees the in-process engine
 // makes. Queries arrive over a versioned frame protocol; result
-// batches reuse the internal/wire record encoding (so network serde
-// cost is the same currency the simulated cluster pays) and every
-// frame carries a CRC so a corrupted byte on the wire is detected,
-// never silently decoded. Errors cross the socket as structured
+// batches use the row-wise types.EncodeRecords layout, not the
+// columnar batch codec every layer below this one uses (swapping it
+// in raised served_mix's CPU and latency per query though it cut
+// allocations — GC pacing against a smaller retained replay cache,
+// DESIGN "Why the served stream stays row-wise"), and every frame
+// carries a CRC so a corrupted byte on the wire is detected, never
+// silently decoded. Errors cross the socket as structured
 // envelopes (envelope.go) that round-trip the engine's whole error
 // taxonomy, so fudj.IsRetryable gives a client the same answer a
 // co-located caller would get.

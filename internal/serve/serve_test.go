@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -630,6 +631,140 @@ func TestServeDrainUnderLoad(t *testing.T) {
 	defer cancel2()
 	if err := ts.srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+	assertTmpEmpty(t)
+}
+
+// newBlockingJoin installs block_join(int, int) in db: every pair lands
+// in one bucket, and VERIFY signals entered on its first call, then
+// blocks until release is closed.
+func newBlockingJoin(t *testing.T, db *fudj.DB, entered chan<- struct{}, release <-chan struct{}) {
+	t.Helper()
+	var once sync.Once
+	lib := fudj.NewLibrary("blocklib")
+	lib.MustRegister("test.BlockingJoin", func() fudj.Join {
+		return fudj.Wrap(fudj.Spec[int64, int64, int64, int64]{
+			Name:         "block_join",
+			NewSummary:   func() int64 { return 0 },
+			LocalAggLeft: func(k, s int64) int64 { return s + 1 },
+			GlobalAgg:    func(a, b int64) int64 { return a + b },
+			Divide:       func(l, r int64, _ []any) (int64, error) { return 1, nil },
+			AssignLeft:   func(_, _ int64, dst []fudj.BucketID) []fudj.BucketID { return append(dst, 0) },
+			Verify: func(_ fudj.BucketID, l int64, _ fudj.BucketID, r int64, _ int64) bool {
+				once.Do(func() { close(entered) })
+				<-release
+				return l == r
+			},
+		})
+	})
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Execute(`CREATE JOIN block_join(a: int, b: int) RETURNS boolean AS "test.BlockingJoin" AT blocklib`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveQueries reads GET /v1/queries.
+func liveQueries(t *testing.T, hc *http.Client, ts *testServer) []map[string]any {
+	t.Helper()
+	resp, err := hc.Get(ts.base + "/v1/queries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Queries []map[string]any `json:"queries"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Queries
+}
+
+// TestServeRemoteCancel drives the one path that stops a served query:
+// the server detaches a keyed query from its request so a retry can
+// replay it, so when the client's context ends mid-query the client
+// must POST /v1/cancel. The query is held inside VERIFY, listed by
+// /v1/queries, canceled through the client, and released: the server
+// counts one cancel, its execution ends in context.Canceled (read back
+// through the replay cache), and no query, temp file or goroutine
+// outlives it.
+func TestServeRemoteCancel(t *testing.T) {
+	// The server adds two goroutines that live until its Shutdown at
+	// cleanup: the accept loop and the session janitor.
+	base := runtime.NumGoroutine() + 2
+	ts := startServer(t, serve.Config{}, nil)
+	entered, release := make(chan struct{}), make(chan struct{})
+	newBlockingJoin(t, ts.db, entered, release)
+	hc := &http.Client{Transport: &http.Transport{}}
+
+	c := newClient(t, ts, func(cfg *client.Config) { cfg.Session = "cancel" })
+	const sql = `SELECT COUNT(*) FROM parks p, wildfires w WHERE block_join(p.id, w.id)`
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Query(ctx, sql)
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the query never reached VERIFY")
+	}
+	key := "t-1@" + ts.srv.InstanceID()
+	if live := liveQueries(t, hc, ts); len(live) != 1 || live[0]["query_id"] != key || live[0]["session"] != "cancel" {
+		t.Fatalf("/v1/queries = %v, want the one blocked query %s", live, key)
+	}
+
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Query = %v, want context.Canceled in chain", err)
+	}
+	if n := ts.srv.Counters().Canceled; n != 1 {
+		t.Fatalf("server counted %d cancels, want 1", n)
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(liveQueries(t, hc, ts)) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled query is still listed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := ts.srv.Counters(); got.Failed != 1 || got.Completed != 0 {
+		t.Fatalf("counters %+v, want one failed execution and none completed", got)
+	}
+
+	// The settled outcome is in the replay cache: resubmitting the key
+	// replays the execution's own error.
+	req, err := http.NewRequest(http.MethodPost, ts.base+"/v1/query", strings.NewReader(sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(serve.HeaderSession, "cancel")
+	req.Header.Set(serve.HeaderQueryID, key)
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = decodeFrames(resp)
+	resp.Body.Close()
+	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+		t.Fatalf("replayed outcome = %v, want the execution's context.Canceled", err)
+	}
+	if n := ts.srv.ExecCount("cancel", key); n != 1 {
+		t.Fatalf("query executed %d times, want 1", n)
+	}
+
+	c.Close()
+	hc.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<18)
+			t.Fatalf("goroutines: %d running, want %d\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	assertTmpEmpty(t)
 }

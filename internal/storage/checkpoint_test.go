@@ -82,16 +82,20 @@ func TestCheckpointReplace(t *testing.T) {
 	}
 }
 
+// TestCheckpointAbortLeavesNothing: a save that fails after writing its
+// frames (here the publish: a directory holds the key's path) removes
+// its temp file and publishes nothing.
 func TestCheckpointAbortLeavesNothing(t *testing.T) {
 	s := newStore(t)
-	w, err := s.NewCheckpointWriter("aborted")
-	if err != nil {
+	if err := os.Mkdir(s.Path("aborted"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(spillBatch(10, 8)...); err != nil {
+	if _, err := s.SaveRecords("aborted", spillBatch(10, 8)); err == nil {
+		t.Fatal("a save onto a directory should error")
+	}
+	if err := os.Remove(s.Path("aborted")); err != nil {
 		t.Fatal(err)
 	}
-	w.Abort()
 	if _, err := s.LoadRecords("aborted"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("LoadRecords(aborted) = %v, want os.ErrNotExist", err)
 	}
@@ -100,7 +104,7 @@ func TestCheckpointAbortLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
-		t.Errorf("checkpoint dir holds %d entries after Abort, want 0", len(entries))
+		t.Errorf("checkpoint dir holds %d entries after a failed save, want 0", len(entries))
 	}
 }
 

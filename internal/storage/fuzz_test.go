@@ -1,14 +1,16 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"fudj/internal/datagen"
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 // allocated reports the heap bytes fn allocates.
@@ -35,23 +37,45 @@ func checkAllocated(t *testing.T, n int, got uint64) {
 	}
 }
 
-// FuzzReadDataset feeds the binary dataset reader arbitrary files. It
-// may reject them but must never panic, and never allocate more than
-// the input's size bounds; an accepted file must survive a write/read
-// round trip unchanged in shape.
+// datasetFile returns the bytes WriteDataset saves for a dataset.
+func datasetFile(tb testing.TB, name string, schema *types.Schema, recs []types.Record) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), name)
+	if err := WriteDataset(path, name, schema, recs); err != nil {
+		tb.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return file
+}
+
+// FuzzReadDataset feeds the dataset-file reader arbitrary files. It may
+// reject them but must never panic, and never allocate more than the
+// input's size bounds; an accepted file must survive a write/read round
+// trip unchanged in shape.
 func FuzzReadDataset(f *testing.F) {
 	for _, ds := range []*datagen.Dataset{datagen.Parks(1, 3), datagen.NYCTaxi(2, 3), datagen.AmazonReview(3, 3)} {
-		var buf bytes.Buffer
-		if err := WriteDataset(&buf, ds.Name, ds.Schema, ds.Records); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated mid-record
+		file := datasetFile(f, ds.Name, ds.Schema, ds.Records)
+		f.Add(file)
+		f.Add(file[:len(file)/2]) // truncated mid-frame
 	}
-	f.Add([]byte(magic + "\x01\x01t\x01\x02id\x02\x80\x80\x40")) // 2^20 records claimed
-	f.Add([]byte(magic + "\x01\x01t\x02\x01a\x02\x01a\x02\x00")) // a column named twice
+	// Sealed files with a crafted header: 2^20 fields claimed, and a
+	// column named twice.
+	for _, hdr := range [][]byte{{1, 't', 0x80, 0x80, 0x40, 2, 'i', 'd', 2}, {1, 't', 2, 1, 'a', 2, 1, 'a', 2}} {
+		file := []byte(magic + "\x02")
+		file = wire.AppendFrame(file, tagHeader, hdr)
+		f.Add(wire.AppendFrame(file, tagEnd, []byte{1}))
+	}
+	f.Add(datasetFile(f, "none", types.NewSchema(), []types.Record{{}, {}})) // zero-width rows
 
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "in")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		var (
 			name   string
 			schema *types.Schema
@@ -59,16 +83,16 @@ func FuzzReadDataset(f *testing.F) {
 			err    error
 		)
 		checkAllocated(t, len(data), allocated(func() {
-			name, schema, recs, err = ReadDataset(bytes.NewReader(data))
+			name, schema, recs, err = ReadDataset(path)
 		}))
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteDataset(&buf, name, schema, recs); err != nil {
+		again := filepath.Join(dir, "again")
+		if err := WriteDataset(again, name, schema, recs); err != nil {
 			t.Fatalf("rewrite of an accepted file failed: %v", err)
 		}
-		name2, schema2, recs2, err := ReadDataset(&buf)
+		name2, schema2, recs2, err := ReadDataset(again)
 		if err != nil {
 			t.Fatalf("re-read of an accepted file failed: %v", err)
 		}

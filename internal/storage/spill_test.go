@@ -256,13 +256,20 @@ func TestFrameCutWhileAppending(t *testing.T) {
 	if _, err := s.SaveRecords("bulk", recs); err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := OpenCheckpoint(s.Path("bulk"))
+	ckpt, _, err := readSealed(s.Path("bulk"), len(checkpointMagic))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ckpt.Close()
+	ckptNext := func() ([]types.Record, error) {
+		_, payload, err := ckpt.nextSealed()
+		if err != nil {
+			return nil, err
+		}
+		return types.DecodeBatch(payload, nil)
+	}
 
-	for name, next := range map[string]func() ([]types.Record, error){"run": run.Next, "checkpoint": ckpt.Next} {
+	for name, next := range map[string]func() ([]types.Record, error){"run": run.Next, "checkpoint": ckptNext} {
 		frames, total := 0, 0
 		for {
 			frame, err := next()

@@ -1,14 +1,14 @@
-// Package storage persists datasets: a compact binary format built on
-// the engine's wire encoding (the analogue of the storage files a real
-// BDMS keeps), plus a TSV reader compatible with cmd/datagen's output
-// so externally prepared data can be imported.
+// Package storage persists datasets, spill runs and checkpoints as
+// record-frame files (framefile.go; the analogue of the storage files a
+// real BDMS keeps), plus a TSV reader compatible with cmd/datagen's
+// output so externally prepared data can be imported.
 package storage
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -18,112 +18,98 @@ import (
 	"fudj/internal/wire"
 )
 
-// magic identifies the binary dataset format; the byte after it is the
-// format version.
+// A dataset file is a sealed record-frame file:
+//
+//	magic "FUDJDS", then the format version byte
+//	header   the dataset's name, then its schema: uvarint field count
+//	         and per field its name and Kind byte
+//	frame*   records (one types.EncodeBatch payload)
+//	end      payload = uvarint count of the frames before it
 const (
 	magic   = "FUDJDS"
-	version = 1
+	version = 2
 )
 
-// WriteDataset writes a named dataset in the binary format.
-func WriteDataset(w io.Writer, name string, schema *types.Schema, recs []types.Record) error {
-	e := wire.NewEncoder(1024)
-	e.Raw([]byte(magic))
-	e.Byte(version)
-	e.String(name)
-	e.Uvarint(uint64(schema.Len()))
+// WriteDataset saves a named dataset to path. The file is built beside
+// path and renamed into place once complete, so a failed save leaves
+// nothing at path.
+func WriteDataset(path, name string, schema *types.Schema, recs []types.Record) error {
+	if err := schema.CheckWidths(recs); err != nil {
+		return fmt.Errorf("storage: dataset %q: %w", name, err)
+	}
+	var hdr wire.Encoder
+	hdr.String(name)
+	hdr.Uvarint(uint64(schema.Len()))
 	for _, f := range schema.Fields {
-		e.String(f.Name)
-		e.Byte(byte(f.Kind))
+		hdr.String(f.Name)
+		hdr.Byte(byte(f.Kind))
 	}
-	e.Uvarint(uint64(len(recs)))
-	for _, r := range recs {
-		if len(r) != schema.Len() {
-			return fmt.Errorf("storage: record has %d fields, schema %d", len(r), schema.Len())
-		}
-		r.MarshalWire(e)
-	}
-	_, err := w.Write(e.Bytes())
+	_, err := saveSealed(path, magic+string(rune(version)), hdr.Bytes(), recs)
 	return err
 }
 
-// ReadDataset reads a dataset written by WriteDataset.
-func ReadDataset(r io.Reader) (name string, schema *types.Schema, recs []types.Record, err error) {
-	buf, err := io.ReadAll(r)
+// ReadDataset loads a dataset file written by WriteDataset. A file that
+// is cut short or damaged anywhere is an error; it never yields a
+// prefix of the dataset.
+func ReadDataset(path string) (name string, schema *types.Schema, recs []types.Record, err error) {
+	r, head, err := readSealed(path, len(magic)+1)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if len(buf) < len(magic)+1 || string(buf[:len(magic)]) != magic {
-		return "", nil, nil, fmt.Errorf("storage: not a FUDJ dataset file")
+	defer r.Close()
+	if len(head) <= len(magic) || string(head[:len(magic)]) != magic {
+		return "", nil, nil, fmt.Errorf("storage: %s is not a FUDJ dataset file", path)
 	}
-	if buf[len(magic)] != version {
-		return "", nil, nil, fmt.Errorf("storage: unsupported format version %d", buf[len(magic)])
+	if head[len(magic)] != version {
+		return "", nil, nil, fmt.Errorf("storage: unsupported format version %d", head[len(magic)])
 	}
-	d := wire.NewDecoder(buf[len(magic)+1:])
-	if name, err = d.String(); err != nil {
-		return "", nil, nil, err
+	tag, payload, err := r.nextSealed()
+	switch {
+	case err == io.EOF:
+		err = errors.New("no header frame")
+	case err == nil && tag != tagHeader:
+		err = fmt.Errorf("frame tag %d, want the header", tag)
+	case err == nil:
+		name, schema, err = decodeHeader(payload)
 	}
-	// Each field costs at least two bytes (name length prefix + kind),
-	// so a corrupt count larger than the file errors before allocating.
-	nFields, err := d.UvarintCount(2)
+	if err == nil {
+		recs, err = r.sealedRecords()
+	}
+	if err == nil {
+		err = schema.CheckWidths(recs)
+	}
 	if err != nil {
-		return "", nil, nil, err
-	}
-	fields := make([]types.Field, nFields)
-	for i := range fields {
-		if fields[i].Name, err = d.String(); err != nil {
-			return "", nil, nil, err
-		}
-		kind, err := d.Byte()
-		if err != nil {
-			return "", nil, nil, err
-		}
-		fields[i].Kind = types.Kind(kind)
-	}
-	if schema, err = types.CheckedSchema(fields...); err != nil {
-		return "", nil, nil, fmt.Errorf("storage: %w", err)
-	}
-	// Every record needs at least one byte of payload.
-	nRecs, err := d.UvarintCount(1)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	recs = make([]types.Record, nRecs)
-	for i := range recs {
-		if recs[i], err = types.DecodeRecord(d); err != nil {
-			return "", nil, nil, fmt.Errorf("storage: record %d: %w", i, err)
-		}
-		if len(recs[i]) != schema.Len() {
-			return "", nil, nil, fmt.Errorf("storage: record %d has %d fields, schema %d", i, len(recs[i]), schema.Len())
-		}
-	}
-	if d.Remaining() != 0 {
-		return "", nil, nil, fmt.Errorf("storage: %d trailing bytes", d.Remaining())
+		return "", nil, nil, fmt.Errorf("storage: dataset file %s: %w", path, err)
 	}
 	return name, schema, recs, nil
 }
 
-// SaveFile writes a dataset to path.
-func SaveFile(path, name string, schema *types.Schema, recs []types.Record) error {
-	f, err := os.Create(path)
+// decodeHeader reads a dataset file's header frame.
+func decodeHeader(payload []byte) (string, *types.Schema, error) {
+	d := wire.NewDecoder(payload)
+	name, err := d.String()
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-	if err := WriteDataset(f, name, schema, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a dataset from path.
-func LoadFile(path string) (string, *types.Schema, []types.Record, error) {
-	f, err := os.Open(path)
+	// Each field costs at least two bytes (name length prefix + kind),
+	// so a corrupt count larger than the frame errors before allocating.
+	nFields, err := d.UvarintCount(2)
 	if err != nil {
-		return "", nil, nil, err
+		return "", nil, err
 	}
-	defer f.Close()
-	return ReadDataset(f)
+	fields := make([]types.Field, nFields)
+	for i := range fields {
+		if fields[i].Name, err = d.String(); err != nil {
+			return "", nil, err
+		}
+		kind, err := d.Byte()
+		if err != nil {
+			return "", nil, err
+		}
+		fields[i].Kind = types.Kind(kind)
+	}
+	schema, err := types.CheckedSchema(fields...)
+	return name, schema, err
 }
 
 // ParseValue parses the textual rendering Value.String produces back

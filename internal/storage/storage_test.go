@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"fudj/internal/geo"
 	"fudj/internal/interval"
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 func TestBinaryRoundTripAllGenerators(t *testing.T) {
@@ -19,12 +22,13 @@ func TestBinaryRoundTripAllGenerators(t *testing.T) {
 		datagen.NYCTaxi(3, 50),
 		datagen.AmazonReview(4, 50),
 	}
+	dir := t.TempDir()
 	for _, ds := range sets {
-		var buf bytes.Buffer
-		if err := WriteDataset(&buf, ds.Name, ds.Schema, ds.Records); err != nil {
+		path := filepath.Join(dir, ds.Name)
+		if err := WriteDataset(path, ds.Name, ds.Schema, ds.Records); err != nil {
 			t.Fatalf("%s: write: %v", ds.Name, err)
 		}
-		name, schema, recs, err := ReadDataset(&buf)
+		name, schema, recs, err := ReadDataset(path)
 		if err != nil {
 			t.Fatalf("%s: read: %v", ds.Name, err)
 		}
@@ -47,53 +51,160 @@ func TestBinaryRoundTripAllGenerators(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	ds := datagen.Parks(7, 20)
-	path := filepath.Join(t.TempDir(), "parks.fudj")
-	if err := SaveFile(path, "parks", ds.Schema, ds.Records); err != nil {
+// dirEntries lists the names in dir: a save must leave nothing behind
+// but the file it published.
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	name, schema, recs, err := LoadFile(path)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+func TestSaveLoadFile(t *testing.T) {
+	ds := datagen.Parks(7, 20)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "parks.fudj")
+	if err := WriteDataset(path, "parks", ds.Schema, ds.Records); err != nil {
+		t.Fatal(err)
+	}
+	name, schema, recs, err := ReadDataset(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != "parks" || schema.Len() != ds.Schema.Len() || len(recs) != 20 {
 		t.Errorf("loaded %q %v %d", name, schema, len(recs))
 	}
-	if _, _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, _, _, err := ReadDataset(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file should error")
+	}
+	if got := dirEntries(t, dir); len(got) != 1 || got[0] != "parks.fudj" {
+		t.Errorf("directory holds %v after one save, want [parks.fudj]", got)
+	}
+
+	// A save that fails after writing its frames — its publish, as its
+	// path is a directory — removes its temp file and leaves the
+	// directory as it was.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDataset(blocked, "parks", ds.Schema, ds.Records); err == nil {
+		t.Error("a save onto a directory should error")
+	}
+	if got := dirEntries(t, dir); len(got) != 2 || got[0] != "blocked" || got[1] != "parks.fudj" {
+		t.Errorf("directory holds %v after failed saves, want [blocked parks.fudj]", got)
 	}
 }
 
+// TestReadDatasetErrors covers files that are not dataset files of this
+// version: wrong magic, the retired v1 layout (a record count plus one
+// Record.MarshalWire per row), and sealed files without a header.
 func TestReadDatasetErrors(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   []byte("NOTFUDJ\x01"),
-		"bad version": []byte(magic + "\x07"),
-		"truncated":   []byte(magic + "\x01\x05abc"),
+	sealed := func(frames ...[]byte) []byte {
+		out := []byte(magic + "\x02")
+		for _, f := range frames {
+			out = append(out, f...)
+		}
+		return out
 	}
-	for name, buf := range cases {
-		if _, _, _, err := ReadDataset(bytes.NewReader(buf)); err == nil {
-			t.Errorf("%s: want error", name)
+	end := func(n byte) []byte { return wire.AppendFrame(nil, tagEnd, []byte{n}) }
+	cases := map[string]struct {
+		file []byte
+		want string
+	}{
+		"empty":     {nil, "not a FUDJ dataset file"},
+		"bad magic": {[]byte("NOTFUDJ\x01"), "not a FUDJ dataset file"},
+		"v1":        {[]byte(magic + "\x01\x01t\x01\x02id\x02\x01\x01\x02\x02"), "unsupported format version 1"},
+		"version 7": {[]byte(magic + "\x07"), "unsupported format version 7"},
+		"no frames": {sealed(), "truncated before end frame"},
+		"no header": {sealed(end(0)), "no header frame"},
+		"records before the header": {
+			sealed(wire.AppendFrame(nil, tagRecords, types.EncodeBatch(nil, nil)), end(1)),
+			"want the header",
+		},
+		"header twice": {
+			sealed(wire.AppendFrame(nil, tagHeader, []byte{1, 't', 0}), wire.AppendFrame(nil, tagHeader, []byte{1, 't', 0}), end(2)),
+			"want 1",
+		},
+		"records wider than the schema": {
+			sealed(wire.AppendFrame(nil, tagHeader, []byte{1, 't', 0}),
+				wire.AppendFrame(nil, tagRecords, types.EncodeBatch([]types.Record{{types.NewInt64(1)}}, nil)), end(2)),
+			"record 0 has 1 fields, schema 0",
+		},
+	}
+	dir := t.TempDir()
+	for name, c := range cases {
+		path := filepath.Join(dir, "f")
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ReadDataset(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, c.want)
 		}
 	}
-	// Trailing garbage is rejected.
-	var buf bytes.Buffer
-	schema := types.NewSchema(types.Field{Name: "id", Kind: types.KindInt64})
-	if err := WriteDataset(&buf, "t", schema, []types.Record{{types.NewInt64(1)}}); err != nil {
+}
+
+// TestDatasetFileDamageRejected cuts a multi-frame dataset file short
+// and flips its bytes: every damaged file is refused, none yields a
+// prefix of the dataset.
+func TestDatasetFileDamageRejected(t *testing.T) {
+	ds := datagen.Wildfires(5, 1200)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wildfires.fudj")
+	if err := WriteDataset(path, ds.Name, ds.Schema, ds.Records); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteByte(0xFF)
-	if _, _, _, err := ReadDataset(&buf); err == nil {
-		t.Error("trailing bytes should error")
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for fr := wire.NewFrameReader(bytes.NewReader(file[len(magic)+1:]), int64(len(file))); ; frames++ {
+		if _, _, err := fr.Next(); err != nil {
+			break
+		}
+	}
+	if frames < 4 { // header, two records frames, end
+		t.Fatalf("want a multi-frame file, got %d frames", frames)
+	}
+	damaged := filepath.Join(dir, "damaged")
+	check := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(damaged, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, recs, err := ReadDataset(damaged); err == nil {
+			t.Fatalf("%s: read %d of %d records without error", what, len(recs), len(ds.Records))
+		}
+	}
+	// Every offset near either end (magic, header, end frame), and a
+	// stride through the records frames between.
+	step := len(file)/300 + 1
+	for cut := 0; cut < len(file); cut++ {
+		if cut < 64 || cut > len(file)-64 || cut%step == 0 {
+			check(fmt.Sprintf("cut at %d of %d", cut, len(file)), file[:cut])
+			flipped := bytes.Clone(file)
+			flipped[cut] ^= 0xff
+			check(fmt.Sprintf("byte %d flipped", cut), flipped)
+		}
 	}
 }
 
 func TestWriteDatasetRejectsRaggedRecords(t *testing.T) {
 	schema := types.NewSchema(types.Field{Name: "id", Kind: types.KindInt64})
-	err := WriteDataset(&bytes.Buffer{}, "t", schema, []types.Record{{types.NewInt64(1), types.NewInt64(2)}})
+	dir := t.TempDir()
+	err := WriteDataset(filepath.Join(dir, "t"), "t", schema, []types.Record{{types.NewInt64(1), types.NewInt64(2)}})
 	if err == nil {
 		t.Error("ragged record should error")
+	}
+	if got := dirEntries(t, dir); len(got) != 0 {
+		t.Errorf("a refused save left %v", got)
 	}
 }
 

@@ -14,9 +14,7 @@ import (
 // its records through this pair, so each kind's column layout is spelled
 // out exactly twice in the tree — once per direction, below.
 //
-// A frame is one format byte followed by that format's payload.
-//
-// Columnar payload (every frame of uniform, non-zero width):
+// A frame is the format byte 0x01 followed by the columnar payload:
 //
 //	uvarint(width)          — bounded by UvarintCount(1): every column
 //	                          encodes at least its tag byte
@@ -25,8 +23,8 @@ import (
 //	                          a reference-kind or kind-mixed one
 //	uvarint(rows)           — every column encodes at least one byte
 //	                          per row (Null columns pad one zero byte),
-//	                          so rows is bounded by UvarintCount(width);
-//	                          width == 0 requires rows == 0
+//	                          so rows is bounded by
+//	                          UvarintCount(max(width, 1))
 //	column payloads [width] — per column, `rows` values with no
 //	                          per-value kind byte:
 //
@@ -40,16 +38,13 @@ import (
 //	    generic            Value.MarshalWire / DecodeValue (kind byte
 //	                       + payload) per value
 //
-// Row-wise payload: uvarint(rows) then one Record.MarshalWire per row.
-// This is the frame for zero-width rows — since required columns a
-// COUNT(*) over a cross join replicates records that carry no column at
-// all, and a columnar frame of them would hold no byte by which to
-// bound its row count — and for ragged widths, which the engine's
-// uniform-schema streams never produce.
-const (
-	batchFormatColumnar = 0x01
-	batchFormatRowWise  = 0x02
-)
+// A zero-width frame (what a COUNT(*) over a cross join replicates:
+// rows that carry no column at all) pads one zero byte per row, as a
+// Null column does, so its row count is bounded like any other.
+//
+// The format byte is kept, and any other value rejected, so that a
+// future layout can be told apart from this one.
+const batchFormatColumnar = 0x01
 
 // batchGenericTag marks a kind-mixed or reference-kind column in the
 // columnar frame; uniform scalar columns use their Kind byte directly.
@@ -86,29 +81,15 @@ func EncodeBatch(recs []Record, _ *Batch) []byte {
 	return e.Bytes()
 }
 
-// EncodeBatchInto appends one batch frame for recs to e: columnar when
-// the rows share one non-zero width, row-wise otherwise.
+// EncodeBatchInto appends one batch frame for recs to e. Every record
+// must have the width of the first: the catalog and the dataset reader
+// admit only records of their schema's width, a built-in operator's
+// output is checked where it enters the plan, and the engine's own
+// operators build every row of a stream to one width.
 func EncodeBatchInto(e *wire.Encoder, recs []Record) {
-	if len(recs) == 0 {
-		e.Byte(batchFormatColumnar)
-		e.Uvarint(0) // width
-		e.Uvarint(0) // rows
-		return
-	}
-	w := len(recs[0])
-	if w == 0 {
-		// Zero-width rows carry no payload bytes, so a columnar frame
-		// could not bound its row count by the remaining input; the
-		// row-wise frame keeps the count bounded by per-record header
-		// bytes instead.
-		encodeRowWise(e, recs)
-		return
-	}
-	for _, r := range recs[1:] {
-		if len(r) != w {
-			encodeRowWise(e, recs)
-			return
-		}
+	w := 0
+	if len(recs) > 0 {
+		w = len(recs[0])
 	}
 	e.Byte(batchFormatColumnar)
 	e.Uvarint(uint64(w))
@@ -136,6 +117,9 @@ func EncodeBatchInto(e *wire.Encoder, recs []Record) {
 		e.Byte(tags[c])
 	}
 	e.Uvarint(uint64(len(recs)))
+	if w == 0 {
+		encodeColumn(e, recs, 0, byte(KindNull)) // one pad byte per row
+	}
 	for c := 0; c < w; c++ {
 		encodeColumn(e, recs, c, tags[c])
 	}
@@ -187,14 +171,8 @@ func encodeColumn(e *wire.Encoder, recs []Record, c int, tag byte) {
 	}
 }
 
-// encodeRowWise emits the zero-width/ragged frame.
-func encodeRowWise(e *wire.Encoder, recs []Record) {
-	e.Byte(batchFormatRowWise)
-	appendRecords(e, recs)
-}
-
 // DecodeBatch decodes one batch frame and materializes its records. A
-// columnar frame decodes straight into one []Value arena and one
+// frame decodes straight into one []Value arena and one
 // []Record header arena — two allocations for the whole frame, whatever
 // its row count. scratch, when non-nil, carries the column-tag buffer
 // across decodes.
@@ -207,13 +185,10 @@ func DecodeBatch(buf []byte, scratch *Batch) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("types: batch format: %w", err)
 	}
-	switch format {
-	case batchFormatColumnar:
-		return decodeColumnarRecords(d, scratch)
-	case batchFormatRowWise:
-		return decodeRecords(d)
+	if format != batchFormatColumnar {
+		return nil, fmt.Errorf("types: unknown batch format 0x%02x", format)
 	}
-	return nil, fmt.Errorf("types: unknown batch format 0x%02x", format)
+	return decodeColumnarRecords(d, scratch)
 }
 
 // decodeColumnarRecords reads a columnar payload directly into record
@@ -246,11 +221,13 @@ func decodeColumnarRecords(d *wire.Decoder, scratch *Batch) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("types: batch rows: %w", err)
 	}
-	if width == 0 && rows != 0 {
-		return nil, fmt.Errorf("types: batch claims %d rows with no columns", rows)
-	}
 	if rows == 0 {
 		return nil, nil
+	}
+	if width == 0 { // one pad byte per row, as a Null column
+		if err := decodeColumnInto(d, nil, 0, 0, rows, byte(KindNull)); err != nil {
+			return nil, err
+		}
 	}
 	arena := make([]Value, rows*width)
 	recs := make([]Record, rows)

@@ -127,6 +127,34 @@ func TestBatchRoundTripAllKinds(t *testing.T) {
 	})
 }
 
+// TestBatchRowWiseFallbackRagged covers the two row shapes the codec
+// once needed a row-wise payload for. Zero-width rows are now an
+// ordinary columnar frame; ragged rows never reach the codec, since
+// catalog.CreateDataset refuses them
+// (TestCreateDatasetRejectsRaggedRecords).
+func TestBatchRowWiseFallbackRagged(t *testing.T) {
+	// What a COUNT(*) over a cross join replicates: rows that carry no
+	// column at all. They pad one zero byte each, as a Null column does,
+	// so every strict prefix of the frame is rejected.
+	t.Run("zero-width", func(t *testing.T) {
+		recs := []Record{{}, {}, {}}
+		buf := EncodeBatch(recs, nil)
+		if got, want := hex.EncodeToString(buf), "010003000000"; got != want {
+			t.Fatalf("EncodeBatch(3 zero-width rows) = %s, want %s", got, want)
+		}
+		got, err := DecodeBatch(buf, nil)
+		if err != nil {
+			t.Fatalf("DecodeBatch: %v", err)
+		}
+		sameRecords(t, got, recs)
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := DecodeBatch(buf[:cut], nil); err == nil {
+				t.Fatalf("zero-width frame cut at %d of %d decoded without error", cut, len(buf))
+			}
+		}
+	})
+}
+
 // TestBatchGoldenBytes pins the wire format: spill runs and checkpoints
 // written by one build are read back by the next, so any change to
 // these bytes must be deliberate.
@@ -144,34 +172,6 @@ func TestBatchGoldenBytes(t *testing.T) {
 		"0000000440000000000000d0bf9c7500883ce4377e"
 	if got := hex.EncodeToString(EncodeBatch(richRecords(), nil)); got != golden {
 		t.Fatalf("EncodeBatch(richRecords()) changed:\n got %s\nwant %s", got, golden)
-	}
-}
-
-func TestBatchRowWiseFallbackRagged(t *testing.T) {
-	for name, recs := range map[string][]Record{
-		// What a COUNT(*) over a cross join replicates: rows that carry
-		// no column at all.
-		"zero-width": {{}, {}, {}},
-		"ragged": {
-			{NewInt64(1), NewString("a")},
-			{NewInt64(2)},
-			{NewInt64(3), NewString("c"), NewBool(true)},
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			buf := EncodeBatch(recs, nil)
-			if buf[0] != batchFormatRowWise {
-				t.Fatalf("encoded with format 0x%02x, want row-wise", buf[0])
-			}
-			got, err := DecodeBatch(buf, nil)
-			if err != nil {
-				t.Fatalf("DecodeBatch: %v", err)
-			}
-			sameRecords(t, got, recs)
-			if _, err := DecodeBatch(buf[:len(buf)-1], nil); err == nil {
-				t.Fatal("truncated row-wise frame decoded without error")
-			}
-		})
 	}
 }
 
@@ -285,7 +285,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(EncodeBatch(richRecords(), nil))
 	f.Add(EncodeBatch(nil, nil))
 	f.Add(EncodeBatch(batch(5), nil))
-	f.Add(EncodeBatch([]Record{{NewInt64(1)}, {NewInt64(1), Null}}, nil)) // row-wise
+	f.Add(EncodeBatch([]Record{{}, {}, {}}, nil)) // zero-width
 	full := EncodeBatch(batch(7), nil)
 	f.Add(full[:len(full)/2])
 	f.Add(full[:1])

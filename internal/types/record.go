@@ -61,6 +61,20 @@ func (s *Schema) MustIndex(name string) int {
 	return i
 }
 
+// CheckWidths reports the first record whose width differs from the
+// schema's. Every record stream below the catalog has one width — the
+// batch codec's precondition (EncodeBatchInto) — so records are checked
+// where they enter: the catalog, a dataset file, a built-in operator's
+// output.
+func (s *Schema) CheckWidths(recs []Record) error {
+	for i, r := range recs {
+		if len(r) != len(s.Fields) {
+			return fmt.Errorf("record %d has %d fields, schema %d", i, len(r), len(s.Fields))
+		}
+	}
+	return nil
+}
+
 // Len returns the number of fields.
 func (s *Schema) Len() int { return len(s.Fields) }
 
@@ -146,29 +160,22 @@ func DecodeRecord(d *wire.Decoder) (Record, error) {
 	return r, nil
 }
 
-// EncodeRecords encodes a batch of records into one buffer.
+// EncodeRecords encodes a batch of records into one buffer: a record
+// count, then each record. It is the served stream's batch payload
+// (serve/protocol.go); everything below the serving edge uses the
+// columnar batch codec (batch.go).
 func EncodeRecords(recs []Record) []byte {
 	e := wire.NewEncoder(len(recs) * 32)
-	appendRecords(e, recs)
-	return e.Bytes()
-}
-
-// appendRecords writes a record count, then each record: the body of
-// EncodeRecords and of the batch codec's row-wise frame.
-func appendRecords(e *wire.Encoder, recs []Record) {
 	e.Uvarint(uint64(len(recs)))
 	for _, r := range recs {
 		r.MarshalWire(e)
 	}
+	return e.Bytes()
 }
 
 // DecodeRecords decodes a batch encoded by EncodeRecords.
 func DecodeRecords(buf []byte) ([]Record, error) {
-	return decodeRecords(wire.NewDecoder(buf))
-}
-
-// decodeRecords reads what appendRecords wrote.
-func decodeRecords(d *wire.Decoder) ([]Record, error) {
+	d := wire.NewDecoder(buf)
 	// Every record needs at least one byte, so UvarintCount rejects a
 	// corrupted header claiming more records than the buffer can hold
 	// before anything is allocated for them.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"fudj/internal/serve"
@@ -90,7 +91,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // frameSeeds returns one real stream per surface that frames bytes: a
-// served response, a spill run and a checkpoint body (after its magic).
+// served response, a spill run, and a checkpoint and a dataset file
+// body (after its magic).
 func frameSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	recs := make([]types.Record, 40)
@@ -134,12 +136,22 @@ func frameSeeds(tb testing.TB) [][]byte {
 	}
 	body := ckpt[bytes.IndexByte(ckpt, '\n')+1:]
 
-	for name, s := range map[string][]byte{"response": response, "spill": spill, "checkpoint": body} {
+	dsPath := filepath.Join(dir, "seed.fudj")
+	if err := storage.WriteDataset(dsPath, "seed", schema, recs); err != nil {
+		tb.Fatal(err)
+	}
+	ds, err := os.ReadFile(dsPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dataset := ds[len("FUDJDS")+1:] // magic and version byte
+
+	for name, s := range map[string][]byte{"response": response, "spill": spill, "checkpoint": body, "dataset": dataset} {
 		if frames, err := drain(s); err != io.EOF || frames == 0 {
 			tb.Fatalf("%s seed: %d frames then %v, want a clean multi-frame stream", name, frames, err)
 		}
 	}
-	return [][]byte{response, spill, body}
+	return [][]byte{response, spill, body, dataset}
 }
 
 // FuzzFrameReader feeds arbitrary bytes and an arbitrary limit through

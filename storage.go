@@ -10,18 +10,19 @@ import (
 // reload datasets, plus a TSV importer for externally prepared data.
 
 // SaveDataset writes a dataset from db to path in the binary format.
+// The file appears at path only once it is complete.
 func SaveDataset(db *DB, name, path string) error {
 	ds, err := db.Catalog().Dataset(name)
 	if err != nil {
 		return err
 	}
-	return storage.SaveFile(path, ds.Name, ds.Schema, ds.Records)
+	return storage.WriteDataset(path, ds.Name, ds.Schema, ds.Records)
 }
 
 // LoadDataset reads a binary dataset file and creates it in db under
 // the given name.
 func LoadDataset(db *DB, name, path string) error {
-	_, schema, recs, err := storage.LoadFile(path)
+	_, schema, recs, err := storage.ReadDataset(path)
 	if err != nil {
 		return err
 	}
