@@ -344,13 +344,14 @@ func TestUDFPanicIsolation(t *testing.T) {
 
 // TestPreparePanicAttribution makes a join's Prepare panic on the nth
 // preparation of ride panicKey. In this self-join the key is prepared
-// at left SUMMARIZE, at right assign (whose SUMMARIZE the self-join
-// skips), then once per side at COMBINE, so each n names a phase; no
+// at left SUMMARIZE (both sides' assign tasks take those keys, as the
+// self-join skips the right SUMMARIZE), then once per side at COMBINE,
+// so each n names a phase, and a fourth preparation never comes: no
 // phase prepares a key it was handed prepared.
 func TestPreparePanicAttribution(t *testing.T) {
 	db := newTestDB(t)
 	lib := core.NewLibrary("preparelib")
-	for _, n := range []int64{1, 2, 3} {
+	for _, n := range []int64{1, 2, 3, 4} {
 		lib.MustRegister(fmt.Sprintf("test.PanicPrepare%d", n), func() core.Join {
 			var calls atomic.Int64 // a query constructs its own instance
 			return core.Wrap(core.Spec[int64, int64, int64, int64]{
@@ -382,13 +383,20 @@ func TestPreparePanicAttribution(t *testing.T) {
 		record    int
 	}{
 		{"summarize", panicKey % 4, panicKey / 4},
-		{"assign", panicKey % 4, panicKey / 4},
 		{"combine", combinePart, -1},
+		{"combine", combinePart, -1},
+		{"", 0, 0}, // no fourth preparation, so no panic
 	}
 	for i, tc := range cases {
 		name := fmt.Sprintf("panic_prepare%d", i+1)
 		mustQuery(t, db, fmt.Sprintf(`CREATE JOIN %s(a: int, b: int) RETURNS boolean AS "test.PanicPrepare%d" AT preparelib`, name, i+1))
 		_, err := db.Execute(`SELECT n1.id FROM rides n1, rides n2 WHERE ` + name + `(n1.id, n2.id)`)
+		if tc.phase == "" {
+			if err != nil {
+				t.Errorf("%s: key prepared a fourth time: %v", name, err)
+			}
+			continue
+		}
 		var ue *core.UDFError
 		if !errors.As(err, &ue) {
 			t.Fatalf("%s: error is not a *core.UDFError: %v", name, err)

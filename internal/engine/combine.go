@@ -27,14 +27,6 @@ type bucketGroup struct {
 // add appends one extended record; its key waits for prepared.
 func (g *bucketGroup) add(r types.Record) { g.recs = append(g.recs, r) }
 
-// only makes g hold just r: the spilled pass re-streams a probe run one
-// record at a time through one scratch group per spilled bucket.
-func (g *bucketGroup) only(r types.Record) *bucketGroup {
-	g.recs = append(g.recs[:0], r)
-	g.keys = g.keys[:0]
-	return g
-}
-
 // prepared returns g's key column, first preparing the keys of the
 // records added since the last call. It runs library code, so it is
 // only called inside the guarded COMBINE task; it runs once per bucket

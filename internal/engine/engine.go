@@ -283,7 +283,8 @@ type FaultStats struct {
 // budget-governed transient memory (the shuffle's in-flight frames plus
 // COMBINE builds) and never exceeds the budget; PeakInput is the
 // largest materialized partition input, reported for sizing budgets.
-// BytesSpilled/SpillRuns count COMBINE spill traffic, BucketsSplit
+// BytesSpilled/SpillRuns count COMBINE spill traffic (one build run
+// per spilled bucket), BucketsSplit
 // counts skew splits of over-budget buckets, and Backpressure counts
 // the shuffle frames the budget cut short of the batch row cap.
 type MemoryStats struct {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fudj/internal/cluster"
+	"fudj/internal/core"
 	"fudj/internal/geo"
 	"fudj/internal/interval"
 	"fudj/internal/joins/builtin"
@@ -517,6 +518,100 @@ func TestSelfJoinWithDifferentFiltersDoesNotReuse(t *testing.T) {
 		  AND overlapping_interval(a.ride_interval, b.ride_interval, 10)`)
 	if strings.Contains(res.Plan, "summary reused") {
 		t.Errorf("different filters must not reuse summary:\n%s", res.Plan)
+	}
+}
+
+// bandRange is the band join's summary and plan: the smallest range
+// holding every summarized key.
+type bandRange struct{ Min, Max, N int64 }
+
+func (a bandRange) merge(b bandRange) bandRange {
+	switch {
+	case a.N == 0:
+		return b
+	case b.N == 0:
+		return a
+	}
+	return bandRange{min(a.Min, b.Min), max(a.Max, b.Max), a.N + b.N}
+}
+
+// TestSelfJoinWithDifferentKeysDoesNotReuse pins that summary reuse
+// compares the join keys, not only the dataset and filters: a band join
+// whose ASSIGN drops keys outside the summarized range loses rows when
+// x.a's summary stands in for y.b's. Reuse also needs a join whose sides
+// share one SUMMARIZE, and EXPLAIN reports the decision the executor
+// acts on.
+func TestSelfJoinWithDifferentKeysDoesNotReuse(t *testing.T) {
+	db := newTestDB(t)
+	band := func(name string, symmetric bool) core.Join {
+		s := core.Spec[int64, int64, bandRange, bandRange]{
+			Name:         name,
+			NewSummary:   func() bandRange { return bandRange{} },
+			LocalAggLeft: func(k int64, s bandRange) bandRange { return s.merge(bandRange{k, k, 1}) },
+			GlobalAgg:    bandRange.merge,
+			Divide:       func(l, r bandRange, _ []any) (bandRange, error) { return l.merge(r), nil },
+			AssignLeft: func(k int64, p bandRange, dst []core.BucketID) []core.BucketID {
+				if k < p.Min || k > p.Max {
+					return dst
+				}
+				return append(dst, 0)
+			},
+			Verify: func(_ core.BucketID, l int64, _ core.BucketID, r int64, _ bandRange) bool {
+				return l-r <= 2 && r-l <= 2
+			},
+		}
+		if !symmetric {
+			s.LocalAggRight = s.LocalAggLeft
+		}
+		return core.Wrap(s)
+	}
+	lib := core.NewLibrary("bandlib")
+	lib.MustRegister("test.Band", func() core.Join { return band("band", true) })
+	lib.MustRegister("test.BandAsymmetric", func() core.Join { return band("band_asym", false) })
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, db, `CREATE JOIN band(a: int, b: int) RETURNS boolean AS "test.Band" AT bandlib`)
+	mustQuery(t, db, `CREATE JOIN band_asym(a: int, b: int) RETURNS boolean AS "test.BandAsymmetric" AT bandlib`)
+	schema := types.NewSchema(
+		types.Field{Name: "a", Kind: types.KindInt64},
+		types.Field{Name: "b", Kind: types.KindInt64},
+	)
+	var recs []types.Record
+	for i := int64(0); i < 10; i++ {
+		recs = append(recs, types.Record{types.NewInt64(i), types.NewInt64(i + 5)})
+	}
+	if err := db.CreateDataset("t", schema, recs); err != nil {
+		t.Fatal(err)
+	}
+	// brute counts the pairs whose keys, columns lc of x and rc of y,
+	// lie within 2 of each other.
+	brute := func(lc, rc int) (n int64) {
+		for _, x := range recs {
+			for _, y := range recs {
+				if d := x[lc].Int64() - y[rc].Int64(); d >= -2 && d <= 2 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, q := range []struct {
+		sql   string
+		want  int64
+		reuse bool
+	}{
+		{`SELECT COUNT(*) FROM t x, t y WHERE band(x.a, y.b)`, brute(0, 1), false},
+		{`SELECT COUNT(*) FROM t x, t y WHERE band(x.a, y.a)`, brute(0, 0), true},
+		{`SELECT COUNT(*) FROM t x, t y WHERE band_asym(x.a, y.b)`, brute(0, 1), false},
+		{`SELECT COUNT(*) FROM t x, t y WHERE band_asym(x.a, y.a)`, brute(0, 0), false},
+	} {
+		if got := mustQuery(t, db, "EXPLAIN "+q.sql).Plan; strings.Contains(got, "summary reused") != q.reuse {
+			t.Errorf("%s: want summary reuse %v in EXPLAIN:\n%s", q.sql, q.reuse, got)
+		}
+		if got := mustQuery(t, db, q.sql).Rows[0][0].Int64(); got != q.want {
+			t.Errorf("%s = %d rows, brute force %d", q.sql, got, q.want)
+		}
 	}
 }
 

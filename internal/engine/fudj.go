@@ -127,8 +127,12 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		return nil, fmt.Errorf("fudj %s: summarize left: %w", f.def.Name, err)
 	}
 	var rs core.Summary
-	if f.selfJoin && desc.SymmetricSummarize {
-		rs = ls // self-join optimization: replicate the summary (§VI-C)
+	if f.selfJoin {
+		// Self-join optimization: replicate the summary (§VI-C). Both
+		// sides hold the same keys in the same partitions, so the right
+		// side's assign takes the left side's prepared keys too.
+		rs = ls
+		boxed[core.Right] = boxed[core.Left]
 	} else {
 		rs, err = summarize(core.Right, right, rkey)
 		if err != nil {
@@ -211,7 +215,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 		out, err := clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
-			keys := boxed[side][part] // nil when this side's SUMMARIZE was skipped (self-join)
+			keys := boxed[side][part]
 			var n map[int]int64
 			if gather {
 				n = make(map[int]int64)
@@ -225,13 +229,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 				if err != nil {
 					return nil, err
 				}
-				var k any
-				if keys != nil {
-					k = keys[i]
-				} else {
-					k = core.PrepareKey(join, side, v.Native())
-				}
-				ids = join.Assign(side, k, plan, ids[:0])
+				ids = join.Assign(side, keys[i], plan, ids[:0])
 				for _, id := range ids {
 					if n != nil {
 						n[id]++

@@ -57,7 +57,7 @@ type fudjStep struct {
 	leftKey  expr.Expr // key expression over the accumulated left schema
 	rightKey expr.Expr // key expression over the new right table
 	params   []types.Value
-	selfJoin bool // same dataset with identical filters: summary reuse
+	selfJoin bool // symmetric join, same dataset, filters and keys: summary reuse
 }
 
 // joinStep joins the accumulated left input with one new table.
@@ -398,14 +398,16 @@ func (db *Database) buildFUDJStep(p *queryPlan, covered map[string]bool, rightId
 		params = append(params, lit.V)
 	}
 
-	// Self-join detection for the summary-reuse optimization: only the
-	// two-table case with the same dataset and identical pushed filters.
+	// Self-join detection for the summary-reuse optimization: a join
+	// whose sides share one SUMMARIZE, in the two-table case with the
+	// same dataset, identical pushed filters and identical keys, so both
+	// sides summarize the same keys of the same partitions.
 	selfJoin := false
-	if len(covered) == 1 && rightIdx == 1 {
+	if def.Desc.SymmetricSummarize && len(covered) == 1 && rightIdx == 1 {
 		l, r := p.scans[0], p.scans[1]
-		if l.ref.Dataset == r.ref.Dataset && stripAlias(l.filter, l.ref.Alias) == stripAlias(r.filter, r.ref.Alias) {
-			selfJoin = true
-		}
+		selfJoin = l.ref.Dataset == r.ref.Dataset &&
+			stripAlias(l.filter, l.ref.Alias) == stripAlias(r.filter, r.ref.Alias) &&
+			stripAlias(leftKey, l.ref.Alias) == stripAlias(rightKey, r.ref.Alias)
 	}
 
 	kind := joinFUDJ
@@ -423,8 +425,8 @@ func (db *Database) buildFUDJStep(p *queryPlan, covered map[string]bool, rightId
 	}}, nil
 }
 
-// stripAlias renders a filter with its alias qualifier removed so that
-// p1.x > 3 and p2.x > 3 compare equal for self-join detection.
+// stripAlias renders a filter or key with its alias qualifier removed so
+// that p1.x > 3 and p2.x > 3 compare equal for self-join detection.
 func stripAlias(e expr.Expr, alias string) string {
 	if e == nil {
 		return ""

@@ -9,8 +9,8 @@
 // spilled pass has nothing to do — the in-memory join is this operator
 // in the state where no bucket has spilled, not a second operator. A
 // spilled bucket whose build side alone exceeds the budget is
-// skew-split into chunks that fit, each chunk joined against a re-scan
-// of the bucket's probe run, so even a single pathological hot bucket
+// skew-split into chunks that fit, each chunk joined against the
+// bucket's resident probe groups, so even a single pathological hot bucket
 // degrades to multiple passes instead of an unbounded allocation. A
 // single record larger than the hard cap is the one irreducible case,
 // surfaced as a structured *core.ResourceError rather than an OOM kill.
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"fudj/internal/cluster"
@@ -123,56 +122,43 @@ func (a *partAcct) release(n int64) {
 
 func (a *partAcct) close() { a.release(a.used) }
 
-// bucketSpill is one spilled bucket: its build-side run and the probe
-// records destined for it.
-type bucketSpill struct {
-	left  *storage.RunWriter
-	right *storage.RunWriter
-}
-
 // combinePartition is one partition's COMBINE. build and probe are the
 // partition's two inputs with the bucket id in column 0. The build side
 // is grouped under the budget; the probe side, already resident as the
 // task's input, is only indexed (pointers over records PeakInput
-// already counts, so it is not charged). Then, build-major: for every
-// build bucket in ascending id, each probe group matches names is
-// joined whole against the bucket if it is resident, or appended to the
-// bucket's probe run if it spilled; spilled buckets are re-joined last.
-// Without a budget (or under one nothing exceeds) combine sees the
-// bucket pairs in exactly that order; once buckets spill it sees the
-// same multiset in a different, still deterministic, order.
+// already counts, so it is not charged). Then, build-major: every
+// resident build bucket, in ascending id, joins each probe group
+// matches names whole; spilled buckets are re-joined last, each build
+// chunk against the same probe groups. Without a budget (or under one
+// nothing exceeds) combine sees the bucket pairs in exactly that order;
+// once buckets spill it sees the same multiset in a different, still
+// deterministic, order.
 func combinePartition(mem *memState, joinName string, part int,
 	build, probe []types.Record, matches matchFn, combine combineFn) error {
 
 	acct := &partAcct{metrics: mem.metrics}
 	defer acct.close()
-	spilled := make(map[int]*bucketSpill)
+	spilled := make(map[int]*storage.RunWriter)
 	defer func() {
-		for _, bs := range spilled {
-			bs.left.Remove()
-			bs.right.Remove()
+		for _, run := range spilled {
+			run.Remove()
 		}
 	}()
 
-	// spill starts bucket b's two runs and appends recs to its build
-	// run. The bucket is registered before the append, so the deferred
-	// Remove covers a write failure.
+	// spill starts bucket b's build run and appends recs to it. The
+	// bucket is registered before the append, so the deferred Remove
+	// covers a write failure.
 	spill := func(b int, recs ...types.Record) error {
 		dir, err := mem.spillDir()
 		if err != nil {
 			return err
 		}
-		left, err := storage.NewRunWriter(dir)
+		run, err := storage.NewRunWriter(dir)
 		if err != nil {
 			return err
 		}
-		right, err := storage.NewRunWriter(dir)
-		if err != nil {
-			left.Remove()
-			return err
-		}
-		spilled[b] = &bucketSpill{left: left, right: right}
-		return left.Append(recs...)
+		spilled[b] = run
+		return run.Append(recs...)
 	}
 
 	// ---- build pass: group the build side under the budget ----
@@ -200,9 +186,9 @@ func combinePartition(mem *memState, joinName string, part int,
 				delete(resident, victim)
 			}
 		}
-		if bs := spilled[b]; bs != nil {
+		if run := spilled[b]; run != nil {
 			// The record's bucket is spilled (possibly just now): follow it.
-			if err := bs.left.Append(r); err != nil {
+			if err := run.Append(r); err != nil {
 				return err
 			}
 			continue
@@ -225,37 +211,38 @@ func combinePartition(mem *memState, joinName string, part int,
 		g.bytes += sz
 	}
 
-	buildIDs := make([]int, 0, len(resident)+len(spilled))
-	for b := range resident {
-		buildIDs = append(buildIDs, b)
-	}
-	for b := range spilled {
-		buildIDs = append(buildIDs, b)
-	}
-	sort.Ints(buildIDs)
-
 	// ---- probe pass, build-major: whole probe groups against resident
-	// buckets, the rest to their bucket's probe run ----
+	// buckets ----
 	probeGroups := groupByBucket(probe)
 	probeIDs := sortedIDs(probeGroups)
 	var matched []int // one scratch per task, not one slice per bucket
-	for _, b1 := range buildIDs {
-		ls, bs := resident[b1], spilled[b1]
+	// matchedGroups returns the probe buckets b1 joins that have a group
+	// in this partition, in emission order.
+	matchedGroups := func(b1 int) []int {
 		matched = matches(matched[:0], b1, probeIDs)
+		n := 0
 		for _, b2 := range matched {
-			rs, ok := probeGroups[b2]
-			if !ok {
-				continue
+			if probeGroups[b2] != nil {
+				matched[n] = b2
+				n++
 			}
-			var err error
-			if ls != nil {
-				err = combine(b1, ls, b2, rs)
-			} else {
-				err = bs.right.Append(rs.recs...)
-			}
-			if err != nil {
+		}
+		matched = matched[:n]
+		return matched
+	}
+	// joinProbe joins build group ls of bucket b1 with the probe groups
+	// of b2s, each whole.
+	joinProbe := func(b1 int, ls *bucketGroup, b2s []int) error {
+		for _, b2 := range b2s {
+			if err := combine(b1, ls, b2, probeGroups[b2]); err != nil {
 				return err
 			}
+		}
+		return nil
+	}
+	for _, b1 := range sortedIDs(resident) {
+		if err := joinProbe(b1, resident[b1], matchedGroups(b1)); err != nil {
+			return err
 		}
 	}
 
@@ -267,38 +254,33 @@ func combinePartition(mem *memState, joinName string, part int,
 	acct.release(acct.used)
 	resident = nil
 	for _, b1 := range sortedIDs(spilled) {
-		bs := spilled[b1]
-		if err := bs.left.Close(); err != nil {
+		run := spilled[b1]
+		if err := run.Close(); err != nil {
 			return err
 		}
-		if err := bs.right.Close(); err != nil {
-			return err
-		}
-		runs := int64(1)
-		if bs.right.Records() > 0 {
-			runs = 2
-		}
-		mem.metrics.AddSpill(bs.left.Bytes()+bs.right.Bytes(), runs)
-		if bs.right.Records() == 0 {
+		mem.metrics.AddSpill(run.Bytes(), 1)
+		b2s := matchedGroups(b1)
+		if len(b2s) == 0 {
 			continue // no probe record matched this bucket
 		}
-		if err := joinSpilledBucket(mem, acct, b1, bs, combine); err != nil {
+		err := joinSpilledBucket(mem, acct, run.Path(), func(ls *bucketGroup) error {
+			return joinProbe(b1, ls, b2s)
+		})
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// joinSpilledBucket re-joins one spilled bucket: build-side records are
+// joinSpilledBucket re-joins one spilled bucket: its build run is
 // loaded in budget-sized chunks (skew splitting — one chunk when the
 // bucket fits, several when its build side alone exceeds the budget),
-// and the bucket's probe run is re-streamed against every chunk, one
-// record at a time through one scratch group. That group is the
-// bucket's, not the task's, so a task that spills nothing makes none.
-func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, combine combineFn) error {
-	var probeOne bucketGroup
-
-	lr, err := storage.OpenRun(bs.left.Path())
+// and join joins every chunk with the bucket's matched probe groups, as
+// the probe pass joins a resident bucket. The probe groups stay in
+// memory, so they keep their prepared keys across chunks.
+func joinSpilledBucket(mem *memState, acct *partAcct, path string, join func(ls *bucketGroup) error) error {
+	lr, err := storage.OpenRun(path)
 	if err != nil {
 		return err
 	}
@@ -330,33 +312,11 @@ func joinSpilledBucket(mem *memState, acct *partAcct, b1 int, bs *bucketSpill, c
 			break
 		}
 		chunks++
-		acct.reserve(lsBytes)
-		err := func() error {
-			defer acct.release(lsBytes)
-			rr, err := storage.OpenRun(bs.right.Path())
-			if err != nil {
-				return err
-			}
-			defer rr.Close()
-			for {
-				frame, err := rr.Next()
-				if err != nil {
-					if isEOF(err) {
-						return nil
-					}
-					return err
-				}
-				for _, r := range frame {
-					b2 := int(r[0].Int64())
-					if err := combine(b1, ls, b2, probeOne.only(r)); err != nil {
-						return err
-					}
-				}
-			}
-		}()
-		if err != nil {
+		acct.reserve(lsBytes) // an error return leaves it to the task's acct.close
+		if err := join(ls); err != nil {
 			return err
 		}
+		acct.release(lsBytes)
 	}
 	if chunks > 1 {
 		mem.metrics.AddBucketSplit()

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"fudj/internal/cluster"
@@ -184,5 +185,133 @@ func TestResourceErrorOnMonsterRecord(t *testing.T) {
 	}
 	if cluster.IsRetryable(err) {
 		t.Error("ResourceError must not be retryable")
+	}
+}
+
+// spillKey is the prepared form of probeCounter's int64 keys: a type raw
+// keys never arrive as, so every key the join sees went through Prepare.
+type spillKey struct{ v int64 }
+
+// probeCounter runs one equi-join over int64 keys (bucket key%6, a
+// custom LocalJoin) and records what a spilled bucket's re-join shows
+// the library: how many keys Prepare converted, and the probe group
+// size each LocalJoin call received per probe bucket.
+type probeCounter struct {
+	mu       sync.Mutex
+	prepares int
+	sizes    map[core.BucketID]map[int]bool // b2 → len(right) of its calls
+}
+
+func newProbeCounterDB(t *testing.T) (*Database, *probeCounter) {
+	t.Helper()
+	db := newTestDB(t)
+	pc := &probeCounter{}
+	spec := core.Spec[spillKey, spillKey, int64, int64]{
+		Name: "probe_counter",
+		Prepare: func(raw any) spillKey {
+			pc.mu.Lock()
+			pc.prepares++
+			pc.mu.Unlock()
+			return spillKey{raw.(int64)}
+		},
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ spillKey, s int64) int64 { return s + 1 },
+		GlobalAgg:    func(a, b int64) int64 { return a + b },
+		Divide:       func(l, r int64, _ []any) (int64, error) { return l + r, nil },
+		AssignLeft: func(k spillKey, _ int64, dst []core.BucketID) []core.BucketID {
+			return append(dst, core.BucketID(k.v%6))
+		},
+		Verify: func(_ core.BucketID, l spillKey, _ core.BucketID, r spillKey, _ int64) bool { return l == r },
+		LocalJoin: func(_ core.BucketID, left []spillKey, b2 core.BucketID, right []spillKey, _ int64, emit func(i, j int)) {
+			pc.mu.Lock()
+			if pc.sizes[b2] == nil {
+				pc.sizes[b2] = make(map[int]bool)
+			}
+			pc.sizes[b2][len(right)] = true
+			pc.mu.Unlock()
+			for i, l := range left {
+				for j, r := range right {
+					if l == r {
+						emit(i, j)
+					}
+				}
+			}
+		},
+	}
+	lib := core.NewLibrary("probelib")
+	lib.MustRegister("test.ProbeCounter", func() core.Join { return core.Wrap(spec) })
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, db, `CREATE JOIN probe_counter(a: int, b: int) RETURNS boolean AS "test.ProbeCounter" AT probelib`)
+	schema := types.NewSchema(
+		types.Field{Name: "id", Kind: types.KindInt64},
+		types.Field{Name: "k", Kind: types.KindInt64},
+	)
+	recs := make([]types.Record, 240)
+	for i := range recs {
+		recs[i] = types.Record{types.NewInt64(int64(i)), types.NewInt64(int64(i % 40))}
+	}
+	if err := db.CreateDataset("spillpts", schema, recs); err != nil {
+		t.Fatal(err)
+	}
+	return db, pc
+}
+
+// run executes the counter's join under budget and returns the result
+// with what the library saw during it.
+func (pc *probeCounter) run(t *testing.T, db *Database, budget int64) (*Result, int, map[core.BucketID]map[int]bool) {
+	t.Helper()
+	pc.prepares, pc.sizes = 0, make(map[core.BucketID]map[int]bool)
+	db.MustConfigure(WithMemoryBudget(budget))
+	res := mustQuery(t, db, `SELECT a.id, b.id FROM spillpts a, spillpts b WHERE probe_counter(a.k, b.k)`)
+	if len(res.Rows) != 40*6*6 {
+		t.Fatalf("budget %d: %d rows, want %d", budget, len(res.Rows), 40*6*6)
+	}
+	if budget > 0 && (res.Memory.SpillRuns == 0 || res.Memory.BucketsSplit == 0) {
+		t.Fatalf("budget %d spilled %d runs and split %d buckets, want both", budget, res.Memory.SpillRuns, res.Memory.BucketsSplit)
+	}
+	if budget > 0 && res.Memory.Peak > budget {
+		t.Errorf("PeakMemory %d exceeds budget %d", res.Memory.Peak, budget)
+	}
+	return res, pc.prepares, pc.sizes
+}
+
+// TestSpillLocalJoinSeesWholeProbeGroups pins that a spilling budget
+// changes no probe group a custom LocalJoin sees: every call for probe
+// bucket b2 receives all of b2's keys, as without a budget, however
+// many build chunks the spilled bucket splits into.
+func TestSpillLocalJoinSeesWholeProbeGroups(t *testing.T) {
+	db, pc := newProbeCounterDB(t)
+	plain, _, want := pc.run(t, db, 0)
+	for b2, sizes := range want {
+		if len(sizes) != 1 {
+			t.Fatalf("without a budget probe bucket %d was joined in groups of sizes %v", b2, sizes)
+		}
+	}
+	res, _, got := pc.run(t, db, tinyBudget)
+	sameRows(t, "spilling budget", res.Rows, plain.Rows)
+	if len(got) != len(want) {
+		t.Errorf("LocalJoin saw %d probe buckets under the budget, want %d", len(got), len(want))
+	}
+	for b2, sizes := range got {
+		for n := range sizes {
+			if !want[b2][n] {
+				t.Errorf("probe bucket %d: a LocalJoin call received %d keys, want %v", b2, n, want[b2])
+			}
+		}
+	}
+}
+
+// TestSpillPreparesNoMoreThanUnbounded pins that a spilled bucket
+// prepares its probe keys once per task, not once per build chunk: a
+// query whose buckets spill and split calls Prepare no more often than
+// the same query without a budget.
+func TestSpillPreparesNoMoreThanUnbounded(t *testing.T) {
+	db, pc := newProbeCounterDB(t)
+	_, want, _ := pc.run(t, db, 0)
+	_, got, _ := pc.run(t, db, tinyBudget)
+	if got > want {
+		t.Errorf("Prepare ran %d times under a spilling budget, %d without one", got, want)
 	}
 }

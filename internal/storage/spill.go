@@ -19,7 +19,6 @@ import (
 // frame.
 type RunWriter struct {
 	frameWriter
-	records int64
 }
 
 // NewRunWriter creates a fresh run file in dir (which must exist).
@@ -34,12 +33,8 @@ func NewRunWriter(dir string) (*RunWriter, error) {
 // Path returns the run file's path.
 func (rw *RunWriter) Path() string { return rw.f.Name() }
 
-// Records returns the number of records appended so far.
-func (rw *RunWriter) Records() int64 { return rw.records }
-
 // Append adds records to the run.
 func (rw *RunWriter) Append(recs ...types.Record) error {
-	rw.records += int64(len(recs))
 	return rw.appendRecords(recs)
 }
 

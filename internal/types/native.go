@@ -76,10 +76,3 @@ func allStrings(vs []Value) bool {
 	}
 	return len(vs) > 0
 }
-
-// GeometryNative returns the geometry behind a native value produced by
-// Native, used by spatial join libraries to accept any spatial key.
-func GeometryNative(key any) (geo.Geometry, bool) {
-	g, ok := key.(geo.Geometry)
-	return g, ok
-}

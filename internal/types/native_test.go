@@ -63,13 +63,6 @@ func TestGeometryExtraction(t *testing.T) {
 	if _, ok := NewInt64(1).Geometry(); ok {
 		t.Error("int should not be a geometry")
 	}
-	// GeometryNative passes geometries through.
-	if _, ok := GeometryNative(geo.Point{X: 1, Y: 1}); !ok {
-		t.Error("GeometryNative(point) failed")
-	}
-	if _, ok := GeometryNative("nope"); ok {
-		t.Error("GeometryNative(string) should fail")
-	}
 }
 
 func TestValueStrings(t *testing.T) {
