@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"fudj/internal/cluster"
 	"fudj/internal/core"
+	"fudj/internal/geo"
 	"fudj/internal/trace"
 	"fudj/internal/types"
 )
@@ -338,9 +340,9 @@ func TestCombineBucketsAllocatesNothingPerPair(t *testing.T) {
 		ls.add(extRec(1, i, "l"))
 		rs.add(extRec(2, 100+i, "r"))
 	}
-	ls.prepared(join, core.Left)
-	rs.prepared(join, core.Right)
 	task := newCombineTask(join, int64(0), join.Descriptor(), 2, newAppendSink())
+	ls.prepared(join, core.Left, task.box)
+	rs.prepared(join, core.Right, task.box)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := task.combineBuckets(1, &ls, 2, &rs); err != nil {
 			t.Fatal(err)
@@ -375,11 +377,12 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 		recs[i] = extRec(i%buckets, i%200, "r") // ids below 256 box without allocating
 	}
 	bound := float64(3 * buckets)
+	box := types.NewBoxer(combineChunk)
 
 	grouped := testing.AllocsPerRun(20, func() {
 		groups := groupByBucket(recs)
 		for _, g := range groups {
-			if len(g.prepared(join, core.Left)) != len(recs)/buckets {
+			if len(g.prepared(join, core.Left, box)) != len(recs)/buckets {
 				t.Fatal("group lost records")
 			}
 		}
@@ -392,7 +395,7 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 	hash := func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
 	var pairs int
 	combine := func(_ int, ls *bucketGroup, _ int, rs *bucketGroup) error {
-		pairs += len(ls.prepared(join, core.Left)) * len(rs.prepared(join, core.Right))
+		pairs += len(ls.prepared(join, core.Left, box)) * len(rs.prepared(join, core.Right, box))
 		return nil
 	}
 	combined := testing.AllocsPerRun(20, func() {
@@ -405,6 +408,80 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 	}
 	if pairs == 0 {
 		t.Error("combinePartition joined no bucket pair")
+	}
+}
+
+// TestPointKeysBoxPerChunk is TestCarvedGroupsAllocatePerBucket over
+// point keys, which the runtime boxes with an allocation of its own:
+// grouping them and preparing them through a COMBINE task's Boxer
+// allocates per bucket and per slab chunk, not per row. Boxing each key
+// with Value.Native allocates once per row, 4 096 times here.
+func TestPointKeysBoxPerChunk(t *testing.T) {
+	join := core.Wrap(core.Spec[geo.Point, geo.Point, int64, int64]{
+		Name:         "pass_points",
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ geo.Point, s int64) int64 { return s },
+		GlobalAgg:    func(a, _ int64) int64 { return a },
+		Divide:       func(_, _ int64, _ []any) (int64, error) { return 0, nil },
+		AssignLeft:   func(k geo.Point, _ int64, dst []core.BucketID) []core.BucketID { return append(dst, int(k.X)) },
+		Verify:       func(core.BucketID, geo.Point, core.BucketID, geo.Point, int64) bool { return true },
+	})
+	const buckets = 8
+	recs := make([]types.Record, 4096)
+	for i := range recs {
+		b := i % buckets
+		recs[i] = types.Record{types.NewInt64(int64(b)), types.NewPoint(geo.Point{X: float64(b), Y: float64(i)}), types.NewString("r")}
+	}
+	chunks := (len(recs) + combineChunk - 1) / combineChunk
+	bound := float64(3*buckets + chunks + 1) // + 1: the Boxer itself
+
+	allocs := testing.AllocsPerRun(20, func() {
+		box := types.NewBoxer(combineChunk)
+		for _, g := range groupByBucket(recs) {
+			keys := g.prepared(join, core.Left, box)
+			if len(keys) != len(recs)/buckets {
+				t.Fatal("group lost records")
+			}
+			for i, k := range keys {
+				if k.(geo.Point) != g.recs[i][1].Point() {
+					t.Fatalf("key %d = %v, want %v", i, k, g.recs[i][1].Point())
+				}
+			}
+		}
+	})
+	if allocs > bound {
+		t.Errorf("grouping and preparing %d point keys in %d buckets allocated %.0f times, want at most %.0f", len(recs), buckets, allocs, bound)
+	}
+}
+
+// TestSpatialJoinAllocatesBelowOnePerPoint bounds a whole spatial_join
+// query by its point side: boxing every wildfire's location at SUMMARIZE
+// and again at COMBINE, one allocation each, would cost about two per
+// point; from slabs the whole query allocates fewer objects than it has
+// points.
+func TestSpatialJoinAllocatesBelowOnePerPoint(t *testing.T) {
+	db := newTestDB(t)
+	const n = 4000
+	rng := rand.New(rand.NewSource(11))
+	fires := make([]types.Record, n)
+	for i := range fires {
+		fires[i] = types.Record{types.NewInt64(int64(i)), types.NewPoint(geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})}
+	}
+	schema := types.NewSchema(
+		types.Field{Name: "id", Kind: types.KindInt64},
+		types.Field{Name: "location", Kind: types.KindPoint},
+	)
+	if err := db.CreateDataset("manyfires", schema, fires); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT COUNT(*) FROM parks p, manyfires w WHERE spatial_join(p.boundary, w.location, 8)`
+	if got := mustQuery(t, db, sql).Rows[0][0].Int64(); got == 0 {
+		t.Fatal("the join matched no point; the bound needs a working join")
+	}
+	allocs := testing.AllocsPerRun(5, func() { mustQuery(t, db, sql) })
+	t.Logf("%.0f allocations per query over %d points", allocs, n)
+	if allocs >= n {
+		t.Errorf("spatial_join over %d points allocated %.0f objects per query, want fewer than one per point", n, allocs)
 	}
 }
 

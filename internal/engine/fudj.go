@@ -80,13 +80,14 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "summarize", part, &rec, &err)
 			keys := make([]any, len(in))
+			box := types.NewBoxer(len(in))
 			for i, r := range in {
 				rec = i
 				v, err := key(r)
 				if err != nil {
 					return nil, err
 				}
-				keys[i] = core.PrepareKey(join, side, v.Native())
+				keys[i] = core.PrepareKey(join, side, box.Native(v))
 			}
 			rec = -1
 			boxed[side][part] = keys
@@ -433,15 +434,22 @@ type combineTask struct {
 
 	sink   rowSink
 	n      taskCounts
+	box    *types.Boxer   // boxes the keys of every group the task prepares
 	ls, rs *bucketGroup   // the bucket pair in hand
 	lk, rk []any          // their prepared key columns
 	emit   func(i, k int) // t.pair, bound once per task
 	err    error          // first sink error; the task fails with it
 }
 
+// combineChunk is the slots per slab chunk of a COMBINE task's Boxer:
+// small, so the chunk a spilled pass's retired build groups pin holds
+// few keys besides theirs.
+const combineChunk = 128
+
 // newCombineTask returns a task whose emit is bound, once, to its pair.
 func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extraCols int, sink rowSink) *combineTask {
-	t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: sink}
+	t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: sink,
+		box: types.NewBoxer(combineChunk)}
 	t.emit = t.pair
 	return t
 }
@@ -451,7 +459,7 @@ func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extra
 // the first time its group is combined.
 func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
 	t.ls, t.rs = ls, rs
-	t.lk, t.rk = ls.prepared(t.join, core.Left), rs.prepared(t.join, core.Right)
+	t.lk, t.rk = ls.prepared(t.join, core.Left, t.box), rs.prepared(t.join, core.Right, t.box)
 	t.n.candidates += int64(len(t.lk)) * int64(len(t.rk))
 	core.JoinBuckets(t.join, t.desc.LocalJoin, b1, t.lk, b2, t.rk, t.plan, nil, t.emit)
 	return t.err

@@ -86,7 +86,7 @@ func (m *memState) cleanup() {
 // combineFn joins one matched bucket pair — combineTask.combineBuckets,
 // VERIFY/LocalJoin and duplicate handling in front of the task's row
 // sink. Groups carry their key columns prepared (see bucketGroup),
-// so implementations never call Native() per pair.
+// so implementations never box a key per pair.
 type combineFn func(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error
 
 // matchFn appends to dst the probe buckets build bucket b1 joins with,

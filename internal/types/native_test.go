@@ -1,6 +1,10 @@
 package types
 
 import (
+	"math"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -114,4 +118,105 @@ func TestNativePanicsOnUnknownKind(t *testing.T) {
 	}()
 	v := Value{kind: Kind(99)}
 	v.Native()
+}
+
+// TestBoxerMatchesNative checks Boxer.Native against Value.Native on
+// every kind: the same dynamic type and the same value (a float by its
+// bits, so -0 and NaN count), and a spatial kind still a geo.Geometry.
+// It then boxes points and strings across several chunks, drops the
+// Boxer, collects, and finds every value intact: no slot was
+// overwritten or freed while an interface pointed into it.
+func TestBoxerMatchesNative(t *testing.T) {
+	poly := geo.NewPolygon([]geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}})
+	line := geo.NewLineString([]geo.Point{{X: 0, Y: 0}, {X: 2, Y: 1}})
+	vals := []Value{
+		Null, NewBool(false), NewBool(true),
+		NewInt64(0), NewInt64(255), NewInt64(256), NewInt64(1 << 40), NewInt64(-1), NewInt64(math.MinInt64),
+		NewFloat64(0), NewFloat64(math.Copysign(0, -1)), NewFloat64(1.5), NewFloat64(-2.25),
+		NewFloat64(math.NaN()), NewFloat64(math.Inf(-1)),
+		NewString(""), NewString("x"), NewString("a longer string"),
+		NewPoint(geo.Point{X: 1, Y: -2}), NewRect(geo.Rect{MinX: 0, MinY: 1, MaxX: 2, MaxY: 3}),
+		NewPolygon(poly), NewLineString(line),
+		NewInterval(interval.Interval{Start: 1, End: 2}), NewInterval(interval.Interval{Start: -300, End: 1 << 50}),
+		NewList([]Value{NewString("a"), NewString("b")}),
+		NewList([]Value{NewInt64(1000), NewPoint(geo.Point{X: 3, Y: 4})}),
+	}
+	b := NewBoxer(2)
+	for _, v := range vals {
+		got, want := b.Native(v), v.Native()
+		if reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("%v: Boxer.Native is a %T, Native a %T", v, got, want)
+			continue
+		}
+		if !sameNative(got, want) {
+			t.Errorf("%v: Boxer.Native = %#v, Native = %#v", v, got, want)
+		}
+		switch v.Kind() {
+		case KindPoint, KindRect, KindPolygon, KindLineString:
+			if _, ok := got.(geo.Geometry); !ok {
+				t.Errorf("%v: Boxer.Native is a %T, not a geo.Geometry", v, got)
+			}
+		}
+		if v.Kind() == KindPoint && got.(geo.Point) != v.Point() {
+			t.Errorf("%v: Boxer.Native as a geo.Point = %v", v, got)
+		}
+	}
+
+	const chunk = 16
+	b = NewBoxer(chunk)
+	points := make([]any, 2*chunk+1)
+	strs := make([]any, len(points))
+	for i := range points {
+		points[i] = b.Native(NewPoint(geo.Point{X: float64(i), Y: -float64(i)}))
+		strs[i] = b.Native(NewString(strconv.Itoa(1000 + i)))
+	}
+	b = nil
+	runtime.GC()
+	for range 64 {
+		churn = append(churn[:0], make([]geo.Point, chunk), make([]string, chunk))
+	}
+	for i := range points {
+		if p := points[i].(geo.Point); p != (geo.Point{X: float64(i), Y: -float64(i)}) {
+			t.Errorf("point %d = %v after a collection", i, p)
+		}
+		if s := strs[i].(string); s != strconv.Itoa(1000+i) {
+			t.Errorf("string %d = %q after a collection", i, s)
+		}
+	}
+}
+
+// churn keeps TestBoxerMatchesNative's garbage from being optimized away.
+var churn []any
+
+// sameNative reports whether two native values are equal, floats by
+// their bits and slices element by element.
+func sameNative(a, b any) bool {
+	switch a := a.(type) {
+	case float64:
+		return math.Float64bits(a) == math.Float64bits(b.(float64))
+	case []string, []any:
+		return reflect.DeepEqual(a, b)
+	}
+	return a == b
+}
+
+// TestBoxerAllocatesPerChunk pins the point of a Boxer: boxing 1 024
+// point keys allocates once per slab chunk, where Value.Native
+// allocates once per key.
+func TestBoxerAllocatesPerChunk(t *testing.T) {
+	const n, chunk = 1024, 256
+	vals := make([]Value, n)
+	for i := range vals {
+		vals[i] = NewPoint(geo.Point{X: float64(i), Y: 1})
+	}
+	keys := make([]any, n)
+	allocs := testing.AllocsPerRun(10, func() {
+		b := NewBoxer(chunk)
+		for i, v := range vals {
+			keys[i] = b.Native(v)
+		}
+	})
+	if want := float64(n / chunk); allocs > want {
+		t.Errorf("boxing %d points in chunks of %d allocated %.0f times, want at most %.0f", n, chunk, allocs, want)
+	}
 }
