@@ -190,16 +190,36 @@ func LocalAggregateAll(j Join, side Side, keys []any, s Summary, rec *int) Summa
 	return s
 }
 
-// PrepareKey converts one raw key into the form j's functions take. A
-// Wrap-built join applies its Spec.Prepare; any other Join, and a spec
-// without Prepare, gets raw unchanged. Executors call it once per
-// record wherever they box a key, and hand the result to every later
-// call about that record.
-func PrepareKey(j Join, side Side, raw any) any {
-	if p, ok := j.(interface{ prepareKey(Side, any) any }); ok {
-		return p.prepareKey(side, raw)
+// A Preparer converts the raw keys of one executor task into the form
+// its join's functions take: a Wrap-built join's Spec.Prepare, its
+// results boxed from a chunked slab of the spec's key type, so n keys
+// cost one allocation per chunk beside Prepare's own work. Any other
+// Join, and a spec without Prepare, gets a Preparer whose Prepare hands
+// the raw key back, allocating nothing and calling nothing. Executors
+// prepare each record's key once and hand the result to every later
+// call about that record. A Preparer is not safe for concurrent use.
+type Preparer struct {
+	p keyPreparer // nil: keys need no preparation
+}
+
+// keyPreparer is the preparing half of a Wrap-built join with Prepare.
+type keyPreparer interface{ prepare(raw any) any }
+
+// NewPreparer returns j's Preparer for one task, its slab growing chunk
+// keys at a time.
+func NewPreparer(j Join, chunk int) Preparer {
+	if w, ok := j.(interface{ preparer(chunk int) keyPreparer }); ok {
+		return Preparer{w.preparer(chunk)}
 	}
-	return raw
+	return Preparer{}
+}
+
+// Prepare returns raw in the form the join's functions take.
+func (p Preparer) Prepare(raw any) any {
+	if p.p == nil {
+		return raw
+	}
+	return p.p.prepare(raw)
 }
 
 // DefaultMatch is the framework-provided MATCH: plain bucket equality,

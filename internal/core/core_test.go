@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestWrapValidation(t *testing.T) {
 }
 
 // TestPrepareKey pins the two key paths of a spec with Prepare: the
-// engine's, which prepares once through PrepareKey, and a caller of the
+// engine's, which prepares once through a Preparer, and a caller of the
 // untyped methods passing raw keys, which castKey prepares per call.
 // Joins without Prepare get the raw key back.
 func TestPrepareKey(t *testing.T) {
@@ -185,11 +186,12 @@ func TestPrepareKey(t *testing.T) {
 		AssignLeft:   func(k []int64, _ int64, dst []BucketID) []BucketID { return append(dst, int(k[0])) },
 		Verify:       func(_ BucketID, l []int64, _ BucketID, r []int64, _ int64) bool { return l[0] == r[0] },
 	})
-	k := PrepareKey(j, Left, int64(42))
+	prep := NewPreparer(j, 1)
+	k := prep.Prepare(int64(42))
 	if got, ok := k.([]int64); !ok || len(got) != 1 || got[0] != 2 || prepared != 1 {
-		t.Fatalf("PrepareKey = %v (%d calls), want [2] from one call", k, prepared)
+		t.Fatalf("Prepare = %v (%d calls), want [2] from one call", k, prepared)
 	}
-	if !j.Verify(0, k, 0, PrepareKey(j, Right, int64(12)), int64(0)) || prepared != 2 {
+	if !j.Verify(0, k, 0, prep.Prepare(int64(12)), int64(0)) || prepared != 2 {
 		t.Errorf("prepared keys: Verify or call count (%d) wrong", prepared)
 	}
 	if !j.Verify(0, int64(42), 0, int64(12), int64(0)) || prepared != 4 {
@@ -199,9 +201,40 @@ func TestPrepareKey(t *testing.T) {
 		t.Errorf("raw-key Assign = %v, want [7]", got)
 	}
 	for _, raw := range []Join{newEquiJoin(), struct{ Join }{j}} {
-		if got := PrepareKey(raw, Left, int64(42)); got != int64(42) {
-			t.Errorf("PrepareKey without Prepare = %v, want the raw key", got)
+		if got := NewPreparer(raw, 1).Prepare(int64(42)); got != int64(42) {
+			t.Errorf("Prepare without Spec.Prepare = %v, want the raw key", got)
 		}
+	}
+}
+
+// digitKey is a prepared key of an interface-typed spec.
+type digitKey int64
+
+func (d digitKey) String() string { return string(rune('0' + d)) }
+
+// TestPreparerInterfaceKey pins a Preparer over a spec whose key type
+// is an interface: its keys keep Prepare's dynamic type, as boxing
+// Prepare's result would, and the typed functions take them.
+func TestPreparerInterfaceKey(t *testing.T) {
+	j := Wrap(Spec[fmt.Stringer, fmt.Stringer, int64, int64]{
+		Name:         "stringers",
+		Prepare:      func(raw any) fmt.Stringer { return digitKey(raw.(int64) % 10) },
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ fmt.Stringer, s int64) int64 { return s },
+		GlobalAgg:    func(a, _ int64) int64 { return a },
+		Divide:       func(_, _ int64, _ []any) (int64, error) { return 0, nil },
+		AssignLeft:   func(_ fmt.Stringer, _ int64, dst []BucketID) []BucketID { return append(dst, 0) },
+		Verify: func(_ BucketID, l fmt.Stringer, _ BucketID, r fmt.Stringer, _ int64) bool {
+			return l.String() == r.String()
+		},
+	})
+	p := NewPreparer(j, 4)
+	l, r := p.Prepare(int64(42)), p.Prepare(int64(12))
+	if l != any(digitKey(2)) || r != any(digitKey(2)) {
+		t.Fatalf("prepared keys %#v %#v, want digitKey(2) twice", l, r)
+	}
+	if !j.Verify(0, l, 0, r, int64(0)) {
+		t.Error("Verify rejected two prepared keys of one digit")
 	}
 }
 

@@ -74,11 +74,12 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 	// Every later phase works on the prepared keys; emit still gets the
 	// caller's raw ones.
 	phase = "summarize"
-	prepare := func(side Side, data []any) []any {
+	prepare := func(data []any) []any {
 		keys := make([]any, len(data))
+		prep := NewPreparer(j, len(data))
 		for i, k := range data {
 			record = i
-			keys[i] = PrepareKey(j, side, k)
+			keys[i] = prep.Prepare(k)
 		}
 		record = -1
 		return keys
@@ -90,7 +91,7 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 		record = -1
 		return j.GlobalAggregate(side, s, j.NewSummary(side))
 	}
-	lkeys, rkeys := prepare(Left, left), prepare(Right, right)
+	lkeys, rkeys := prepare(left), prepare(right)
 	ls := summarize(Left, lkeys)
 	var rs Summary
 	if sameSlice(left, right) && desc.SymmetricSummarize {

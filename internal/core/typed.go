@@ -5,7 +5,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"unsafe"
 
+	"fudj/internal/slab"
 	"fudj/internal/wire"
 )
 
@@ -122,19 +124,47 @@ func castKey[K any](w Join, side Side, key any) K {
 // else fails loudly: a kind mismatch means the CREATE JOIN signature and
 // the query disagree, which the planner should have rejected.
 func prepareCast[K any](w Join, side Side, key any) K {
-	if k, ok := PrepareKey(w, side, key).(K); ok {
+	if k, ok := w.(interface{ prepareKey(any) any }).prepareKey(key).(K); ok {
 		return k
 	}
 	panic(fmt.Sprintf("core: join %q %s key is %T, want %T", w.Descriptor().Name, side, key, *new(K)))
 }
 
-// prepareKey is Prepare boxed for the engine, or raw unchanged without
-// one. Prepare serves both sides, which Wrap made sure share one type.
-func (w *wrapped[KL, KR, S, P]) prepareKey(_ Side, raw any) any {
+// prepareKey is Prepare boxed, or raw unchanged without one. Prepare
+// serves both sides, which Wrap made sure share one type.
+func (w *wrapped[KL, KR, S, P]) prepareKey(raw any) any {
 	if w.spec.Prepare == nil {
 		return raw
 	}
 	return w.spec.Prepare(raw)
+}
+
+// preparer returns a task's slab-boxing preparer, or nil without
+// Prepare.
+func (w *wrapped[KL, KR, S, P]) preparer(chunk int) keyPreparer {
+	if w.spec.Prepare == nil {
+		return nil
+	}
+	return &slabPreparer[KL]{fn: w.spec.Prepare, typ: slab.TypeWord[KL](), chunk: chunk}
+}
+
+// slabPreparer is a Preparer's work for a spec with Prepare: each
+// prepared key is written to the next slot of a chunked slab and the
+// interface built over that slot, unless K boxes without allocating
+// (typ nil).
+type slabPreparer[K any] struct {
+	fn    func(raw any) K
+	typ   unsafe.Pointer
+	chunk int
+	slots slab.Slab[K]
+}
+
+func (p *slabPreparer[K]) prepare(raw any) any {
+	k := p.fn(raw)
+	if p.typ == nil {
+		return k
+	}
+	return slab.Box(p.typ, unsafe.Pointer(p.slots.Put(k, p.chunk)))
 }
 
 func (w *wrapped[KL, KR, S, P]) LocalAggregate(side Side, key any, s Summary) Summary {

@@ -1,10 +1,10 @@
 // COMBINE bucket groups: the batch-native unit the match/verify loops
 // operate on. A bucketGroup pairs one bucket's records with a parallel
-// column of their join keys, boxed by the task's types.Boxer and
-// prepared by the join once per record, so the O(|ls|·|rs|) verify loop
-// touches a prebuilt key vector instead of re-boxing r[1] for every
-// candidate pair — the allocation that dominated the record-at-a-time
-// hot path.
+// column of their join keys, boxed and prepared from the task's slabs
+// (types.Boxer, core.Preparer) once per record, so the O(|ls|·|rs|)
+// verify loop touches a prebuilt key vector instead of re-boxing r[1]
+// for every candidate pair — the allocation that dominated the
+// record-at-a-time hot path.
 package engine
 
 import (
@@ -28,20 +28,20 @@ type bucketGroup struct {
 func (g *bucketGroup) add(r types.Record) { g.recs = append(g.recs, r) }
 
 // prepared returns g's key column, first boxing (through box) and
-// preparing the keys of the records added since the last call. It runs
-// library code, so it is only called inside the guarded COMBINE task;
-// it runs once per bucket pair, so the usual case, a column already
-// full, stays inlined.
-func (g *bucketGroup) prepared(join core.Join, side core.Side, box *types.Boxer) []any {
+// preparing (through prep) the keys of the records added since the last
+// call. It runs library code, so it is only called inside the guarded
+// COMBINE task; it runs once per bucket pair, so the usual case, a
+// column already full, stays inlined.
+func (g *bucketGroup) prepared(box *types.Boxer, prep core.Preparer) []any {
 	if len(g.keys) < len(g.recs) {
-		g.fill(join, side, box)
+		g.fill(box, prep)
 	}
 	return g.keys
 }
 
-func (g *bucketGroup) fill(join core.Join, side core.Side, box *types.Boxer) {
+func (g *bucketGroup) fill(box *types.Boxer, prep core.Preparer) {
 	for _, r := range g.recs[len(g.keys):] {
-		g.keys = append(g.keys, core.PrepareKey(join, side, box.Native(r[1])))
+		g.keys = append(g.keys, prep.Prepare(box.Native(r[1])))
 	}
 }
 

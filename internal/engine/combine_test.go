@@ -12,6 +12,7 @@ import (
 
 	"fudj/internal/cluster"
 	"fudj/internal/core"
+	"fudj/internal/datagen"
 	"fudj/internal/geo"
 	"fudj/internal/trace"
 	"fudj/internal/types"
@@ -341,8 +342,8 @@ func TestCombineBucketsAllocatesNothingPerPair(t *testing.T) {
 		rs.add(extRec(2, 100+i, "r"))
 	}
 	task := newCombineTask(join, int64(0), join.Descriptor(), 2, newAppendSink())
-	ls.prepared(join, core.Left, task.box)
-	rs.prepared(join, core.Right, task.box)
+	ls.prepared(task.box, task.prep)
+	rs.prepared(task.box, task.prep)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := task.combineBuckets(1, &ls, 2, &rs); err != nil {
 			t.Fatal(err)
@@ -377,12 +378,12 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 		recs[i] = extRec(i%buckets, i%200, "r") // ids below 256 box without allocating
 	}
 	bound := float64(3 * buckets)
-	box := types.NewBoxer(combineChunk)
+	box, prep := types.NewBoxer(combineChunk), core.NewPreparer(join, combineChunk)
 
 	grouped := testing.AllocsPerRun(20, func() {
 		groups := groupByBucket(recs)
 		for _, g := range groups {
-			if len(g.prepared(join, core.Left, box)) != len(recs)/buckets {
+			if len(g.prepared(box, prep)) != len(recs)/buckets {
 				t.Fatal("group lost records")
 			}
 		}
@@ -395,7 +396,7 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 	hash := func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
 	var pairs int
 	combine := func(_ int, ls *bucketGroup, _ int, rs *bucketGroup) error {
-		pairs += len(ls.prepared(join, core.Left, box)) * len(rs.prepared(join, core.Right, box))
+		pairs += len(ls.prepared(box, prep)) * len(rs.prepared(box, prep))
 		return nil
 	}
 	combined := testing.AllocsPerRun(20, func() {
@@ -436,9 +437,9 @@ func TestPointKeysBoxPerChunk(t *testing.T) {
 	bound := float64(3*buckets + chunks + 1) // + 1: the Boxer itself
 
 	allocs := testing.AllocsPerRun(20, func() {
-		box := types.NewBoxer(combineChunk)
+		box, prep := types.NewBoxer(combineChunk), core.NewPreparer(join, combineChunk)
 		for _, g := range groupByBucket(recs) {
-			keys := g.prepared(join, core.Left, box)
+			keys := g.prepared(box, prep)
 			if len(keys) != len(recs)/buckets {
 				t.Fatal("group lost records")
 			}
@@ -482,6 +483,32 @@ func TestSpatialJoinAllocatesBelowOnePerPoint(t *testing.T) {
 	t.Logf("%.0f allocations per query over %d points", allocs, n)
 	if allocs >= n {
 		t.Errorf("spatial_join over %d points allocated %.0f objects per query, want fewer than one per point", n, allocs)
+	}
+}
+
+// TestTextSimilarityJoinAllocatesBelowTwoPerReview bounds a whole
+// text_similarity_join query by its input: preparing every review's
+// token set at SUMMARIZE and again in COMBINE costs Prepare's own
+// allocation each, and ASSIGN, the key boxing, the string columns and
+// the decoded summaries and plan cost none per review, so the query
+// allocates fewer than two objects per input review. Boxing each
+// prepared key, copying each decoded string and allocating each
+// ASSIGN's ranks would cost several more per review.
+func TestTextSimilarityJoinAllocatesBelowTwoPerReview(t *testing.T) {
+	db := newTestDB(t)
+	const n = 4000
+	ds := datagen.AmazonReview(7, n)
+	if err := db.CreateDataset("manyreviews", ds.Schema, ds.Records); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT a.id, b.id FROM manyreviews a, manyreviews b WHERE a.overall = 5 AND b.overall = 4 AND text_similarity_join(a.review, b.review, 0.9)`
+	if got := len(mustQuery(t, db, sql).Rows); got == 0 {
+		t.Fatal("the join matched no pair; the bound needs a working join")
+	}
+	allocs := testing.AllocsPerRun(5, func() { mustQuery(t, db, sql) })
+	t.Logf("%.0f allocations per query over %d reviews", allocs, n)
+	if allocs >= 2*n {
+		t.Errorf("text_similarity_join over %d reviews allocated %.0f objects per query, want fewer than two per review", n, allocs)
 	}
 }
 

@@ -80,14 +80,14 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 			rec := -1
 			defer core.CatchPanic(f.def.Name, "summarize", part, &rec, &err)
 			keys := make([]any, len(in))
-			box := types.NewBoxer(len(in))
+			box, prep := types.NewBoxer(len(in)), core.NewPreparer(join, len(in))
 			for i, r := range in {
 				rec = i
 				v, err := key(r)
 				if err != nil {
 					return nil, err
 				}
-				keys[i] = core.PrepareKey(join, side, box.Native(v))
+				keys[i] = prep.Prepare(box.Native(v))
 			}
 			rec = -1
 			boxed[side][part] = keys
@@ -435,21 +435,21 @@ type combineTask struct {
 	sink   rowSink
 	n      taskCounts
 	box    *types.Boxer   // boxes the keys of every group the task prepares
-	ls, rs *bucketGroup   // the bucket pair in hand
-	lk, rk []any          // their prepared key columns
+	prep   core.Preparer  // and prepares them
+	ls, rs *bucketGroup   // the bucket pair in hand, keys prepared
 	emit   func(i, k int) // t.pair, bound once per task
 	err    error          // first sink error; the task fails with it
 }
 
-// combineChunk is the slots per slab chunk of a COMBINE task's Boxer:
-// small, so the chunk a spilled pass's retired build groups pin holds
-// few keys besides theirs.
+// combineChunk is the slots per slab chunk of a COMBINE task's Boxer
+// and Preparer: small, so the chunk a spilled pass's retired build
+// groups pin holds few keys besides theirs.
 const combineChunk = 128
 
 // newCombineTask returns a task whose emit is bound, once, to its pair.
 func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extraCols int, sink rowSink) *combineTask {
 	t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: sink,
-		box: types.NewBoxer(combineChunk)}
+		box: types.NewBoxer(combineChunk), prep: core.NewPreparer(join, combineChunk)}
 	t.emit = t.pair
 	return t
 }
@@ -459,9 +459,9 @@ func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extra
 // the first time its group is combined.
 func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
 	t.ls, t.rs = ls, rs
-	t.lk, t.rk = ls.prepared(t.join, core.Left, t.box), rs.prepared(t.join, core.Right, t.box)
-	t.n.candidates += int64(len(t.lk)) * int64(len(t.rk))
-	core.JoinBuckets(t.join, t.desc.LocalJoin, b1, t.lk, b2, t.rk, t.plan, nil, t.emit)
+	lk, rk := ls.prepared(t.box, t.prep), rs.prepared(t.box, t.prep)
+	t.n.candidates += int64(len(lk)) * int64(len(rk))
+	core.JoinBuckets(t.join, t.desc.LocalJoin, b1, lk, b2, rk, t.plan, nil, t.emit)
 	return t.err
 }
 
@@ -477,7 +477,7 @@ func (t *combineTask) pair(i, k int) {
 	l, r := t.ls.recs[i], t.rs.recs[k]
 	switch t.desc.Dedup {
 	case core.DedupAvoidance, core.DedupCustom:
-		if !t.join.Dedup(int(l[0].Int64()), t.lk[i], int(r[0].Int64()), t.rk[k], t.plan) {
+		if !t.join.Dedup(int(l[0].Int64()), t.ls.keys[i], int(r[0].Int64()), t.rs.keys[k], t.plan) {
 			t.n.deduped++
 			return
 		}

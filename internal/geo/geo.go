@@ -236,20 +236,41 @@ func (p *Polygon) MarshalWire(e *wire.Encoder) {
 
 // UnmarshalWire decodes a polygon ring and recomputes its MBR.
 func (p *Polygon) UnmarshalWire(d *wire.Decoder) error {
-	n, err := d.UvarintCount(16) // each point is two float64s
+	return p.UnmarshalWireInto(d, newPoints)
+}
+
+// UnmarshalWireInto is UnmarshalWire with the ring taken from ring(n),
+// once the input is known to hold its n vertices: a decoder of many
+// polygons carves their rings from slabs of its own. Like UnmarshalWire
+// it takes a ring of any length, where NewPolygon would panic.
+func (p *Polygon) UnmarshalWireInto(d *wire.Decoder, ring func(n int) []Point) error {
+	pts, err := readPoints(d, ring)
 	if err != nil {
 		return err
 	}
-	p.Ring = make([]Point, n)
-	for i := range p.Ring {
-		if err := p.Ring[i].UnmarshalWire(d); err != nil {
-			return err
-		}
-	}
+	p.Ring = pts
 	p.mbr = p.computeMBR()
 	p.has = true
 	return nil
 }
+
+// readPoints decodes a ring's or a polyline's points into room(n): a
+// count, bounded by the input left at 16 bytes a point, then the points.
+func readPoints(d *wire.Decoder, room func(n int) []Point) ([]Point, error) {
+	n, err := d.UvarintCount(16) // each point is two float64s
+	if err != nil {
+		return nil, err
+	}
+	pts := room(n)
+	for i := range pts {
+		if err := pts[i].UnmarshalWire(d); err != nil {
+			return nil, err
+		}
+	}
+	return pts, nil
+}
+
+func newPoints(n int) []Point { return make([]Point, n) }
 
 // ContainsPoint reports whether q is inside the polygon (or on its
 // boundary, within floating-point tolerance) using the even-odd

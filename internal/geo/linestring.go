@@ -64,16 +64,17 @@ func (ls *LineString) MarshalWire(e *wire.Encoder) {
 
 // UnmarshalWire decodes a polyline and recomputes its MBR.
 func (ls *LineString) UnmarshalWire(d *wire.Decoder) error {
-	n, err := d.UvarintCount(16) // each point is two float64s
+	return ls.UnmarshalWireInto(d, newPoints)
+}
+
+// UnmarshalWireInto is UnmarshalWire with the points taken from
+// points(n), as Polygon.UnmarshalWireInto takes its ring.
+func (ls *LineString) UnmarshalWireInto(d *wire.Decoder, points func(n int) []Point) error {
+	pts, err := readPoints(d, points)
 	if err != nil {
 		return err
 	}
-	ls.Points = make([]Point, n)
-	for i := range ls.Points {
-		if err := ls.Points[i].UnmarshalWire(d); err != nil {
-			return err
-		}
-	}
+	ls.Points = pts
 	ls.mbr = ls.computeMBR()
 	ls.has = true
 	return nil

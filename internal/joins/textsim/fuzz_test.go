@@ -26,6 +26,15 @@ func FuzzDecodeState(f *testing.F) {
 		f.Add(e.Bytes()[:e.Len()/2])
 	}
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a plan claiming 2^32 tokens
+	// A summary repeating a token (the later count wins) and holding
+	// the empty token, which the decoders slice from their one copy.
+	e := wire.NewEncoder(32)
+	e.Uvarint(4)
+	for _, tok := range []string{"lake", "", "lake", "trail"} {
+		e.String(tok)
+		e.Uvarint(uint64(len(tok)))
+	}
+	f.Add(e.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Plan

@@ -44,23 +44,29 @@ func (s Summary) MarshalWire(e *wire.Encoder) {
 
 // UnmarshalWire decodes what MarshalWire wrote. An entry takes at least
 // two bytes, the token's length and its count, which bounds the size
-// the map is made with.
+// the map is made with. A first walk checks every entry; the tokens'
+// run is then copied once (wire.Decoder.CopyFrom), and a second walk
+// over the checked entries slices each token from the copy.
 func (s *Summary) UnmarshalWire(d *wire.Decoder) error {
 	n, err := d.UvarintCount(2)
 	if err != nil {
 		return err
 	}
+	again := *d
+	for range n {
+		if _, _, err := d.Span(); err != nil {
+			return err
+		}
+		if _, err := d.Uvarint(); err != nil {
+			return err
+		}
+	}
+	start, toks := again.Offset(), d.CopyFrom(again.Offset())
 	m := make(Summary, n)
 	for range n {
-		tok, err := d.String()
-		if err != nil {
-			return err
-		}
-		c, err := d.Uvarint()
-		if err != nil {
-			return err
-		}
-		m[tok] = int64(c)
+		off, l, _ := again.Span() // checked by the first walk
+		c, _ := again.Uvarint()
+		m[toks[off-start:][:l]] = int64(c)
 	}
 	*s = m
 	return nil
@@ -81,7 +87,8 @@ func (p Plan) MarshalWire(e *wire.Encoder) {
 }
 
 // UnmarshalWire decodes what MarshalWire wrote; every token takes at
-// least its length byte.
+// least its length byte. Its tokens are sliced from one copy of their
+// run, as Summary's are.
 func (p *Plan) UnmarshalWire(d *wire.Decoder) error {
 	threshold, err := d.Float64()
 	if err != nil {
@@ -91,12 +98,17 @@ func (p *Plan) UnmarshalWire(d *wire.Decoder) error {
 	if err != nil {
 		return err
 	}
-	ranks := make(map[string]int, n)
-	for i := range n {
-		tok, err := d.String()
-		if err != nil {
+	again := *d
+	for range n {
+		if _, _, err := d.Span(); err != nil {
 			return err
 		}
+	}
+	start, toks := again.Offset(), d.CopyFrom(again.Offset())
+	ranks := make(map[string]int, n)
+	for i := range n {
+		off, l, _ := again.Span() // checked by the first walk
+		tok := toks[off-start:][:l]
 		if _, dup := ranks[tok]; dup {
 			return fmt.Errorf("textsim: plan repeats token %q", tok)
 		}
@@ -150,7 +162,7 @@ func spec(name string, dedup core.DedupMode) core.Spec[[]string, []string, Summa
 
 		// ASSIGN: prefix ranks (multi-assign; rarest tokens first).
 		AssignLeft: func(toks []string, p Plan, dst []core.BucketID) []core.BucketID {
-			return append(dst, p.rankTable().PrefixRanks(toks, p.Threshold)...)
+			return p.rankTable().AppendPrefixRanks(dst, toks, p.Threshold)
 		},
 
 		// MATCH: nil → default equality.

@@ -2,11 +2,13 @@ package textsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
 	"fudj/internal/core"
 	"fudj/internal/text"
+	"fudj/internal/wire"
 )
 
 var vocab = []string{
@@ -184,5 +186,59 @@ func TestLibrary(t *testing.T) {
 	}
 	if _, err := lib.Resolve("setsimilarity.SetSimilarityJoin"); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTextsimAssignAllocatesNothing pins ASSIGN's scratch: the join
+// appends a prepared key's prefix ranks into the caller's bucket list,
+// so with a list reused across keys, as the engine's assign task and
+// duplicate avoidance reuse theirs, Assign allocates nothing.
+func TestTextsimAssignAllocatesNothing(t *testing.T) {
+	j := New()
+	l, r := Summary{"lake": 3, "trail": 1, "river": 2}, Summary{"lake": 2, "forest": 5}
+	plan, err := j.Divide(l, r, []any{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := text.TokenSet("lake trail forest river canyon")
+	key := any(toks) // prepared and boxed once, as the engine does
+	want := plan.(Plan).rankTable().PrefixRanks(toks, 0.5)
+	dst := make([]core.BucketID, 0, 16)
+	allocs := testing.AllocsPerRun(100, func() { dst = j.Assign(core.Left, key, plan, dst[:0]) })
+	if allocs != 0 {
+		t.Errorf("Assign allocated %.0f times per key, want 0", allocs)
+	}
+	if fmt.Sprint(dst) != fmt.Sprint(want) {
+		t.Errorf("Assign = %v, want the prefix ranks %v", dst, want)
+	}
+}
+
+// TestDecodedStateOwnsItsTokens pins that the decoders' one copy is a
+// copy: overwriting the input after decoding leaves every token of the
+// summary and the plan as it was, the empty token included.
+func TestDecodedStateOwnsItsTokens(t *testing.T) {
+	sum := Summary{"lake": 5, "": 2, "trail": 1, "río": 7}
+	plan := Plan{Ranks: map[string]int{"trail": 0, "": 1, "lake": 2}, NextRank: 3, Threshold: 0.8}
+
+	buf := marshal(sum)
+	var gotSum Summary
+	if err := gotSum.UnmarshalWire(wire.NewDecoder(buf)); err != nil {
+		t.Fatal(err)
+	}
+	buf2 := marshal(plan)
+	var gotPlan Plan
+	if err := gotPlan.UnmarshalWire(wire.NewDecoder(buf2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{buf, buf2} {
+		for i := range b {
+			b[i] = 'x'
+		}
+	}
+	if !maps.Equal(gotSum, sum) {
+		t.Errorf("summary after overwriting its input = %v, want %v", gotSum, sum)
+	}
+	if !maps.Equal(gotPlan.Ranks, plan.Ranks) || gotPlan.NextRank != 3 || gotPlan.Threshold != 0.8 {
+		t.Errorf("plan after overwriting its input = %+v, want %+v", gotPlan, plan)
 	}
 }

@@ -163,11 +163,18 @@ func (rt *RankTable) Size() int { return len(rt.Ranks) }
 // p = PrefixLength(len(tokens), threshold). These ranks are the bucket
 // ids the record is assigned to.
 func (rt *RankTable) PrefixRanks(tokens []string, threshold float64) []int {
-	ranks := make([]int, len(tokens))
-	for i, tok := range tokens {
-		ranks[i] = rt.Rank(tok)
+	return rt.AppendPrefixRanks(nil, tokens, threshold)
+}
+
+// AppendPrefixRanks appends PrefixRanks(tokens, threshold) to dst and
+// returns the extended slice. It ranks every token into dst's tail,
+// sorts the tail in place and truncates it to the prefix, so with room
+// in dst it allocates nothing.
+func (rt *RankTable) AppendPrefixRanks(dst []int, tokens []string, threshold float64) []int {
+	n := len(dst)
+	for _, tok := range tokens {
+		dst = append(dst, rt.Rank(tok))
 	}
-	sort.Ints(ranks)
-	p := PrefixLength(len(tokens), threshold)
-	return ranks[:p]
+	slices.Sort(dst[n:])
+	return dst[:n+PrefixLength(len(tokens), threshold)]
 }

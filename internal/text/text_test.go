@@ -97,6 +97,23 @@ func TestPrefixRanks(t *testing.T) {
 	}
 }
 
+// TestAppendPrefixRanks pins the appending form: it leaves dst's head
+// alone, appends what PrefixRanks returns, and with room in dst
+// allocates nothing.
+func TestAppendPrefixRanks(t *testing.T) {
+	rt := BuildRankTable(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
+	toks := []string{"d", "b", "zz", "a", "c"} // "zz" is unseen: it ranks last
+	dst := make([]int, 0, 16)
+	dst = append(dst, 99, 98)
+	got := rt.AppendPrefixRanks(dst, toks, 0.5)
+	if want := append([]int{99, 98}, rt.PrefixRanks(toks, 0.5)...); !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendPrefixRanks = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dst = rt.AppendPrefixRanks(dst[:0], toks, 0.5) }); allocs != 0 {
+		t.Errorf("AppendPrefixRanks into a roomy dst allocated %.0f times, want 0", allocs)
+	}
+}
+
 // Property: the prefix-filter is complete — any pair of token sets with
 // Jaccard >= threshold shares at least one prefix rank. This is the
 // invariant that makes the text-similarity FUDJ's ASSIGN lossless.

@@ -245,8 +245,9 @@ func decodeColumnarRecords(d *wire.Decoder, scratch *Batch) ([]Record, error) {
 // decodeColumnInto fills column c of the row-major arena from d.
 func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag byte) error {
 	if tag == batchGenericTag {
+		var shapes shapeSlabs
 		for row := 0; row < rows; row++ {
-			v, err := DecodeValue(d)
+			v, err := shapes.decode(d, rows-row)
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
@@ -279,12 +280,31 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			arena[row*width+c] = NewFloat64(v)
 		}
 	case KindString:
+		// One walk spans every value, each cell holding its length and
+		// its offset into the column (in b; 0 for an empty string)
+		// meanwhile; the column's bytes are then copied once and every
+		// value slices the copy. A column of empty strings copies
+		// nothing.
+		start, total := d.Offset(), 0
 		for row := 0; row < rows; row++ {
-			v, err := d.String()
+			off, n, err := d.Span()
 			if err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = NewString(v)
+			v := Value{kind: KindString, a: uint64(n)}
+			if n > 0 {
+				v.b = uint64(off - start)
+			}
+			arena[row*width+c] = v
+			total += n
+		}
+		var col string
+		if total > 0 {
+			col = d.CopyFrom(start)
+		}
+		for row := 0; row < rows; row++ {
+			v := &arena[row*width+c]
+			*v = NewString(col[v.b:][:v.a])
 		}
 	case KindInterval:
 		for row := 0; row < rows; row++ {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fudj/internal/geo"
 	"fudj/internal/interval"
@@ -276,6 +279,132 @@ func TestBatchScratchReuseAcrossDecodes(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchStringsDoNotAliasFrame pins that a string column's one
+// copy is a copy: overwriting the frame after decoding leaves every
+// string as it was, in a column mixing empty and non-empty strings and
+// in a column of only empty strings.
+func TestDecodeBatchStringsDoNotAliasFrame(t *testing.T) {
+	mixed := []string{"alpha", "", "beta gamma", "", strings.Repeat("z", 300), "ω"}
+	recs := make([]Record, len(mixed))
+	for i, s := range mixed {
+		recs[i] = Record{NewString(s), NewString(""), NewInt64(int64(i))}
+	}
+	frame := EncodeBatch(recs, nil)
+	got, err := DecodeBatch(frame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 'x'
+	}
+	sameRecords(t, got, recs)
+	for i, r := range got {
+		if r[0].Str() != mixed[i] || r[1].Str() != "" {
+			t.Errorf("row %d = %q, %q after overwriting the frame, want %q, \"\"", i, r[0].Str(), r[1].Str(), mixed[i])
+		}
+	}
+}
+
+// hexagons returns n records of an id and a six-vertex polygon, the
+// shape of the parks the spatial workloads ship.
+func hexagons(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		x := float64(i)
+		recs[i] = Record{NewInt64(int64(i)), NewPolygon(geo.NewPolygon([]geo.Point{
+			{X: x, Y: 0}, {X: x + 2, Y: 0}, {X: x + 3, Y: 1}, {X: x + 2, Y: 2}, {X: x, Y: 2}, {X: x - 1, Y: 1},
+		}))}
+	}
+	return recs
+}
+
+// TestDecodeBatchPolygonsAllocatePerFrame pins the column-scoped shape
+// slabs: decoding a frame of n polygons allocates the arenas, one
+// polygon chunk per shapeChunk and one per 8 of the rest (the sizes a
+// chunk with pointers fills exactly: 32 KiB, or at most 512 bytes with
+// no header), and hexagon rings in chunks of 256, 128, … rings, where a
+// polygon and a ring of their own cost 2n. The chunks waste no byte:
+// the frame costs what its ids and n lone 64-byte polygons and 96-byte
+// rings cost. Each ring is full at cap == len, so appending to one
+// leaves its neighbour alone.
+func TestDecodeBatchPolygonsAllocatePerFrame(t *testing.T) {
+	const n = 1000
+	recs := hexagons(n)
+	frame := EncodeBatch(recs, nil)
+	scratch := NewBatch(2)
+	var got []Record
+	decode := func() {
+		var err error
+		if got, err = DecodeBatch(frame, scratch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, decode)
+	bound := float64(2 + n/shapeChunk + (n%shapeChunk+7)/8 + (n+255)/256 + 8)
+	if allocs > bound {
+		t.Errorf("decoding %d polygons allocated %.0f times, want at most %.0f", n, allocs, bound)
+	}
+	ids := make([]Record, n)
+	for i := range ids {
+		ids[i] = Record{NewInt64(int64(i)), Null}
+	}
+	idFrame := EncodeBatch(ids, nil)
+	lone := int64(unsafe.Sizeof(geo.Polygon{}) + 6*unsafe.Sizeof(geo.Point{}))
+	if b, want := allocBytes(decode), allocBytes(func() { DecodeBatch(idFrame, scratch) })+n*lone; b > want {
+		t.Errorf("decoding %d polygons allocated %d bytes, want at most %d", n, b, want)
+	}
+	sameRecords(t, got, recs)
+	for i, r := range got {
+		p := r[1].Polygon()
+		if len(p.Ring) != 6 || cap(p.Ring) != 6 || p.MBR() != recs[i][1].Polygon().MBR() {
+			t.Fatalf("polygon %d: ring len %d cap %d MBR %v", i, len(p.Ring), cap(p.Ring), p.MBR())
+		}
+	}
+	first := got[0][1].Polygon()
+	_ = append(first.Ring, geo.Point{X: -9, Y: -9})
+	if got[1][1].Polygon().Ring[0] != (geo.Point{X: 1, Y: 0}) {
+		t.Error("appending to one decoded ring wrote into its neighbour")
+	}
+}
+
+// allocBytes returns the bytes one call of f allocates: the least mean
+// of five rounds of 10 calls, after a warm-up call, since a garbage
+// collection during a round can add a few bytes of its own.
+func allocBytes(f func()) int64 {
+	f()
+	least := int64(math.MaxInt64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, int64(after.TotalAlloc-before.TotalAlloc)/10)
+	}
+	return least
+}
+
+// TestDecodeBatchShortRing pins that a damaged polygon column fails or
+// decodes as DecodeValue decodes it, never panicking as NewPolygon
+// would: a ring truncated by the frame's end is an error, and a
+// two-vertex ring decodes as the wire format carries it.
+func TestDecodeBatchShortRing(t *testing.T) {
+	frame := EncodeBatch(hexagons(3), nil)
+	if _, err := DecodeBatch(frame[:len(frame)-20], nil); err == nil {
+		t.Error("a frame cut inside a ring decoded without an error")
+	}
+	two := []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}
+	recs := []Record{{NewPolygon(&geo.Polygon{Ring: two})}, {NewPolygon(&geo.Polygon{Ring: two})}}
+	got, err := DecodeBatch(EncodeBatch(recs, nil), nil)
+	if err != nil {
+		t.Fatalf("a two-vertex ring: %v", err)
+	}
+	if r := got[1][0].Polygon().Ring; len(r) != 2 || r[1] != two[1] {
+		t.Errorf("two-vertex ring decoded as %v", r)
+	}
+}
+
 // FuzzDecodeBatch drives the columnar frame decoder with arbitrary
 // bytes. Like FuzzDecodeRecords it guards every cross-node transfer
 // and every spill/checkpoint frame: it must never panic or
@@ -297,6 +426,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(pad)
 	f.Add(EncodeBatch(richRows(1024), nil))
 	f.Add(EncodeBatch(rectAndEmptyList(), nil))
+	strs := EncodeBatch([]Record{{NewString("")}, {NewString("short")}, {NewString(strings.Repeat("s", 200))}}, nil)
+	f.Add(strs)
+	f.Add(strs[:len(strs)-201]) // cut inside the last value's two-byte length prefix
+	polys := EncodeBatch(hexagons(3), nil)
+	f.Add(polys[:len(polys)-20]) // the last ring short of its points
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeBatch(data, nil)

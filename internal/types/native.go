@@ -6,6 +6,7 @@ import (
 
 	"fudj/internal/geo"
 	"fudj/internal/interval"
+	"fudj/internal/slab"
 )
 
 // Geometry extracts the spatial payload of a value as a geo.Geometry,
@@ -45,7 +46,7 @@ func (v Value) Native() any {
 	case KindPoint:
 		return v.Point()
 	case KindRect:
-		return boxAt(rectType, v.p)
+		return slab.Box(rectType, v.p)
 	case KindPolygon:
 		return v.poly()
 	case KindLineString:
@@ -82,21 +83,20 @@ func allStrings(vs []Value) bool {
 // A Boxer returns what Value.Native returns, of the same dynamic type
 // and value, but writes each point, interval, string, float64 or int64
 // outside [0, 256) once into the next slot of a chunked slab of its
-// kind and builds the interface over that slot, so boxing n keys
-// allocates once per chunk, not once per key. Slots are never rewritten
-// and chunks never reused; an interface's interior pointer keeps its
-// chunk alive. Other kinds box as Native boxes them. A Boxer is not
-// safe for concurrent use.
+// kind (slab.Slab) and builds the interface over that slot, so boxing n
+// keys allocates once per chunk, not once per key. An interface's
+// interior pointer keeps its chunk alive. Other kinds box as Native
+// boxes them. A Boxer is not safe for concurrent use.
 type Boxer struct {
 	chunk     int
-	words     slab[uint64] // int64 and float64 bits
-	strs      slab[string]
-	points    slab[geo.Point]
-	intervals slab[interval.Interval]
+	words     slab.Slab[uint64] // int64 and float64 bits
+	strs      slab.Slab[string]
+	points    slab.Slab[geo.Point]
+	intervals slab.Slab[interval.Interval]
 }
 
 // NewBoxer returns a Boxer whose slabs grow chunk slots at a time.
-func NewBoxer(chunk int) *Boxer { return &Boxer{chunk: max(chunk, 1)} }
+func NewBoxer(chunk int) *Boxer { return &Boxer{chunk: chunk} }
 
 // Native returns v.Native(), its payload in a slab slot.
 func (b *Boxer) Native(v Value) any {
@@ -108,58 +108,26 @@ func (b *Boxer) Native(v Value) any {
 			if v.kind == KindFloat64 {
 				typ = float64Type
 			}
-			return boxAt(typ, b.words.put(v.a, b.chunk))
+			return slab.Box(typ, unsafe.Pointer(b.words.Put(v.a, b.chunk)))
 		}
 	case KindString:
 		if v.a > 0 {
-			return boxAt(stringType, b.strs.put(v.str(), b.chunk))
+			return slab.Box(stringType, unsafe.Pointer(b.strs.Put(v.str(), b.chunk)))
 		}
 	case KindPoint:
-		return boxAt(pointType, b.points.put(geo.Point{X: v.float(), Y: v.float2()}, b.chunk))
+		return slab.Box(pointType, unsafe.Pointer(b.points.Put(geo.Point{X: v.float(), Y: v.float2()}, b.chunk)))
 	case KindInterval:
-		return boxAt(intervalType, b.intervals.put(interval.Interval{Start: v.int(), End: v.int2()}, b.chunk))
+		return slab.Box(intervalType, unsafe.Pointer(b.intervals.Put(interval.Interval{Start: v.int(), End: v.int2()}, b.chunk)))
 	}
 	return v.Native()
 }
 
-// slab hands out write-once slots from the chunk in hand, starting a
-// fresh chunk when it is full; a full chunk is never touched again.
-type slab[T any] []T
-
-// put writes x to the next slot and returns the slot's address.
-func (s *slab[T]) put(x T, chunk int) unsafe.Pointer {
-	if len(*s) == cap(*s) {
-		*s = make([]T, 0, chunk)
-	}
-	*s = append(*s, x)
-	return unsafe.Pointer(&(*s)[len(*s)-1])
-}
-
-// eface is the runtime's layout of an interface with no methods.
-// Boxing a pointer to the slot instead would change the type libraries
-// see (*geo.Point for geo.Point).
-type eface struct {
-	typ  unsafe.Pointer
-	data unsafe.Pointer
-}
-
-// The type words of the kinds built over a slot, each read once from a
-// boxed zero value.
+// The type words of the kinds built over a slot.
 var (
-	int64Type    = typeWord(int64(0))
-	float64Type  = typeWord(float64(0))
-	stringType   = typeWord("")
-	pointType    = typeWord(geo.Point{})
-	rectType     = typeWord(geo.Rect{})
-	intervalType = typeWord(interval.Interval{})
+	int64Type    = slab.TypeWord[int64]()
+	float64Type  = slab.TypeWord[float64]()
+	stringType   = slab.TypeWord[string]()
+	pointType    = slab.TypeWord[geo.Point]()
+	rectType     = slab.TypeWord[geo.Rect]()
+	intervalType = slab.TypeWord[interval.Interval]()
 )
-
-func typeWord(x any) unsafe.Pointer { return (*eface)(unsafe.Pointer(&x)).typ }
-
-// boxAt returns the interface of dynamic type typ whose payload is at
-// data, which nothing may write afterwards.
-func boxAt(typ, data unsafe.Pointer) (x any) {
-	e := (*eface)(unsafe.Pointer(&x))
-	e.typ, e.data = typ, data
-	return x
-}

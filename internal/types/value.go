@@ -15,6 +15,7 @@ import (
 
 	"fudj/internal/geo"
 	"fudj/internal/interval"
+	"fudj/internal/slab"
 	"fudj/internal/wire"
 )
 
@@ -479,12 +480,44 @@ func (v Value) MarshalWire(e *wire.Encoder) {
 
 // DecodeValue reads one value from d.
 func DecodeValue(d *wire.Decoder) (Value, error) {
+	var s shapeSlabs
+	return s.decode(d, 1)
+}
+
+// shapeSlabs carve decoded polygons and polylines from slabs of their
+// own. A batch column decodes all its values through one, so a column
+// of n polygons with rings of one length costs a few allocations, not
+// 2n; DecodeValue takes a fresh one per value, whose one-slot shape
+// chunk and exactly sized ring are the two allocations a lone shape
+// costs. A surviving shape keeps its chunks alive.
+type shapeSlabs struct {
+	polys  slab.Slab[geo.Polygon]
+	lines  slab.Slab[geo.LineString]
+	points slab.Slab[geo.Point]
+	left   int // values left to decode, the one in hand included
+}
+
+// The chunk caps: 32 KiB each, the largest size the runtime allocates
+// without rounding up to whole pages. A ring or polyline longer than
+// shapePoints gets a chunk of its own length.
+const (
+	shapeChunk  = 512  // polygons or polylines
+	shapePoints = 2048 // points
+)
+
+// decode reads one value from d; left counts the values d holds for s,
+// this one included, and sizes the chunks s starts: a new shape chunk
+// holds the rows left and a new points chunk the ring in hand's length
+// times the rows left, each within its cap and rounded down by
+// slab.Fit to what the runtime allocates exactly, so the rest of a
+// column comes in a smaller chunk rather than a rounded-up one.
+func (s *shapeSlabs) decode(d *wire.Decoder, left int) (Value, error) {
 	kb, err := d.Byte()
 	if err != nil {
 		return Null, err
 	}
-	k := Kind(kb)
-	switch k {
+	s.left = left
+	switch k := Kind(kb); k {
 	case KindNull:
 		return Null, nil
 	case KindBool, KindInt64:
@@ -500,11 +533,11 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 		}
 		return NewFloat64(f), nil
 	case KindString:
-		s, err := d.String()
+		str, err := d.String()
 		if err != nil {
 			return Null, err
 		}
-		return NewString(s), nil
+		return NewString(str), nil
 	case KindInterval:
 		i, err := d.Varint()
 		if err != nil {
@@ -532,17 +565,17 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 		}
 		return NewRect(r), nil
 	case KindPolygon:
-		var p geo.Polygon
-		if err := p.UnmarshalWire(d); err != nil {
+		p := s.polys.Put(geo.Polygon{}, newChunk(s.polys, min(left, shapeChunk), 1))
+		if err := p.UnmarshalWireInto(d, s.carve); err != nil {
 			return Null, err
 		}
-		return NewPolygon(&p), nil
+		return NewPolygon(p), nil
 	case KindLineString:
-		var ls geo.LineString
-		if err := ls.UnmarshalWire(d); err != nil {
+		ls := s.lines.Put(geo.LineString{}, newChunk(s.lines, min(left, shapeChunk), 1))
+		if err := ls.UnmarshalWireInto(d, s.carve); err != nil {
 			return Null, err
 		}
-		return NewLineString(&ls), nil
+		return NewLineString(ls), nil
 	case KindList:
 		n, err := d.UvarintCount(1)
 		if err != nil {
@@ -550,11 +583,26 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 		}
 		list := make([]Value, n)
 		for i := range list {
-			if list[i], err = DecodeValue(d); err != nil {
+			if list[i], err = s.decode(d, n-i); err != nil {
 				return Null, err
 			}
 		}
 		return NewList(list), nil
 	}
 	return Null, fmt.Errorf("types: unknown value kind %d", kb)
+}
+
+// carve returns a ring or polyline of n points from the points slab.
+func (s *shapeSlabs) carve(n int) []geo.Point {
+	return s.points.Carve(n, newChunk(s.points, min(n*s.left, shapePoints), n))
+}
+
+// newChunk returns the size of the chunk sl starts for its next unit
+// slots, slab.Fit of want, or 0 while the chunk in hand holds them, so
+// Fit runs once per chunk, not once per value.
+func newChunk[T any](sl slab.Slab[T], want, unit int) int {
+	if cap(sl)-len(sl) >= unit {
+		return 0
+	}
+	return slab.Fit[T](want, unit)
 }

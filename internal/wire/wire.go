@@ -171,17 +171,34 @@ func (d *Decoder) UvarintCount(minElemSize int) (int, error) {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() (string, error) {
-	n, err := d.Uvarint()
+	off, n, err := d.Span()
 	if err != nil {
 		return "", err
 	}
-	if uint64(d.Remaining()) < n {
-		return "", ErrShortBuffer
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
+	return string(d.buf[off : off+n]), nil
 }
+
+// Span reads a length-prefixed string as String does, bounds check and
+// all, but copies nothing: it returns where the string's bytes lie in
+// the input. A decoder of many strings spans them all, copies their run
+// once with CopyFrom and slices each string out of that copy.
+func (d *Decoder) Span() (off, n int, err error) {
+	l, err := d.Uvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	if uint64(d.Remaining()) < l {
+		return 0, 0, ErrShortBuffer
+	}
+	off = d.off
+	d.off += int(l)
+	return off, int(l), nil
+}
+
+// CopyFrom returns one copy of the input from offset start, a position
+// the decoder has read past, up to its read position. A string Span
+// found at off with length n in that run is copy[off-start:][:n].
+func (d *Decoder) CopyFrom(start int) string { return string(d.buf[start:d.off]) }
 
 // BytesField reads a length-prefixed byte slice. The returned slice
 // aliases the decoder's input.
