@@ -5,7 +5,8 @@
 // fault-free run returns. One table row per library: how to build its
 // datasets, its CREATE JOIN, its query, and the fault seed and straggler
 // node of its equivalence run. The fourth table, TestUDFPanicMatrix,
-// makes every core.Join method of every library class panic in turn.
+// makes every core.Join method of every library class panic in turn,
+// and a Wrap-built join's Spec.Rekey.
 package fudj_test
 
 import (
@@ -23,6 +24,7 @@ import (
 	"fudj"
 	"fudj/internal/cluster"
 	"fudj/internal/expr"
+	"fudj/internal/wire"
 )
 
 var idField = fudj.Field{Name: "id", Kind: fudj.KindInt64}
@@ -502,11 +504,84 @@ func TestUDFPanicMatrix(t *testing.T) {
 			t.Errorf("%d entries left in TMPDIR (err %v): %v", len(left), err, left)
 		}
 	})
+	t.Run("rekey", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		l := chaosLib(t, "textsim")
+		p := &udfProbe{calls: map[string]*atomic.Int64{"Rekey": new(atomic.Int64)}}
+		lib := fudj.NewLibrary("rekeyjoins")
+		lib.MustRegister("rekey.SameLength", func() fudj.Join { return sameLengthJoin(p) })
+		db := fudj.MustOpen(fudj.WithCluster(3, 2), fudj.WithRetryPolicy(chaosRetries))
+		l.build(t, db)
+		if err := db.InstallLibrary(lib); err != nil {
+			t.Fatal(err)
+		}
+		const ddl = `CREATE JOIN same_length(a: string, b: string) RETURNS boolean AS "rekey.SameLength" AT rekeyjoins`
+		const query = `SELECT r1.id, r2.id FROM reviews r1, reviews r2 WHERE r1.id < r2.id AND same_length(r1.review, r2.review)`
+		clean := p.cleanRun(t, db, ddl, "same_length", query).Rows
+		for _, nth := range slices.Compact([]int64{1, p.calls["Rekey"].Load()}) {
+			p.arm("Rekey", nth)
+			if _, err := db.Execute(ddl); err != nil {
+				t.Fatal(err)
+			}
+			_, err := db.Execute(query)
+			p.arm("", 0)
+			what := fmt.Sprintf("Rekey call %d", nth)
+			checkUDFError(t, what, err, "same_length", "Rekey boom", udfSite{phase: "assign", record: true})
+			// The first call is some assign task's first record.
+			if ue := (*fudj.UDFError)(nil); errors.As(err, &ue) && nth == 1 && ue.Record != 0 {
+				t.Errorf("%s: record %d, want 0", what, ue.Record)
+			}
+			after, err := db.Execute(query)
+			if err != nil {
+				t.Fatalf("query after a Rekey panic: %v", err)
+			}
+			sameMultiset(t, clean, after.Rows)
+			if _, err := db.Execute("DROP JOIN same_length"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+			t.Errorf("%d entries left in TMPDIR (err %v): %v", len(left), err, left)
+		}
+	})
 	for _, m := range methods {
 		if !raised[m] {
 			t.Errorf("no row saw a panic in %s come back as a UDFError", m)
 		}
 	}
+}
+
+// lengthKey is sameLengthJoin's key: a review's length in bytes.
+type lengthKey struct{ n int64 }
+
+func (k lengthKey) MarshalWire(e *wire.Encoder) { e.Varint(k.n) }
+
+func (k *lengthKey) UnmarshalWire(d *wire.Decoder) (err error) {
+	k.n, err = d.Varint()
+	return err
+}
+
+// sameLengthJoin pairs reviews of equal length. Its Spec.Rekey, a hook
+// inside the Wrap-built join rather than a core.Join method, calls the
+// probe, so the matrix can make it panic.
+func sameLengthJoin(p *udfProbe) fudj.Join {
+	return fudj.Wrap(fudj.Spec[lengthKey, lengthKey, int64, int64]{
+		Name:    "same_length",
+		Prepare: func(raw any) lengthKey { return lengthKey{int64(len(raw.(string)))} },
+		Rekey: func(k lengthKey, _ int64, _ lengthKey) lengthKey {
+			p.hit("Rekey")
+			return k
+		},
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ lengthKey, s int64) int64 { return s + 1 },
+		GlobalAgg:    func(a, b int64) int64 { return a + b },
+		Divide:       func(l, r int64, _ []any) (int64, error) { return l + r, nil },
+		AssignLeft: func(k lengthKey, _ int64, dst []fudj.BucketID) []fudj.BucketID {
+			return append(dst, int(k.n))
+		},
+		Verify: func(_ fudj.BucketID, l lengthKey, _ fudj.BucketID, r lengthKey, _ int64) bool { return l == r },
+	})
 }
 
 // udfShapes covers every registered class shape of the five libraries

@@ -190,20 +190,67 @@ func LocalAggregateAll(j Join, side Side, keys []any, s Summary, rec *int) Summa
 	return s
 }
 
-// A Preparer converts the raw keys of one executor task into the form
-// its join's functions take: a Wrap-built join's Spec.Prepare, its
-// results boxed from a chunked slab of the spec's key type, so n keys
-// cost one allocation per chunk beside Prepare's own work. Any other
-// Join, and a spec without Prepare, gets a Preparer whose Prepare hands
-// the raw key back, allocating nothing and calling nothing. Executors
-// prepare each record's key once and hand the result to every later
-// call about that record. A Preparer is not safe for concurrent use.
-type Preparer struct {
-	p keyPreparer // nil: keys need no preparation
+// Rekeys reports whether j is a Wrap-built join with Spec.Rekey. Its
+// assign tasks go through AssignRekeyed or AssignShipped, and COMBINE
+// reads shipped keys back through Preparer.Decode.
+func Rekeys(j Join) bool {
+	r, ok := j.(rekeyer)
+	return ok && r.rekeys()
 }
 
-// keyPreparer is the preparing half of a Wrap-built join with Prepare.
-type keyPreparer interface{ prepare(raw any) any }
+// rekeyer is the rekeying half of a Wrap-built join.
+type rekeyer interface {
+	rekeys() bool
+	assignRekeyed(Side, []any, PPlan, *int, func(int, []BucketID, any))
+	assignShipped(Side, []any, PPlan, *int, ShipSink)
+}
+
+// AssignRekeyed runs ASSIGN over one task's prepared keys for a join
+// that Rekeys: each key is rekeyed with the plan once, assigned, and
+// handed to emit(i, ids, key) with its bucket ids, boxed from a slab,
+// for every later call about record i to take. The index in hand is
+// written to *rec, so a panic names its record.
+func AssignRekeyed(j Join, side Side, keys []any, plan PPlan, rec *int, emit func(i int, ids []BucketID, key any)) {
+	j.(rekeyer).assignRekeyed(side, keys, plan, rec, emit)
+}
+
+// AssignShipped is AssignRekeyed for a task whose output crosses the
+// exchange: sink gets each rekeyed key's wire encoding, sliced from
+// chunks the call allocates, so the keys cost one allocation per chunk,
+// and Rekey reuses one key's storage for the next. A Preparer's Decode
+// reads the encoding back.
+func AssignShipped(j Join, side Side, keys []any, plan PPlan, rec *int, sink ShipSink) {
+	j.(rekeyer).assignShipped(side, keys, plan, rec, sink)
+}
+
+// A ShipSink takes what AssignShipped makes of each record i: its bucket
+// ids and its rekeyed key's encoding, valid for as long as it is
+// reachable. It is an interface, not a func, so a task's sink and the
+// state it appends to cost one allocation.
+type ShipSink interface {
+	Ship(i int, ids []BucketID, key string)
+}
+
+// A Preparer converts the keys of one executor task into the form its
+// join's functions take: raw keys through a Wrap-built join's
+// Spec.Prepare, and the keys AssignShipped encoded through the key
+// type's wire codec, its results boxed from a chunked slab of the
+// spec's key type, so n keys cost one allocation per chunk beside
+// Prepare's own work. Any other Join, and a spec without Prepare or
+// Rekey, gets a Preparer whose Prepare hands the raw key back,
+// allocating nothing and calling nothing. Executors prepare each
+// record's key once and hand the result to every later call about that
+// record. A Preparer is not safe for concurrent use.
+type Preparer struct {
+	p keyPreparer // nil: keys need no preparation and none is shipped
+}
+
+// keyPreparer is the preparing half of a Wrap-built join with Prepare
+// or Rekey.
+type keyPreparer interface {
+	prepare(raw any) any
+	decode(col string) (any, error)
+}
 
 // NewPreparer returns j's Preparer for one task, its slab growing chunk
 // keys at a time.
@@ -221,6 +268,10 @@ func (p Preparer) Prepare(raw any) any {
 	}
 	return p.p.prepare(raw)
 }
+
+// Decode returns the key whose encoding AssignShipped handed out as
+// col. Call it only for a join that Rekeys.
+func (p Preparer) Decode(col string) (any, error) { return p.p.decode(col) }
 
 // DefaultMatch is the framework-provided MATCH: plain bucket equality,
 // which turns the COMBINE phase into a single-join that the optimizer

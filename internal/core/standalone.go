@@ -31,7 +31,8 @@ func (s Stats) String() string {
 
 // RunStandalone executes a FUDJ algorithm on one machine, exactly as
 // the paper's standalone prototype (§VI-D2): read the data, run
-// SUMMARIZE / DIVIDE / ASSIGN / MATCH / VERIFY / DEDUP in order, and
+// SUMMARIZE / DIVIDE / ASSIGN / MATCH / VERIFY / DEDUP in order (with
+// Spec.Prepare and Spec.Rekey where the engine applies them), and
 // emit every joined key pair. It is the reference semantics that the
 // distributed engine must agree with, and the debugging harness for
 // new join libraries.
@@ -108,14 +109,13 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 		return stats, fmt.Errorf("divide: %w", err)
 	}
 
-	// PARTITION: bucket both sides.
+	// PARTITION: bucket both sides. A join with Spec.Rekey rekeys each
+	// key with the plan first, as the engine's assign task does, and
+	// every later phase takes the rekeyed key.
 	phase = "assign"
 	bucketize := func(side Side, keys []any) map[BucketID]*bucket {
 		buckets := make(map[BucketID]*bucket)
-		var ids []BucketID
-		for i, k := range keys {
-			record = i
-			ids = j.Assign(side, k, plan, ids[:0])
+		add := func(i int, ids []BucketID, k any) {
 			for _, id := range ids {
 				b := buckets[id]
 				if b == nil {
@@ -124,6 +124,16 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 				}
 				b.keys = append(b.keys, k)
 				b.idx = append(b.idx, i)
+			}
+		}
+		if Rekeys(j) {
+			AssignRekeyed(j, side, keys, plan, &record, add)
+		} else {
+			var ids []BucketID
+			for i, k := range keys {
+				record = i
+				ids = j.Assign(side, k, plan, ids[:0])
+				add(i, ids, k)
 			}
 		}
 		record = -1

@@ -38,6 +38,23 @@ type Spec[KL, KR, S, P any] struct {
 	// methods may still pass raw keys.
 	Prepare func(raw any) KL
 
+	// Rekey, when non-nil, converts a prepared key into a form that
+	// depends on the plan (a review's token ranks, say) once per record,
+	// after DIVIDE; ASSIGN, VERIFY, DEDUP and LocalJoin then take what
+	// it returns. The engine ships that form across the exchange in
+	// place of the raw key, so COMBINE decodes each key instead of
+	// preparing it again: KL must implement wire.Marshaler and *KL
+	// wire.Unmarshaler, and KL == KR. The result must join, assign and
+	// dedup as the key it came from does. dst is the zero KL or a key
+	// Rekey returned before that nothing uses any more: like
+	// AssignLeft's dst, its storage is Rekey's to build the result in,
+	// so a task that ships each result at once rekeys without
+	// allocating. The result must not share storage with key. COMBINE
+	// decodes each key into the KL that holds the key decoded before
+	// it, which is still in use: UnmarshalWire may carve from that
+	// key's spare capacity but must not write what it holds.
+	Rekey func(key KL, plan P, dst KL) KL
+
 	NewSummary    func() S
 	LocalAggLeft  func(key KL, s S) S
 	LocalAggRight func(key KR, s S) S
@@ -87,6 +104,17 @@ func Wrap[KL, KR, S, P any](spec Spec[KL, KR, S, P]) Join {
 	if spec.Prepare != nil && reflect.TypeFor[KL]() != reflect.TypeFor[KR]() {
 		panic(fmt.Sprintf("core: spec %q sets Prepare but its keys differ: %v and %v",
 			spec.Name, reflect.TypeFor[KL](), reflect.TypeFor[KR]()))
+	}
+	if spec.Rekey != nil {
+		if reflect.TypeFor[KL]() != reflect.TypeFor[KR]() {
+			panic(fmt.Sprintf("core: spec %q sets Rekey but its keys differ: %v and %v",
+				spec.Name, reflect.TypeFor[KL](), reflect.TypeFor[KR]()))
+		}
+		_, m := any(*new(KL)).(wire.Marshaler)
+		_, u := any(new(KL)).(wire.Unmarshaler)
+		if !m || !u {
+			panic(fmt.Sprintf("core: spec %q sets Rekey but %v has no wire codec", spec.Name, reflect.TypeFor[KL]()))
+		}
 	}
 	return &wrapped[KL, KR, S, P]{spec: spec}
 }
@@ -140,31 +168,135 @@ func (w *wrapped[KL, KR, S, P]) prepareKey(raw any) any {
 }
 
 // preparer returns a task's slab-boxing preparer, or nil without
-// Prepare.
+// Prepare and Rekey.
 func (w *wrapped[KL, KR, S, P]) preparer(chunk int) keyPreparer {
-	if w.spec.Prepare == nil {
+	if w.spec.Prepare == nil && w.spec.Rekey == nil {
 		return nil
 	}
-	return &slabPreparer[KL]{fn: w.spec.Prepare, typ: slab.TypeWord[KL](), chunk: chunk}
+	p := &slabPreparer[KL]{fn: w.spec.Prepare, keySlab: newKeySlab[KL](chunk)}
+	if w.spec.Rekey != nil {
+		p.u = any(&p.slot).(wire.Unmarshaler) // checked by Wrap
+	}
+	return p
 }
 
-// slabPreparer is a Preparer's work for a spec with Prepare: each
-// prepared key is written to the next slot of a chunked slab and the
-// interface built over that slot, unless K boxes without allocating
-// (typ nil).
-type slabPreparer[K any] struct {
-	fn    func(raw any) K
+// keySlab boxes keys of type K from a chunked slab: each key is written
+// to the next slot and the interface built over that slot, unless K
+// boxes without allocating (typ nil).
+type keySlab[K any] struct {
 	typ   unsafe.Pointer
 	chunk int
 	slots slab.Slab[K]
 }
 
-func (p *slabPreparer[K]) prepare(raw any) any {
-	k := p.fn(raw)
-	if p.typ == nil {
+func newKeySlab[K any](chunk int) keySlab[K] {
+	return keySlab[K]{typ: slab.TypeWord[K](), chunk: chunk}
+}
+
+func (s *keySlab[K]) box(k K) any {
+	if s.typ == nil {
 		return k
 	}
-	return slab.Box(p.typ, unsafe.Pointer(p.slots.Put(k, p.chunk)))
+	return slab.Box(s.typ, unsafe.Pointer(s.slots.Put(k, s.chunk)))
+}
+
+// slabPreparer is a Preparer's work for a spec with Prepare or Rekey:
+// prepared keys, and under Rekey decoded ones, are boxed from its slab.
+type slabPreparer[K any] struct {
+	keySlab[K]
+	fn func(raw any) K // nil: raw keys are K already
+
+	// Decoding, for a spec with Rekey: u unmarshals each key into slot,
+	// over the key decoded before it, and slot is then boxed.
+	slot K
+	u    wire.Unmarshaler
+	d    wire.Decoder
+}
+
+func (p *slabPreparer[K]) prepare(raw any) any {
+	if p.fn == nil {
+		return raw
+	}
+	return p.box(p.fn(raw))
+}
+
+func (p *slabPreparer[K]) decode(col string) (any, error) {
+	p.d.Reset(unsafe.Slice(unsafe.StringData(col), len(col)))
+	if err := p.u.UnmarshalWire(&p.d); err != nil {
+		return nil, err
+	}
+	if n := p.d.Remaining(); n != 0 {
+		return nil, fmt.Errorf("core: %d bytes left after a shipped key", n)
+	}
+	return p.box(p.slot), nil
+}
+
+func (w *wrapped[KL, KR, S, P]) rekeys() bool { return w.spec.Rekey != nil }
+
+func (w *wrapped[KL, KR, S, P]) assignRekeyed(side Side, keys []any, plan PPlan, rec *int, emit func(int, []BucketID, any)) {
+	s := newKeySlab[KL](len(keys))
+	w.rekeyAll(side, keys, plan, rec, false, func(i int, k KL, ids []BucketID) { emit(i, ids, s.box(k)) })
+}
+
+func (w *wrapped[KL, KR, S, P]) assignShipped(side Side, keys []any, plan PPlan, rec *int, sink ShipSink) {
+	e := &shipEncoder[KL]{e: *wire.NewEncoder(64)}
+	e.m = any(&e.slot).(wire.Marshaler) // checked by Wrap
+	w.rekeyAll(side, keys, plan, rec, true, func(i int, k KL, ids []BucketID) { sink.Ship(i, ids, e.ship(k, len(keys)-i)) })
+}
+
+// rekeyAll is the typed ASSIGN loop under Rekey: each prepared key is
+// rekeyed with the plan, assigned, and handed to each with its bucket
+// ids, the plan asserted once and no key boxed on the way. With reuse,
+// each is done with a key before the next is rekeyed, so Rekey gets the
+// previous key as its dst.
+func (w *wrapped[KL, KR, S, P]) rekeyAll(side Side, keys []any, plan PPlan, rec *int, reuse bool, each func(int, KL, []BucketID)) {
+	p := plan.(P)
+	var ids []BucketID
+	var k KL
+	for i, key := range keys {
+		*rec = i
+		if !reuse {
+			k = *new(KL)
+		}
+		k = w.spec.Rekey(castKey[KL](w, side, key), p, k)
+		if side == Right && w.spec.AssignRight != nil {
+			ids = w.spec.AssignRight(*(*KR)(unsafe.Pointer(&k)), p, ids[:0]) // KL == KR, checked by Wrap
+		} else {
+			ids = w.spec.AssignLeft(k, p, ids[:0])
+		}
+		each(i, k, ids)
+	}
+}
+
+// shipEncoder writes the keys one assign task ships: each key's wire
+// encoding is copied into the next bytes of a chunk and handed out as a
+// string over them, so the strings cost one allocation per chunk.
+type shipEncoder[K any] struct {
+	slot     K
+	m        wire.Marshaler // marshals slot
+	e        wire.Encoder
+	bytes    slab.Slab[byte]
+	n, total int // keys shipped so far, and their bytes
+}
+
+// shipChunkMax caps a shipped-key chunk at 32 KiB, the largest size the
+// runtime allocates without rounding up to whole pages.
+const shipChunkMax = 32 << 10
+
+// ship returns k's encoding; left counts the keys the task still ships,
+// k included, and sizes a new chunk: those keys at 5/4 of the mean
+// encoded size so far, within shipChunkMax, so a task's keys usually
+// take one chunk.
+func (s *shipEncoder[K]) ship(k K, left int) string {
+	s.slot = k
+	s.e.Reset()
+	s.m.MarshalWire(&s.e)
+	b := s.e.Bytes()
+	s.n++
+	s.total += len(b)
+	out := s.bytes.Carve(len(b), min(s.total*5/4/s.n*left, shipChunkMax))
+	copy(out, b)
+	return unsafe.String(unsafe.SliceData(out), len(out))
 }
 
 func (w *wrapped[KL, KR, S, P]) LocalAggregate(side Side, key any, s Summary) Summary {

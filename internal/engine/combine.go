@@ -1,13 +1,14 @@
 // COMBINE bucket groups: the batch-native unit the match/verify loops
 // operate on. A bucketGroup pairs one bucket's records with a parallel
-// column of their join keys, boxed and prepared from the task's slabs
-// (types.Boxer, core.Preparer) once per record, so the O(|ls|·|rs|)
-// verify loop touches a prebuilt key vector instead of re-boxing r[1]
-// for every candidate pair — the allocation that dominated the
-// record-at-a-time hot path.
+// column of their join keys, boxed and prepared, or decoded, from the
+// task's slabs (types.Boxer, core.Preparer) once per record, so the
+// O(|ls|·|rs|) verify loop touches a prebuilt key vector instead of
+// re-boxing r[1] for every candidate pair — the allocation that
+// dominated the record-at-a-time hot path.
 package engine
 
 import (
+	"fmt"
 	"sort"
 
 	"fudj/internal/core"
@@ -15,9 +16,9 @@ import (
 )
 
 // bucketGroup is one bucket's records with their join keys cached in a
-// parallel column. keys[i] is recs[i]'s key, boxed and prepared; the
+// parallel column. keys[i] is recs[i]'s key, prepared or decoded; the
 // column is filled lazily, by prepared, so a group that is never
-// combined prepares nothing.
+// combined prepares and decodes nothing.
 type bucketGroup struct {
 	recs  []types.Record
 	keys  []any
@@ -27,22 +28,35 @@ type bucketGroup struct {
 // add appends one extended record; its key waits for prepared.
 func (g *bucketGroup) add(r types.Record) { g.recs = append(g.recs, r) }
 
-// prepared returns g's key column, first boxing (through box) and
-// preparing (through prep) the keys of the records added since the last
-// call. It runs library code, so it is only called inside the guarded
-// COMBINE task; it runs once per bucket pair, so the usual case, a
-// column already full, stays inlined.
-func (g *bucketGroup) prepared(box *types.Boxer, prep core.Preparer) []any {
+// prepared returns g's key column, first filling in the keys of the
+// records added since the last call: decoded (prep.Decode) when the
+// column holds shipped keys, those of a join that rekeys (core.Rekeys),
+// else boxed (through box) and prepared (through prep). It runs library
+// code, so it is only called inside the guarded COMBINE task; it runs
+// once per bucket pair, so the usual case, a column already full, stays
+// inlined.
+func (g *bucketGroup) prepared(box *types.Boxer, prep core.Preparer, shipped bool) ([]any, error) {
 	if len(g.keys) < len(g.recs) {
-		g.fill(box, prep)
+		if err := g.fill(box, prep, shipped); err != nil {
+			return nil, err
+		}
 	}
-	return g.keys
+	return g.keys, nil
 }
 
-func (g *bucketGroup) fill(box *types.Boxer, prep core.Preparer) {
+func (g *bucketGroup) fill(box *types.Boxer, prep core.Preparer, shipped bool) error {
 	for _, r := range g.recs[len(g.keys):] {
-		g.keys = append(g.keys, prep.Prepare(box.Native(r[1])))
+		if !shipped {
+			g.keys = append(g.keys, prep.Prepare(box.Native(r[1])))
+			continue
+		}
+		k, err := prep.Decode(r[1].Str())
+		if err != nil {
+			return fmt.Errorf("engine: decode shipped key: %w", err)
+		}
+		g.keys = append(g.keys, k)
 	}
+	return nil
 }
 
 // carveGroups returns one empty group per distinct bucket id of recs

@@ -38,6 +38,17 @@ func pairUp(out *[]types.Record) combineFn {
 	}
 }
 
+// mustPrepare returns g's key column of raw keys, prepared for a join
+// that does not rekey, failing t on an error.
+func mustPrepare(t *testing.T, g *bucketGroup, box *types.Boxer, prep core.Preparer) []any {
+	t.Helper()
+	keys, err := g.prepared(box, prep, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 // bruteForceCombine is the reference the one loop is held to: the
 // build-major walk over bucket pairs, with nothing governed.
 func bruteForceCombine(build, probe []types.Record, matches matchFn) []types.Record {
@@ -174,6 +185,71 @@ func TestCombinePartitionMemoryMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+	textSimMatrixRows(t)
+}
+
+// textSimMatrixRows are the matrix's text-similarity rows, run end to
+// end: the join ships its keys rekeyed to token ranks, so the extended
+// records' key column is its encoding, framed at batch sizes 1, 7 and
+// 1 024, spilled under a budget that evicts a bucket, and checkpointed
+// across a barrier kill. Each row must return the brute-force multiset
+// (the on-top nested loop over word_tokens) with the default run's
+// candidates, verified, deduped and output counts.
+func textSimMatrixRows(t *testing.T) {
+	ds := datagen.AmazonReview(46, 600)
+	open := func(opts ...Option) *Database {
+		db := newTestDB(t, opts...)
+		if err := db.CreateDataset("manyreviews", ds.Schema, ds.Records); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	const from = ` FROM manyreviews a, manyreviews b WHERE a.overall = 5 AND b.overall = 4 AND `
+	sql := `SELECT a.id, b.id` + from + `text_similarity_join(a.review, b.review, 0.8)`
+	want := mustQuery(t, open(), `SELECT a.id, b.id`+from+
+		`similarity_jaccard(word_tokens(a.review), word_tokens(b.review)) >= 0.8`).Rows
+	base := mustQuery(t, open(), sql)
+	if len(want) == 0 {
+		t.Fatal("the brute force found no pair")
+	}
+	sameRows(t, "textsim default", base.Rows, want)
+	kill := &cluster.FaultConfig{Seed: 6, BarrierKills: []cluster.BarrierKill{{Barrier: cluster.BarrierShuffle, Node: 1}}}
+	rows := []struct {
+		name   string
+		opts   []Option
+		faults *cluster.FaultConfig
+	}{
+		{"batch-1", []Option{WithBatchSize(1)}, nil},
+		{"batch-7", []Option{WithBatchSize(7)}, nil},
+		{"batch-1024", []Option{WithBatchSize(1024)}, nil},
+		{"tiny-budget", []Option{WithMemoryBudget(tinyBudget)}, nil},
+		{"checkpoint-kill", []Option{WithCheckpoints()}, kill},
+	}
+	for _, row := range rows {
+		t.Run("textsim/"+row.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			db := open(row.opts...)
+			if row.faults != nil {
+				db.MustConfigure(WithFaults(row.faults))
+			}
+			res := mustQuery(t, db, sql)
+			sameRows(t, row.name, res.Rows, want)
+			got := [4]int64{res.Join.Candidates, res.Join.Verified, res.Join.Deduped, res.Join.Output}
+			if wantN := [4]int64{base.Join.Candidates, base.Join.Verified, base.Join.Deduped, base.Join.Output}; got != wantN {
+				t.Errorf("candidates/verified/deduped/output = %v, want %v", got, wantN)
+			}
+			if row.name == "tiny-budget" && res.Memory.SpillRuns == 0 {
+				t.Error("the budget spilled no bucket")
+			}
+			if row.faults != nil && (res.Faults.BarrierKills == 0 || res.Faults.PartitionsRecovered == 0) {
+				t.Errorf("barrier kills %d, partitions recovered %d: want both", res.Faults.BarrierKills, res.Faults.PartitionsRecovered)
+			}
+			if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+				t.Errorf("%d entries left in TMPDIR", len(entries))
+			}
+		})
 	}
 }
 
@@ -341,9 +417,9 @@ func TestCombineBucketsAllocatesNothingPerPair(t *testing.T) {
 		ls.add(extRec(1, i, "l"))
 		rs.add(extRec(2, 100+i, "r"))
 	}
-	task := newCombineTask(join, int64(0), join.Descriptor(), 2, newAppendSink())
-	ls.prepared(task.box, task.prep)
-	rs.prepared(task.box, task.prep)
+	task := newCombineTask(join, int64(0), join.Descriptor(), 2, combineChunk, newAppendSink())
+	mustPrepare(t, &ls, task.box, task.prep)
+	mustPrepare(t, &rs, task.box, task.prep)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := task.combineBuckets(1, &ls, 2, &rs); err != nil {
 			t.Fatal(err)
@@ -383,7 +459,7 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 	grouped := testing.AllocsPerRun(20, func() {
 		groups := groupByBucket(recs)
 		for _, g := range groups {
-			if len(g.prepared(box, prep)) != len(recs)/buckets {
+			if len(mustPrepare(t, g, box, prep)) != len(recs)/buckets {
 				t.Fatal("group lost records")
 			}
 		}
@@ -396,7 +472,7 @@ func TestCarvedGroupsAllocatePerBucket(t *testing.T) {
 	hash := func(dst []int, b1 int, _ []int) []int { return append(dst, b1) }
 	var pairs int
 	combine := func(_ int, ls *bucketGroup, _ int, rs *bucketGroup) error {
-		pairs += len(ls.prepared(box, prep)) * len(rs.prepared(box, prep))
+		pairs += len(mustPrepare(t, ls, box, prep)) * len(mustPrepare(t, rs, box, prep))
 		return nil
 	}
 	combined := testing.AllocsPerRun(20, func() {
@@ -439,7 +515,7 @@ func TestPointKeysBoxPerChunk(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		box, prep := types.NewBoxer(combineChunk), core.NewPreparer(join, combineChunk)
 		for _, g := range groupByBucket(recs) {
-			keys := g.prepared(box, prep)
+			keys := mustPrepare(t, g, box, prep)
 			if len(keys) != len(recs)/buckets {
 				t.Fatal("group lost records")
 			}
@@ -488,12 +564,13 @@ func TestSpatialJoinAllocatesBelowOnePerPoint(t *testing.T) {
 
 // TestTextSimilarityJoinAllocatesBelowTwoPerReview bounds a whole
 // text_similarity_join query by its input: preparing every review's
-// token set at SUMMARIZE and again in COMBINE costs Prepare's own
-// allocation each, and ASSIGN, the key boxing, the string columns and
-// the decoded summaries and plan cost none per review, so the query
-// allocates fewer than two objects per input review. Boxing each
-// prepared key, copying each decoded string and allocating each
-// ASSIGN's ranks would cost several more per review.
+// token set at SUMMARIZE and rekeying it to its ranks at ASSIGN cost
+// one allocation each, and the shipped keys, their decoding in
+// COMBINE, the key boxing, the string columns and the decoded
+// summaries and plan cost none per review, so the query allocates
+// fewer than two objects per input review. Boxing each prepared key,
+// copying each decoded string or allocating each decoded key's ranks
+// would cost several more per review.
 func TestTextSimilarityJoinAllocatesBelowTwoPerReview(t *testing.T) {
 	db := newTestDB(t)
 	const n = 4000

@@ -25,7 +25,7 @@ import (
 // [bucket_id, key, (row id), required fields...]: the key, so verify
 // never recomputes key expressions per candidate pair and duplicate
 // avoidance can re-run ASSIGN on both keys of a verified pair, as the
-// paper does; a globally unique row id only under DedupElimination,
+// paper does (for a join with Spec.Rekey, the rekeyed key's encoding); a globally unique row id only under DedupElimination,
 // whose distinct stage needs it; and of the record's own fields only the
 // columns something after the join reads (step.needL / step.needR, the
 // planner's requireColumns) — so the exchange, the checkpoints, spill
@@ -214,13 +214,20 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	assign := func(side core.Side, data cluster.Data, key expr.Evaluator, need []int) (cluster.Data, map[int]int64, error) {
 		counts := make([]map[int]int64, len(data))
 		out, err := clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
-			rec := -1
-			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
-			keys := boxed[side][part]
 			var n map[int]int64
 			if gather {
 				n = make(map[int]int64)
 			}
+			if core.Rekeys(join) {
+				t := &shipTask{in: in, need: need, part: part, elimination: elimination, n: n,
+					arena: recordArena{width: extraCols + len(need), rows: max(len(in), 64)}}
+				err = t.run(f.def.Name, join, side, boxed[side][part], plan)
+				counts[part] = n
+				return t.out, err
+			}
+			rec := -1
+			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
+			keys := boxed[side][part]
 			var ids []core.BucketID
 			out = make([]types.Record, 0, len(in))
 			arena := recordArena{width: extraCols + len(need), rows: max(len(in), 64)}
@@ -231,16 +238,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 					return nil, err
 				}
 				ids = join.Assign(side, keys[i], plan, ids[:0])
-				for _, id := range ids {
-					if n != nil {
-						n[id]++
-					}
-					ext := append(arena.next(), types.NewInt64(int64(id)), v)
-					if elimination {
-						ext = append(ext, types.NewInt64(int64(part)<<32|int64(i)))
-					}
-					out = append(out, appendCols(ext, r, need))
-				}
+				out = arena.extend(out, ids, v, rowID(elimination, part, i), r, need, n)
 			}
 			counts[part] = n
 			return out, nil
@@ -258,7 +256,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	if err != nil {
 		return nil, fmt.Errorf("fudj %s: assign right: %w", f.def.Name, err)
 	}
-	boxed = [2][][]any{} // COMBINE prepares its keys again, on the receiving node
+	boxed = [2][][]any{} // COMBINE prepares or decodes its keys again, on the receiving node
 
 	// The three layouts differ only in where records travel and which
 	// bucket pairs a partition joins; the exchange → barrier → COMBINE
@@ -362,7 +360,7 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	counts := make([]taskCounts, clus.Partitions())
 	combined, err := clus.Run(build, func(part int, in []types.Record) (out []types.Record, err error) {
 		defer core.CatchPanic(f.def.Name, "combine", part, nil, &err)
-		t := newCombineTask(join, plan, desc, extraCols, combineSink())
+		t := newCombineTask(join, plan, desc, extraCols, len(in)+len(probe[part]), combineSink())
 		if err := combinePartition(q.mem, f.def.Name, part, in, probe[part], lay.matches(part), t.combineBuckets); err != nil {
 			return nil, err
 		}
@@ -434,32 +432,44 @@ type combineTask struct {
 
 	sink   rowSink
 	n      taskCounts
-	box    *types.Boxer   // boxes the keys of every group the task prepares
-	prep   core.Preparer  // and prepares them
+	box    *types.Boxer   // boxes the raw keys of every group the task prepares
+	prep   core.Preparer  // and prepares them, or decodes shipped ones
 	ls, rs *bucketGroup   // the bucket pair in hand, keys prepared
 	emit   func(i, k int) // t.pair, bound once per task
 	err    error          // first sink error; the task fails with it
 }
 
-// combineChunk is the slots per slab chunk of a COMBINE task's Boxer
-// and Preparer: small, so the chunk a spilled pass's retired build
+// combineChunk is the most slots per slab chunk of a COMBINE task's
+// Boxer and Preparer: small, so the chunk a spilled pass's retired build
 // groups pin holds few keys besides theirs.
 const combineChunk = 128
 
 // newCombineTask returns a task whose emit is bound, once, to its pair.
-func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extraCols int, sink rowSink) *combineTask {
+// keys bounds the keys it prepares, one per input record, so no chunk
+// has more slots than that: a small task's slabs stay small, which
+// matters most for a large key type such as a shipped text.Set.
+func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extraCols, keys int, sink rowSink) *combineTask {
+	chunk := min(max(keys, 1), combineChunk)
 	t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: sink,
-		box: types.NewBoxer(combineChunk), prep: core.NewPreparer(join, combineChunk)}
+		box: types.NewBoxer(chunk), prep: core.NewPreparer(join, chunk)}
 	t.emit = t.pair
 	return t
 }
 
 // combineBuckets joins one matched bucket pair through core.JoinBuckets,
-// over the groups' key columns, which prepare each record's key once,
-// the first time its group is combined.
+// over the groups' key columns, which prepare or decode each record's
+// key once, the first time its group is combined.
 func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
 	t.ls, t.rs = ls, rs
-	lk, rk := ls.prepared(t.box, t.prep), rs.prepared(t.box, t.prep)
+	shipped := core.Rekeys(t.join)
+	lk, err := ls.prepared(t.box, t.prep, shipped)
+	if err != nil {
+		return err
+	}
+	rk, err := rs.prepared(t.box, t.prep, shipped)
+	if err != nil {
+		return err
+	}
 	t.n.candidates += int64(len(lk)) * int64(len(rk))
 	core.JoinBuckets(t.join, t.desc.LocalJoin, b1, lk, b2, rk, t.plan, nil, t.emit)
 	return t.err
@@ -544,6 +554,61 @@ func (a *recordArena) next() types.Record {
 	r := a.chunk[:0:a.width]
 	a.chunk = a.chunk[a.width:]
 	return r
+}
+
+// shipTask is an assign task for a join that rekeys (core.Rekeys): the
+// join rekeys and assigns each prepared key in one typed loop, and the
+// extended records carry the rekeyed key's encoding as their key column
+// instead of the key expression's value. It is the loop's ShipSink.
+type shipTask struct {
+	in          []types.Record
+	need        []int
+	part        int
+	elimination bool
+	n           map[int]int64 // per-bucket counts, when gathered
+	arena       recordArena
+	out         []types.Record
+	rec         int // the record in hand, for a panic to name
+}
+
+func (t *shipTask) run(name string, join core.Join, side core.Side, keys []any, plan core.PPlan) (err error) {
+	t.rec = -1
+	defer core.CatchPanic(name, "assign", t.part, &t.rec, &err)
+	t.out = make([]types.Record, 0, len(t.in))
+	core.AssignShipped(join, side, keys, plan, &t.rec, t)
+	return nil
+}
+
+// Ship implements core.ShipSink.
+func (t *shipTask) Ship(i int, ids []core.BucketID, key string) {
+	t.out = t.arena.extend(t.out, ids, types.NewString(key), rowID(t.elimination, t.part, i), t.in[i], t.need, t.n)
+}
+
+// rowID is record i of partition part's globally unique row id under
+// DedupElimination, and Null, no column, under any other mode.
+func rowID(elimination bool, part, i int) types.Value {
+	if !elimination {
+		return types.Null
+	}
+	return types.NewInt64(int64(part)<<32 | int64(i))
+}
+
+// extend appends to out one extended record of row per bucket id,
+// carved from a: [id, key, (row id), row's fields at need], with the
+// row id column only when id is not Null. n, when non-nil, counts the
+// bucket ids.
+func (a *recordArena) extend(out []types.Record, ids []core.BucketID, key, id types.Value, row types.Record, need []int, n map[int]int64) []types.Record {
+	for _, b := range ids {
+		if n != nil {
+			n[b]++
+		}
+		ext := append(a.next(), types.NewInt64(int64(b)), key)
+		if id.Kind() != types.KindNull {
+			ext = append(ext, id)
+		}
+		out = append(out, appendCols(ext, row, need))
+	}
+	return out
 }
 
 // appendCols appends rec's fields at the given positions to dst.

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fudj/internal/core"
 	"fudj/internal/joins/textsim"
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 // TestTextSimPreparedKeyPaths checks the two ways a key reaches the
@@ -113,4 +116,107 @@ func TestTextSimPreparedKeyPaths(t *testing.T) {
 
 func notePair(l, r any) types.Record {
 	return types.Record{types.NewString(l.(string)), types.NewString(r.(string))}
+}
+
+// shipKey is the key of rekeyJoin: a ride id, and whether Rekey made it.
+type shipKey struct {
+	id      int64
+	rekeyed bool
+}
+
+func (k shipKey) MarshalWire(e *wire.Encoder) { e.Varint(k.id) }
+
+// UnmarshalWire decodes a shipped key, which Rekey made.
+func (k *shipKey) UnmarshalWire(d *wire.Decoder) error {
+	id, err := d.Varint()
+	*k = shipKey{id: id, rekeyed: true}
+	return err
+}
+
+// rekeyJoin joins ride ids equal mod 5, counting its Prepare and Rekey
+// calls; ASSIGN and VERIFY refuse a key Rekey did not make.
+func rekeyJoin(prepares, rekeys *atomic.Int64) core.Join {
+	mustRekeyed := func(k shipKey) {
+		if !k.rekeyed {
+			panic("a key that was not rekeyed")
+		}
+	}
+	return core.Wrap(core.Spec[shipKey, shipKey, int64, int64]{
+		Name: "rekey_join",
+		Prepare: func(raw any) shipKey {
+			prepares.Add(1)
+			return shipKey{id: raw.(int64)}
+		},
+		Rekey: func(k shipKey, _ int64, _ shipKey) shipKey {
+			rekeys.Add(1)
+			return shipKey{id: k.id, rekeyed: true}
+		},
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ shipKey, s int64) int64 { return s + 1 },
+		GlobalAgg:    func(a, b int64) int64 { return a + b },
+		Divide:       func(l, r int64, _ []any) (int64, error) { return l + r, nil },
+		AssignLeft: func(k shipKey, _ int64, dst []core.BucketID) []core.BucketID {
+			mustRekeyed(k)
+			return append(dst, int(k.id%5))
+		},
+		Verify: func(_ core.BucketID, l shipKey, _ core.BucketID, r shipKey, _ int64) bool {
+			mustRekeyed(l)
+			mustRekeyed(r)
+			return l.id%5 == r.id%5
+		},
+	})
+}
+
+// TestRekeyJoinPreparesNothingInCombine pins what Spec.Rekey buys: the
+// engine prepares each record once, at SUMMARIZE, rekeys it once per
+// side at ASSIGN and ships the result, so COMBINE decodes every key and
+// prepares none; ASSIGN, VERIFY and DEDUP see only rekeyed keys, in the
+// engine and in RunStandalone alike, and both return the nested loop's
+// pairs.
+func TestRekeyJoinPreparesNothingInCombine(t *testing.T) {
+	db := newTestDB(t)
+	var prepares, rekeys atomic.Int64
+	lib := core.NewLibrary("rekeylib")
+	lib.MustRegister("test.Rekey", func() core.Join { return rekeyJoin(&prepares, &rekeys) })
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, db, `CREATE JOIN rekey_join(a: int, b: int) RETURNS boolean AS "test.Rekey" AT rekeylib`)
+	var left, right []any
+	for _, r := range mustQuery(t, db, `SELECT id, vendor FROM rides`).Rows {
+		if r[1].Int64() == 1 {
+			left = append(left, r[0].Int64())
+		} else {
+			right = append(right, r[0].Int64())
+		}
+	}
+	var want []types.Record
+	for _, l := range left {
+		for _, r := range right {
+			if l.(int64)%5 == r.(int64)%5 {
+				want = append(want, types.Record{types.NewInt64(l.(int64)), types.NewInt64(r.(int64))})
+			}
+		}
+	}
+	for _, budget := range []int64{0, tinyBudget} {
+		db.MustConfigure(WithMemoryBudget(budget))
+		prepares.Store(0)
+		rekeys.Store(0)
+		res := mustQuery(t, db, `SELECT n1.id, n2.id FROM rides n1, rides n2 WHERE n1.vendor = 1 AND n2.vendor = 2 AND rekey_join(n1.id, n2.id)`)
+		sameRows(t, fmt.Sprintf("engine, budget %d", budget), res.Rows, want)
+		n := int64(len(left) + len(right))
+		if got := prepares.Load(); got != n {
+			t.Errorf("budget %d: %d preparations for %d records, want one each, at SUMMARIZE only", budget, got, n)
+		}
+		if got := rekeys.Load(); got != n {
+			t.Errorf("budget %d: %d rekeys for %d records, want one each", budget, got, n)
+		}
+	}
+	var standalone []types.Record
+	if _, err := core.RunStandalone(rekeyJoin(&prepares, &rekeys), left, right, nil, func(l, r any) {
+		standalone = append(standalone, types.Record{types.NewInt64(l.(int64)), types.NewInt64(r.(int64))})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "standalone", standalone, want)
 }

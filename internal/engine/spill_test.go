@@ -170,8 +170,10 @@ func TestResourceErrorOnMonsterRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.MustConfigure(WithMemoryBudget(tinyBudget)) // hard cap = 2 * 8192/4 = 4096 bytes
+	// The join ships its keys as token ranks, a few bytes each, so the
+	// monster is the carried body column.
 	_, err := db.Execute(`
-		SELECT a.id, b.id FROM monster a, monster b
+		SELECT a.body, b.body FROM monster a, monster b
 		WHERE text_similarity_join(a.body, b.body, 0.5)`)
 	if err == nil {
 		t.Fatal("monster record joined within a 4KB hard cap")

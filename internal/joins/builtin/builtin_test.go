@@ -238,11 +238,12 @@ func TestTextSimilarityBadParams(t *testing.T) {
 
 func TestSmallestSharedRank(t *testing.T) {
 	rt := text.BuildRankTable(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
+	set := func(toks ...string) text.Set { return rt.RankSet(text.Set{Tokens: toks}, text.Set{}) }
 	// With threshold 0.5 and 2 tokens, prefix length is 2: all ranks.
-	if got := smallestSharedRank(rt, []string{"a", "c"}, []string{"c", "d"}, 0.5); got != rt.Rank("c") {
+	if got := smallestSharedRank(rt, set("a", "c"), set("c", "d"), 0.5); got != rt.Rank("c") {
 		t.Errorf("smallestSharedRank = %d, want rank of c", got)
 	}
-	if got := smallestSharedRank(rt, []string{"a"}, []string{"d"}, 0.5); got != -1 {
+	if got := smallestSharedRank(rt, set("a"), set("d"), 0.5); got != -1 {
 		t.Errorf("disjoint prefixes should be -1, got %d", got)
 	}
 }

@@ -7,12 +7,14 @@ import (
 	"fudj/internal/expr"
 	"fudj/internal/text"
 	"fudj/internal/types"
+	"fudj/internal/wire"
 )
 
 // TextSimilarity is the hand-built prefix-filtering set-similarity
-// join. It carries each record's token set through the shuffle, so
-// its verify never tokenizes — the kind of local optimization a
-// built-in operator can apply. params[0] is the Jaccard threshold.
+// join. It carries each record's token set through the shuffle, ranked
+// for the global rank table (text.Set), so its verify never tokenizes
+// and merges integers — the kind of local optimization a built-in
+// operator can apply. params[0] is the Jaccard threshold.
 func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluator,
 	right cluster.Data, rightKey expr.Evaluator, params []types.Value) (cluster.Data, error) {
 
@@ -62,24 +64,26 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 	}
 	ranks := text.BuildRankTable(lCounts)
 
-	// Assign: record becomes [rank, tokenSet, fields...] — tokens cached,
-	// sorted as Jaccard takes them.
+	// Assign: record becomes [rank, key, fields...], the key the
+	// record's token set ranked for the table, in its wire form, so
+	// COMBINE neither tokenizes nor looks a token up.
 	assign := func(data cluster.Data, key expr.Evaluator) (cluster.Data, error) {
 		return c.Run(data, func(_ int, in []types.Record) ([]types.Record, error) {
 			var out []types.Record
+			var prefix []int
+			e := wire.NewEncoder(64)
 			for _, rec := range in {
 				v, err := key(rec)
 				if err != nil {
 					return nil, err
 				}
-				tokens := text.TokenSet(v.Str())
-				tokenVals := make([]types.Value, len(tokens))
-				for i, tok := range tokens {
-					tokenVals[i] = types.NewString(tok)
-				}
-				list := types.NewList(tokenVals)
-				for _, rank := range ranks.PrefixRanks(tokens, threshold) {
-					out = append(out, tag(rank, list, rec))
+				set := ranks.RankSet(text.Set{Tokens: text.TokenSet(v.Str())}, text.Set{})
+				e.Reset()
+				set.MarshalWire(e)
+				enc := types.NewString(string(e.Bytes()))
+				prefix = ranks.AppendPrefix(prefix[:0], set, threshold)
+				for _, rank := range prefix {
+					out = append(out, tag(rank, enc, rec))
 				}
 			}
 			return out, nil
@@ -103,13 +107,18 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 		return nil, err
 	}
 
-	tokensOf := func(rec types.Record) []string {
-		list := rec[1].List()
-		out := make([]string, len(list))
-		for i, v := range list {
-			out[i] = v.Str()
+	// setsOf decodes the ranked sets of one bucket's records, each over
+	// the one before it, so they share a few chunks of ranks.
+	setsOf := func(recs []types.Record) ([]text.Set, error) {
+		sets := make([]text.Set, len(recs))
+		var s text.Set
+		for i, rec := range recs {
+			if err := s.UnmarshalWire(wire.NewDecoder([]byte(rec[1].Str()))); err != nil {
+				return nil, fmt.Errorf("builtin textsim: %w", err)
+			}
+			sets[i] = s
 		}
-		return out
+		return sets, nil
 	}
 	return c.Run(lShuf, func(part int, in []types.Record) ([]types.Record, error) {
 		lBuckets := groupByBucket(in)
@@ -123,16 +132,22 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 			if !ok {
 				continue
 			}
-			for _, l := range ls {
-				lt := tokensOf(l)
-				for _, r := range rs {
-					rt := tokensOf(r)
-					if text.Jaccard(lt, rt) < threshold {
+			lSets, err := setsOf(ls)
+			if err != nil {
+				return nil, err
+			}
+			rSets, err := setsOf(rs)
+			if err != nil {
+				return nil, err
+			}
+			for i, l := range ls {
+				for k, r := range rs {
+					if ranks.Jaccard(lSets[i], rSets[k]) < threshold {
 						continue
 					}
 					// Duplicate avoidance: emit only in the smallest shared
 					// prefix rank of the pair.
-					if smallestSharedRank(ranks, lt, rt, threshold) != rank {
+					if smallestSharedRank(ranks, lSets[i], rSets[k], threshold) != rank {
 						continue
 					}
 					out = append(out, joinRecs(l, r))
@@ -145,9 +160,9 @@ func TextSimilarity(c *cluster.Cluster, left cluster.Data, leftKey expr.Evaluato
 
 // smallestSharedRank returns the smallest rank present in both records'
 // prefixes — the canonical bucket for a joining pair.
-func smallestSharedRank(rt *text.RankTable, a, b []string, threshold float64) int {
-	pa := rt.PrefixRanks(a, threshold)
-	pb := rt.PrefixRanks(b, threshold)
+func smallestSharedRank(rt *text.RankTable, a, b text.Set, threshold float64) int {
+	pa := rt.AppendPrefix(nil, a, threshold)
+	pb := rt.AppendPrefix(nil, b, threshold)
 	i, j := 0, 0
 	for i < len(pa) && j < len(pb) {
 		switch {

@@ -3,8 +3,10 @@ package textsim
 import (
 	"maps"
 	"math"
+	"slices"
 	"testing"
 
+	"fudj/internal/text"
 	"fudj/internal/wire"
 )
 
@@ -58,6 +60,57 @@ func FuzzDecodeState(f *testing.F) {
 				t.Fatalf("summary round trip: %v != %v", again, s)
 			}
 		}
+	})
+}
+
+// FuzzDecodeKey drives the shipped-key decoder with arbitrary bytes. A
+// key crosses the exchange, spill runs and checkpoints as the extended
+// records' key column, so the contract is: decoding never panics, a
+// count the input cannot hold is rejected before anything is allocated
+// for it, ranks that do not increase and tokens out of order are
+// rejected, and whatever decodes re-encodes to the same key, whether
+// decoded into a zero Set or, as COMBINE decodes, into the Set holding
+// the key decoded before it, which stays intact.
+func FuzzDecodeKey(f *testing.F) {
+	f.Add(marshal(text.Set{Ranks: []int32{3, 4, 90, 1 << 20}, Tokens: []string{"lake", "trail"}, Ranked: true}))
+	f.Add([]byte{0x02, 0x05, 0x85})                               // cut inside the second rank's varint
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x10, 0x00})             // a count claiming 2^32 ranks
+	f.Add([]byte{0x02, 0x01, 0xff, 0xff, 0xff, 0xff, 0x07, 0x00}) // a delta past MaxInt32
+	f.Add([]byte{0x00, 0x02, 0x01, 'b', 0x01, 'a'})               // an unsorted tail token
+	f.Add([]byte{0x00, 0x02, 0x01, 'a', 0x01, 'a'})               // a repeated tail token
+	f.Add([]byte{0x02, 0x07, 0x00, 0x00})                         // a repeated rank
+	// prev is the last key accepted, which the next decodes over.
+	var prev text.Set
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var k text.Set
+		err := k.UnmarshalWire(wire.NewDecoder(data))
+		held, s := slices.Clone(prev.Ranks), prev
+		serr := s.UnmarshalWire(wire.NewDecoder(data))
+		if (serr == nil) != (err == nil) || (err == nil && !sameKey(s, k)) {
+			t.Fatalf("decoded over the last key: %+v, %v; into a zero Set: %+v, %v", s, serr, k, err)
+		}
+		if !slices.Equal(prev.Ranks, held) {
+			t.Fatalf("decoding over key %v overwrote it: %v", held, prev.Ranks)
+		}
+		if err != nil {
+			return
+		}
+		for i := 1; i < len(k.Ranks); i++ {
+			if k.Ranks[i] <= k.Ranks[i-1] {
+				t.Fatalf("accepted ranks %v that do not increase", k.Ranks)
+			}
+		}
+		if len(k.Ranks) > 0 && k.Ranks[0] < 0 {
+			t.Fatalf("accepted a negative rank: %v", k.Ranks)
+		}
+		var again text.Set
+		if err := again.UnmarshalWire(wire.NewDecoder(marshal(k))); err != nil {
+			t.Fatalf("re-decode of an accepted key: %v", err)
+		}
+		if !sameKey(again, k) {
+			t.Fatalf("key round trip: %+v != %+v", again, k)
+		}
+		prev = s
 	})
 }
 

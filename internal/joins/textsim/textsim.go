@@ -4,7 +4,9 @@
 // and ranks tokens rarest-first, ASSIGN multi-assigns each record to
 // the ranks of its prefix tokens (prefix length derived from the
 // similarity threshold), MATCH is default equality (hash-join path),
-// and VERIFY computes the exact Jaccard similarity.
+// and VERIFY computes the exact Jaccard similarity. A review is a
+// text.Set: its tokens at SUMMARIZE, and after DIVIDE its ranks, which
+// cross the exchange and which ASSIGN, VERIFY and DEDUP take.
 package textsim
 
 import (
@@ -118,20 +120,25 @@ func (p *Plan) UnmarshalWire(d *wire.Decoder) error {
 	return nil
 }
 
-func spec(name string, dedup core.DedupMode) core.Spec[[]string, []string, Summary, Plan] {
-	return core.Spec[[]string, []string, Summary, Plan]{
+func spec(name string, dedup core.DedupMode) core.Spec[text.Set, text.Set, Summary, Plan] {
+	return core.Spec[text.Set, text.Set, Summary, Plan]{
 		Name:   name,
 		Params: 1, // similarity threshold
 		Dedup:  dedup,
 
-		// Every function below takes a review as its sorted token set,
-		// tokenized once per record.
-		Prepare: func(raw any) []string { return text.TokenSet(raw.(string)) },
+		// A review is tokenized once per record, into its token set, and
+		// ranked once after DIVIDE; the engine ships the ranked set, which
+		// every later function takes.
+		Prepare: func(raw any) text.Set { return text.Set{Tokens: text.TokenSet(raw.(string))} },
+		Rekey:   func(s text.Set, p Plan, dst text.Set) text.Set { return p.rankTable().RankSet(s, dst) },
 
-		// SUMMARIZE: token counting.
+		// SUMMARIZE: token counting, over the token form.
 		NewSummary: func() Summary { return make(Summary) },
-		LocalAggLeft: func(toks []string, s Summary) Summary {
-			for _, tok := range toks {
+		LocalAggLeft: func(set text.Set, s Summary) Summary {
+			if set.Ranked {
+				panic("textsim: SUMMARIZE takes a review's tokens, not its ranks")
+			}
+			for _, tok := range set.Tokens {
 				s[tok]++
 			}
 			return s
@@ -161,15 +168,15 @@ func spec(name string, dedup core.DedupMode) core.Spec[[]string, []string, Summa
 		},
 
 		// ASSIGN: prefix ranks (multi-assign; rarest tokens first).
-		AssignLeft: func(toks []string, p Plan, dst []core.BucketID) []core.BucketID {
-			return p.rankTable().AppendPrefixRanks(dst, toks, p.Threshold)
+		AssignLeft: func(set text.Set, p Plan, dst []core.BucketID) []core.BucketID {
+			return p.rankTable().AppendPrefix(dst, set, p.Threshold)
 		},
 
 		// MATCH: nil → default equality.
 
 		// VERIFY: exact Jaccard against the threshold.
-		Verify: func(_ core.BucketID, l []string, _ core.BucketID, r []string, p Plan) bool {
-			return text.Jaccard(l, r) >= p.Threshold
+		Verify: func(_ core.BucketID, l text.Set, _ core.BucketID, r text.Set, p Plan) bool {
+			return p.rankTable().Jaccard(l, r) >= p.Threshold
 		},
 	}
 }

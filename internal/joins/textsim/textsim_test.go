@@ -201,15 +201,18 @@ func TestTextsimAssignAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	toks := text.TokenSet("lake trail forest river canyon")
-	key := any(toks) // prepared and boxed once, as the engine does
-	want := plan.(Plan).rankTable().PrefixRanks(toks, 0.5)
-	dst := make([]core.BucketID, 0, 16)
-	allocs := testing.AllocsPerRun(100, func() { dst = j.Assign(core.Left, key, plan, dst[:0]) })
-	if allocs != 0 {
-		t.Errorf("Assign allocated %.0f times per key, want 0", allocs)
-	}
-	if fmt.Sprint(dst) != fmt.Sprint(want) {
-		t.Errorf("Assign = %v, want the prefix ranks %v", dst, want)
+	want := plan.(Plan).rankTable().AppendPrefixRanks(nil, toks, 0.5)
+	// Each form prepared (or ranked) and boxed once, as the engine does.
+	set := text.Set{Tokens: toks}
+	for _, key := range []any{set, plan.(Plan).rankTable().RankSet(set, text.Set{})} {
+		dst := make([]core.BucketID, 0, 16)
+		allocs := testing.AllocsPerRun(100, func() { dst = j.Assign(core.Left, key, plan, dst[:0]) })
+		if allocs != 0 {
+			t.Errorf("Assign allocated %.0f times per key, want 0", allocs)
+		}
+		if fmt.Sprint(dst) != fmt.Sprint(want) {
+			t.Errorf("Assign = %v, want the prefix ranks %v", dst, want)
+		}
 	}
 }
 

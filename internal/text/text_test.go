@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fudj/internal/wire"
 )
 
 func TestTokenize(t *testing.T) {
@@ -89,16 +91,16 @@ func TestBuildRankTable(t *testing.T) {
 
 func TestPrefixRanks(t *testing.T) {
 	rt := BuildRankTable(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
-	got := rt.PrefixRanks([]string{"d", "b", "a", "c"}, 0.5)
+	got := rt.AppendPrefixRanks(nil, []string{"d", "b", "a", "c"}, 0.5)
 	// l=4, p = 4 - 2 + 1 = 3; rarest three ranks are 0,1,2.
 	want := []int{0, 1, 2}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PrefixRanks = %v, want %v", got, want)
+		t.Errorf("AppendPrefixRanks(nil) = %v, want %v", got, want)
 	}
 }
 
 // TestAppendPrefixRanks pins the appending form: it leaves dst's head
-// alone, appends what PrefixRanks returns, and with room in dst
+// alone, appends what it appends to nil, and with room in dst
 // allocates nothing.
 func TestAppendPrefixRanks(t *testing.T) {
 	rt := BuildRankTable(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
@@ -106,7 +108,7 @@ func TestAppendPrefixRanks(t *testing.T) {
 	dst := make([]int, 0, 16)
 	dst = append(dst, 99, 98)
 	got := rt.AppendPrefixRanks(dst, toks, 0.5)
-	if want := append([]int{99, 98}, rt.PrefixRanks(toks, 0.5)...); !reflect.DeepEqual(got, want) {
+	if want := append([]int{99, 98}, rt.AppendPrefixRanks(nil, toks, 0.5)...); !reflect.DeepEqual(got, want) {
 		t.Errorf("AppendPrefixRanks = %v, want %v", got, want)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { dst = rt.AppendPrefixRanks(dst[:0], toks, 0.5) }); allocs != 0 {
@@ -147,8 +149,8 @@ func TestQuickPrefixFilterCompleteness(t *testing.T) {
 			if Jaccard(a, b) < threshold {
 				continue
 			}
-			pa := rt.PrefixRanks(a, threshold)
-			pb := rt.PrefixRanks(b, threshold)
+			pa := rt.AppendPrefixRanks(nil, a, threshold)
+			pb := rt.AppendPrefixRanks(nil, b, threshold)
 			share := false
 			for _, ra := range pa {
 				for _, rb := range pb {
@@ -257,5 +259,41 @@ func TestTokenSetAllocs(t *testing.T) {
 	a, b := TokenSet(review), TokenSet("quiet lake camping")
 	if got := testing.AllocsPerRun(100, func() { Jaccard(a, b) }); got != 0 {
 		t.Errorf("Jaccard: %.0f allocations, want 0", got)
+	}
+}
+
+// TestSetDecodesOverThePreviousSet pins what COMBINE relies on when it
+// decodes key after key into one Set: each decode gives the set that
+// was encoded, the sets decoded before stay intact, and their ranks
+// share one chunk, so decoding them allocates once.
+func TestSetDecodesOverThePreviousSet(t *testing.T) {
+	rt := BuildRankTable(map[string]int64{"a": 1, "b": 2, "c": 3, "d": 4})
+	var want []Set
+	var encs [][]byte
+	for _, toks := range [][]string{{"a", "c"}, {"b", "c", "d"}, {}, {"d"}} {
+		set := rt.RankSet(Set{Tokens: toks}, Set{})
+		e := wire.NewEncoder(16)
+		set.MarshalWire(e)
+		want, encs = append(want, set), append(encs, e.Bytes())
+	}
+	var d wire.Decoder
+	got := make([]Set, len(encs))
+	allocs := testing.AllocsPerRun(10, func() {
+		var s Set
+		for i, b := range encs {
+			d.Reset(b)
+			if err := s.UnmarshalWire(&d); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = s
+		}
+	})
+	for i := range want {
+		if !slices.Equal(got[i].Ranks, want[i].Ranks) || len(got[i].Tokens) != 0 || !got[i].Ranked {
+			t.Errorf("set %d decoded as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if allocs > 1 {
+		t.Errorf("decoding %d sets into one Set allocated %.0f times, want 1", len(encs), allocs)
 	}
 }

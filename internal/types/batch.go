@@ -331,12 +331,18 @@ func decodeColumnInto(d *wire.Decoder, arena []Value, c, width, rows int, tag by
 			arena[row*width+c] = NewPoint(geo.Point{X: x, Y: y})
 		}
 	case KindRect:
-		for row := 0; row < rows; row++ {
-			var r geo.Rect
-			if err := r.UnmarshalWire(d); err != nil {
+		// One slice holds the column's rects, each cell pointing at its
+		// own; a rect takes 32 bytes (four float64s), which bounds the
+		// slice by the input.
+		if d.Remaining()/32 < rows {
+			return fmt.Errorf("types: batch rect column %d: %w", c, wire.ErrShortBuffer)
+		}
+		rects := make([]geo.Rect, rows)
+		for row := range rects {
+			if err := rects[row].UnmarshalWire(d); err != nil {
 				return fmt.Errorf("types: batch column %d row %d: %w", c, row, err)
 			}
-			arena[row*width+c] = NewRect(r)
+			arena[row*width+c] = rectAt(&rects[row])
 		}
 	}
 	return nil

@@ -105,7 +105,10 @@ func NewPoint(p geo.Point) Value {
 }
 
 // NewRect wraps a geo.Rect.
-func NewRect(r geo.Rect) Value { return Value{kind: KindRect, p: unsafe.Pointer(&r)} }
+func NewRect(r geo.Rect) Value { return rectAt(&r) }
+
+// rectAt wraps the rect at r, which nothing may write afterwards.
+func rectAt(r *geo.Rect) Value { return Value{kind: KindRect, p: unsafe.Pointer(r)} }
 
 // NewPolygon wraps a polygon.
 func NewPolygon(p *geo.Polygon) Value { return Value{kind: KindPolygon, p: unsafe.Pointer(p)} }
@@ -484,13 +487,15 @@ func DecodeValue(d *wire.Decoder) (Value, error) {
 	return s.decode(d, 1)
 }
 
-// shapeSlabs carve decoded polygons and polylines from slabs of their
-// own. A batch column decodes all its values through one, so a column
-// of n polygons with rings of one length costs a few allocations, not
-// 2n; DecodeValue takes a fresh one per value, whose one-slot shape
-// chunk and exactly sized ring are the two allocations a lone shape
-// costs. A surviving shape keeps its chunks alive.
+// shapeSlabs carve decoded rects, polygons and polylines from slabs of
+// their own. A batch column decodes all its values through one, so a
+// column of n polygons with rings of one length costs a few
+// allocations, not 2n, and one of n rects a few, not n; DecodeValue
+// takes a fresh one per value, whose one-slot chunk (and exactly sized
+// ring) are the allocations a lone shape costs. A surviving shape keeps
+// its chunks alive.
 type shapeSlabs struct {
+	rects  slab.Slab[geo.Rect]
 	polys  slab.Slab[geo.Polygon]
 	lines  slab.Slab[geo.LineString]
 	points slab.Slab[geo.Point]
@@ -501,7 +506,7 @@ type shapeSlabs struct {
 // without rounding up to whole pages. A ring or polyline longer than
 // shapePoints gets a chunk of its own length.
 const (
-	shapeChunk  = 512  // polygons or polylines
+	shapeChunk  = 512  // rects, polygons or polylines
 	shapePoints = 2048 // points
 )
 
@@ -559,11 +564,11 @@ func (s *shapeSlabs) decode(d *wire.Decoder, left int) (Value, error) {
 		}
 		return NewPoint(geo.Point{X: x, Y: y}), nil
 	case KindRect:
-		var r geo.Rect
+		r := s.rects.Put(geo.Rect{}, newChunk(s.rects, min(left, shapeChunk), 1))
 		if err := r.UnmarshalWire(d); err != nil {
 			return Null, err
 		}
-		return NewRect(r), nil
+		return rectAt(r), nil
 	case KindPolygon:
 		p := s.polys.Put(geo.Polygon{}, newChunk(s.polys, min(left, shapeChunk), 1))
 		if err := p.UnmarshalWireInto(d, s.carve); err != nil {

@@ -96,6 +96,9 @@ type Decoder struct {
 // copy buf; the caller must not mutate it while decoding.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
+// Reset makes d read buf from its start.
+func (d *Decoder) Reset(buf []byte) { d.buf, d.off = buf, 0 }
+
 // Remaining reports the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
