@@ -1,18 +1,21 @@
-// Package hotatomic forbids shared atomic counters in the engine's
-// per-candidate loops.
+// Package hotatomic forbids shared atomic counters in the join
+// operators' per-candidate loops.
 //
 // Invariant: what a partition task counts inside its O(|l|·|r|) loops
 // it counts in plain, task-owned fields, folded into the query's
 // JoinStats once after the phase (engine.taskCounts). A sync/atomic Add
-// on a value the task closure captured — a per-query counter struct, a
-// package-level counter — executed per candidate pair
-// is a contended cache line bouncing between every partition's core:
-// on the interval theta join two such Adds cost more than the VERIFY
-// call they counted. The rule is lexical: inside a function literal,
-// an atomic Add whose target is declared outside that literal and that
-// sits within two or more nested for statements of the literal is a
-// finding. An atomic declared inside the literal, or an Add in a single
-// loop (once per record, not per pair), is not.
+// on a value tasks share, executed per candidate pair, is a contended
+// cache line bouncing between every partition's core: on the interval
+// theta join two such Adds cost more than the VERIFY call they counted.
+// FUDJ's pair loop is core.JoinBuckets, a plain function, counted in
+// engine.combineTask.pair, a method with no loop; the built-in
+// operators' loops are engine task closures. The rule is lexical: an
+// atomic Add on a package-level target, in any function, is a finding
+// at any loop depth; so is one inside a function literal, on a target
+// declared outside it, within two or more nested for statements of the
+// literal. An atomic declared inside the literal, or an Add on a
+// captured value in a single loop (once per record, not per pair), is
+// not.
 package hotatomic
 
 import (
@@ -23,21 +26,27 @@ import (
 	"fudj/internal/analysis/framework"
 )
 
-// Analyzer is the hotatomic rule, restricted to the package holding the
+// Analyzer is the hotatomic rule, restricted to the packages holding the
 // join operators' candidate loops.
 var Analyzer = &framework.Analyzer{
 	Name: "hotatomic",
-	Doc: "forbids sync/atomic Add on a captured value inside nested loops of a task closure; " +
-		"count in task-local fields and fold once per task",
-	Packages: []string{"fudj/internal/engine"},
+	Doc: "forbids sync/atomic Add on a package-level value, or on a captured value inside nested loops " +
+		"of a task closure; count in task-local fields and fold once per task",
+	Packages: []string{"fudj/internal/core", "fudj/internal/engine"},
 	Run:      run,
 }
 
 func run(pass *framework.Pass) error {
 	for _, file := range pass.NonTestFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkLiteral(pass, lit)
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				checkLiteral(pass, n)
+			case *ast.CallExpr:
+				if target := atomicAddTarget(pass, n); target != nil && packageLevel(pass, target) {
+					pass.Reportf(n.Pos(), "atomic Add on package-level %s, which every task shares: "+
+						"count in a task-local field and fold once when the task returns", target.Name)
+				}
 			}
 			return true // nested literals are visited as literals of their own
 		})
@@ -65,7 +74,7 @@ func checkLiteral(pass *framework.Pass, lit *ast.FuncLit) {
 				if depth < 2 {
 					return true
 				}
-				if target := atomicAddTarget(pass, c); target != nil && declaredOutside(pass, target, lit) {
+				if target := atomicAddTarget(pass, c); target != nil && !packageLevel(pass, target) && declaredOutside(pass, target, lit) {
 					pass.Reportf(c.Pos(),
 						"atomic Add on captured %s inside %d nested loops of a task closure: "+
 							"count in a task-local field and fold once when the task returns", target.Name, depth)
@@ -124,4 +133,12 @@ func rootIdent(e ast.Expr) *ast.Ident {
 func declaredOutside(pass *framework.Pass, id *ast.Ident, lit *ast.FuncLit) bool {
 	obj := pass.TypesInfo.ObjectOf(id)
 	return obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() >= lit.End())
+}
+
+// packageLevel reports whether id names a package-level variable, of
+// this package or, through a package name, of another.
+func packageLevel(pass *framework.Pass, id *ast.Ident) bool {
+	obj := pass.TypesInfo.ObjectOf(id)
+	_, other := obj.(*types.PkgName)
+	return other || obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }

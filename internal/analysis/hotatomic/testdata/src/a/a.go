@@ -37,12 +37,27 @@ func flaggedPackageLevel(parts [][]int) {
 		for range in {
 			for i := 0; i < len(in); i++ {
 				for range in {
-					atomic.AddInt64(&global, 1) // want `atomic Add on captured global inside 3 nested loops`
+					atomic.AddInt64(&global, 1) // want `atomic Add on package-level global`
 				}
 			}
 		}
 	})
 }
+
+var pairs atomic.Int64
+
+// flaggedPlainLoop is shaped like core.JoinBuckets, a plain function's
+// loop over a bucket pair; pair like engine.combineTask.pair, a method
+// with no loop of its own, called per verified pair.
+func flaggedPlainLoop(lk, rk []int) {
+	for range lk {
+		for range rk {
+			pairs.Add(1) // want `atomic Add on package-level pairs`
+		}
+	}
+}
+
+func (c *counters) pair() { pairs.Add(1) } // want `atomic Add on package-level pairs`
 
 // okTaskLocal counts in plain fields and folds once per task: the
 // pattern the rule exists to keep.

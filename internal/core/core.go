@@ -15,12 +15,24 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
 // BucketID identifies one logical bucket produced by the PARTITION
 // phase (Definition 5 in the paper).
 type BucketID = int
+
+// SortedIDs returns a bucket map's ids in ascending order, so map
+// iteration order never leaks into result order.
+func SortedIDs[V any](m map[BucketID]V) []BucketID {
+	ids := make([]BucketID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
 
 // Side distinguishes the two inputs of a join. Several model functions
 // may be implemented differently per side (e.g. different key types).
@@ -190,9 +202,9 @@ func LocalAggregateAll(j Join, side Side, keys []any, s Summary, rec *int) Summa
 	return s
 }
 
-// Rekeys reports whether j is a Wrap-built join with Spec.Rekey. Its
-// assign tasks go through AssignRekeyed or AssignShipped, and COMBINE
-// reads shipped keys back through Preparer.Decode.
+// Rekeys reports whether j is a Wrap-built join with Spec.Rekey: its
+// AssignAll hands out each rekeyed key's encoding, and COMBINE reads it
+// back through Preparer.Decode.
 func Rekeys(j Join) bool {
 	r, ok := j.(rekeyer)
 	return ok && r.rekeys()
@@ -201,39 +213,41 @@ func Rekeys(j Join) bool {
 // rekeyer is the rekeying half of a Wrap-built join.
 type rekeyer interface {
 	rekeys() bool
-	assignRekeyed(Side, []any, PPlan, *int, func(int, []BucketID, any))
-	assignShipped(Side, []any, PPlan, *int, ShipSink)
+	rekeyAll(Side, []any, PPlan, *int, AssignSink) error
 }
 
-// AssignRekeyed runs ASSIGN over one task's prepared keys for a join
-// that Rekeys: each key is rekeyed with the plan once, assigned, and
-// handed to emit(i, ids, key) with its bucket ids, boxed from a slab,
-// for every later call about record i to take. The index in hand is
-// written to *rec, so a panic names its record.
-func AssignRekeyed(j Join, side Side, keys []any, plan PPlan, rec *int, emit func(i int, ids []BucketID, key any)) {
-	j.(rekeyer).assignRekeyed(side, keys, plan, rec, emit)
+// AssignAll runs ASSIGN over one task's prepared keys, writing the index
+// in hand to *rec so a panic names its record, and returns the first
+// sink error. For a join that Rekeys, one typed loop rekeys each key
+// with the plan, assigns the result and hands sink its encoding, sliced
+// from chunks the call allocates; a Preparer's Decode reads it back.
+// Any other Join is called per key, and sink gets key "".
+func AssignAll(j Join, side Side, keys []any, plan PPlan, rec *int, sink AssignSink) error {
+	if Rekeys(j) {
+		return j.(rekeyer).rekeyAll(side, keys, plan, rec, sink)
+	}
+	var ids []BucketID
+	for i, k := range keys {
+		*rec = i
+		ids = j.Assign(side, k, plan, ids[:0])
+		if err := sink.Assigned(i, ids, ""); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// AssignShipped is AssignRekeyed for a task whose output crosses the
-// exchange: sink gets each rekeyed key's wire encoding, sliced from
-// chunks the call allocates, so the keys cost one allocation per chunk,
-// and Rekey reuses one key's storage for the next. A Preparer's Decode
-// reads the encoding back.
-func AssignShipped(j Join, side Side, keys []any, plan PPlan, rec *int, sink ShipSink) {
-	j.(rekeyer).assignShipped(side, keys, plan, rec, sink)
-}
-
-// A ShipSink takes what AssignShipped makes of each record i: its bucket
-// ids and its rekeyed key's encoding, valid for as long as it is
-// reachable. It is an interface, not a func, so a task's sink and the
-// state it appends to cost one allocation.
-type ShipSink interface {
-	Ship(i int, ids []BucketID, key string)
+// An AssignSink takes each record i's bucket ids, valid until the call
+// returns, and its rekeyed key's encoding ("" without Rekey), valid
+// while reachable. It is an interface, not a func, so a task's sink and
+// its state cost one allocation.
+type AssignSink interface {
+	Assigned(i int, ids []BucketID, key string) error
 }
 
 // A Preparer converts the keys of one executor task into the form its
 // join's functions take: raw keys through a Wrap-built join's
-// Spec.Prepare, and the keys AssignShipped encoded through the key
+// Spec.Prepare, and the keys AssignAll encoded through the key
 // type's wire codec, its results boxed from a chunked slab of the
 // spec's key type, so n keys cost one allocation per chunk beside
 // Prepare's own work. Any other Join, and a spec without Prepare or
@@ -269,7 +283,7 @@ func (p Preparer) Prepare(raw any) any {
 	return p.p.prepare(raw)
 }
 
-// Decode returns the key whose encoding AssignShipped handed out as
+// Decode returns the key whose encoding AssignAll handed out as
 // col. Call it only for a join that Rekeys.
 func (p Preparer) Decode(col string) (any, error) { return p.p.decode(col) }
 

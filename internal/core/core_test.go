@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fudj/internal/wire"
@@ -284,6 +286,35 @@ func TestStandaloneParamsMismatch(t *testing.T) {
 	_, err := RunStandalone(newRangeJoin(DedupAvoidance), []any{[2]int64{0, 1}}, []any{[2]int64{0, 1}}, nil, func(any, any) {})
 	if err == nil {
 		t.Fatal("missing parameter should fail in Divide")
+	}
+}
+
+// badKey encodes, but its decoder refuses every encoding.
+type badKey int64
+
+func (k badKey) MarshalWire(e *wire.Encoder) { e.Varint(int64(k)) }
+
+func (k *badKey) UnmarshalWire(*wire.Decoder) error { return errors.New("bad key") }
+
+// TestStandaloneReturnsDecodeError pins that RunStandalone decodes a
+// rekeyed key as COMBINE does and returns a decode error as an error of
+// the assign step, not as a *UDFError.
+func TestStandaloneReturnsDecodeError(t *testing.T) {
+	j := Wrap(Spec[badKey, badKey, int64, int64]{
+		Name:         "bad_key",
+		Rekey:        func(k badKey, _ int64, _ badKey) badKey { return k },
+		NewSummary:   func() int64 { return 0 },
+		LocalAggLeft: func(_ badKey, s int64) int64 { return s },
+		GlobalAgg:    func(a, b int64) int64 { return a + b },
+		Divide:       func(_, _ int64, _ []any) (int64, error) { return 0, nil },
+		AssignLeft:   func(_ badKey, _ int64, dst []BucketID) []BucketID { return append(dst, 0) },
+		Verify:       func(BucketID, badKey, BucketID, badKey, int64) bool { return true },
+	})
+	keys := []any{badKey(1), badKey(2)}
+	_, err := RunStandalone(j, keys, keys, nil, func(any, any) { t.Error("a pair was emitted") })
+	var udf *UDFError
+	if err == nil || errors.As(err, &udf) || !strings.Contains(err.Error(), "assign left: decode key 0: bad key") {
+		t.Fatalf("got %v, want the left side's decode error", err)
 	}
 }
 

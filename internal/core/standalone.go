@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
-	"sort"
 )
 
 // Stats reports what the standalone executor did, mirroring the
@@ -109,38 +108,21 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 		return stats, fmt.Errorf("divide: %w", err)
 	}
 
-	// PARTITION: bucket both sides. A join with Spec.Rekey rekeys each
-	// key with the plan first, as the engine's assign task does, and
-	// every later phase takes the rekeyed key.
+	// PARTITION: bucket both sides through AssignAll, as the engine
+	// does. A join with Spec.Rekey hands out each rekeyed key's
+	// encoding, decoded once per record as COMBINE decodes it.
 	phase = "assign"
-	bucketize := func(side Side, keys []any) map[BucketID]*bucket {
-		buckets := make(map[BucketID]*bucket)
-		add := func(i int, ids []BucketID, k any) {
-			for _, id := range ids {
-				b := buckets[id]
-				if b == nil {
-					b = &bucket{}
-					buckets[id] = b
-				}
-				b.keys = append(b.keys, k)
-				b.idx = append(b.idx, i)
-			}
+	var buckets [2]map[BucketID]*bucket
+	for side, keys := range [2][]any{lkeys, rkeys} {
+		s := &bucketSink{buckets: make(map[BucketID]*bucket), keys: keys,
+			prep: NewPreparer(j, len(keys)), decode: Rekeys(j)}
+		if err := AssignAll(j, Side(side), keys, plan, &record, s); err != nil {
+			return stats, fmt.Errorf("assign %s: %w", Side(side), err)
 		}
-		if Rekeys(j) {
-			AssignRekeyed(j, side, keys, plan, &record, add)
-		} else {
-			var ids []BucketID
-			for i, k := range keys {
-				record = i
-				ids = j.Assign(side, k, plan, ids[:0])
-				add(i, ids, k)
-			}
-		}
-		record = -1
-		return buckets
+		buckets[side] = s.buckets
 	}
-	lb := bucketize(Left, lkeys)
-	rb := bucketize(Right, rkeys)
+	record = -1
+	lb, rb := buckets[Left], buckets[Right]
 	stats.LeftBuckets = len(lb)
 	stats.RightBuckets = len(rb)
 
@@ -186,15 +168,15 @@ func RunStandalone(j Join, left, right []any, params []any, emit func(l, r any))
 
 	if desc.DefaultMatch {
 		// Single-join: only identical bucket ids match (hash-join path).
-		for _, b := range sortedBuckets(lb) {
+		for _, b := range SortedIDs(lb) {
 			if _, ok := rb[b]; ok {
 				joinBuckets(b, b)
 			}
 		}
 	} else {
 		// Multi-join: test every bucket pair through MATCH (theta path).
-		lids := sortedBuckets(lb)
-		rids := sortedBuckets(rb)
+		lids := SortedIDs(lb)
+		rids := SortedIDs(rb)
 		for _, b1 := range lids {
 			for _, b2 := range rids {
 				if j.Match(b1, b2) {
@@ -213,13 +195,33 @@ type bucket struct {
 	idx  []int
 }
 
-func sortedBuckets[V any](m map[BucketID]V) []BucketID {
-	ids := make([]BucketID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// bucketSink is RunStandalone's AssignSink: it adds each record's key,
+// decoded first when the join ships its keys encoded, to every bucket
+// ASSIGN put the record in.
+type bucketSink struct {
+	buckets map[BucketID]*bucket
+	keys    []any
+	prep    Preparer
+	decode  bool
+}
+
+func (s *bucketSink) Assigned(i int, ids []BucketID, key string) (err error) {
+	k := s.keys[i]
+	if s.decode {
+		if k, err = s.prep.Decode(key); err != nil {
+			return fmt.Errorf("decode key %d: %w", i, err)
+		}
 	}
-	sort.Ints(ids)
-	return ids
+	for _, id := range ids {
+		b := s.buckets[id]
+		if b == nil {
+			b = &bucket{}
+			s.buckets[id] = b
+		}
+		b.keys = append(b.keys, k)
+		b.idx = append(b.idx, i)
+	}
+	return nil
 }
 
 func sameSlice(a, b []any) bool {

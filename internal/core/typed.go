@@ -40,19 +40,20 @@ type Spec[KL, KR, S, P any] struct {
 
 	// Rekey, when non-nil, converts a prepared key into a form that
 	// depends on the plan (a review's token ranks, say) once per record,
-	// after DIVIDE; ASSIGN, VERIFY, DEDUP and LocalJoin then take what
-	// it returns. The engine ships that form across the exchange in
-	// place of the raw key, so COMBINE decodes each key instead of
-	// preparing it again: KL must implement wire.Marshaler and *KL
-	// wire.Unmarshaler, and KL == KR. The result must join, assign and
-	// dedup as the key it came from does. dst is the zero KL or a key
-	// Rekey returned before that nothing uses any more: like
-	// AssignLeft's dst, its storage is Rekey's to build the result in,
-	// so a task that ships each result at once rekeys without
-	// allocating. The result must not share storage with key. COMBINE
-	// decodes each key into the KL that holds the key decoded before
-	// it, which is still in use: UnmarshalWire may carve from that
-	// key's spare capacity but must not write what it holds.
+	// after DIVIDE, in AssignAll; ASSIGN, VERIFY, DEDUP and LocalJoin
+	// then take what it returns. AssignAll hands out that form's wire
+	// encoding in place of the raw key, and both executors decode it
+	// (Preparer.Decode) instead of preparing the key again: KL must
+	// implement wire.Marshaler and *KL wire.Unmarshaler, and KL == KR.
+	// The result must join, assign and dedup as the key it came from
+	// does. dst is the zero KL for a task's first key, then the key
+	// Rekey returned for the key before, already encoded and unused:
+	// like AssignLeft's dst, its storage is Rekey's to build the result
+	// in, so a task rekeys without allocating. The result must not
+	// share storage with key. Decode reads each key into the KL that
+	// holds the key decoded before it, which is still in use:
+	// UnmarshalWire may carve from that key's spare capacity but must
+	// not write what it holds.
 	Rekey func(key KL, plan P, dst KL) KL
 
 	NewSummary    func() S
@@ -173,44 +174,35 @@ func (w *wrapped[KL, KR, S, P]) preparer(chunk int) keyPreparer {
 	if w.spec.Prepare == nil && w.spec.Rekey == nil {
 		return nil
 	}
-	p := &slabPreparer[KL]{fn: w.spec.Prepare, keySlab: newKeySlab[KL](chunk)}
+	p := &slabPreparer[KL]{fn: w.spec.Prepare, typ: slab.TypeWord[KL](), chunk: chunk}
 	if w.spec.Rekey != nil {
 		p.u = any(&p.slot).(wire.Unmarshaler) // checked by Wrap
 	}
 	return p
 }
 
-// keySlab boxes keys of type K from a chunked slab: each key is written
-// to the next slot and the interface built over that slot, unless K
-// boxes without allocating (typ nil).
-type keySlab[K any] struct {
+// slabPreparer is a Preparer's work for a spec with Prepare or Rekey:
+// prepared keys, and under Rekey decoded ones, are boxed from a chunked
+// slab, each written to the next slot and the interface built over it,
+// unless K boxes without allocating (typ nil).
+type slabPreparer[K any] struct {
 	typ   unsafe.Pointer
 	chunk int
 	slots slab.Slab[K]
-}
-
-func newKeySlab[K any](chunk int) keySlab[K] {
-	return keySlab[K]{typ: slab.TypeWord[K](), chunk: chunk}
-}
-
-func (s *keySlab[K]) box(k K) any {
-	if s.typ == nil {
-		return k
-	}
-	return slab.Box(s.typ, unsafe.Pointer(s.slots.Put(k, s.chunk)))
-}
-
-// slabPreparer is a Preparer's work for a spec with Prepare or Rekey:
-// prepared keys, and under Rekey decoded ones, are boxed from its slab.
-type slabPreparer[K any] struct {
-	keySlab[K]
-	fn func(raw any) K // nil: raw keys are K already
+	fn    func(raw any) K // nil: raw keys are K already
 
 	// Decoding, for a spec with Rekey: u unmarshals each key into slot,
 	// over the key decoded before it, and slot is then boxed.
 	slot K
 	u    wire.Unmarshaler
 	d    wire.Decoder
+}
+
+func (p *slabPreparer[K]) box(k K) any {
+	if p.typ == nil {
+		return k
+	}
+	return slab.Box(p.typ, unsafe.Pointer(p.slots.Put(k, p.chunk)))
 }
 
 func (p *slabPreparer[K]) prepare(raw any) any {
@@ -233,39 +225,30 @@ func (p *slabPreparer[K]) decode(col string) (any, error) {
 
 func (w *wrapped[KL, KR, S, P]) rekeys() bool { return w.spec.Rekey != nil }
 
-func (w *wrapped[KL, KR, S, P]) assignRekeyed(side Side, keys []any, plan PPlan, rec *int, emit func(int, []BucketID, any)) {
-	s := newKeySlab[KL](len(keys))
-	w.rekeyAll(side, keys, plan, rec, false, func(i int, k KL, ids []BucketID) { emit(i, ids, s.box(k)) })
-}
-
-func (w *wrapped[KL, KR, S, P]) assignShipped(side Side, keys []any, plan PPlan, rec *int, sink ShipSink) {
+// rekeyAll is AssignAll's typed loop under Rekey: each prepared key is
+// rekeyed with the plan, assigned, and its encoding handed to sink with
+// its bucket ids, the plan asserted once and no key boxed on the way.
+// Once a key is encoded nothing uses it, so Rekey gets it as the next
+// key's dst.
+func (w *wrapped[KL, KR, S, P]) rekeyAll(side Side, keys []any, plan PPlan, rec *int, sink AssignSink) error {
+	p := plan.(P)
 	e := &shipEncoder[KL]{e: *wire.NewEncoder(64)}
 	e.m = any(&e.slot).(wire.Marshaler) // checked by Wrap
-	w.rekeyAll(side, keys, plan, rec, true, func(i int, k KL, ids []BucketID) { sink.Ship(i, ids, e.ship(k, len(keys)-i)) })
-}
-
-// rekeyAll is the typed ASSIGN loop under Rekey: each prepared key is
-// rekeyed with the plan, assigned, and handed to each with its bucket
-// ids, the plan asserted once and no key boxed on the way. With reuse,
-// each is done with a key before the next is rekeyed, so Rekey gets the
-// previous key as its dst.
-func (w *wrapped[KL, KR, S, P]) rekeyAll(side Side, keys []any, plan PPlan, rec *int, reuse bool, each func(int, KL, []BucketID)) {
-	p := plan.(P)
 	var ids []BucketID
 	var k KL
 	for i, key := range keys {
 		*rec = i
-		if !reuse {
-			k = *new(KL)
-		}
 		k = w.spec.Rekey(castKey[KL](w, side, key), p, k)
 		if side == Right && w.spec.AssignRight != nil {
 			ids = w.spec.AssignRight(*(*KR)(unsafe.Pointer(&k)), p, ids[:0]) // KL == KR, checked by Wrap
 		} else {
 			ids = w.spec.AssignLeft(k, p, ids[:0])
 		}
-		each(i, k, ids)
+		if err := sink.Assigned(i, ids, e.ship(k, len(keys)-i)); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // shipEncoder writes the keys one assign task ships: each key's wire

@@ -9,7 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"fudj/internal/core"
 	"fudj/internal/types"
@@ -29,24 +28,24 @@ type bucketGroup struct {
 func (g *bucketGroup) add(r types.Record) { g.recs = append(g.recs, r) }
 
 // prepared returns g's key column, first filling in the keys of the
-// records added since the last call: decoded (prep.Decode) when the
-// column holds shipped keys, those of a join that rekeys (core.Rekeys),
-// else boxed (through box) and prepared (through prep). It runs library
+// records added since the last call: boxed (through box) and prepared
+// (through prep), or, with box nil, decoded (prep.Decode) from the
+// shipped keys of a join that rekeys (core.Rekeys). It runs library
 // code, so it is only called inside the guarded COMBINE task; it runs
 // once per bucket pair, so the usual case, a column already full, stays
 // inlined.
-func (g *bucketGroup) prepared(box *types.Boxer, prep core.Preparer, shipped bool) ([]any, error) {
+func (g *bucketGroup) prepared(box *types.Boxer, prep core.Preparer) ([]any, error) {
 	if len(g.keys) < len(g.recs) {
-		if err := g.fill(box, prep, shipped); err != nil {
+		if err := g.fill(box, prep); err != nil {
 			return nil, err
 		}
 	}
 	return g.keys, nil
 }
 
-func (g *bucketGroup) fill(box *types.Boxer, prep core.Preparer, shipped bool) error {
+func (g *bucketGroup) fill(box *types.Boxer, prep core.Preparer) error {
 	for _, r := range g.recs[len(g.keys):] {
-		if !shipped {
+		if box != nil {
 			g.keys = append(g.keys, prep.Prepare(box.Native(r[1])))
 			continue
 		}
@@ -93,15 +92,4 @@ func groupByBucket(recs []types.Record) map[int]*bucketGroup {
 		out[int(r[0].Int64())].add(r)
 	}
 	return out
-}
-
-// sortedIDs returns a bucket map's ids in ascending order, so map
-// iteration order never leaks into result order.
-func sortedIDs[T any](m map[int]T) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

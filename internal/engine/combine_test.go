@@ -42,7 +42,7 @@ func pairUp(out *[]types.Record) combineFn {
 // that does not rekey, failing t on an error.
 func mustPrepare(t *testing.T, g *bucketGroup, box *types.Boxer, prep core.Preparer) []any {
 	t.Helper()
-	keys, err := g.prepared(box, prep, false)
+	keys, err := g.prepared(box, prep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func mustPrepare(t *testing.T, g *bucketGroup, box *types.Boxer, prep core.Prepa
 // build-major walk over bucket pairs, with nothing governed.
 func bruteForceCombine(build, probe []types.Record, matches matchFn) []types.Record {
 	lBuckets, rBuckets := groupByBucket(build), groupByBucket(probe)
-	rIDs := sortedIDs(rBuckets)
+	rIDs := core.SortedIDs(rBuckets)
 	var out []types.Record
 	combine := pairUp(&out)
-	for _, b1 := range sortedIDs(lBuckets) {
+	for _, b1 := range core.SortedIDs(lBuckets) {
 		for _, b2 := range matches(nil, b1, rIDs) {
 			if rs, ok := rBuckets[b2]; ok {
 				combine(b1, lBuckets[b1], b2, rs)

@@ -25,7 +25,8 @@ import (
 // [bucket_id, key, (row id), required fields...]: the key, so verify
 // never recomputes key expressions per candidate pair and duplicate
 // avoidance can re-run ASSIGN on both keys of a verified pair, as the
-// paper does (for a join with Spec.Rekey, the rekeyed key's encoding); a globally unique row id only under DedupElimination,
+// paper does (for a join with Spec.Rekey, the rekeyed key's
+// encoding); a globally unique row id only under DedupElimination,
 // whose distinct stage needs it; and of the record's own fields only the
 // columns something after the join reads (step.needL / step.needR, the
 // planner's requireColumns) — so the exchange, the checkpoints, spill
@@ -211,42 +212,28 @@ func (q *queryRun) runFUDJ(jsp *trace.Span, step *joinStep, sink func() rowSink,
 	// its records per bucket id, and the coordinator gathers the counts.
 	// Naive theta, the paper's measured configuration, gathers nothing.
 	gather := desc.DefaultMatch || q.set.smartTheta
+	shipped := core.Rekeys(join)
+	// tasks[part] is partition part's assign task, left side then right
+	// (a side's counts are gathered before the other runs); a retried
+	// task overwrites its slot, as it does boxed[side][part].
+	tasks := make([]assignTask, clus.Partitions())
 	assign := func(side core.Side, data cluster.Data, key expr.Evaluator, need []int) (cluster.Data, map[int]int64, error) {
-		counts := make([]map[int]int64, len(data))
-		out, err := clus.Run(data, func(part int, in []types.Record) (out []types.Record, err error) {
-			var n map[int]int64
+		out, err := clus.Run(data, func(part int, in []types.Record) (_ []types.Record, err error) {
+			t := &tasks[part]
+			*t = assignTask{in: in, key: key, need: need, part: part, rec: -1, shipped: shipped,
+				elimination: elimination, out: make([]types.Record, 0, len(in)),
+				arena: recordArena{width: extraCols + len(need), rows: max(len(in), 64)}}
 			if gather {
-				n = make(map[int]int64)
+				t.n = make(map[int]int64)
 			}
-			if core.Rekeys(join) {
-				t := &shipTask{in: in, need: need, part: part, elimination: elimination, n: n,
-					arena: recordArena{width: extraCols + len(need), rows: max(len(in), 64)}}
-				err = t.run(f.def.Name, join, side, boxed[side][part], plan)
-				counts[part] = n
-				return t.out, err
-			}
-			rec := -1
-			defer core.CatchPanic(f.def.Name, "assign", part, &rec, &err)
-			keys := boxed[side][part]
-			var ids []core.BucketID
-			out = make([]types.Record, 0, len(in))
-			arena := recordArena{width: extraCols + len(need), rows: max(len(in), 64)}
-			for i, r := range in {
-				rec = i
-				v, err := key(r)
-				if err != nil {
-					return nil, err
-				}
-				ids = join.Assign(side, keys[i], plan, ids[:0])
-				out = arena.extend(out, ids, v, rowID(elimination, part, i), r, need, n)
-			}
-			counts[part] = n
-			return out, nil
+			defer core.CatchPanic(f.def.Name, "assign", part, &t.rec, &err)
+			err = core.AssignAll(join, side, boxed[side][part], plan, &t.rec, t)
+			return t.out, err
 		})
 		if err != nil || !gather {
 			return out, nil, err
 		}
-		return out, gatherCounts(clus, counts), nil
+		return out, gatherCounts(clus, tasks), nil
 	}
 	lAssigned, lCounts, err := assign(core.Left, left, lkey, step.needL)
 	if err != nil {
@@ -432,7 +419,7 @@ type combineTask struct {
 
 	sink   rowSink
 	n      taskCounts
-	box    *types.Boxer   // boxes the raw keys of every group the task prepares
+	box    *types.Boxer   // boxes the raw keys of every group the task prepares; nil under core.Rekeys
 	prep   core.Preparer  // and prepares them, or decodes shipped ones
 	ls, rs *bucketGroup   // the bucket pair in hand, keys prepared
 	emit   func(i, k int) // t.pair, bound once per task
@@ -451,7 +438,10 @@ const combineChunk = 128
 func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extraCols, keys int, sink rowSink) *combineTask {
 	chunk := min(max(keys, 1), combineChunk)
 	t := &combineTask{join: join, plan: plan, desc: desc, extraCols: extraCols, sink: sink,
-		box: types.NewBoxer(chunk), prep: core.NewPreparer(join, chunk)}
+		prep: core.NewPreparer(join, chunk)}
+	if !core.Rekeys(join) {
+		t.box = types.NewBoxer(chunk)
+	}
 	t.emit = t.pair
 	return t
 }
@@ -461,12 +451,11 @@ func newCombineTask(join core.Join, plan core.PPlan, desc core.Descriptor, extra
 // key once, the first time its group is combined.
 func (t *combineTask) combineBuckets(b1 int, ls *bucketGroup, b2 int, rs *bucketGroup) error {
 	t.ls, t.rs = ls, rs
-	shipped := core.Rekeys(t.join)
-	lk, err := ls.prepared(t.box, t.prep, shipped)
+	lk, err := ls.prepared(t.box, t.prep)
 	if err != nil {
 		return err
 	}
-	rk, err := rs.prepared(t.box, t.prep, shipped)
+	rk, err := rs.prepared(t.box, t.prep)
 	if err != nil {
 		return err
 	}
@@ -556,14 +545,19 @@ func (a *recordArena) next() types.Record {
 	return r
 }
 
-// shipTask is an assign task for a join that rekeys (core.Rekeys): the
-// join rekeys and assigns each prepared key in one typed loop, and the
-// extended records carry the rekeyed key's encoding as their key column
-// instead of the key expression's value. It is the loop's ShipSink.
-type shipTask struct {
+// assignTask is one partition's ASSIGN: core.AssignAll over the
+// partition's prepared keys, with the task as its sink. Each record is
+// extended once per bucket id into [id, key, (row id), its fields at
+// need], carved from the task's arena; the key is the rekeyed key's
+// encoding for a join that ships its keys (core.Rekeys), else the key
+// expression's value, and the row id, part<<32 | i, is carried only
+// under DedupElimination.
+type assignTask struct {
 	in          []types.Record
+	key         expr.Evaluator
 	need        []int
 	part        int
+	shipped     bool
 	elimination bool
 	n           map[int]int64 // per-bucket counts, when gathered
 	arena       recordArena
@@ -571,44 +565,26 @@ type shipTask struct {
 	rec         int // the record in hand, for a panic to name
 }
 
-func (t *shipTask) run(name string, join core.Join, side core.Side, keys []any, plan core.PPlan) (err error) {
-	t.rec = -1
-	defer core.CatchPanic(name, "assign", t.part, &t.rec, &err)
-	t.out = make([]types.Record, 0, len(t.in))
-	core.AssignShipped(join, side, keys, plan, &t.rec, t)
-	return nil
-}
-
-// Ship implements core.ShipSink.
-func (t *shipTask) Ship(i int, ids []core.BucketID, key string) {
-	t.out = t.arena.extend(t.out, ids, types.NewString(key), rowID(t.elimination, t.part, i), t.in[i], t.need, t.n)
-}
-
-// rowID is record i of partition part's globally unique row id under
-// DedupElimination, and Null, no column, under any other mode.
-func rowID(elimination bool, part, i int) types.Value {
-	if !elimination {
-		return types.Null
+// Assigned implements core.AssignSink.
+func (t *assignTask) Assigned(i int, ids []core.BucketID, key string) error {
+	v := types.NewString(key)
+	if !t.shipped {
+		var err error
+		if v, err = t.key(t.in[i]); err != nil {
+			return err
+		}
 	}
-	return types.NewInt64(int64(part)<<32 | int64(i))
-}
-
-// extend appends to out one extended record of row per bucket id,
-// carved from a: [id, key, (row id), row's fields at need], with the
-// row id column only when id is not Null. n, when non-nil, counts the
-// bucket ids.
-func (a *recordArena) extend(out []types.Record, ids []core.BucketID, key, id types.Value, row types.Record, need []int, n map[int]int64) []types.Record {
 	for _, b := range ids {
-		if n != nil {
-			n[b]++
+		if t.n != nil {
+			t.n[b]++
 		}
-		ext := append(a.next(), types.NewInt64(int64(b)), key)
-		if id.Kind() != types.KindNull {
-			ext = append(ext, id)
+		ext := append(t.arena.next(), types.NewInt64(int64(b)), v)
+		if t.elimination {
+			ext = append(ext, types.NewInt64(int64(t.part)<<32|int64(i)))
 		}
-		out = append(out, appendCols(ext, row, need))
+		t.out = append(t.out, appendCols(ext, t.in[i], t.need))
 	}
-	return out
+	return nil
 }
 
 // appendCols appends rec's fields at the given positions to dst.
@@ -631,15 +607,15 @@ type layout struct {
 	pruned      int64 // records the routes ship nowhere: their bucket can pair with none
 }
 
-// gatherCounts ships every partition's per-bucket record counts to the
+// gatherCounts ships every assign task's per-bucket record counts to the
 // coordinator, 16 bytes per distinct bucket (its id and count), and
 // merges them.
-func gatherCounts(clus *cluster.Cluster, parts []map[int]int64) map[int]int64 {
+func gatherCounts(clus *cluster.Cluster, tasks []assignTask) map[int]int64 {
 	acc := make(map[int]int64)
 	var shipped int64
-	for _, m := range parts {
-		shipped += 16 * int64(len(m))
-		for id, n := range m {
+	for i := range tasks {
+		shipped += 16 * int64(len(tasks[i].n))
+		for id, n := range tasks[i].n {
 			acc[id] += n
 		}
 	}

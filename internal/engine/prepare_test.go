@@ -20,7 +20,10 @@ import (
 // with mixed case, punctuation and non-ASCII words, the engine (without
 // a budget, and spilling under one), RunStandalone and a nested loop
 // over raw-key Verify must find the same pairs, for both the avoidance
-// and the elimination variant, in a self-join and a two-sided join.
+// and the elimination variant, in a self-join and a two-sided join. A
+// third variant hides textsim.New behind struct{ core.Join }, so it
+// neither prepares nor rekeys in either executor: core.AssignAll calls
+// its Assign per raw key, and each call prepares the key it is given.
 func TestTextSimPreparedKeyPaths(t *testing.T) {
 	db := newTestDB(t)
 	rng := rand.New(rand.NewSource(38))
@@ -43,6 +46,13 @@ func TestTextSimPreparedKeyPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustQuery(t, db, `CREATE JOIN text_similarity_elim(a: string, b: string, t: double) RETURNS boolean AS "setsimilarity.SetSimilarityJoinElimination" AT flexiblejoins`)
+	hidden := func() core.Join { return struct{ core.Join }{textsim.New()} }
+	lib := core.NewLibrary("hiddenlib")
+	lib.MustRegister("test.HiddenTextSim", hidden)
+	if err := db.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, db, `CREATE JOIN text_similarity_hidden(a: string, b: string, t: double) RETURNS boolean AS "test.HiddenTextSim" AT hiddenlib`)
 	const threshold = 0.6
 	// even/odd are the two sides of the two-sided join.
 	var even, odd []any
@@ -66,6 +76,7 @@ func TestTextSimPreparedKeyPaths(t *testing.T) {
 	}{
 		{"text_similarity_join", textsim.New},
 		{"text_similarity_elim", textsim.NewElimination},
+		{"text_similarity_hidden", hidden},
 	}
 	for _, v := range variants {
 		for _, s := range sides {

@@ -214,7 +214,7 @@ func combinePartition(mem *memState, joinName string, part int,
 	// ---- probe pass, build-major: whole probe groups against resident
 	// buckets ----
 	probeGroups := groupByBucket(probe)
-	probeIDs := sortedIDs(probeGroups)
+	probeIDs := core.SortedIDs(probeGroups)
 	var matched []int // one scratch per task, not one slice per bucket
 	// matchedGroups returns the probe buckets b1 joins that have a group
 	// in this partition, in emission order.
@@ -240,7 +240,7 @@ func combinePartition(mem *memState, joinName string, part int,
 		}
 		return nil
 	}
-	for _, b1 := range sortedIDs(resident) {
+	for _, b1 := range core.SortedIDs(resident) {
 		if err := joinProbe(b1, resident[b1], matchedGroups(b1)); err != nil {
 			return err
 		}
@@ -253,7 +253,7 @@ func combinePartition(mem *memState, joinName string, part int,
 	// the resident bytes and the tracked peak can exceed the budget.
 	acct.release(acct.used)
 	resident = nil
-	for _, b1 := range sortedIDs(spilled) {
+	for _, b1 := range core.SortedIDs(spilled) {
 		run := spilled[b1]
 		if err := run.Close(); err != nil {
 			return err
@@ -277,86 +277,59 @@ func combinePartition(mem *memState, joinName string, part int,
 // loaded in budget-sized chunks (skew splitting — one chunk when the
 // bucket fits, several when its build side alone exceeds the budget),
 // and join joins every chunk with the bucket's matched probe groups, as
-// the probe pass joins a resident bucket. The probe groups stay in
-// memory, so they keep their prepared keys across chunks.
+// the probe pass joins a resident bucket. A chunk ends before the
+// record that would take it over the budget, inside a frame or not,
+// and holds at least one record, so progress is guaranteed. The probe
+// groups stay in memory, so they keep their prepared keys across chunks.
 func joinSpilledBucket(mem *memState, acct *partAcct, path string, join func(ls *bucketGroup) error) error {
 	lr, err := storage.OpenRun(path)
 	if err != nil {
 		return err
 	}
 	defer lr.Close()
-	cur := newRunCursor(lr)
+	ls := &bucketGroup{}
+	var lsBytes int64
 	chunks := 0
-	for {
-		// Accumulate the next build chunk under the budget (always at
-		// least one record, so progress is guaranteed).
-		ls := &bucketGroup{}
-		var lsBytes int64
-		for {
-			r, ok, err := cur.peek()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			sz := r.MemSize()
-			if len(ls.recs) > 0 && lsBytes+sz > mem.perPart {
-				break
-			}
-			cur.advance()
-			ls.add(r)
-			lsBytes += sz
-		}
-		if len(ls.recs) == 0 {
-			break
-		}
+	// flush joins the chunk in hand under its reservation.
+	flush := func() error {
 		chunks++
 		acct.reserve(lsBytes) // an error return leaves it to the task's acct.close
 		if err := join(ls); err != nil {
 			return err
 		}
 		acct.release(lsBytes)
+		ls, lsBytes = &bucketGroup{}, 0
+		return nil
+	}
+	for {
+		frame, err := lr.Next()
+		if isEOF(err) {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		for _, r := range frame {
+			sz := r.MemSize()
+			if len(ls.recs) > 0 && lsBytes+sz > mem.perPart {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			ls.add(r)
+			lsBytes += sz
+		}
+	}
+	if len(ls.recs) > 0 {
+		if err := flush(); err != nil {
+			return err
+		}
 	}
 	if chunks > 1 {
 		mem.metrics.AddBucketSplit()
 	}
 	return nil
 }
-
-// runCursor adapts a frame-oriented RunReader into a record-at-a-time
-// cursor, so chunk boundaries can fall inside a frame.
-type runCursor struct {
-	r     *storage.RunReader
-	frame []types.Record
-	pos   int
-	eof   bool
-}
-
-func newRunCursor(r *storage.RunReader) *runCursor { return &runCursor{r: r} }
-
-// peek returns the next record without consuming it. ok is false at
-// end of run.
-func (c *runCursor) peek() (types.Record, bool, error) {
-	for !c.eof && c.pos >= len(c.frame) {
-		frame, err := c.r.Next()
-		if err != nil {
-			if isEOF(err) {
-				c.eof = true
-				break
-			}
-			return nil, false, err
-		}
-		c.frame, c.pos = frame, 0
-	}
-	if c.pos >= len(c.frame) {
-		return nil, false, nil
-	}
-	return c.frame[c.pos], true, nil
-}
-
-// advance consumes the record peek returned.
-func (c *runCursor) advance() { c.pos++ }
 
 // largestBucket picks the eviction victim: the bucket holding the most
 // resident bytes, ties broken by smaller id so eviction order is

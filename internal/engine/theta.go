@@ -31,8 +31,8 @@ import (
 // Every matched pair is processed exactly once (at the owner of its
 // left record), so no result is produced twice.
 func planSmartTheta(clus *cluster.Cluster, name string, join core.Join, lCounts, rCounts map[int]int64) (layout, error) {
-	lIDs := sortedIDs(lCounts)
-	rIDs := sortedIDs(rCounts)
+	lIDs := core.SortedIDs(lCounts)
+	rIDs := core.SortedIDs(rCounts)
 
 	// Parallel enumeration: matches[i] lists the right buckets matching
 	// lIDs[i]. MATCH implementations are required to be pure, so this
